@@ -1,11 +1,11 @@
 """Thin abstraction over the LP/MILP engine.
 
-This is the only module that talks to a third-party solver. Models are
-described engine-neutrally (columns, rows, senses), solved through an
-adapter, and can be dumped to / read from the textual LP interchange format
-for debugging. The adapter is chosen via the ``RAILVOLT_SOLVER`` environment
-variable (default: ``scipy``, which drives HiGHS through
-``scipy.optimize.linprog`` / ``milp``).
+This is the only module that talks to a third-party solver: HiGHS, through
+``scipy.optimize.linprog`` / ``milp``. Models are described engine-neutrally
+(columns, rows, senses) and solved by :class:`ScipyBackend`; the array-level
+routines :func:`solve_lp` and :func:`farkas_ray` serve callers that hold a
+system as matrices (the decomposition's scheduling LP). Models can be dumped
+to / read from the textual LP interchange format for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -14,11 +14,10 @@ nonnegative and duals of ``<=`` rows nonpositive.
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,7 +188,7 @@ class SolveOutcome:
     objective: Optional[float] = None
     best_bound: Optional[float] = None
     duals: Optional[np.ndarray] = None
-    ray: Optional[FarkasCertificate] = None
+    bound_duals: Optional[np.ndarray] = None  # d objective / d column upper
     gap: Optional[float] = None
     wall_seconds: float = 0.0
     message: str = ""
@@ -217,13 +216,10 @@ def get_duals(outcome: SolveOutcome) -> np.ndarray:
 class ScipyBackend:
     """Drives HiGHS through scipy.optimize (linprog for LPs, milp for MILPs).
 
-    LPs always come back with duals; infeasible LPs come back with a Farkas
-    certificate computed from an auxiliary ray LP (the HiGHS wrapper exposes
-    no certificate of its own). One solve = one engine session; HiGHS may
-    multithread internally.
+    LPs come back with row and upper-bound duals. An infeasible LP is only a
+    status; :func:`farkas_certificate` proves it on request. One solve = one
+    engine session; HiGHS may multithread internally.
     """
-
-    name = "scipy"
 
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
               seconds: Optional[float] = None) -> SolveOutcome:
@@ -232,7 +228,9 @@ class ScipyBackend:
             if model.has_integers:
                 out = self._solve_milp(model, gap, seconds)
             else:
-                out = self._solve_lp(model, seconds)
+                c, lb, ub, _, A, senses, rhs = model.arrays()
+                out = solve_lp(c, A, senses, rhs, lb, ub, seconds,
+                               offset=model.objective_offset)
         except (ValueError, MemoryError) as exc:
             out = SolveOutcome(status="error", message=str(exc),
                                has_integers=model.has_integers)
@@ -281,110 +279,140 @@ class ScipyBackend:
         return SolveOutcome(status="error", message=res.message,
                             has_integers=True)
 
-    # -- LP -----------------------------------------------------------------
-
-    def _solve_lp(self, model, seconds):
-        c, lb, ub, _, A, senses, rhs = model.arrays()
-        ge = senses == GE
-        le = senses == LE
-        eq = senses == EQ
-        blocks, b_ub = [], []
-        if le.any():
-            blocks.append(A[le])
-            b_ub.append(rhs[le])
-        if ge.any():
-            blocks.append(-A[ge])
-            b_ub.append(-rhs[ge])
-        A_ub = sp.vstack(blocks, format="csr") if blocks else None
-        b_ub = np.concatenate(b_ub) if b_ub else None
-        A_eq = A[eq] if eq.any() else None
-        b_eq = rhs[eq] if eq.any() else None
-        options = {} if seconds is None else {"time_limit": seconds}
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=np.column_stack([lb, ub]), method="highs",
-                      options=options)
-        off = model.objective_offset
-        if res.status == 0:
-            duals = np.zeros(model.n_rows)
-            if A_ub is not None:
-                m = np.asarray(res.ineqlin.marginals)
-                n_le = int(le.sum())
-                duals[le] = m[:n_le]
-                duals[ge] = -m[n_le:]  # rows were negated into <= form
-            if A_eq is not None:
-                duals[eq] = np.asarray(res.eqlin.marginals)
-            return SolveOutcome(
-                status="optimal", primal=np.asarray(res.x),
-                objective=float(res.fun) + off, best_bound=float(res.fun) + off,
-                duals=duals, message=res.message)
-        if res.status == 2:
-            ray = farkas_certificate(model)
-            return SolveOutcome(status="infeasible", ray=ray,
-                                message=res.message)
-        if res.status == 3:
-            return SolveOutcome(status="unbounded", message=res.message)
-        if res.status == 1 and res.x is not None:
-            return SolveOutcome(status="feasible-limit",
-                                primal=np.asarray(res.x),
-                                objective=float(res.fun) + off,
-                                message=res.message)
-        return SolveOutcome(status="error", message=res.message)
-
 
 def _maybe(res, attr, offset):
     val = getattr(res, attr, None)
     return None if val is None else float(val) + offset
 
 
-def _normalized_ge_system(model: AbstractModel):
-    """Rows + finite bounds as one ``G x >= h`` system, with provenance."""
-    cols = model.n_cols
-    G_rows, h, terms = [], [], []
-    for r, row in enumerate(model.rows):
-        vec = sp.csr_matrix((row.values, ([0] * len(row.indices), row.indices)),
-                            shape=(1, cols))
-        if row.sense in (GE, EQ):
-            G_rows.append(vec)
-            h.append(row.rhs)
-            terms.append(("row", r, +1))
-        if row.sense in (LE, EQ):
-            G_rows.append(-vec)
-            h.append(-row.rhs)
-            terms.append(("row", r, -1))
-    for ci, col in enumerate(model.columns):
-        if np.isfinite(col.lower):
-            G_rows.append(sp.csr_matrix(([1.0], ([0], [ci])), shape=(1, cols)))
-            h.append(col.lower)
-            terms.append(("lb", ci))
-        if np.isfinite(col.upper):
-            G_rows.append(sp.csr_matrix(([-1.0], ([0], [ci])), shape=(1, cols)))
-            h.append(-col.upper)
-            terms.append(("ub", ci))
-    G = sp.vstack(G_rows, format="csr") if G_rows else sp.csr_matrix((0, cols))
-    return G, np.array(h), terms
+# ---------------------------------------------------------------------------
+# Array-level LP routines
+# ---------------------------------------------------------------------------
+
+def solve_lp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
+             rhs: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+             seconds: Optional[float] = None,
+             offset: float = 0.0) -> SolveOutcome:
+    """Minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``, ``lb <= x <= ub``.
+
+    An optimal outcome carries the primal, the row duals (module convention)
+    and ``bound_duals``, the duals of the column upper bounds (<= 0, zero
+    where a bound does not bind).
+    """
+    ineq, eq = senses != EQ, senses == EQ
+    sign = np.where(senses[ineq] == GE, -1.0, 1.0)  # >= rows enter as <=
+    options = {} if seconds is None else {"time_limit": seconds}
+    res = linprog(c, A_ub=sp.diags(sign) @ A[ineq], b_ub=sign * rhs[ineq],
+                  A_eq=A[eq], b_eq=rhs[eq],
+                  bounds=np.column_stack([lb, ub]), method="highs",
+                  options=options)
+    if res.status == 0:
+        duals = np.zeros(len(rhs))
+        duals[ineq] = sign * np.asarray(res.ineqlin.marginals)
+        duals[eq] = np.asarray(res.eqlin.marginals)
+        return SolveOutcome(
+            status="optimal", primal=np.asarray(res.x),
+            objective=float(res.fun) + offset,
+            best_bound=float(res.fun) + offset, duals=duals,
+            bound_duals=np.asarray(res.upper.marginals), message=res.message)
+    if res.status == 2:
+        return SolveOutcome(status="infeasible", message=res.message)
+    if res.status == 3:
+        return SolveOutcome(status="unbounded", message=res.message)
+    if res.status == 1 and res.x is not None:
+        return SolveOutcome(status="feasible-limit", primal=np.asarray(res.x),
+                            objective=float(res.fun) + offset,
+                            message=res.message)
+    return SolveOutcome(status="error", message=res.message)
+
+
+class FarkasRay(NamedTuple):
+    """Multipliers proving ``A x {senses} rhs``, ``lb <= x <= ub`` infeasible.
+
+    ``rows`` weighs each row in its ``>=`` orientation: >= 0 on ``>=`` rows,
+    <= 0 on ``<=`` rows, free on equalities. ``lower`` and ``upper`` are the
+    >= 0 multipliers of the column bounds, zero where a bound is infinite.
+    They satisfy ``A^T rows + lower - upper = 0`` and
+    ``rhs^T rows + lb^T lower - ub^T upper = violation > 0``.
+    """
+    rows: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    violation: float
+
+
+def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
+               lb: np.ndarray, ub: np.ndarray,
+               tol: float = 1e-9) -> Optional[FarkasRay]:
+    """Solve the Farkas LP of a system; None when no ray beats ``tol``.
+
+    Inequality rows enter in their ``>=`` orientation, each equality as a
+    +/- pair, and each finite upper bound with a multiplier; together these
+    multipliers rho (>= 0) have mass <= 1:
+
+        max  h^T rho + lb^T s   s.t.  G rho + s = 0,  sum rho <= 1
+
+    with one row of ``G`` per column. A finite lower bound's multiplier s
+    (>= 0) is that row's slack, so the row reads ``G rho <= 0`` and s leaves
+    the objective as ``-lb^T G rho``, which vanishes when lb = 0. A column
+    without a finite lower bound has no slack: its row is an equality.
+    """
+    ineq, eq = senses != EQ, senses == EQ
+    sign = np.where(senses[ineq] == LE, -1.0, 1.0)  # <= rows enter as >=
+    A_in = sp.diags(sign) @ A[ineq]
+    has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
+    I_ub = sp.identity(len(ub), format="csr")[has_ub]
+    G = sp.hstack([A_in.T, A[eq].T, -A[eq].T, -I_ub.T]).tocsr()
+    h = np.concatenate([sign * rhs[ineq], rhs[eq], -rhs[eq], -ub[has_ub]])
+    h = h - G.T @ np.where(has_lb, lb, 0.0)
+    n = G.shape[1]
+    if n == 0:
+        return None  # no rows and no finite upper bounds: nothing to prove
+    res = linprog(-h, A_ub=sp.vstack([G[has_lb], np.ones((1, n))]).tocsr(),
+                  b_ub=np.concatenate([np.zeros(int(has_lb.sum())), [1.0]]),
+                  A_eq=G[~has_lb], b_eq=np.zeros(int((~has_lb).sum())),
+                  bounds=(0, None), method="highs")
+    if res.status != 0 or -res.fun <= tol:
+        return None
+    x = np.asarray(res.x)
+    n_in, n_eq = int(ineq.sum()), int(eq.sum())
+    rows = np.zeros(len(rhs))
+    rows[ineq] = sign * x[:n_in]
+    rows[eq] = x[n_in:n_in + n_eq] - x[n_in + n_eq:n_in + 2 * n_eq]
+    upper = np.zeros(len(ub))
+    upper[has_ub] = x[n_in + 2 * n_eq:]
+    lower = np.where(has_lb, np.maximum(0.0, -(G @ x)), 0.0)
+    return FarkasRay(rows, lower, upper, float(-res.fun))
+
+
+_ORIENTATIONS = {GE: (+1,), LE: (-1,), EQ: (+1, -1)}
 
 
 def farkas_certificate(model: AbstractModel,
                        tol: float = 1e-9) -> Optional[FarkasCertificate]:
     """Find multipliers proving ``model``'s constraints infeasible.
 
-    Solves max h^T rho s.t. G^T rho = 0, sum rho <= 1, rho >= 0 over the
-    normalized >= system; a positive optimum is a certificate (Farkas'
-    lemma). Returns None when no certificate is found.
+    The model's view of :func:`farkas_ray`: each row's weight is split over
+    its orientations, then the finite bounds follow. Returns None when no
+    certificate is found.
     """
     if model.has_integers:
         raise CapabilityError("certificates are only defined for LPs")
-    G, h, terms = _normalized_ge_system(model)
-    n = G.shape[0]
-    if n == 0:
+    _, lb, ub, _, A, senses, rhs = model.arrays()
+    ray = farkas_ray(A, senses, rhs, lb, ub, tol)
+    if ray is None:
         return None
-    res = linprog(-h, A_eq=G.T.tocsr(), b_eq=np.zeros(model.n_cols),
-                  A_ub=np.ones((1, n)), b_ub=[1.0],
-                  bounds=(0, None), method="highs")
-    if res.status != 0 or -res.fun <= tol:
-        return None
-    return FarkasCertificate(multipliers=np.asarray(res.x), terms=terms,
-                             violation=float(-res.fun))
+    terms, weights = [], []
+    for r, sense in enumerate(senses):
+        for orient in _ORIENTATIONS[sense]:
+            terms.append(("row", r, orient))
+            weights.append(max(0.0, orient * ray.rows[r]))
+    for kind, mult, bound in (("lb", ray.lower, lb), ("ub", ray.upper, ub)):
+        for ci in np.flatnonzero(np.isfinite(bound)):
+            terms.append((kind, int(ci)))
+            weights.append(mult[ci])
+    return FarkasCertificate(multipliers=np.array(weights), terms=terms,
+                             violation=ray.violation)
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +605,3 @@ def _parse_expr(expr: str):
 def read_lp_file(path: str) -> AbstractModel:
     with open(path) as fh:
         return read_lp(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {"scipy": ScipyBackend, "scipy-highs": ScipyBackend}
-
-
-def get_backend(name: Optional[str] = None) -> ScipyBackend:
-    """Adapter lookup: explicit name, else $RAILVOLT_SOLVER, else scipy."""
-    name = name or os.environ.get("RAILVOLT_SOLVER", "scipy")
-    try:
-        return _BACKENDS[name]()
-    except KeyError:
-        raise BackendError(
-            f"unknown solver adapter {name!r}; known: {sorted(_BACKENDS)}"
-        ) from None

@@ -24,7 +24,6 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from . import backend as be
 from .domain import Instance, SolveConfig, Solution
@@ -236,87 +235,48 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
     """
     rhs = split.subproblem_rhs(np.asarray(v_hat, dtype=float))
     rows = split.sp_rows
-    ge = rows & (split.senses == be.GE)
-    eq = rows & (split.senses == be.EQ)
+    system = (split.A[rows], split.senses[rows], rhs[rows],
+              split.u_lb, split.u_ub)
+    out = be.solve_lp(split.c_u, *system)
 
-    A_ub = -split.A[ge] if ge.any() else None
-    b_ub = -rhs[ge] if ge.any() else None
-    A_eq = split.A[eq] if eq.any() else None
-    b_eq = rhs[eq] if eq.any() else None
-    bounds = np.column_stack([split.u_lb, split.u_ub])
-
-    res = linprog(split.c_u, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-
-    if res.status == 0:
+    if out.status == "optimal":
         pi = np.zeros(len(split.b))
-        if ge.any():
-            pi[ge] = -np.asarray(res.ineqlin.marginals)
-        if eq.any():
-            pi[eq] = np.asarray(res.eqlin.marginals)
-        sigma = np.asarray(res.upper.marginals)
-        const = _bound_constant(split, sigma)
+        pi[rows] = out.duals
+        const = _bound_constant(split, out.bound_duals)
         dual_value = float(pi @ rhs) + const
-        if abs(dual_value - res.fun) > _DUALITY_TOL * max(1.0, abs(res.fun)):
+        if abs(dual_value - out.objective) > \
+                _DUALITY_TOL * max(1.0, abs(out.objective)):
             raise be.BackendError(
                 f"strong duality violated: dual {dual_value!r} vs primal "
-                f"{res.fun!r}")
+                f"{out.objective!r}")
         cut = ExtremePoint(
             pi=pi,
             coef=np.asarray((split.Dm.T @ pi).ravel()),
             rhs=float(pi @ split.b) + const,
-            objective=float(res.fun),
+            objective=out.objective,
         )
-        return "point", cut, np.asarray(res.x)
+        return "point", cut, out.primal
 
-    if res.status == 2:
-        cut = _ray_certificate(split, rhs, ge, eq)
+    if out.status == "infeasible":
+        ray = be.farkas_ray(*system, tol=_RAY_TOL)
+        if ray is None:
+            raise be.CapabilityError(
+                "no infeasibility certificate found for the scheduling LP")
+        # The ray proves rho^T (b - Dm v) - sigma^T ub > 0 at v_hat, so every
+        # schedulable v has rho^T Dm v >= rho^T b - sigma^T ub.
+        rho = np.zeros(len(split.b))
+        rho[rows] = ray.rows
+        cut = ExtremeRay(
+            rho=rho,
+            coef=np.asarray((split.Dm.T @ rho).ravel()),
+            rhs=float(rho @ split.b) - _bound_constant(split, ray.upper),
+            violation=ray.violation,
+        )
         return "ray", cut, None
 
     raise be.CapabilityError(
         f"scheduling LP returned neither optimum nor certificate "
-        f"(status {res.status}: {res.message})")
-
-
-def _ray_certificate(split: BendersSplit, rhs: np.ndarray,
-                     ge: np.ndarray, eq: np.ndarray) -> ExtremeRay:
-    """Farkas ray of the infeasible scheduling LP.
-
-    Solved on the all->= doubling of the system (each equality contributes a
-    +/- pair) with multipliers for finite upper bounds, normalized to total
-    mass <= 1:  max rho^T rhs - sigma^T ub  s.t.  A^T rho - sigma <= 0.
-    """
-    finite = np.isfinite(split.u_ub)
-    A_ge = split.A[ge]
-    A_eq = split.A[eq]
-    I_ub = sp.identity(split.n_u, format="csr")[finite]
-
-    blocks = [A_ge.T, A_eq.T, -A_eq.T, -I_ub.T]
-    G = sp.hstack([blk for blk in blocks if blk.shape[1]]).tocsr()
-    h = np.concatenate([rhs[ge], rhs[eq], -rhs[eq], -split.u_ub[finite]])
-    n = G.shape[1]
-
-    res = linprog(-h, A_ub=sp.vstack([G, np.ones((1, n))]).tocsr(),
-                  b_ub=np.concatenate([np.zeros(split.n_u), [1.0]]),
-                  bounds=(0, None), method="highs")
-    if res.status != 0 or -res.fun <= _RAY_TOL:
-        raise be.CapabilityError(
-            "no infeasibility certificate found for the scheduling LP "
-            f"(status {res.status}, violation {-res.fun if res.status == 0 else np.nan})")
-
-    x = np.asarray(res.x)
-    n_ge, n_eq = int(ge.sum()), int(eq.sum())
-    rho = np.zeros(len(split.b))
-    rho[ge] = x[:n_ge]
-    rho[eq] = x[n_ge:n_ge + n_eq] - x[n_ge + n_eq:n_ge + 2 * n_eq]
-    sigma = x[n_ge + 2 * n_eq:]
-    const = float(sigma @ split.u_ub[finite])
-    return ExtremeRay(
-        rho=rho,
-        coef=np.asarray((split.Dm.T @ rho).ravel()),
-        rhs=float(rho @ split.b) - const,
-        violation=float(-res.fun),
-    )
+        f"(status {out.status}: {out.message})")
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +429,6 @@ def _gap(ub: float, lb: float) -> float:
 
 
 def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
-                solver: Optional[object] = None,
                 keep_pool: bool = False) -> Solution:
     """Iterate master assignments against the scheduling subproblem until
     the bound gap closes.
@@ -485,7 +444,6 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     callers can audit the cuts; the result is then not JSON-serializable.
     """
     cfg = config or SolveConfig()
-    engine = solver or be.get_backend()
     started = time.perf_counter()
 
     model, vm = build_model(instance, cfg)
@@ -500,7 +458,7 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         return cfg.time_limit_seconds - elapsed()
 
     # -- warm start ---------------------------------------------------------
-    warm = solve_pla(instance, cfg, solver=engine,
+    warm = solve_pla(instance, cfg,
                      fixed_deployment=list(instance.interior),
                      max_loading=True,
                      time_limit_override=min(cfg.rmp_time_limit_seconds,
@@ -530,7 +488,7 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         if remaining() <= 0:
             break
         rmp = build_rmp(split, pool, cfg)
-        outcome = engine.solve(
+        outcome = be.ScipyBackend().solve(
             rmp, gap=cfg.rmp_gap,
             seconds=min(cfg.rmp_time_limit_seconds, max(1.0, remaining())))
         if outcome.status == "infeasible":

@@ -9,9 +9,7 @@ import csv
 import sys
 from typing import List, Optional
 
-from .benders import run_benders
 from .domain import Instance, RailvoltError, SolveConfig, Solution
-from .fixalg import run_fix_algorithm
 from .generator import GenSpec, generate_instance
 from .model import solve_pla
 from .reporting import (ALGORITHMS, run_batch, sensitivity_compare,
@@ -160,16 +158,11 @@ def _cmd_solve(args) -> int:
     cfg = _config(args)
     if args.algo == "pla":
         sol = solve_pla(inst, cfg, dump_model=args.dump_model)
-    elif args.algo == "fa":
-        if args.dump_model:
-            print("--dump-model applies to the full model; ignored for fa",
-                  file=sys.stderr)
-        sol = run_fix_algorithm(inst, cfg)
     else:
         if args.dump_model:
-            print("--dump-model applies to the full model; ignored for bd",
-                  file=sys.stderr)
-        sol = run_benders(inst, cfg)
+            print("--dump-model applies to the full model; ignored for "
+                  f"{args.algo}", file=sys.stderr)
+        sol = ALGORITHMS[args.algo](inst, cfg)
 
     print(f"algorithm: {sol.algorithm}")
     print(f"status: {sol.status}")
@@ -179,8 +172,7 @@ def _cmd_solve(args) -> int:
     print(f"objective: {sol.objective_value:.4f}")
     if sol.gap is not None:
         print(f"gap: {sol.gap:.4f}")
-    print(f"deployed stations: "
-          f"{[instance_name(inst, i) for i in sol.deployed]}")
+    print(f"deployed stations: {[inst.stations[i] for i in sol.deployed]}")
     if args.schedule:
         print()
         print(format_schedule(inst, sol))
@@ -197,10 +189,6 @@ def _cmd_solve(args) -> int:
                 writer.writerows(sol.info["benders_log"])
             print(f"wrote {conv}")
     return 0
-
-
-def instance_name(inst: Instance, i: int) -> str:
-    return inst.stations[i]
 
 
 def _cmd_validate(args) -> int:

@@ -164,7 +164,6 @@ def initialize_deployment(
 def run_fix_algorithm(
     instance: Instance,
     config: Optional[SolveConfig] = None,
-    solver: Optional[str] = None,
 ) -> Solution:
     """Fix a deployment greedily, then solve only for the schedule.
 
@@ -189,7 +188,6 @@ def run_fix_algorithm(
         solution = solve_pla(
             instance,
             config,
-            solver=solver,
             fixed_deployment=sorted(deployed),
             max_loading=True,
             time_limit_override=round_limit,

@@ -19,6 +19,7 @@ continuous columns. The decomposition solver relies on that split.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -614,8 +615,11 @@ def empty_solution(instance: Instance, status: str, algorithm: str,
 # One-shot solve
 # ---------------------------------------------------------------------------
 
+_NO_PLAN_STATUS = {"infeasible": "infeasible",
+                   "limit-no-incumbent": "time-limit-no-incumbent"}
+
+
 def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
-              solver: Optional[object] = None,
               fixed_deployment: Optional[Set[int]] = None,
               max_loading: bool = False,
               dump_model: Optional[str] = None,
@@ -628,7 +632,9 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     is a status on the returned Solution, not an exception. ``keep_primal``
     stashes the raw column vector in ``info["primal"]`` for consumers that
     need the solver's exact binary assignment (decoding rounds and clamps).
+    ``wall_seconds`` runs from entry to return, as for the other planners.
     """
+    started = time.perf_counter()
     cfg = config or SolveConfig()
     model, vm = build_model(instance, cfg)
     if fixed_deployment is not None:
@@ -637,24 +643,21 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
         fix_max_loading(model, vm, instance)
     if dump_model:
         be.write_lp(model, dump_model)
-    engine = solver or be.get_backend()
     limit = time_limit_override if time_limit_override is not None \
         else cfg.time_limit_seconds
-    outcome = engine.solve(model, gap=cfg.mip_gap, seconds=limit)
+    outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap, seconds=limit)
     if outcome.status in ("optimal", "feasible-limit"):
         sol = decode_solution(outcome, vm, instance)
         sol.info.update({"n_columns": model.n_cols, "n_rows": model.n_rows,
                          "n_binaries": vm.n_binary})
         if keep_primal:
             sol.info["primal"] = np.asarray(outcome.primal).tolist()
-        return sol
-    if outcome.status == "infeasible":
-        return empty_solution(instance, "infeasible", "pla",
-                              outcome.wall_seconds,
-                              {"solver_message": outcome.message})
-    if outcome.status == "limit-no-incumbent":
-        return empty_solution(instance, "time-limit-no-incumbent", "pla",
-                              outcome.wall_seconds,
-                              {"solver_message": outcome.message})
-    raise be.BackendError(
-        f"solver failed: {outcome.status} ({outcome.message})")
+    elif outcome.status in _NO_PLAN_STATUS:
+        sol = empty_solution(instance, _NO_PLAN_STATUS[outcome.status], "pla",
+                             info={"solver_message": outcome.message})
+    else:
+        raise be.BackendError(
+            f"solver failed: {outcome.status} ({outcome.message})")
+    sol.wall_seconds = time.perf_counter() - started
+    return sol
+

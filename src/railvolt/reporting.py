@@ -12,6 +12,8 @@ import json
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from scipy.special import betainc
+
 from .benders import run_benders
 from .domain import Instance, Metrics, RailvoltError, SolveConfig, Solution
 from .fixalg import run_fix_algorithm
@@ -93,63 +95,6 @@ def run_batch(instances: Sequence[Instance], algorithms: Sequence[str],
 # Paired t-test
 # ---------------------------------------------------------------------------
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz
-    scheme with the standard even/odd coefficient pairs); converges to 1e-10
-    well inside the x < (a+1)/(a+b+2) region it is called in."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-10:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not "
-                          f"converge for a={a}, b={b}, x={x}")
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b), accurate to ~1e-10 over (0, 1)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
 def paired_t_test(sample_a: Sequence[float],
                   sample_b: Sequence[float]) -> dict:
     """Two-sided paired t-test on (a - b).
@@ -157,7 +102,8 @@ def paired_t_test(sample_a: Sequence[float],
     Conventions: identical samples give t = 0, p = 1; a nonzero mean with
     zero variance gives p = 0 with ``degenerate`` flagged (the statistic is
     unbounded). The p value comes from the t distribution via the
-    regularized incomplete beta: p = I_{v/(v+t^2)}(v/2, 1/2), v = n - 1.
+    regularized incomplete beta: p = I_{v/(v+t^2)}(v/2, 1/2), v = n - 1
+    (``scipy.special.betainc``).
     """
     if len(sample_a) != len(sample_b):
         raise ValueError(
@@ -178,7 +124,7 @@ def paired_t_test(sample_a: Sequence[float],
         return {"t": math.copysign(math.inf, mean), "p": 0.0, "dof": dof,
                 "mean_difference": mean, "degenerate": True, "sided": "two"}
     t = mean / (sd / math.sqrt(n))
-    p = regularized_incomplete_beta(dof / (dof + t * t), dof / 2.0, 0.5)
+    p = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
     return {"t": t, "p": p, "dof": dof, "mean_difference": mean,
             "degenerate": False, "sided": "two"}
 

@@ -1,10 +1,13 @@
 """Solver adapter: duals, rays, LP interchange, status mapping."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import railvolt
 from railvolt import backend as be
 
 INF = float("inf")
@@ -26,7 +29,7 @@ def test_lp_optimum_and_le_duals():
     y = m.add_column("y", "continuous", 0.0, INF, -2.0)
     m.add_row("cap", [(x, 1.0), (y, 1.0)], "<=", 4.0)
     m.add_row("ylim", [(y, 1.0)], "<=", 2.0)
-    out = be.get_backend().solve(m)
+    out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(-6.0, abs=1e-9)
     assert out.value(x) == pytest.approx(2.0, abs=1e-8)
@@ -44,7 +47,7 @@ def test_ge_and_eq_dual_signs():
     y = m.add_column("y", "continuous", 0.0, INF, 1.0)
     m.add_row("floor", [(x, 1.0)], ">=", 5.0)
     m.add_row("tie", [(y, 1.0)], "=", 3.0)
-    out = be.get_backend().solve(m)
+    out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(8.0, abs=1e-9)
     duals = be.get_duals(out)
@@ -72,7 +75,7 @@ def test_strong_duality_on_random_lps():
             sense = ("<=", ">=", "=")[int(rng.integers(3))]
             m.add_row(f"r{r}", entries, sense,
                       float(rng.uniform(2, 6)) * (1 if sense != ">=" else -1))
-        out = be.get_backend().solve(m)
+        out = be.ScipyBackend().solve(m)
         if out.status != "optimal":
             continue
         solved += 1
@@ -96,7 +99,7 @@ def test_duals_refused_for_milp():
     m = _lp()
     x = m.add_column("x", "binary", 0.0, 1.0, 1.0)
     m.add_row("r", [(x, 1.0)], ">=", 1.0)
-    out = be.get_backend().solve(m)
+    out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     with pytest.raises(be.CapabilityError):
         be.get_duals(out)
@@ -112,7 +115,7 @@ def test_farkas_certificate_on_disjoint_rows():
     x = m.add_column("x", "continuous", -INF, INF, 0.0)
     m.add_row("ge2", [(x, 1.0)], ">=", 2.0)
     m.add_row("le1", [(x, 1.0)], "<=", 1.0)
-    out = be.get_backend().solve(m)
+    out = be.ScipyBackend().solve(m)
     assert out.status == "infeasible"
     cert = be.farkas_certificate(m)
     assert cert is not None
@@ -137,13 +140,49 @@ def test_farkas_certificate_uses_bound_rows():
     m = _lp()
     x = m.add_column("x", "continuous", 0.0, 1.0, 0.0)
     m.add_row("ge5", [(x, 1.0)], ">=", 5.0)
-    out = be.get_backend().solve(m)
+    out = be.ScipyBackend().solve(m)
     assert out.status == "infeasible"
     cert = be.farkas_certificate(m)
     assert cert is not None and cert.violation > 1e-9
     kinds = {term[0] for term, w in zip(cert.terms, cert.multipliers)
              if w > 1e-12}
     assert kinds == {"row", "ub"}
+
+
+def test_farkas_certificate_uses_nonzero_lower_bound():
+    # x in [3, 10] cannot meet x <= 2; only the lower bound proves it.
+    m = _lp()
+    x = m.add_column("x", "continuous", 3.0, 10.0, 0.0)
+    m.add_row("le2", [(x, 1.0)], "<=", 2.0)
+    cert = be.farkas_certificate(m)
+    assert cert is not None and cert.violation > 1e-9
+    weights = dict(zip(cert.terms, cert.multipliers))
+    assert weights[("lb", x)] > 1e-9
+    # (coefficient of x, rhs) of each term in the normalized >= system
+    normalized = {("row", 0, -1): (-1.0, -2.0), ("lb", x): (1.0, 3.0),
+                  ("ub", x): (-1.0, -10.0)}
+    assert set(weights) == set(normalized)
+    combo = sum(w * normalized[t][0] for t, w in weights.items())
+    score = sum(w * normalized[t][1] for t, w in weights.items())
+    assert combo == pytest.approx(0.0, abs=1e-8)
+    assert score == pytest.approx(cert.violation, abs=1e-8)
+
+
+def test_infeasible_lp_is_one_highs_call(monkeypatch):
+    # Certificates are computed on request only, never inside solve().
+    calls = []
+    real_linprog = be.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(args)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(be, "linprog", counting_linprog)
+    m = _lp()
+    x = m.add_column("x", "continuous", 0.0, 1.0, 0.0)
+    m.add_row("ge5", [(x, 1.0)], ">=", 5.0)
+    assert be.ScipyBackend().solve(m).status == "infeasible"
+    assert len(calls) == 1
 
 
 def test_certificate_none_when_feasible_and_refused_for_milp():
@@ -170,7 +209,7 @@ def test_small_milp_optimum():
     cols = [m.add_column(f"b{i}", "binary", 0.0, 1.0, -v)
             for i, v in enumerate((6.0, 5.0, 4.0))]
     m.add_row("w", list(zip(cols, (5.0, 4.0, 3.0))), "<=", 7.0)
-    out = be.get_backend().solve(m)
+    out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(-9.0, abs=1e-6)
     assert out.has_integers
@@ -185,7 +224,7 @@ def test_milp_respects_objective_offset_and_fix():
     m.add_row("sum", [(x, 1.0), (y, 1.0)], ">=", 3.0)
     m.objective_offset = 100.0
     m.fix_column(x, 2.5)
-    out = be.get_backend().solve(m)
+    out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     assert out.value(x) == pytest.approx(2.5, abs=1e-9)
     assert out.value(y) == pytest.approx(1.0, abs=1e-9)
@@ -210,7 +249,7 @@ def test_time_limit_without_incumbent_reports_no_primal():
                          float(rng.uniform(1, 2))) for i in range(n)]
     w = rng.integers(20, 60, size=n).astype(float)
     m.add_row("half", list(zip(cols, w)), "=", float(w.sum()) / 2.0)
-    out = be.get_backend().solve(m, seconds=1e-4)
+    out = be.ScipyBackend().solve(m, seconds=1e-4)
     assert out.status in {"optimal", "feasible-limit", "limit-no-incumbent",
                           "infeasible"}
     if out.primal is None:
@@ -223,12 +262,12 @@ def test_infeasible_and_unbounded_lp_statuses():
     bad = _lp()
     x = bad.add_column("x", "continuous", 0.0, 1.0, 0.0)
     bad.add_row("r", [(x, 1.0)], ">=", 2.0)
-    assert be.get_backend().solve(bad).status == "infeasible"
+    assert be.ScipyBackend().solve(bad).status == "infeasible"
 
     free = _lp()
     y = free.add_column("y", "continuous", -INF, INF, 1.0)
     free.add_row("r", [(y, 1.0)], "<=", 0.0)
-    assert be.get_backend().solve(free).status == "unbounded"
+    assert be.ScipyBackend().solve(free).status == "unbounded"
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +313,22 @@ def test_binary_columns_are_clamped_to_unit_box():
     assert m.has_integers
 
 
-def test_unknown_adapter_name_errors():
-    with pytest.raises(be.BackendError):
-        be.get_backend("no-such-solver")
+def test_only_backend_imports_scipy_optimize():
+    # backend.py is the one module that talks to the solver.
+    importers = set()
+    for path in Path(railvolt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+                   for n in names):
+                importers.add(path.name)
+    assert importers == {"backend.py"}
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +368,7 @@ def test_lp_text_round_trip_preserves_arrays():
 
 def test_lp_text_round_trip_preserves_optimum():
     m = _mixed_model()
-    first = be.get_backend().solve(m)
-    second = be.get_backend().solve(be.read_lp(be.to_lp_string(m)))
+    first = be.ScipyBackend().solve(m)
+    second = be.ScipyBackend().solve(be.read_lp(be.to_lp_string(m)))
     assert first.status == second.status == "optimal"
     assert second.objective == pytest.approx(first.objective, abs=1e-6)

@@ -83,11 +83,11 @@ def test_reassembled_split_solves_to_same_optimum():
     cfg = SolveConfig(time_limit_seconds=60.0)
     model, vm = build_model(inst, cfg)
     split = split_model(model, vm)
-    direct = be.get_backend().solve(model, gap=cfg.mip_gap, seconds=60.0)
+    direct = be.ScipyBackend().solve(model, gap=cfg.mip_gap, seconds=60.0)
     stitched = split.reassemble()
     assert stitched.n_cols == model.n_cols
     assert stitched.n_rows == model.n_rows
-    redone = be.get_backend().solve(stitched, gap=cfg.mip_gap, seconds=60.0)
+    redone = be.ScipyBackend().solve(stitched, gap=cfg.mip_gap, seconds=60.0)
     assert direct.status == redone.status == "optimal"
     # both are within the same 1% gap of one optimum
     assert redone.objective + stitched.objective_offset == pytest.approx(

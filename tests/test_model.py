@@ -1,9 +1,12 @@
 """MILP assembly: grid construction, census, decode semantics."""
 
+import time
+
 import numpy as np
 import pytest
 
 from railvolt import backend as be
+from railvolt import model as model_mod
 from railvolt.domain import InstanceError, SolveConfig
 from railvolt.model import (build_model, build_pla_grid, decode_solution,
                             solve_pla)
@@ -175,6 +178,21 @@ def test_fixed_deployment_is_respected():
     assert free.objective_value <= sol.objective_value + 1e-6
 
 
+def test_pla_wall_seconds_cover_the_whole_call(monkeypatch):
+    # A build that takes 0.2 s must show in wall_seconds: the time runs from
+    # entry to return, not just around the solver call.
+    real_build = model_mod.build_model
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.2)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "build_model", slow_build)
+    sol = solve_pla(tiny_corridor(7), SolveConfig(time_limit_seconds=60.0))
+    assert sol.status == "optimal-within-gap"
+    assert sol.wall_seconds >= 0.2
+
+
 def test_max_loading_pins_leading_consists():
     inst = tiny_corridor(9, consists=2, max_batteries=1)
     cfg = SolveConfig(time_limit_seconds=60.0)
@@ -193,7 +211,7 @@ def test_dump_model_round_trips(tmp_path):
     text = path.read_text()
     assert text.lstrip().lower().startswith(("\\", "minimize"))
     back = be.read_lp(text)
-    out = be.get_backend().solve(back, gap=cfg.mip_gap, seconds=60.0)
+    out = be.ScipyBackend().solve(back, gap=cfg.mip_gap, seconds=60.0)
     assert out.status in ("optimal", "feasible-limit")
     # the re-imported model prices the same plan (offset excluded: LP text
     # carries no constant term)

@@ -4,45 +4,18 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from railvolt.domain import Metrics, SolveConfig
 from railvolt.reporting import (ALGORITHMS, SCHEMA, long_format,
-                                paired_t_test, regularized_incomplete_beta,
-                                run_batch, sensitivity_compare,
+                                paired_t_test, run_batch, sensitivity_compare,
                                 write_long_csv, write_results_csv)
 
 from conftest import tiny_corridor
 
 
 # ---------------------------------------------------------------------------
-# Incomplete beta / t-test numerics
+# t-test numerics
 # ---------------------------------------------------------------------------
-
-
-def test_incomplete_beta_edges():
-    assert regularized_incomplete_beta(0.0, 2.0, 3.0) == 0.0
-    assert regularized_incomplete_beta(1.0, 2.0, 3.0) == 1.0
-    # symmetric density: half the mass left of 1/2
-    assert regularized_incomplete_beta(0.5, 4.0, 4.0) == pytest.approx(
-        0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(0.5, 0.0, 1.0)
-
-
-def test_incomplete_beta_tracks_scipy():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(400):
-        a = float(rng.uniform(0.3, 40.0))
-        b = float(rng.uniform(0.3, 40.0))
-        x = float(rng.uniform(0.0, 1.0))
-        mine = regularized_incomplete_beta(x, a, b)
-        ref = float(scipy.special.betainc(a, b, x))
-        worst = max(worst, abs(mine - ref))
-    assert worst < 1e-9
 
 
 def test_t_test_worked_example():
