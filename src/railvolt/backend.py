@@ -14,10 +14,11 @@ nonnegative and duals of ``<=`` rows nonpositive.
 
 from __future__ import annotations
 
+import math
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,25 +53,41 @@ class Column:
     objective: float
 
 
-@dataclass
-class Row:
-    id: str
-    indices: List[int]
-    values: List[float]
-    sense: str
-    rhs: float
+class _Rows(NamedTuple):
+    """Rows in insertion order, as CSR data with per-row counts.
+
+    Row r holds the ``counts[r]`` entries of ``indices``/``values`` that
+    follow the previous rows' entries. Zero coefficients are never stored.
+    """
+    counts: np.ndarray     # int64, entries per row
+    indices: np.ndarray    # int32 column indices
+    values: np.ndarray     # float64 coefficients
+    senses: np.ndarray     # "<U2": ">=", "<=" or "="
+    rhs: np.ndarray        # float64
+
+
+_NO_ROWS = _Rows(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0),
+                 np.zeros(0, "<U2"), np.zeros(0))
 
 
 class AbstractModel:
-    """A minimize-sense linear model with continuous and binary columns."""
+    """A minimize-sense linear model with continuous and binary columns.
+
+    The rows live in numpy chunks of CSR data (:class:`_Rows`). Single rows
+    from :meth:`add_row` collect in Python lists until the next block from
+    :meth:`add_rows` or the next read turns them into a chunk; a read joins
+    all chunks into one.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.columns: List[Column] = []
-        self.rows: List[Row] = []
         self.objective_offset: float = 0.0
         self._col_ids: Dict[str, int] = {}
-        self._row_ids: Dict[str, int] = {}
+        self._row_ids: List[str] = []
+        self._row_id_set: Set[str] = set()
+        self._chunks: List[_Rows] = []
+        self._pending = _Rows([], [], [], [], [])
 
     # -- construction -------------------------------------------------------
 
@@ -94,26 +111,95 @@ class AbstractModel:
 
     def add_row(self, rid: str, entries: Sequence[Tuple[int, float]],
                 sense: str, rhs: float) -> int:
-        if rid in self._row_ids:
+        if rid in self._row_id_set:
             raise BackendError(f"duplicate row id {rid!r}")
         if sense not in _SENSES:
-            raise BackendError(f"unknown row sense {sense!r}")
-        if not np.isfinite(rhs):
+            raise BackendError(f"row {rid!r}: unknown sense {sense!r}")
+        if not math.isfinite(rhs):
             raise BackendError(f"row {rid!r}: non-finite rhs")
+        n_cols = len(self.columns)
         indices, values = [], []
         for ci, val in entries:
             if val == 0.0:
                 continue
-            if not (0 <= ci < len(self.columns)):
+            if not (0 <= ci < n_cols):
                 raise BackendError(f"row {rid!r}: unknown column index {ci}")
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise BackendError(f"row {rid!r}: non-finite coefficient")
             indices.append(int(ci))
             values.append(float(val))
-        idx = len(self.rows)
-        self.rows.append(Row(rid, indices, values, sense, float(rhs)))
-        self._row_ids[rid] = idx
-        return idx
+        pending = self._pending
+        pending.counts.append(len(indices))
+        pending.indices.extend(indices)
+        pending.values.extend(values)
+        pending.senses.append(sense)
+        pending.rhs.append(float(rhs))
+        self._row_id_set.add(rid)
+        self._row_ids.append(rid)
+        return len(self._row_ids) - 1
+
+    def add_rows(self, ids: Sequence[str], indptr, indices, values,
+                 senses, rhs) -> range:
+        """Append a block of rows given as CSR arrays; returns their indices.
+
+        Row r is ``ids[r]`` with the entries ``indptr[r]:indptr[r+1]`` of
+        ``indices`` and ``values``; ``senses`` is one sense per row or one
+        for all, ``rhs`` one number per row. The checks are those of
+        :meth:`add_row`, vectorized: zero coefficients are dropped, and
+        non-finite numbers, unknown columns, unknown senses and duplicate
+        ids are refused with the offending row's id.
+        """
+        ids = list(ids)
+        n = len(ids)
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
+        values = np.asarray(values, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        senses = np.broadcast_to(np.asarray(senses), (n,))
+        if (indptr.shape != (n + 1,) or indptr.dtype.kind not in "iu"
+                or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+                or values.shape != indices.shape
+                or values.shape != (int(indptr[-1]),) or rhs.shape != (n,)
+                or (indices.size and indices.dtype.kind not in "iu")):
+            raise BackendError(
+                f"row block of {n} ids: inconsistent CSR arrays")
+
+        fresh = set(ids)
+        if len(fresh) != n or not self._row_id_set.isdisjoint(fresh):
+            seen = set(self._row_id_set)
+            for rid in ids:
+                if rid in seen:
+                    raise BackendError(f"duplicate row id {rid!r}")
+                seen.add(rid)
+        bad = ~np.isin(senses, _SENSES)
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise BackendError(f"row {ids[r]!r}: unknown sense {senses[r]!r}")
+        bad = ~np.isfinite(rhs)
+        if bad.any():
+            raise BackendError(
+                f"row {ids[int(np.argmax(bad))]!r}: non-finite rhs")
+        row_of = np.repeat(np.arange(n), np.diff(indptr))
+        keep = values != 0.0
+        bad = keep & ((indices < 0) | (indices >= len(self.columns)))
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise BackendError(
+                f"row {ids[row_of[e]]!r}: unknown column index {indices[e]}")
+        bad = keep & ~np.isfinite(values)
+        if bad.any():
+            raise BackendError(f"row {ids[row_of[int(np.argmax(bad))]]!r}: "
+                               "non-finite coefficient")
+
+        self._flush()
+        self._chunks.append(_Rows(
+            np.bincount(row_of[keep], minlength=n),
+            indices[keep].astype(np.int32), values[keep],
+            senses.astype("<U2"), rhs.copy()))
+        start = len(self._row_ids)
+        self._row_id_set.update(fresh)
+        self._row_ids.extend(ids)
+        return range(start, start + n)
 
     def fix_column(self, idx: int, value: float) -> None:
         """Pin a column to a value (must lie within its declared bounds)."""
@@ -124,6 +210,26 @@ class AbstractModel:
                 f"[{col.lower}, {col.upper}]")
         col.lower = col.upper = float(value)
 
+    # -- row storage ----------------------------------------------------------
+
+    def _flush(self) -> None:
+        """Turn the rows pending from :meth:`add_row` into a chunk."""
+        p = self._pending
+        if p.counts:
+            self._chunks.append(_Rows(
+                np.array(p.counts, np.int64), np.array(p.indices, np.int32),
+                np.array(p.values, float), np.array(p.senses, "<U2"),
+                np.array(p.rhs, float)))
+            self._pending = _Rows([], [], [], [], [])
+
+    def _rows(self) -> _Rows:
+        """All rows as one chunk (in insertion order; do not modify)."""
+        self._flush()
+        if len(self._chunks) != 1:
+            self._chunks = [_Rows(*(np.concatenate(part)
+                                    for part in zip(_NO_ROWS, *self._chunks)))]
+        return self._chunks[0]
+
     # -- introspection ------------------------------------------------------
 
     @property
@@ -132,7 +238,12 @@ class AbstractModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._row_ids)
+
+    @property
+    def row_ids(self) -> Tuple[str, ...]:
+        """Row ids in row order."""
+        return tuple(self._row_ids)
 
     def column_index(self, cid: str) -> int:
         return self._col_ids[cid]
@@ -142,13 +253,14 @@ class AbstractModel:
         return any(c.kind == BINARY for c in self.columns)
 
     def constraint_matrix(self) -> sp.csr_matrix:
-        data, ri, ci = [], [], []
-        for r, row in enumerate(self.rows):
-            ri.extend([r] * len(row.indices))
-            ci.extend(row.indices)
-            data.extend(row.values)
-        return sp.csr_matrix((data, (ri, ci)),
-                             shape=(self.n_rows, self.n_cols))
+        """The rows as a canonical CSR matrix: column indices sorted within
+        each row, repeated columns of a row summed."""
+        rows = self._rows()
+        indptr = np.concatenate([[0], np.cumsum(rows.counts)])
+        A = sp.csr_matrix((rows.values, rows.indices, indptr),
+                          shape=(self.n_rows, self.n_cols), copy=True)
+        A.sum_duplicates()
+        return A
 
     def arrays(self):
         """(c, lb, ub, integrality, A, senses, rhs) as numpy/scipy objects."""
@@ -157,9 +269,9 @@ class AbstractModel:
         ub = np.array([col.upper for col in self.columns])
         integrality = np.array(
             [1 if col.kind == BINARY else 0 for col in self.columns])
-        senses = np.array([row.sense for row in self.rows])
-        rhs = np.array([row.rhs for row in self.rows])
-        return c, lb, ub, integrality, self.constraint_matrix(), senses, rhs
+        rows = self._rows()
+        return (c, lb, ub, integrality, self.constraint_matrix(),
+                rows.senses.copy(), rows.rhs.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +552,16 @@ def to_lp_string(model: AbstractModel) -> str:
              if col.objective != 0.0]
     out.append(" obj: " + _expr(terms, model.objective_offset))
     out.append("Subject To")
-    for row in model.rows:
-        expr = _expr([(model.columns[ci].id, v)
-                      for ci, v in zip(row.indices, row.values)], 0.0)
-        out.append(f" {row.id}: {expr} {row.sense} {_fmt(row.rhs)}")
+    names = [col.id for col in model.columns]
+    rows = model._rows()
+    indices, values = rows.indices.tolist(), rows.values.tolist()
+    end = 0
+    for rid, count, sense, rhs in zip(model.row_ids, rows.counts.tolist(),
+                                      rows.senses.tolist(), rows.rhs.tolist()):
+        start, end = end, end + count
+        expr = _expr([(names[ci], v) for ci, v in
+                      zip(indices[start:end], values[start:end])], 0.0)
+        out.append(f" {rid}: {expr} {sense} {_fmt(rhs)}")
     out.append("Bounds")
     for col in model.columns:
         if col.kind == BINARY:

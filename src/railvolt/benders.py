@@ -97,12 +97,8 @@ class BendersSplit:
             m.columns[i].objective = float(self.c_v[i])
         m.objective_offset = self.offset
         full = sp.hstack([self.Dm, self.A]).tocsr()
-        for r in range(full.shape[0]):
-            row = full.getrow(r)
-            entries = list(zip(row.indices.tolist(), row.data.tolist()))
-            m.add_row(self.row_ids[r], entries,
-                      be.GE if self.senses[r] == be.GE else be.EQ,
-                      float(self.b[r]))
+        m.add_rows(self.row_ids, full.indptr, full.indices, full.data,
+                   self.senses, self.b)
         return m
 
 
@@ -136,7 +132,7 @@ def split_model(model: be.AbstractModel,
         c_u=c[n_v:].copy(), c_v=c[:n_v].copy(),
         u_lb=lb[n_v:].copy(), u_ub=ub[n_v:].copy(),
         offset=model.objective_offset,
-        row_ids=[row.id for row in model.rows],
+        row_ids=list(model.row_ids),
         v_col_ids=[col.id for col in model.columns[:n_v]],
         v_only=v_only, vm=vm,
     )
@@ -398,24 +394,33 @@ def build_rmp(split: BendersSplit, pool: CutPool,
     w_idx = m.add_column("w", be.CONTINUOUS, lower=w_lower, objective=1.0)
     m.objective_offset = split.offset
 
-    for r in np.flatnonzero(split.v_only):
-        row = split.Dm.getrow(r)
-        m.add_row(split.row_ids[r],
-                  list(zip(row.indices.tolist(), row.data.tolist())),
-                  be.GE if split.senses[r] == be.GE else be.EQ,
-                  float(split.b[r]))
+    v_only = split.v_only
+    master = split.Dm[v_only]
+    m.add_rows([split.row_ids[r] for r in np.flatnonzero(v_only)],
+               master.indptr, master.indices, master.data,
+               split.senses[v_only], split.b[v_only])
     for rid, entries, sense, rhs in pool.static:
         m.add_row(rid, entries, sense, rhs)
-    for p, cut in enumerate(pool.optimality):
-        entries = [(w_idx, 1.0)]
-        entries += [(int(ci), float(cv))
-                    for ci, cv in enumerate(cut.coef) if cv != 0.0]
-        m.add_row(f"opt_cut_{p}", entries, be.GE, cut.rhs)
-    for r, cut in enumerate(pool.feasibility):
-        entries = [(int(ci), float(cv))
-                   for ci, cv in enumerate(cut.coef) if cv != 0.0]
-        m.add_row(f"feas_cut_{r}", entries, be.GE, cut.rhs)
+    _add_cut_rows(m, "opt_cut", pool.optimality, w_idx)
+    _add_cut_rows(m, "feas_cut", pool.feasibility, None)
     return m
+
+
+def _add_cut_rows(m: be.AbstractModel, prefix: str, cuts, w_idx) -> None:
+    """One ``>=`` row per cut over all v columns (zeros drop out), followed
+    by ``w`` with coefficient 1 when ``w_idx`` is given."""
+    if not cuts:
+        return
+    coef = np.vstack([cut.coef for cut in cuts])
+    columns = np.arange(coef.shape[1])
+    if w_idx is not None:
+        coef = np.column_stack([coef, np.ones(len(cuts))])
+        columns = np.append(columns, w_idx)
+    width = len(columns)
+    m.add_rows([f"{prefix}_{q}" for q in range(len(cuts))],
+               np.arange(0, len(cuts) * width + 1, width),
+               np.tile(columns, len(cuts)), coef.ravel(), be.GE,
+               [cut.rhs for cut in cuts])
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,22 @@ def build_model(instance: Instance,
                 soc + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
 
     # ---- PLA block: departure SOC after charging --------------------------
+    # A slot's surface sandwich rows go in cell by cell (u-major), the upper
+    # row before the lower. Only their columns vary by slot; each reads
+    #   F - sum_u' g[u', v] gamma_u' - w[u, v] eta_v +/- Ms (tau_v + beta_u)
+    # against +/- 2 Ms, with its entries in that order.
+    cell_u = np.repeat(np.arange(grid.n), grid.m)
+    cell_v = np.tile(np.arange(grid.m), grid.n)
+    cell_ids = [f"_{u}_{v}" for u, v in zip(cell_u, cell_v)]
+    common = np.column_stack([np.ones(len(cell_u)), -grid.g[:, cell_v].T,
+                              -grid.w[cell_u, cell_v]])
+    big = np.full((len(cell_u), 2), Ms)
+    surface_values = np.stack(
+        [np.hstack([common, big]), np.hstack([common, -big])], axis=1).ravel()
+    surface_indptr = np.arange(0, len(surface_values) + 1, grid.n + 5)
+    surface_senses = np.tile([be.LE, be.GE], len(cell_u))
+    surface_rhs = np.tile([2.0 * Ms, -2.0 * Ms], len(cell_u))
+
     # Departure SOC = 1 - F when charging (F = uncharged fraction), with a
     # swap overriding to full and epsilon slack when the charge flag is up.
     for i in interior:
@@ -431,22 +447,21 @@ def build_model(instance: Instance,
                      (vm.tau[i, j, k, grid.m - 1], -1.0)], be.LE, 0.0)
 
                 # Surface sandwich, active only on the selected rectangle.
-                for u in range(grid.n):
-                    for v in range(grid.m):
-                        common = [(vm.F[i, j, k], 1.0)]
-                        common += [(vm.gamma[i, j, k, uu],
-                                    -float(grid.g[uu, v]))
-                                   for uu in range(grid.n + 1)]
-                        common.append((vm.eta[i, j, k, v],
-                                       -float(grid.w[u, v])))
-                        add(f"pla_surface_ub_{i}_{j}_{k}_{u}_{v}",
-                            common + [(vm.tau[i, j, k, v], Ms),
-                                      (vm.beta[i, j, k, u], Ms)],
-                            be.LE, 2.0 * Ms)
-                        add(f"pla_surface_lb_{i}_{j}_{k}_{u}_{v}",
-                            common + [(vm.tau[i, j, k, v], -Ms),
-                                      (vm.beta[i, j, k, u], -Ms)],
-                            be.GE, -2.0 * Ms)
+                gamma = np.array([vm.gamma[i, j, k, u]
+                                  for u in range(grid.n + 1)])
+                eta = np.array([vm.eta[i, j, k, v] for v in range(grid.m)])
+                tau = np.array([vm.tau[i, j, k, v] for v in range(grid.m)])
+                beta = np.array([vm.beta[i, j, k, u] for u in range(grid.n)])
+                cols = np.column_stack([
+                    np.full(len(cell_u), vm.F[i, j, k]),
+                    np.broadcast_to(gamma, (len(cell_u), grid.n + 1)),
+                    eta[cell_v], tau[cell_v], beta[cell_u]])
+                prefixes = (f"pla_surface_ub_{i}_{j}_{k}",
+                            f"pla_surface_lb_{i}_{j}_{k}")
+                model.add_rows(
+                    [p + cell for cell in cell_ids for p in prefixes],
+                    surface_indptr, np.repeat(cols, 2, axis=0).ravel(),
+                    surface_values, surface_senses, surface_rhs)
 
     return model, vm
 

@@ -305,6 +305,76 @@ def test_bad_inputs_rejected():
         m.add_row("r", [(x + 5, 1.0)], "<=", 1.0)
 
 
+def _block_model():
+    m = _lp()
+    m.add_column("x", "continuous", 0.0, 1.0, 0.0)
+    m.add_column("y", "continuous", 0.0, 1.0, 0.0)
+    m.add_row("first", [(0, 1.0)], "<=", 1.0)
+    return m
+
+
+@pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named", [
+    (["a", "b"], [0, 1, 2], [0, 1], [1.0, INF], "<=", [1.0, 1.0], "'b'"),
+    (["a", "b"], [0, 1, 2], [0, 1], [float("nan"), 1.0], "<=", [1.0, 1.0],
+     "'a'"),
+    (["a", "b"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [1.0, float("nan")],
+     "'b'"),
+    (["a", "b"], [0, 1, 2], [0, 1], [1.0, 1.0], ["<=", "!="], [1.0, 1.0],
+     "'b'"),
+    (["a", "b"], [0, 1, 2], [0, 2], [1.0, 1.0], "<=", [1.0, 1.0], "'b'"),
+    (["a", "b"], [0, 1, 2], [-1, 1], [1.0, 1.0], "<=", [1.0, 1.0], "'a'"),
+    (["a", "a"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0], "'a'"),
+    (["a", "first"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0],
+     "'first'"),
+])
+def test_row_block_bad_inputs_rejected(ids, indptr, indices, values, senses,
+                                       rhs, named):
+    m = _block_model()
+    with pytest.raises(be.BackendError, match=named):
+        m.add_rows(ids, indptr, indices, values, senses, rhs)
+    # a refused block leaves the model as it was
+    assert m.row_ids == ("first",)
+    assert m.constraint_matrix().nnz == 1
+
+
+def test_row_block_rejects_inconsistent_arrays():
+    m = _block_model()
+    with pytest.raises(be.BackendError):
+        m.add_rows(["a"], [0, 2], [0], [1.0], "<=", [1.0])
+    with pytest.raises(be.BackendError):
+        m.add_rows(["a"], [0, 1], [0.0], [1.0], "<=", [1.0])
+    with pytest.raises(be.BackendError):
+        m.add_rows(["a"], [0.0, 1.0], [0], [1.0], "<=", [1.0])
+    with pytest.raises(be.BackendError):
+        m.add_rows(["a"], [0, 1], [0], [1.0], "<=", [1.0, 2.0])
+
+
+def test_row_block_matches_row_by_row():
+    # zeros are dropped (before the column check, as in add_row), and a
+    # column listed twice in one row is summed
+    rows = [("a", [(0, 1.0), (1, 0.0), (0, 2.5)], "<=", 1.0),
+            ("b", [(1, -1.0), (7, 0.0)], ">=", -2.0),
+            ("c", [(0, 0.0)], "=", 0.5),
+            ("d", [(1, 3.0), (0, -4.0)], "=", 3.0)]
+    one = _block_model()
+    for row in rows:
+        one.add_row(*row)
+    block = _block_model()
+    block.add_rows([rid for rid, *_ in rows],
+                   np.cumsum([0] + [len(e) for _, e, _, _ in rows]),
+                   [ci for _, e, _, _ in rows for ci, _ in e],
+                   [v for _, e, _, _ in rows for _, v in e],
+                   [s for *_, s, _ in rows], [b for *_, b in rows])
+    assert block.row_ids == one.row_ids
+    for got, want in zip(block.arrays(), one.arrays()):
+        if hasattr(got, "toarray"):
+            assert got.nnz == want.nnz == 5
+            got, want = got.toarray(), want.toarray()
+        np.testing.assert_array_equal(got, want)
+    assert block.constraint_matrix()[1].toarray().tolist() == [[3.5, 0.0]]
+    assert be.to_lp_string(block) == be.to_lp_string(one)
+
+
 def test_binary_columns_are_clamped_to_unit_box():
     m = _lp()
     b = m.add_column("b", "binary", -5.0, 9.0, 1.0)

@@ -48,17 +48,14 @@ def test_split_census_on_reference(golden, reference_split):
 
 def test_split_flips_le_rows(golden, reference_split):
     model, _, split = reference_split
-    le = [r for r, row in enumerate(model.rows) if row.sense == be.LE]
-    assert le, "expected <= rows in the original model"
+    _, _, _, _, A, senses, rhs = model.arrays()
+    le = np.flatnonzero(senses == be.LE)
+    assert le.size, "expected <= rows in the original model"
     r = le[0]
-    orig = model.rows[r]
     got = split.Dm.getrow(r).toarray().ravel()
-    want = np.zeros(split.n_v)
-    for ci, val in zip(orig.indices, orig.values):
-        if ci < split.n_v:
-            want[ci] = -val
+    want = -A.getrow(r).toarray().ravel()[:split.n_v]
     np.testing.assert_allclose(got, want, atol=1e-12)
-    assert split.b[r] == pytest.approx(-orig.rhs)
+    assert split.b[r] == pytest.approx(-rhs[r])
     assert split.senses[r] == ">="
 
 
@@ -205,8 +202,52 @@ def test_rmp_grows_with_the_pool(reference_split):
     grown = build_rmp(split, pool, cfg)
     assert grown.n_rows == base.n_rows + 2
     assert not np.isfinite(grown.columns[grown.column_index("w")].lower)
-    ids = {row.id for row in grown.rows}
+    ids = set(grown.row_ids)
     assert "opt_cut_0" in ids and "feas_cut_0" in ids
+
+
+def test_rmp_stacks_master_rows_static_rows_and_cuts(golden,
+                                                     reference_split):
+    _, vm, split = reference_split
+    pool = CutPool()
+    pool.static = extra_feasibility_cuts(golden, vm)
+    rng = np.random.default_rng(5)
+    point_coef = np.where(rng.uniform(size=split.n_v) < 0.3,
+                          rng.normal(size=split.n_v), 0.0)
+    ray_coef = np.where(rng.uniform(size=split.n_v) < 0.3,
+                        rng.normal(size=split.n_v), 0.0)
+    pool.add_point(_point(point_coef, 4.0))
+    pool.add_ray(ExtremeRay(rho=np.zeros(1), coef=ray_coef, rhs=-1.5,
+                            violation=0.1))
+    rmp = build_rmp(split, pool, SolveConfig())
+    c, lb, ub, integrality, A, senses, rhs = rmp.arrays()
+
+    # [Dm[v_only]; static; point row; ray row], with w as the last column
+    n = split.n_v
+    static = np.zeros((len(pool.static), n + 1))
+    for r, (_, entries, _, _) in enumerate(pool.static):
+        for ci, val in entries:
+            static[r, ci] += val
+    want = np.vstack([
+        np.hstack([split.Dm[split.v_only].toarray(),
+                   np.zeros((int(split.v_only.sum()), 1))]),
+        static,
+        np.append(point_coef, 1.0),
+        np.append(ray_coef, 0.0)])
+    np.testing.assert_array_equal(A.toarray(), want)
+    assert A.has_canonical_format
+    assert list(senses) == (list(split.senses[split.v_only])
+                            + [s for _, _, s, _ in pool.static]
+                            + [be.GE, be.GE])
+    np.testing.assert_array_equal(
+        rhs, np.concatenate([split.b[split.v_only],
+                             [b for _, _, _, b in pool.static], [4.0, -1.5]]))
+    assert list(rmp.row_ids) == (
+        [split.row_ids[r] for r in np.flatnonzero(split.v_only)]
+        + [rid for rid, _, _, _ in pool.static] + ["opt_cut_0", "feas_cut_0"])
+    np.testing.assert_array_equal(c, np.append(split.c_v, 1.0))
+    np.testing.assert_array_equal(integrality, [1] * n + [0])
+    assert lb[n] == -np.inf and ub[n] == np.inf
 
 
 # ---------------------------------------------------------------------------

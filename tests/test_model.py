@@ -1,5 +1,6 @@
 """MILP assembly: grid construction, census, decode semantics."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -90,6 +91,16 @@ def test_build_model_is_deterministic(golden):
     a, _ = build_model(golden, SolveConfig())
     b, _ = build_model(golden, SolveConfig())
     assert be.to_lp_string(a) == be.to_lp_string(b)
+
+
+def test_worked_example_model_is_pinned(golden):
+    # Digest of the worked example's LP text as the row-by-row assembly
+    # produced it: row order, ids, coefficients (in entry order), senses,
+    # right-hand sides, bounds and objective all stay exactly as they were.
+    model, _ = build_model(golden, SolveConfig())
+    digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
+    assert digest == (
+        "9d67f95153f5f97172ac9b9e1b8d75558b87ac34c0c42be2efc96f6c0299cd8d")
 
 
 def test_build_model_rejects_invalid_instance():
