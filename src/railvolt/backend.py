@@ -4,8 +4,8 @@ This is the only module that talks to a third-party solver: HiGHS, through
 ``scipy.optimize.linprog`` / ``milp``. Models are described engine-neutrally
 (columns, rows, senses) and solved by :class:`ScipyBackend`; the array-level
 routines :func:`solve_lp` and :func:`farkas_ray` serve callers that hold a
-system as matrices (the decomposition's scheduling LP). Models can be dumped
-to / read from the textual LP interchange format for debugging.
+system as matrices (the decomposition's scheduling LP). Models can be
+exported to the textual LP interchange format for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -37,7 +37,8 @@ class BackendError(RailvoltError):
 
 
 class CapabilityError(BackendError):
-    """The request is outside what the adapter supports (e.g. duals on MILPs)."""
+    """The request is outside what the adapter supports (e.g. an LP export
+    of a column id the format cannot carry)."""
 
 
 # ---------------------------------------------------------------------------
@@ -279,46 +280,18 @@ class AbstractModel:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FarkasCertificate:
-    """Multipliers proving an LP infeasible.
-
-    The system is normalized to ``G x >= h`` (rows in stated order — an
-    equality contributes its ``>=`` then its ``<=`` orientation — followed by
-    finite lower-bound rows then finite upper-bound rows). ``multipliers``
-    are >= 0 with ``G^T rho = 0`` and ``h^T rho = violation > 0``.
-    """
-    multipliers: np.ndarray
-    terms: List[tuple]  # ("row", row_index, orientation) | ("lb"|"ub", col)
-    violation: float
-
-
-@dataclass
 class SolveOutcome:
     status: str  # optimal | feasible-limit | limit-no-incumbent |
     #              infeasible | unbounded | error
     primal: Optional[np.ndarray] = None
     objective: Optional[float] = None
     best_bound: Optional[float] = None
-    duals: Optional[np.ndarray] = None
+    duals: Optional[np.ndarray] = None  # row duals; LPs only
     bound_duals: Optional[np.ndarray] = None  # d objective / d column upper
     gap: Optional[float] = None
     wall_seconds: float = 0.0
     message: str = ""
     has_integers: bool = False
-
-    def value(self, index: int) -> float:
-        if self.primal is None:
-            raise BackendError(f"no primal point (status {self.status})")
-        return float(self.primal[index])
-
-
-def get_duals(outcome: SolveOutcome) -> np.ndarray:
-    """Row duals of a solved continuous model (d objective / d rhs)."""
-    if outcome.has_integers:
-        raise CapabilityError("duals are undefined for models with binaries")
-    if outcome.duals is None:
-        raise BackendError(f"no duals available (status {outcome.status})")
-    return outcome.duals
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +302,8 @@ class ScipyBackend:
     """Drives HiGHS through scipy.optimize (linprog for LPs, milp for MILPs).
 
     LPs come back with row and upper-bound duals. An infeasible LP is only a
-    status; :func:`farkas_certificate` proves it on request. One solve = one
-    engine session; HiGHS may multithread internally.
+    status; :func:`farkas_ray` proves it on request from the model's arrays.
+    One solve = one engine session; HiGHS may multithread internally.
     """
 
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
@@ -497,36 +470,6 @@ def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
     return FarkasRay(rows, lower, upper, float(-res.fun))
 
 
-_ORIENTATIONS = {GE: (+1,), LE: (-1,), EQ: (+1, -1)}
-
-
-def farkas_certificate(model: AbstractModel,
-                       tol: float = 1e-9) -> Optional[FarkasCertificate]:
-    """Find multipliers proving ``model``'s constraints infeasible.
-
-    The model's view of :func:`farkas_ray`: each row's weight is split over
-    its orientations, then the finite bounds follow. Returns None when no
-    certificate is found.
-    """
-    if model.has_integers:
-        raise CapabilityError("certificates are only defined for LPs")
-    _, lb, ub, _, A, senses, rhs = model.arrays()
-    ray = farkas_ray(A, senses, rhs, lb, ub, tol)
-    if ray is None:
-        return None
-    terms, weights = [], []
-    for r, sense in enumerate(senses):
-        for orient in _ORIENTATIONS[sense]:
-            terms.append(("row", r, orient))
-            weights.append(max(0.0, orient * ray.rows[r]))
-    for kind, mult, bound in (("lb", ray.lower, lb), ("ub", ray.upper, ub)):
-        for ci in np.flatnonzero(np.isfinite(bound)):
-            terms.append((kind, int(ci)))
-            weights.append(mult[ci])
-    return FarkasCertificate(multipliers=np.array(weights), terms=terms,
-                             violation=ray.violation)
-
-
 # ---------------------------------------------------------------------------
 # LP interchange format
 # ---------------------------------------------------------------------------
@@ -535,8 +478,8 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 
 def _fmt(x: float) -> str:
-    # Positional notation only: exponent forms ("1e-06") would confuse the
-    # sign-splitting parser on re-import.
+    # Positional notation only, never exponent forms such as "1e-06": the
+    # pinned worked-example text depends on this exact rendering.
     return np.format_float_positional(float(x), unique=True)
 
 
@@ -597,129 +540,3 @@ def _expr(terms: Sequence[Tuple[str, float]], constant: float) -> str:
 def write_lp(model: AbstractModel, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(to_lp_string(model))
-
-
-def read_lp(text: str) -> AbstractModel:
-    """Parse the LP subset emitted by :func:`to_lp_string`."""
-    model = AbstractModel(name="imported")
-    # First pass: collect variable names so indices exist before rows.
-    lines = [ln for ln in (raw.split("\\")[0].strip()
-                           for raw in text.splitlines()) if ln]
-    section = None
-    sections: Dict[str, List[str]] = {"objective": [], "rows": [],
-                                      "bounds": [], "binary": []}
-    for ln in lines:
-        low = ln.lower()
-        if low in ("minimize", "min"):
-            section = "objective"
-            continue
-        if low in ("subject to", "s.t.", "st"):
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "binary":
-            section = "binary"
-            continue
-        if low == "end":
-            section = None
-            continue
-        if low in ("maximize", "max", "general"):
-            raise CapabilityError(f"unsupported LP section {ln!r}")
-        if section is None:
-            raise BackendError(f"unexpected LP line {ln!r}")
-        sections[section].append(ln)
-
-    def strip_label(line):
-        if ":" in line:
-            return line.split(":", 1)[1].strip(), line.split(":", 1)[0].strip()
-        return line, None
-
-    # Discover names in deterministic order: objective, rows, bounds, binary.
-    names: List[str] = []
-    seen = set()
-
-    def note(name):
-        if name not in seen:
-            seen.add(name)
-            names.append(name)
-
-    def scan(expr):
-        for tok in expr.replace("+", " ").replace("-", " ").split():
-            if _NAME_RE.match(tok):
-                note(tok)
-
-    obj_expr, _ = strip_label(" ".join(sections["objective"]))
-    scan(obj_expr)
-    row_specs = []
-    for ln in sections["rows"]:
-        body, label = strip_label(ln)
-        m = re.search(r"(<=|>=|=)", body)
-        if not m:
-            raise BackendError(f"row without sense: {ln!r}")
-        sense = m.group(1)
-        lhs, rhs = body[:m.start()].strip(), body[m.end():].strip()
-        scan(lhs)
-        row_specs.append((label, lhs, sense, float(rhs)))
-    for ln in sections["bounds"]:
-        scan(ln.replace("<=", " ").replace(">=", " ").replace("free", " "))
-    for ln in sections["binary"]:
-        note(ln.strip())
-
-    obj_terms, obj_const = _parse_expr(obj_expr)
-    lowers = {n: 0.0 for n in names}
-    uppers = {n: np.inf for n in names}
-    kinds = {n: CONTINUOUS for n in names}
-    for ln in sections["binary"]:
-        kinds[ln.strip()] = BINARY
-    for ln in sections["bounds"]:
-        parts = ln.split()
-        if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
-            lowers[parts[2]] = float(parts[0])
-            uppers[parts[2]] = float(parts[4])
-        elif len(parts) == 3 and parts[1] == ">=":
-            lowers[parts[0]] = float(parts[2])
-        elif len(parts) == 2 and parts[1] == "free":
-            raise CapabilityError("free variables are not supported")
-        else:
-            raise BackendError(f"bad bounds line {ln!r}")
-    for n in names:
-        model.add_column(n, kinds[n], lowers[n], uppers[n],
-                         obj_terms.get(n, 0.0))
-    model.objective_offset = obj_const
-    for idx, (label, lhs, sense, rhs) in enumerate(row_specs):
-        terms, const = _parse_expr(lhs)
-        model.add_row(label or f"r{idx}",
-                      [(model.column_index(n), v) for n, v in terms.items()],
-                      sense, rhs - const)
-    return model
-
-
-def _parse_expr(expr: str):
-    """'2.0 x - 3 y + 1.5' -> ({x: 2.0, y: -3.0}, 1.5)."""
-    tokens = expr.replace("+", " + ").replace("-", " - ").split()
-    terms: Dict[str, float] = {}
-    const = 0.0
-    sign, coef = 1.0, None
-    for tok in tokens:
-        if tok == "+" or tok == "-":
-            if coef is not None:  # dangling number was a constant
-                const += sign * coef
-            sign, coef = (1.0 if tok == "+" else -1.0), None
-        elif _NAME_RE.match(tok):
-            val = sign * (1.0 if coef is None else coef)
-            terms[tok] = terms.get(tok, 0.0) + val
-            sign, coef = 1.0, None
-        elif tok == "0" and coef is None and not terms and const == 0.0:
-            coef = 0.0
-        else:
-            coef = float(tok)
-    if coef is not None:
-        const += sign * coef
-    return terms, const
-
-
-def read_lp_file(path: str) -> AbstractModel:
-    with open(path) as fh:
-        return read_lp(fh.read())

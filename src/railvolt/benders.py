@@ -438,12 +438,13 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     """Iterate master assignments against the scheduling subproblem until
     the bound gap closes.
 
-    Warm start: deploy everything, load every battery slot, take the first
-    schedule the solver finds; its priced subproblem seeds the pool with one
-    dual point and the incumbent seeds the upper bound. Each round then
-    solves the master (lower bound), prices its proposal (cut and possibly a
-    better incumbent), and stops once (UB-LB)/UB <= benders_gap, on a
-    stalled pool, or at the time limit.
+    Warm start: deploy everything, load every battery slot, and solve that
+    schedule MILP to ``mip_gap`` for up to min(rmp_time_limit_seconds, the
+    remaining budget but at least 1 s); its priced subproblem seeds the pool
+    with one dual point and its incumbent seeds the upper bound. Each round
+    then solves the master (lower bound), prices its proposal (cut and
+    possibly a better incumbent), and stops once (UB-LB)/UB <= benders_gap,
+    on a stalled pool, or at the time limit.
 
     ``keep_pool`` stashes the live CutPool in ``info["cut_pool"]`` so
     callers can audit the cuts; the result is then not JSON-serializable.
@@ -463,12 +464,11 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         return cfg.time_limit_seconds - elapsed()
 
     # -- warm start ---------------------------------------------------------
-    warm = solve_pla(instance, cfg,
+    warm_cfg = cfg.replace(time_limit_seconds=min(cfg.rmp_time_limit_seconds,
+                                                  max(1.0, remaining())))
+    warm = solve_pla(instance, warm_cfg,
                      fixed_deployment=list(instance.interior),
-                     max_loading=True,
-                     time_limit_override=min(cfg.rmp_time_limit_seconds,
-                                             max(1.0, remaining())),
-                     keep_primal=True)
+                     max_loading=True, keep_primal=True)
     if warm.status == "infeasible":
         # every resource maxed out and still no schedule: nothing can work
         return empty_solution(instance, "infeasible", "bd", elapsed(),

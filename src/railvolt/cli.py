@@ -15,7 +15,6 @@ from .model import solve_pla
 from .reporting import (ALGORITHMS, run_batch, sensitivity_compare,
                         write_json, write_long_csv, write_results_csv)
 from .validator import simulate_schedule
-from . import backend as be
 
 __all__ = ["main", "format_schedule"]
 
@@ -266,10 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (RailvoltError, be.BackendError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (RailvoltError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,10 +41,6 @@ class FixState:
     onboard: float = 0.0
     deficit: float = 0.0
     rounds: List[dict] = field(default_factory=list)
-    solution: Optional[Solution] = None
-
-    def trace(self) -> List[dict]:
-        return list(self.rounds)
 
 
 def compute_supply_demand(instance: Instance) -> Tuple[float, float, float]:
@@ -187,10 +183,9 @@ def run_fix_algorithm(
                           max(1.0, budget_left))
         solution = solve_pla(
             instance,
-            config,
+            config.replace(time_limit_seconds=round_limit),
             fixed_deployment=sorted(deployed),
             max_loading=True,
-            time_limit_override=round_limit,
         )
         round_rec = {
             "phase": "solve",
@@ -202,7 +197,6 @@ def run_fix_algorithm(
         if solution.status in ("optimal-within-gap", "feasible-time-limit") and np.isfinite(
             solution.objective_value
         ):
-            state.solution = solution
             break
         if len(deployed) == len(interior):
             raise InfeasibleError(
@@ -220,7 +214,7 @@ def run_fix_algorithm(
     solution.info = dict(solution.info)
     solution.info.update(
         {
-            "fix_rounds": state.trace(),
+            "fix_rounds": state.rounds,
             "demand": state.demand,
             "onboard": state.onboard,
             "deficit": state.deficit,

@@ -638,7 +638,6 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
               fixed_deployment: Optional[Set[int]] = None,
               max_loading: bool = False,
               dump_model: Optional[str] = None,
-              time_limit_override: Optional[float] = None,
               keep_primal: bool = False) -> Solution:
     """Build and solve the full MILP; decode the incumbent.
 
@@ -658,9 +657,8 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
         fix_max_loading(model, vm, instance)
     if dump_model:
         be.write_lp(model, dump_model)
-    limit = time_limit_override if time_limit_override is not None \
-        else cfg.time_limit_seconds
-    outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap, seconds=limit)
+    outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
+                                      seconds=cfg.time_limit_seconds)
     if outcome.status in ("optimal", "feasible-limit"):
         sol = decode_solution(outcome, vm, instance)
         sol.info.update({"n_columns": model.n_cols, "n_rows": model.n_rows,

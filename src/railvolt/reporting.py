@@ -19,7 +19,6 @@ from .domain import Instance, Metrics, RailvoltError, SolveConfig, Solution
 from .fixalg import run_fix_algorithm
 from .model import solve_pla
 from .validator import recompute_metrics
-from . import backend as be
 
 __all__ = [
     "ALGORITHMS",
@@ -72,7 +71,7 @@ def run_batch(instances: Sequence[Instance], algorithms: Sequence[str],
                     metrics = recompute_metrics(inst, sol, cfg)
                     for f in Metrics.FIELDS:
                         row[f] = getattr(metrics, f)
-            except (RailvoltError, be.BackendError) as exc:
+            except RailvoltError as exc:
                 row["status"] = "error"
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)

@@ -1,4 +1,4 @@
-"""Solver adapter: duals, rays, LP interchange, status mapping."""
+"""Solver adapter: duals, rays, LP export, status mapping."""
 
 import ast
 import math
@@ -32,9 +32,9 @@ def test_lp_optimum_and_le_duals():
     out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(-6.0, abs=1e-9)
-    assert out.value(x) == pytest.approx(2.0, abs=1e-8)
-    assert out.value(y) == pytest.approx(2.0, abs=1e-8)
-    duals = be.get_duals(out)
+    assert out.primal[x] == pytest.approx(2.0, abs=1e-8)
+    assert out.primal[y] == pytest.approx(2.0, abs=1e-8)
+    duals = out.duals
     # Shadow price of either <= row is -1: relaxing the rhs by one unit
     # lowers the (minimised) objective by one.
     assert duals[0] == pytest.approx(-1.0, abs=1e-8)
@@ -50,7 +50,7 @@ def test_ge_and_eq_dual_signs():
     out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(8.0, abs=1e-9)
-    duals = be.get_duals(out)
+    duals = out.duals
     # Both rows bind with unit cost, so each rhs unit costs one more.
     assert duals[0] == pytest.approx(1.0, abs=1e-8)
     assert duals[1] == pytest.approx(1.0, abs=1e-8)
@@ -79,7 +79,7 @@ def test_strong_duality_on_random_lps():
         if out.status != "optimal":
             continue
         solved += 1
-        pi = be.get_duals(out)
+        pi = out.duals
         c, lb, ub, _, A, senses, rhs = m.arrays()
         # pi^T b plus bound terms must meet the primal objective; the bound
         # duals are whatever reduced cost is left over.
@@ -100,9 +100,8 @@ def test_duals_refused_for_milp():
     x = m.add_column("x", "binary", 0.0, 1.0, 1.0)
     m.add_row("r", [(x, 1.0)], ">=", 1.0)
     out = be.ScipyBackend().solve(m)
-    assert out.status == "optimal"
-    with pytest.raises(be.CapabilityError):
-        be.get_duals(out)
+    assert out.status == "optimal" and out.has_integers
+    assert out.duals is None
 
 
 # ---------------------------------------------------------------------------
@@ -110,62 +109,61 @@ def test_duals_refused_for_milp():
 # ---------------------------------------------------------------------------
 
 
-def test_farkas_certificate_on_disjoint_rows():
+def _checked_ray(m):
+    """farkas_ray on a model's arrays, checked against its documented
+    identities: A^T rows + lower - upper = 0 and
+    rhs^T rows + lb^T lower - ub^T upper = violation > 0 (finite bounds)."""
+    _, lb, ub, _, A, senses, rhs = m.arrays()
+    ray = be.farkas_ray(A, senses, rhs, lb, ub)
+    if ray is None:
+        return None
+    assert ray.violation > 1e-9
+    has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
+    assert np.all(ray.lower >= 0) and np.all(ray.lower[~has_lb] == 0)
+    assert np.all(ray.upper >= 0) and np.all(ray.upper[~has_ub] == 0)
+    assert np.all(ray.rows[senses == ">="] >= 0)
+    assert np.all(ray.rows[senses == "<="] <= 0)
+    np.testing.assert_allclose(A.T @ ray.rows + ray.lower - ray.upper, 0.0,
+                               atol=1e-8)
+    score = (rhs @ ray.rows + lb[has_lb] @ ray.lower[has_lb]
+             - ub[has_ub] @ ray.upper[has_ub])
+    assert score == pytest.approx(ray.violation, abs=1e-8)
+    return ray
+
+
+def test_farkas_ray_on_disjoint_rows():
     m = _lp()
     x = m.add_column("x", "continuous", -INF, INF, 0.0)
     m.add_row("ge2", [(x, 1.0)], ">=", 2.0)
     m.add_row("le1", [(x, 1.0)], "<=", 1.0)
     out = be.ScipyBackend().solve(m)
     assert out.status == "infeasible"
-    cert = be.farkas_certificate(m)
-    assert cert is not None
-    assert cert.violation > 1e-9
-    # In the normalized >= system the combination G^T rho must vanish while
-    # h^T rho stays positive; rebuild both from the reported terms.
-    combo = 0.0
-    score = 0.0
-    for term, weight in zip(cert.terms, cert.multipliers):
-        kind = term[0]
-        assert kind == "row", f"unexpected bound term {term} (x is free)"
-        _, ridx, orient = term
-        coeff = {0: 1.0, 1: 1.0}[ridx]  # both rows are 1*x vs rhs
-        rhs = {0: 2.0, 1: 1.0}[ridx]
-        combo += weight * orient * coeff
-        score += weight * orient * rhs
-    assert combo == pytest.approx(0.0, abs=1e-8)
-    assert score == pytest.approx(cert.violation, abs=1e-8)
+    ray = _checked_ray(m)
+    assert ray is not None
+    # x is free, so the two rows alone prove it
+    assert ray.rows[0] > 1e-9 and ray.rows[1] < -1e-9
+    assert not ray.lower.any() and not ray.upper.any()
 
 
-def test_farkas_certificate_uses_bound_rows():
+def test_farkas_ray_uses_bound_rows():
     m = _lp()
     x = m.add_column("x", "continuous", 0.0, 1.0, 0.0)
     m.add_row("ge5", [(x, 1.0)], ">=", 5.0)
     out = be.ScipyBackend().solve(m)
     assert out.status == "infeasible"
-    cert = be.farkas_certificate(m)
-    assert cert is not None and cert.violation > 1e-9
-    kinds = {term[0] for term, w in zip(cert.terms, cert.multipliers)
-             if w > 1e-12}
-    assert kinds == {"row", "ub"}
+    ray = _checked_ray(m)
+    assert ray is not None
+    assert ray.rows[0] > 1e-9 and ray.upper[x] > 1e-9
 
 
-def test_farkas_certificate_uses_nonzero_lower_bound():
+def test_farkas_ray_uses_nonzero_lower_bound():
     # x in [3, 10] cannot meet x <= 2; only the lower bound proves it.
     m = _lp()
     x = m.add_column("x", "continuous", 3.0, 10.0, 0.0)
     m.add_row("le2", [(x, 1.0)], "<=", 2.0)
-    cert = be.farkas_certificate(m)
-    assert cert is not None and cert.violation > 1e-9
-    weights = dict(zip(cert.terms, cert.multipliers))
-    assert weights[("lb", x)] > 1e-9
-    # (coefficient of x, rhs) of each term in the normalized >= system
-    normalized = {("row", 0, -1): (-1.0, -2.0), ("lb", x): (1.0, 3.0),
-                  ("ub", x): (-1.0, -10.0)}
-    assert set(weights) == set(normalized)
-    combo = sum(w * normalized[t][0] for t, w in weights.items())
-    score = sum(w * normalized[t][1] for t, w in weights.items())
-    assert combo == pytest.approx(0.0, abs=1e-8)
-    assert score == pytest.approx(cert.violation, abs=1e-8)
+    ray = _checked_ray(m)
+    assert ray is not None
+    assert ray.rows[0] < -1e-9 and ray.lower[x] > 1e-9
 
 
 def test_infeasible_lp_is_one_highs_call(monkeypatch):
@@ -185,17 +183,11 @@ def test_infeasible_lp_is_one_highs_call(monkeypatch):
     assert len(calls) == 1
 
 
-def test_certificate_none_when_feasible_and_refused_for_milp():
+def test_farkas_ray_none_when_feasible():
     m = _lp()
     x = m.add_column("x", "continuous", 0.0, 1.0, 1.0)
     m.add_row("r", [(x, 1.0)], "<=", 1.0)
-    assert be.farkas_certificate(m) is None
-
-    mi = _lp()
-    b = mi.add_column("b", "binary", 0.0, 1.0, 1.0)
-    mi.add_row("r", [(b, 1.0)], ">=", 2.0)
-    with pytest.raises(be.CapabilityError):
-        be.farkas_certificate(mi)
+    assert _checked_ray(m) is None
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +205,7 @@ def test_small_milp_optimum():
     assert out.status == "optimal"
     assert out.objective == pytest.approx(-9.0, abs=1e-6)
     assert out.has_integers
-    picks = [round(out.value(c)) for c in cols]
+    picks = [round(out.primal[c]) for c in cols]
     assert picks == [0, 1, 1]
 
 
@@ -226,8 +218,8 @@ def test_milp_respects_objective_offset_and_fix():
     m.fix_column(x, 2.5)
     out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
-    assert out.value(x) == pytest.approx(2.5, abs=1e-9)
-    assert out.value(y) == pytest.approx(1.0, abs=1e-9)
+    assert out.primal[x] == pytest.approx(2.5, abs=1e-9)
+    assert out.primal[y] == pytest.approx(1.0, abs=1e-9)
     assert out.objective == pytest.approx(103.5, abs=1e-6)
 
 
@@ -402,7 +394,7 @@ def test_only_backend_imports_scipy_optimize():
 
 
 # ---------------------------------------------------------------------------
-# LP text interchange
+# LP text export
 # ---------------------------------------------------------------------------
 
 
@@ -412,33 +404,31 @@ def _mixed_model():
     y = m.add_column("y", "continuous", 0.0, INF, -0.75)
     b = m.add_column("b", "binary", 0.0, 1.0, 3.0)
     k = m.add_column("k", "continuous", 0.0, 7.0, 0.5)
+    z = m.add_column("z", "continuous", 2.0, INF, 0.0)
     m.add_row("r1", [(x, 1.0), (y, 2.0), (b, -1.5)], "<=", 3.25)
     m.add_row("r2", [(y, 1.0), (k, 1.0)], ">=", 1.0)
-    m.add_row("r3", [(x, 1.0), (k, -2.0)], "=", 0.5)
+    m.add_row("r3", [(x, 1.0), (k, -2.0), (z, 1e-6)], "=", -0.5)
+    m.objective_offset = -2.5
     return m
 
 
-def test_lp_text_round_trip_preserves_arrays():
-    m = _mixed_model()
-    text = be.to_lp_string(m)
-    back = be.read_lp(text)
-    c0, lb0, ub0, int0, A0, s0, r0 = m.arrays()
-    c1, lb1, ub1, int1, A1, s1, r1 = back.arrays()
-    assert list(s0) == list(s1)
-    np.testing.assert_allclose(c1, c0, atol=1e-6)
-    np.testing.assert_allclose(lb1, lb0, atol=1e-6)
-    np.testing.assert_allclose(
-        np.where(np.isinf(ub1), 0.0, ub1),
-        np.where(np.isinf(ub0), 0.0, ub0), atol=1e-6)
-    assert np.array_equal(np.isinf(ub1), np.isinf(ub0))
-    np.testing.assert_allclose(A1.toarray(), A0.toarray(), atol=1e-6)
-    np.testing.assert_allclose(r1, r0, atol=1e-6)
-    np.testing.assert_array_equal(int1, int0)
-
-
-def test_lp_text_round_trip_preserves_optimum():
-    m = _mixed_model()
-    first = be.ScipyBackend().solve(m)
-    second = be.ScipyBackend().solve(be.read_lp(be.to_lp_string(m)))
-    assert first.status == second.status == "optimal"
-    assert second.objective == pytest.approx(first.objective, abs=1e-6)
+def test_lp_text_of_mixed_model():
+    # The objective offset is the objective's constant term; [0, inf)
+    # columns and binaries get no bounds line; numbers never use exponents.
+    assert be.to_lp_string(_mixed_model()) == "\n".join([
+        "\\ mix",
+        "Minimize",
+        " obj: 1.25 x - 0.75 y + 3. b + 0.5 k - 2.5",
+        "Subject To",
+        " r1: 1. x + 2. y - 1.5 b <= 3.25",
+        " r2: 1. y + 1. k >= 1.",
+        " r3: 1. x - 2. k + 0.000001 z = -0.5",
+        "Bounds",
+        " 0. <= x <= 4.5",
+        " 0. <= k <= 7.",
+        " z >= 2.",
+        "Binary",
+        " b",
+        "End",
+        "",
+    ])
