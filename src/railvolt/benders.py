@@ -18,6 +18,7 @@ strong-duality identity checked on every priced subproblem.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
@@ -76,31 +77,6 @@ class BendersSplit:
     v_only: np.ndarray          # bool mask: rows for the master (set V)
     vm: Optional[VarMap] = None
 
-    @property
-    def sp_rows(self) -> np.ndarray:
-        return ~self.v_only
-
-    def subproblem_rhs(self, v_hat: np.ndarray) -> np.ndarray:
-        return self.b - self.Dm @ v_hat
-
-    def reassemble(self) -> be.AbstractModel:
-        """Stitch (Dm|A) back into one model; used to prove the split is
-        lossless (it must solve to the same optimum as the original)."""
-        m = be.AbstractModel()
-        for cid in self.v_col_ids:
-            m.add_column(cid, be.BINARY)
-        for j in range(self.n_u):
-            m.add_column(f"u_{j}", be.CONTINUOUS, lower=float(self.u_lb[j]),
-                         upper=float(self.u_ub[j]),
-                         objective=float(self.c_u[j]))
-        for i, cid in enumerate(self.v_col_ids):
-            m.columns[i].objective = float(self.c_v[i])
-        m.objective_offset = self.offset
-        full = sp.hstack([self.Dm, self.A]).tocsr()
-        m.add_rows(self.row_ids, full.indptr, full.indices, full.data,
-                   self.senses, self.b)
-        return m
-
 
 def split_model(model: be.AbstractModel,
                 vm: Optional[VarMap] = None) -> BendersSplit:
@@ -144,29 +120,20 @@ def split_model(model: be.AbstractModel,
 
 @dataclass
 class ExtremePoint:
-    """Dual solution of a feasible subproblem: yields w + a·v >= rhs."""
+    """Dual solution of a feasible subproblem: yields w + coef·v >= rhs."""
 
-    pi: np.ndarray              # duals per original row (0 on master rows)
-    coef: np.ndarray            # a = pi^T Dm over v columns
+    coef: np.ndarray            # pi^T Dm over v columns
     rhs: float                  # pi^T b + sigma^T ub
     objective: float            # subproblem optimum at the priced v̂
-
-    def epigraph_value(self, v: np.ndarray) -> float:
-        """Lower bound this cut puts on the continuous cost at v."""
-        return self.rhs - float(self.coef @ v)
 
 
 @dataclass
 class ExtremeRay:
-    """Infeasibility certificate: yields a·v >= rhs (no epigraph term)."""
+    """Infeasibility certificate: yields coef·v >= rhs (no epigraph term)."""
 
-    rho: np.ndarray
-    coef: np.ndarray
-    rhs: float
-    violation: float
-
-    def slack(self, v: np.ndarray) -> float:
-        return float(self.coef @ v) - self.rhs
+    coef: np.ndarray            # rho^T Dm over v columns
+    rhs: float                  # rho^T b - sigma^T ub
+    violation: float            # how far the priced v̂ falls short
 
 
 @dataclass
@@ -190,23 +157,20 @@ class CutPool:
     def R(self) -> int:
         return len(self.feasibility)
 
-    def _key(self, coef: np.ndarray, rhs: float) -> bytes:
-        return np.round(np.append(coef, rhs), 9).tobytes()
-
     def add_point(self, cut: ExtremePoint) -> bool:
-        key = b"P" + self._key(cut.coef, cut.rhs)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self.optimality.append(cut)
-        return True
+        return self._add(b"P", cut, self.optimality)
 
     def add_ray(self, cut: ExtremeRay) -> bool:
-        key = b"R" + self._key(cut.coef, cut.rhs)
+        return self._add(b"R", cut, self.feasibility)
+
+    def _add(self, kind: bytes, cut, cuts: list) -> bool:
+        """Append ``cut`` unless a cut of the same kind with the same
+        coefficients and rhs (to 9 decimals) is already pooled."""
+        key = kind + np.round(np.append(cut.coef, cut.rhs), 9).tobytes()
         if key in self._seen:
             return False
         self._seen.add(key)
-        self.feasibility.append(cut)
+        cuts.append(cut)
         return True
 
 
@@ -229,8 +193,8 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
     a full incumbent. Return shape: (kind, cut, u or None) with kind in
     {"point", "ray"}.
     """
-    rhs = split.subproblem_rhs(np.asarray(v_hat, dtype=float))
-    rows = split.sp_rows
+    rhs = split.b - split.Dm @ np.asarray(v_hat, dtype=float)
+    rows = ~split.v_only
     system = (split.A[rows], split.senses[rows], rhs[rows],
               split.u_lb, split.u_ub)
     out = be.solve_lp(split.c_u, *system)
@@ -245,13 +209,10 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
             raise be.BackendError(
                 f"strong duality violated: dual {dual_value!r} vs primal "
                 f"{out.objective!r}")
-        cut = ExtremePoint(
-            pi=pi,
+        return "point", ExtremePoint(
             coef=np.asarray((split.Dm.T @ pi).ravel()),
             rhs=float(pi @ split.b) + const,
-            objective=out.objective,
-        )
-        return "point", cut, out.primal
+            objective=out.objective), out.primal
 
     if out.status == "infeasible":
         ray = be.farkas_ray(*system, tol=_RAY_TOL)
@@ -262,13 +223,10 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
         # schedulable v has rho^T Dm v >= rho^T b - sigma^T ub.
         rho = np.zeros(len(split.b))
         rho[rows] = ray.rows
-        cut = ExtremeRay(
-            rho=rho,
+        return "ray", ExtremeRay(
             coef=np.asarray((split.Dm.T @ rho).ravel()),
             rhs=float(rho @ split.b) - _bound_constant(split, ray.upper),
-            violation=ray.violation,
-        )
-        return "ray", cut, None
+            violation=ray.violation), None
 
     raise be.CapabilityError(
         f"scheduling LP returned neither optimum nor certificate "
@@ -475,21 +433,29 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
                               {"phase": "warm-start"})
 
     best_primal: Optional[np.ndarray] = None
-    if np.isfinite(warm.objective_value) and "primal" in warm.info:
-        v_warm = np.round(np.asarray(warm.info["primal"])[:split.n_v])
-        kind, cut, u_warm = solve_subproblem_dual(split, v_warm)
-        if kind == "point":
-            pool.add_point(cut)
-            obj = float(split.c_v @ v_warm) + cut.objective + split.offset
+
+    def price(v: np.ndarray) -> Tuple[str, bool]:
+        """Price proposal ``v``, pool its cut and keep ``v`` as the incumbent
+        if it schedules more cheaply; returns the kind of cut and whether
+        it was new."""
+        nonlocal best_primal
+        kind, cut, u = solve_subproblem_dual(split, v)
+        if kind == "ray":
+            return "feasibility", pool.add_ray(cut)
+        fresh = pool.add_point(cut)
+        obj = float(split.c_v @ v) + cut.objective + split.offset
+        if obj < pool.upper_bound - 1e-12:
             pool.upper_bound = obj
-            best_primal = np.concatenate([v_warm, u_warm])
-        # an infeasible warm incumbent cannot happen (it came from the full
-        # model), but a ray would still be a valid cut
-        elif kind == "ray":
-            pool.add_ray(cut)
+            best_primal = np.concatenate([v, u])
+        return "optimality", fresh
+
+    # The warm incumbent came from the full model, so it prices to a point;
+    # a ray would still be a valid cut.
+    if np.isfinite(warm.objective_value) and "primal" in warm.info:
+        price(np.round(np.asarray(warm.info["primal"])[:split.n_v]))
 
     status = "feasible-limit"
-    for it in range(1, cfg.benders_max_iterations + 1):
+    for it in itertools.count(1):
         if remaining() <= 0:
             break
         rmp = build_rmp(split, pool, cfg)
@@ -515,18 +481,7 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
             pool.log.append(entry)
             break
 
-        kind, cut, u_hat = solve_subproblem_dual(split, v_hat)
-        fresh = True
-        if kind == "point":
-            fresh = pool.add_point(cut)
-            obj = float(split.c_v @ v_hat) + cut.objective + split.offset
-            if obj < pool.upper_bound - 1e-12:
-                pool.upper_bound = obj
-                best_primal = np.concatenate([v_hat, u_hat])
-            entry["cut"] = "optimality"
-        else:
-            fresh = pool.add_ray(cut)
-            entry["cut"] = "feasibility"
+        entry["cut"], fresh = price(v_hat)
         entry["upper_bound"] = pool.upper_bound
         pool.log.append(entry)
 

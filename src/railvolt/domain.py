@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import List, Optional
+from dataclasses import dataclass, field, fields, asdict
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -323,7 +323,6 @@ class SolveConfig:
     benders_gap: float = 0.05
     rmp_gap: float = 0.005
     rmp_time_limit_seconds: float = 300.0
-    benders_max_iterations: int = 100000
     seed: int = 0
 
     def replace(self, **kw) -> "SolveConfig":
@@ -363,9 +362,6 @@ class Solution:
     algorithm: str = ""
     info: dict = field(default_factory=dict)
 
-    def dwell(self, j: int, i: int) -> float:
-        return self.depart[j][i] - self.arrive[j][i]
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -397,12 +393,10 @@ class Metrics:
     charge_hours_per_station: float
     swap_hours_per_station: float
 
+    FIELDS: ClassVar[Tuple[str, ...]]     # the field names, in order
+
     def as_dict(self) -> dict:
         return asdict(self)
 
-    FIELDS = (
-        "objective", "stations_deployed", "setup_cost",
-        "delay_hours_per_train", "charge_hours_per_train",
-        "swap_hours_per_train", "charge_hours_per_station",
-        "swap_hours_per_station",
-    )
+
+Metrics.FIELDS = tuple(f.name for f in fields(Metrics))

@@ -36,7 +36,6 @@ __all__ = [
 class FixState:
     """Progress of the greedy loop, kept for inspection and reporting."""
 
-    deployed: Set[int] = field(default_factory=set)
     demand: float = 0.0
     onboard: float = 0.0
     deficit: float = 0.0
@@ -153,7 +152,6 @@ def initialize_deployment(
                 "deficit": deficit,
             }
         )
-    state.deployed = set(deployed)
     return deployed, state
 
 

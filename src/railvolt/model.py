@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -130,80 +130,50 @@ def build_model(instance: Instance,
     model = be.AbstractModel(name=f"plan[{inst.name}]")
     vm = VarMap(grid=grid, config=cfg)
 
+    # Index sets: every (station, train) stop, every (station, train,
+    # consist) cell, and the cells at interior stations, where operations
+    # happen (slots).
+    stops = [(i, j) for i in range(S) for j in J]
+    cells = [(i, j, k) for i, j in stops for k in K[j]]
+    slots = [(i, j, k) for i in interior for j in J for k in K[j]]
+
+    def family(prefix, keys, kind=be.CONTINUOUS, upper=np.inf,
+               objective=0.0) -> Dict:
+        """One column per key, named ``prefix_<key parts>``; ``objective``
+        is one cost for every key or a sequence of per-key costs."""
+        columns = {}
+        for key, cost in zip(keys, np.broadcast_to(objective, len(keys))):
+            parts = key if isinstance(key, tuple) else (key,)
+            columns[key] = model.add_column(
+                "_".join(map(str, (prefix, *parts))), kind, upper=upper,
+                objective=float(cost))
+        return columns
+
+    def per_slot(count):
+        return [slot + (u,) for slot in slots for u in range(count)]
+
     # ---- columns: binaries first ------------------------------------------
     aF, aD = cfg.alpha_fixed, cfg.alpha_delay
-    for i in interior:
-        vm.X[i] = model.add_column(
-            f"X_{i}", be.BINARY, objective=aF * float(inst.fixed_cost[i]))
-    for j in J:
-        for k in K[j]:
-            vm.Y[j, k] = model.add_column(f"Y_{j}_{k}", be.BINARY)
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                vm.Zc[i, j, k] = model.add_column(f"Zc_{i}_{j}_{k}", be.BINARY)
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                vm.Zs[i, j, k] = model.add_column(f"Zs_{i}_{j}_{k}", be.BINARY)
-    for i in range(S):
-        for j in J:
-            for k in K[j]:
-                vm.B[i, j, k] = model.add_column(f"B_{i}_{j}_{k}", be.BINARY)
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                for u in range(grid.n):
-                    vm.beta[i, j, k, u] = model.add_column(
-                        f"beta_{i}_{j}_{k}_{u}", be.BINARY)
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                for v in range(grid.m):
-                    vm.tau[i, j, k, v] = model.add_column(
-                        f"tau_{i}_{j}_{k}_{v}", be.BINARY)
+    vm.X = family("X", interior, be.BINARY,
+                  objective=[aF * float(inst.fixed_cost[i]) for i in interior])
+    vm.Y = family("Y", [(j, k) for j in J for k in K[j]], be.BINARY)
+    vm.Zc = family("Zc", slots, be.BINARY)
+    vm.Zs = family("Zs", slots, be.BINARY)
+    vm.B = family("B", cells, be.BINARY)
+    vm.beta = family("beta", per_slot(grid.n), be.BINARY)
+    vm.tau = family("tau", per_slot(grid.m), be.BINARY)
     vm.n_binary = model.n_cols
 
     # ---- columns: continuous ----------------------------------------------
-    for i in range(S):
-        for j in J:
-            vm.D[i, j] = model.add_column(f"D_{i}_{j}", objective=aD)
-    for i in range(S):
-        for j in J:
-            vm.Tarr[i, j] = model.add_column(f"Tarr_{i}_{j}")
-    for i in range(S):
-        for j in J:
-            vm.Tdep[i, j] = model.add_column(f"Tdep_{i}_{j}")
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                vm.Tc[i, j, k] = model.add_column(f"Tc_{i}_{j}_{k}")
-    for i in range(S):
-        for j in J:
-            for k in K[j]:
-                vm.Sarr[i, j, k] = model.add_column(
-                    f"Sarr_{i}_{j}_{k}", upper=1.0)
-    for i in range(S):
-        for j in J:
-            for k in K[j]:
-                vm.Sdep[i, j, k] = model.add_column(
-                    f"Sdep_{i}_{j}_{k}", upper=1.0)
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                for u in range(grid.n + 1):
-                    vm.gamma[i, j, k, u] = model.add_column(
-                        f"gamma_{i}_{j}_{k}_{u}", upper=1.0)
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                for v in range(grid.m + 1):
-                    vm.eta[i, j, k, v] = model.add_column(
-                        f"eta_{i}_{j}_{k}_{v}", upper=1.0)
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                vm.F[i, j, k] = model.add_column(f"F_{i}_{j}_{k}")
+    vm.D = family("D", stops, objective=aD)
+    vm.Tarr = family("Tarr", stops)
+    vm.Tdep = family("Tdep", stops)
+    vm.Tc = family("Tc", slots)
+    vm.Sarr = family("Sarr", cells, upper=1.0)
+    vm.Sdep = family("Sdep", cells, upper=1.0)
+    vm.gamma = family("gamma", per_slot(grid.n + 1), upper=1.0)
+    vm.eta = family("eta", per_slot(grid.m + 1), upper=1.0)
+    vm.F = family("F", slots)
     vm.n_cols = model.n_cols
 
     # The objective counts delay beyond the planned waits: subtract the
@@ -212,14 +182,12 @@ def build_model(instance: Instance,
 
     # ---- rows ---------------------------------------------------------------
     add = model.add_row
-    w_of = lambda i, j: float(inst.wait_time[i, j])
 
     # Delay measures dwell: D >= depart - arrive.
-    for i in range(S):
-        for j in J:
-            add(f"delay_def_{i}_{j}",
-                [(vm.D[i, j], 1.0), (vm.Tdep[i, j], -1.0),
-                 (vm.Tarr[i, j], 1.0)], be.GE, 0.0)
+    for i, j in stops:
+        add(f"delay_def_{i}_{j}",
+            [(vm.D[i, j], 1.0), (vm.Tdep[i, j], -1.0),
+             (vm.Tarr[i, j], 1.0)], be.GE, 0.0)
 
     # Operations only happen at deployed stations, and a deployed station
     # must be used at least once.
@@ -240,11 +208,10 @@ def build_model(instance: Instance,
                         be.LE, 1.0)
 
     # Dwell covers the planned wait.
-    for i in range(S):
-        for j in J:
-            add(f"dwell_wait_{i}_{j}",
-                [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0)],
-                be.GE, w_of(i, j))
+    for i, j in stops:
+        add(f"dwell_wait_{i}_{j}",
+            [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0)],
+            be.GE, float(inst.wait_time[i, j]))
 
     # Carry allowance, and batteries fill a consecutive prefix of consists.
     for j in J:
@@ -274,24 +241,19 @@ def build_model(instance: Instance,
     # Sequential drain: an empty-flagged battery has zero arrival SOC, and
     # while an earlier consist still holds charge (and the next consist
     # carries a battery at all), the next battery is still full.
-    for i in range(S):
-        for j in J:
-            for k in K[j]:
-                add(f"nonempty_flag_{i}_{j}_{k}",
-                    [(vm.Sarr[i, j, k], 1.0), (vm.B[i, j, k], -Ms)],
-                    be.LE, 0.0)
-            for k in K[j][:-1]:
-                add(f"drain_order_{i}_{j}_{k}",
-                    [(vm.Sarr[i, j, k + 1], 1.0), (vm.B[i, j, k], -Ms),
-                     (vm.Y[j, k + 1], -Ms)], be.GE, 1.0 - 2.0 * Ms)
+    for i, j in stops:
+        for k in K[j]:
+            add(f"nonempty_flag_{i}_{j}_{k}",
+                [(vm.Sarr[i, j, k], 1.0), (vm.B[i, j, k], -Ms)], be.LE, 0.0)
+        for k in K[j][:-1]:
+            add(f"drain_order_{i}_{j}_{k}",
+                [(vm.Sarr[i, j, k + 1], 1.0), (vm.B[i, j, k], -Ms),
+                 (vm.Y[j, k + 1], -Ms)], be.GE, 1.0 - 2.0 * Ms)
 
     # SOC can only rise during a stop, never between stations.
-    for i in range(S):
-        for j in J:
-            for k in K[j]:
-                add(f"stop_no_drain_{i}_{j}_{k}",
-                    [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)],
-                    be.GE, 0.0)
+    for i, j, k in cells:
+        add(f"stop_no_drain_{i}_{j}_{k}",
+            [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)], be.GE, 0.0)
     for j in J:
         for i in range(S - 1):
             for k in K[j]:
@@ -301,40 +263,31 @@ def build_model(instance: Instance,
 
     # Swap effects: full battery on departure, and the stop lasts at least
     # the swap duration.
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                add(f"swap_full_{i}_{j}_{k}",
-                    [(vm.Sdep[i, j, k], 1.0), (vm.Zs[i, j, k], -1.0)],
-                    be.GE, 0.0)
-                add(f"swap_dwell_{i}_{j}_{k}",
-                    [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0),
-                     (vm.Zs[i, j, k], -inst.swap_hours)], be.GE, 0.0)
+    for i, j, k in slots:
+        add(f"swap_full_{i}_{j}_{k}",
+            [(vm.Sdep[i, j, k], 1.0), (vm.Zs[i, j, k], -1.0)], be.GE, 0.0)
+        add(f"swap_dwell_{i}_{j}_{k}",
+            [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0),
+             (vm.Zs[i, j, k], -inst.swap_hours)], be.GE, 0.0)
 
     # Charge duration: inside the dwell, zero unless charging is declared,
     # and strictly positive when it is declared.
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                add(f"charge_within_dwell_{i}_{j}_{k}",
-                    [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0),
-                     (vm.Tc[i, j, k], -1.0)], be.GE, 0.0)
-                add(f"charge_needs_flag_{i}_{j}_{k}",
-                    [(vm.Tc[i, j, k], 1.0), (vm.Zc[i, j, k], -M)],
-                    be.LE, 0.0)
-                add(f"flag_needs_charge_{i}_{j}_{k}",
-                    [(vm.Zc[i, j, k], 1.0), (vm.Tc[i, j, k], -M)],
-                    be.LE, 0.0)
+    for i, j, k in slots:
+        add(f"charge_within_dwell_{i}_{j}_{k}",
+            [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0),
+             (vm.Tc[i, j, k], -1.0)], be.GE, 0.0)
+        add(f"charge_needs_flag_{i}_{j}_{k}",
+            [(vm.Tc[i, j, k], 1.0), (vm.Zc[i, j, k], -M)], be.LE, 0.0)
+        add(f"flag_needs_charge_{i}_{j}_{k}",
+            [(vm.Zc[i, j, k], 1.0), (vm.Tc[i, j, k], -M)], be.LE, 0.0)
 
     # Untouched batteries keep their SOC (at endpoints no operations exist,
     # so departure SOC simply cannot exceed arrival SOC there).
-    for i in range(S):
-        for j in J:
-            for k in K[j]:
-                ent = [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)]
-                if i in inst.interior:
-                    ent += [(vm.Zc[i, j, k], -1.0), (vm.Zs[i, j, k], -1.0)]
-                add(f"hold_soc_{i}_{j}_{k}", ent, be.LE, 0.0)
+    for i, j, k in cells:
+        ent = [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)]
+        if i in inst.interior:
+            ent += [(vm.Zc[i, j, k], -1.0), (vm.Zs[i, j, k], -1.0)]
+        add(f"hold_soc_{i}_{j}_{k}", ent, be.LE, 0.0)
 
     # Carried batteries start full at the origin...
     for j in J:
@@ -373,118 +326,79 @@ def build_model(instance: Instance,
     # row before the lower. Only their columns vary by slot; each reads
     #   F - sum_u' g[u', v] gamma_u' - w[u, v] eta_v +/- Ms (tau_v + beta_u)
     # against +/- 2 Ms, with its entries in that order.
-    cell_u = np.repeat(np.arange(grid.n), grid.m)
-    cell_v = np.tile(np.arange(grid.m), grid.n)
+    n, m = grid.n, grid.m
+    cell_u = np.repeat(np.arange(n), m)
+    cell_v = np.tile(np.arange(m), n)
     cell_ids = [f"_{u}_{v}" for u, v in zip(cell_u, cell_v)]
     common = np.column_stack([np.ones(len(cell_u)), -grid.g[:, cell_v].T,
                               -grid.w[cell_u, cell_v]])
     big = np.full((len(cell_u), 2), Ms)
     surface_values = np.stack(
         [np.hstack([common, big]), np.hstack([common, -big])], axis=1).ravel()
-    surface_indptr = np.arange(0, len(surface_values) + 1, grid.n + 5)
+    surface_indptr = np.arange(0, len(surface_values) + 1, n + 5)
     surface_senses = np.tile([be.LE, be.GE], len(cell_u))
     surface_rhs = np.tile([2.0 * Ms, -2.0 * Ms], len(cell_u))
 
-    # Departure SOC = 1 - F when charging (F = uncharged fraction), with a
-    # swap overriding to full and epsilon slack when the charge flag is up.
-    for i in interior:
-        for j in J:
-            for k in K[j]:
-                add(f"pla_dep_ub_{i}_{j}_{k}",
-                    [(vm.Sdep[i, j, k], 1.0), (vm.F[i, j, k], 1.0),
-                     (vm.Zs[i, j, k], -Ms)], be.LE, 1.0)
-                add(f"pla_dep_lb_{i}_{j}_{k}",
-                    [(vm.Sdep[i, j, k], 1.0), (vm.F[i, j, k], 1.0),
-                     (vm.Zc[i, j, k], eps)], be.GE, 1.0)
+    for slot in slots:
+        tag = "_%d_%d_%d" % slot
+        beta = [vm.beta[slot + (u,)] for u in range(n)]
+        tau = [vm.tau[slot + (v,)] for v in range(m)]
+        gamma = [vm.gamma[slot + (u,)] for u in range(n + 1)]
+        eta = [vm.eta[slot + (v,)] for v in range(m + 1)]
+        F, Sdep = vm.F[slot], vm.Sdep[slot]
 
-                add(f"pla_pick_s_{i}_{j}_{k}",
-                    [(vm.beta[i, j, k, u], 1.0) for u in range(grid.n)],
-                    be.EQ, 1.0)
-                add(f"pla_weights_one_{i}_{j}_{k}",
-                    [(vm.gamma[i, j, k, u], 1.0) for u in range(grid.n + 1)],
-                    be.EQ, 1.0)
-                add(f"pla_pick_t_{i}_{j}_{k}",
-                    [(vm.tau[i, j, k, v], 1.0) for v in range(grid.m)],
-                    be.EQ, 1.0)
+        # Departure SOC = 1 - F when charging (F = uncharged fraction), with
+        # a swap overriding to full and epsilon slack when the charge flag
+        # is up.
+        add("pla_dep_ub" + tag,
+            [(Sdep, 1.0), (F, 1.0), (vm.Zs[slot], -Ms)], be.LE, 1.0)
+        add("pla_dep_lb" + tag,
+            [(Sdep, 1.0), (F, 1.0), (vm.Zc[slot], eps)], be.GE, 1.0)
 
-                add(f"pla_soc_interp_{i}_{j}_{k}",
-                    [(vm.gamma[i, j, k, u], float(grid.s[u]))
-                     for u in range(grid.n + 1)]
-                    + [(vm.Sarr[i, j, k], -1.0)], be.EQ, 0.0)
-                ent = [(vm.tau[i, j, k, v], float(grid.t[v]))
-                       for v in range(grid.m)]
-                ent += [(vm.eta[i, j, k, v], float(grid.t[v + 1] - grid.t[v]))
-                        for v in range(grid.m)]
-                add(f"pla_time_interp_{i}_{j}_{k}",
-                    ent + [(vm.Tc[i, j, k], -1.0)], be.EQ, 0.0)
+        add("pla_pick_s" + tag, [(c, 1.0) for c in beta], be.EQ, 1.0)
+        add("pla_weights_one" + tag, [(c, 1.0) for c in gamma], be.EQ, 1.0)
+        add("pla_pick_t" + tag, [(c, 1.0) for c in tau], be.EQ, 1.0)
 
-                # Weights live only on the selected interval's endpoints;
-                # the offset lives only in the selected interval.
-                for u in range(1, grid.n):
-                    add(f"pla_weight_support_{i}_{j}_{k}_{u}",
-                        [(vm.gamma[i, j, k, u], 1.0),
-                         (vm.beta[i, j, k, u - 1], -1.0),
-                         (vm.beta[i, j, k, u], -1.0)], be.LE, 0.0)
-                for v in range(1, grid.m):
-                    add(f"pla_offset_near_{i}_{j}_{k}_{v}",
-                        [(vm.eta[i, j, k, v], 1.0),
-                         (vm.tau[i, j, k, v - 1], -1.0),
-                         (vm.tau[i, j, k, v], -1.0)], be.LE, 0.0)
-                    add(f"pla_offset_in_{i}_{j}_{k}_{v}",
-                        [(vm.eta[i, j, k, v], 1.0),
-                         (vm.tau[i, j, k, v], -1.0)], be.LE, 0.0)
-                add(f"pla_weight_low_{i}_{j}_{k}",
-                    [(vm.gamma[i, j, k, 0], 1.0),
-                     (vm.beta[i, j, k, 0], -1.0)], be.LE, 0.0)
-                add(f"pla_offset_low_{i}_{j}_{k}",
-                    [(vm.eta[i, j, k, 0], 1.0),
-                     (vm.tau[i, j, k, 0], -1.0)], be.LE, 0.0)
-                add(f"pla_weight_high_{i}_{j}_{k}",
-                    [(vm.gamma[i, j, k, grid.n], 1.0),
-                     (vm.beta[i, j, k, grid.n - 1], -1.0)], be.LE, 0.0)
-                add(f"pla_offset_high_{i}_{j}_{k}",
-                    [(vm.eta[i, j, k, grid.m], 1.0),
-                     (vm.tau[i, j, k, grid.m - 1], -1.0)], be.LE, 0.0)
+        add("pla_soc_interp" + tag,
+            list(zip(gamma, grid.s.tolist())) + [(vm.Sarr[slot], -1.0)],
+            be.EQ, 0.0)
+        add("pla_time_interp" + tag,
+            list(zip(tau, grid.t[:-1].tolist()))
+            + list(zip(eta, np.diff(grid.t).tolist()))
+            + [(vm.Tc[slot], -1.0)], be.EQ, 0.0)
 
-                # Surface sandwich, active only on the selected rectangle.
-                gamma = np.array([vm.gamma[i, j, k, u]
-                                  for u in range(grid.n + 1)])
-                eta = np.array([vm.eta[i, j, k, v] for v in range(grid.m)])
-                tau = np.array([vm.tau[i, j, k, v] for v in range(grid.m)])
-                beta = np.array([vm.beta[i, j, k, u] for u in range(grid.n)])
-                cols = np.column_stack([
-                    np.full(len(cell_u), vm.F[i, j, k]),
-                    np.broadcast_to(gamma, (len(cell_u), grid.n + 1)),
-                    eta[cell_v], tau[cell_v], beta[cell_u]])
-                prefixes = (f"pla_surface_ub_{i}_{j}_{k}",
-                            f"pla_surface_lb_{i}_{j}_{k}")
-                model.add_rows(
-                    [p + cell for cell in cell_ids for p in prefixes],
-                    surface_indptr, np.repeat(cols, 2, axis=0).ravel(),
-                    surface_values, surface_senses, surface_rhs)
+        # Weights live only on the selected interval's endpoints; the offset
+        # lives only in the selected interval.
+        for u in range(1, n):
+            add(f"pla_weight_support{tag}_{u}",
+                [(gamma[u], 1.0), (beta[u - 1], -1.0), (beta[u], -1.0)],
+                be.LE, 0.0)
+        for v in range(1, m):
+            add(f"pla_offset_near{tag}_{v}",
+                [(eta[v], 1.0), (tau[v - 1], -1.0), (tau[v], -1.0)],
+                be.LE, 0.0)
+            add(f"pla_offset_in{tag}_{v}",
+                [(eta[v], 1.0), (tau[v], -1.0)], be.LE, 0.0)
+        for name, col, selector in (("weight_low", gamma[0], beta[0]),
+                                    ("offset_low", eta[0], tau[0]),
+                                    ("weight_high", gamma[n], beta[n - 1]),
+                                    ("offset_high", eta[m], tau[m - 1])):
+            add(f"pla_{name}{tag}", [(col, 1.0), (selector, -1.0)],
+                be.LE, 0.0)
+
+        # Surface sandwich, active only on the selected rectangle.
+        cols = np.column_stack([
+            np.full(len(cell_u), F),
+            np.broadcast_to(gamma, (len(cell_u), n + 1)),
+            np.asarray(eta)[cell_v], np.asarray(tau)[cell_v],
+            np.asarray(beta)[cell_u]])
+        model.add_rows(
+            [p + tag + cell for cell in cell_ids
+             for p in ("pla_surface_ub", "pla_surface_lb")],
+            surface_indptr, np.repeat(cols, 2, axis=0).ravel(),
+            surface_values, surface_senses, surface_rhs)
 
     return model, vm
-
-
-# ---------------------------------------------------------------------------
-# Fixing helpers (used by the greedy heuristic and the decomposition warm
-# start)
-# ---------------------------------------------------------------------------
-
-def fix_deployment(model: be.AbstractModel, vm: VarMap,
-                   deployed: Set[int]) -> None:
-    """Pin every interior station's deployment decision (in or out)."""
-    for i, col in vm.X.items():
-        model.fix_column(col, 1.0 if i in deployed else 0.0)
-
-
-def fix_max_loading(model: be.AbstractModel, vm: VarMap,
-                    instance: Instance) -> None:
-    """Pin each train to carry its allowance in the leading consists."""
-    for j in range(instance.n_trains):
-        limit = min(instance.trains[j].max_batteries, instance.consists(j))
-        for k in range(instance.consists(j)):
-            model.fix_column(vm.Y[j, k], 1.0 if k < limit else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +566,12 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     cfg = config or SolveConfig()
     model, vm = build_model(instance, cfg)
     if fixed_deployment is not None:
-        fix_deployment(model, vm, set(fixed_deployment))
+        for i, col in vm.X.items():
+            model.fix_column(col, float(i in fixed_deployment))
     if max_loading:
-        fix_max_loading(model, vm, instance)
+        # every train carries its allowance in the leading consists
+        for (j, k), col in vm.Y.items():
+            model.fix_column(col, float(k < instance.trains[j].max_batteries))
     if dump_model:
         be.write_lp(model, dump_model)
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from scipy.special import betainc
 

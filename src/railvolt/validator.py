@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .domain import (Instance, Metrics, Solution, SolveConfig, RailvoltError,
                      soc_after_charging)
 from .model import empty_solution

@@ -393,6 +393,29 @@ def test_only_backend_imports_scipy_optimize():
     assert importers == {"backend.py"}
 
 
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export, so it is exempt.
+    unused = []
+    for path in sorted(Path(railvolt.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name} (line {line})"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 # ---------------------------------------------------------------------------
 # LP text export
 # ---------------------------------------------------------------------------
