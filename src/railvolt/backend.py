@@ -1,11 +1,13 @@
 """Thin abstraction over the LP/MILP engine.
 
 This is the only module that talks to a third-party solver: HiGHS, through
-``scipy.optimize.linprog`` / ``milp``. Models are described engine-neutrally
-(columns, rows, senses) and solved by :class:`ScipyBackend`; the array-level
-routines :func:`solve_lp` and :func:`farkas_ray` serve callers that hold a
-system as matrices (the decomposition's scheduling LP). Models can be
-exported to the textual LP interchange format for debugging.
+``scipy.optimize.linprog`` / ``milp``. The array-level routines
+:func:`solve_lp`, :func:`solve_milp` and :func:`farkas_ray` take a system as
+matrices; they serve the decomposition, whose master and scheduling LP are
+plain arrays. Named models are described engine-neutrally (columns, rows,
+senses) in :class:`AbstractModel`, solved by :class:`ScipyBackend` through
+the same routines, and can be exported to the textual LP interchange format
+for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -246,13 +248,6 @@ class AbstractModel:
         """Row ids in row order."""
         return tuple(self._row_ids)
 
-    def column_index(self, cid: str) -> int:
-        return self._col_ids[cid]
-
-    @property
-    def has_integers(self) -> bool:
-        return any(c.kind == BINARY for c in self.columns)
-
     def constraint_matrix(self) -> sp.csr_matrix:
         """The rows as a canonical CSR matrix: column indices sorted within
         each row, repeated columns of a row summed."""
@@ -299,80 +294,58 @@ class SolveOutcome:
 # ---------------------------------------------------------------------------
 
 class ScipyBackend:
-    """Drives HiGHS through scipy.optimize (linprog for LPs, milp for MILPs).
+    """Solves an :class:`AbstractModel` from its arrays: :func:`solve_milp`
+    when it has binary columns, :func:`solve_lp` otherwise.
 
     LPs come back with row and upper-bound duals. An infeasible LP is only a
-    status; :func:`farkas_ray` proves it on request from the model's arrays.
+    status; :func:`farkas_ray` proves it on request from the arrays.
     One solve = one engine session; HiGHS may multithread internally.
     """
 
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
               seconds: Optional[float] = None) -> SolveOutcome:
-        t0 = time.perf_counter()
-        try:
-            if model.has_integers:
-                out = self._solve_milp(model, gap, seconds)
-            else:
-                c, lb, ub, _, A, senses, rhs = model.arrays()
-                out = solve_lp(c, A, senses, rhs, lb, ub, seconds,
-                               offset=model.objective_offset)
-        except (ValueError, MemoryError) as exc:
-            out = SolveOutcome(status="error", message=str(exc),
-                               has_integers=model.has_integers)
-        out.wall_seconds = time.perf_counter() - t0
-        return out
-
-    # -- MILP ---------------------------------------------------------------
-
-    def _solve_milp(self, model, gap, seconds):
         c, lb, ub, integrality, A, senses, rhs = model.arrays()
-        row_lb = np.where(senses == LE, -np.inf, rhs)
-        row_ub = np.where(senses == GE, np.inf, rhs)
-        options = {}
-        if gap is not None:
-            options["mip_rel_gap"] = gap
-        if seconds is not None:
-            options["time_limit"] = seconds
-        res = milp(c, constraints=LinearConstraint(A, row_lb, row_ub),
-                   integrality=integrality, bounds=Bounds(lb, ub),
-                   options=options)
-        off = model.objective_offset
-        if res.status == 0:
-            return SolveOutcome(
-                status="optimal", primal=np.asarray(res.x),
-                objective=float(res.fun) + off,
-                best_bound=_maybe(res, "mip_dual_bound", off),
-                gap=getattr(res, "mip_gap", None),
-                message=res.message, has_integers=True)
-        if res.status == 1:
-            if res.x is not None:
-                return SolveOutcome(
-                    status="feasible-limit", primal=np.asarray(res.x),
-                    objective=float(res.fun) + off,
-                    best_bound=_maybe(res, "mip_dual_bound", off),
-                    gap=getattr(res, "mip_gap", None),
-                    message=res.message, has_integers=True)
-            return SolveOutcome(status="limit-no-incumbent",
-                                best_bound=_maybe(res, "mip_dual_bound", off),
-                                message=res.message, has_integers=True)
-        if res.status == 2:
-            return SolveOutcome(status="infeasible", message=res.message,
-                                has_integers=True)
-        if res.status == 3:
-            return SolveOutcome(status="unbounded", message=res.message,
-                                has_integers=True)
-        return SolveOutcome(status="error", message=res.message,
-                            has_integers=True)
-
-
-def _maybe(res, attr, offset):
-    val = getattr(res, attr, None)
-    return None if val is None else float(val) + offset
+        if integrality.any():
+            return solve_milp(c, A, senses, rhs, lb, ub, integrality, gap,
+                              seconds, model.objective_offset)
+        return solve_lp(c, A, senses, rhs, lb, ub, seconds,
+                        model.objective_offset)
 
 
 # ---------------------------------------------------------------------------
-# Array-level LP routines
+# Array-level routines
 # ---------------------------------------------------------------------------
+
+def _run_highs(call, offset: float, has_integers: bool):
+    """Run ``call()``, one ``linprog`` or ``milp`` call, and map its HiGHS
+    status onto a :class:`SolveOutcome`: 0 optimal, 1 a limit with or
+    without an incumbent, 2 infeasible, 3 unbounded. Any other status, and a
+    ValueError or MemoryError raised by the call, is an error. Returns the
+    outcome and the raw result (None after an exception)."""
+    t0 = time.perf_counter()
+    out = SolveOutcome(status="error", has_integers=has_integers)
+    try:
+        res = call()
+    except (ValueError, MemoryError) as exc:
+        out.message, res = str(exc), None
+    else:
+        found = res.status in (0, 1) and res.x is not None
+        out.status = {
+            0: "optimal", 1: "feasible-limit" if found else "limit-no-incumbent",
+            2: "infeasible", 3: "unbounded"}.get(res.status, "error")
+        out.message = res.message
+        if found:
+            out.primal = np.asarray(res.x)
+            out.objective = float(res.fun) + offset
+        if has_integers and res.status in (0, 1):
+            bound = res.get("mip_dual_bound")
+            out.best_bound = None if bound is None else float(bound) + offset
+            out.gap = res.get("mip_gap")
+        elif res.status == 0:
+            out.best_bound = out.objective
+    out.wall_seconds = time.perf_counter() - t0
+    return out, res
+
 
 def solve_lp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
              rhs: np.ndarray, lb: np.ndarray, ub: np.ndarray,
@@ -387,38 +360,53 @@ def solve_lp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
     ineq, eq = senses != EQ, senses == EQ
     sign = np.where(senses[ineq] == GE, -1.0, 1.0)  # >= rows enter as <=
     options = {} if seconds is None else {"time_limit": seconds}
-    res = linprog(c, A_ub=sp.diags(sign) @ A[ineq], b_ub=sign * rhs[ineq],
-                  A_eq=A[eq], b_eq=rhs[eq],
-                  bounds=np.column_stack([lb, ub]), method="highs",
-                  options=options)
-    if res.status == 0:
-        duals = np.zeros(len(rhs))
-        duals[ineq] = sign * np.asarray(res.ineqlin.marginals)
-        duals[eq] = np.asarray(res.eqlin.marginals)
-        return SolveOutcome(
-            status="optimal", primal=np.asarray(res.x),
-            objective=float(res.fun) + offset,
-            best_bound=float(res.fun) + offset, duals=duals,
-            bound_duals=np.asarray(res.upper.marginals), message=res.message)
-    if res.status == 2:
-        return SolveOutcome(status="infeasible", message=res.message)
-    if res.status == 3:
-        return SolveOutcome(status="unbounded", message=res.message)
-    if res.status == 1 and res.x is not None:
-        return SolveOutcome(status="feasible-limit", primal=np.asarray(res.x),
-                            objective=float(res.fun) + offset,
-                            message=res.message)
-    return SolveOutcome(status="error", message=res.message)
+    out, res = _run_highs(
+        lambda: linprog(c, A_ub=sp.diags(sign) @ A[ineq],
+                        b_ub=sign * rhs[ineq], A_eq=A[eq], b_eq=rhs[eq],
+                        bounds=np.column_stack([lb, ub]), method="highs",
+                        options=options),
+        offset, has_integers=False)
+    if out.status == "optimal":
+        out.duals = np.zeros(len(rhs))
+        out.duals[ineq] = sign * np.asarray(res.ineqlin.marginals)
+        out.duals[eq] = np.asarray(res.eqlin.marginals)
+        out.bound_duals = np.asarray(res.upper.marginals)
+    return out
+
+
+def solve_milp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
+               rhs: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+               integrality: np.ndarray, gap: Optional[float] = None,
+               seconds: Optional[float] = None,
+               offset: float = 0.0) -> SolveOutcome:
+    """Minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``,
+    ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1.
+
+    ``gap`` is HiGHS's relative MIP gap and ``seconds`` its time limit.
+    The outcome carries the incumbent, HiGHS's dual bound and its gap.
+    """
+    options = {}
+    if gap is not None:
+        options["mip_rel_gap"] = gap
+    if seconds is not None:
+        options["time_limit"] = seconds
+    row_lb = np.where(senses == LE, -np.inf, rhs)
+    row_ub = np.where(senses == GE, np.inf, rhs)
+    return _run_highs(
+        lambda: milp(c, constraints=LinearConstraint(A, row_lb, row_ub),
+                     integrality=integrality, bounds=Bounds(lb, ub),
+                     options=options),
+        offset, has_integers=True)[0]
 
 
 class FarkasRay(NamedTuple):
-    """Multipliers proving ``A x {senses} rhs``, ``lb <= x <= ub`` infeasible.
+    """Multipliers proving ``A x {senses} rhs``, ``0 <= x <= ub`` infeasible.
 
     ``rows`` weighs each row in its ``>=`` orientation: >= 0 on ``>=`` rows,
     <= 0 on ``<=`` rows, free on equalities. ``lower`` and ``upper`` are the
-    >= 0 multipliers of the column bounds, zero where a bound is infinite.
-    They satisfy ``A^T rows + lower - upper = 0`` and
-    ``rhs^T rows + lb^T lower - ub^T upper = violation > 0``.
+    >= 0 multipliers of ``x >= 0`` and of the upper bounds, ``upper`` zero
+    where a bound is infinite. They satisfy ``A^T rows + lower - upper = 0``
+    and ``rhs^T rows - ub^T upper = violation > 0``.
     """
     rows: np.ndarray
     lower: np.ndarray
@@ -427,35 +415,31 @@ class FarkasRay(NamedTuple):
 
 
 def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
-               lb: np.ndarray, ub: np.ndarray,
-               tol: float = 1e-9) -> Optional[FarkasRay]:
-    """Solve the Farkas LP of a system; None when no ray beats ``tol``.
+               ub: np.ndarray, tol: float = 1e-9) -> Optional[FarkasRay]:
+    """Solve the Farkas LP of a system over ``x >= 0``; None when no ray
+    beats ``tol``.
 
     Inequality rows enter in their ``>=`` orientation, each equality as a
     +/- pair, and each finite upper bound with a multiplier; together these
     multipliers rho (>= 0) have mass <= 1:
 
-        max  h^T rho + lb^T s   s.t.  G rho + s = 0,  sum rho <= 1
+        max  h^T rho   s.t.  G rho <= 0,  sum rho <= 1
 
-    with one row of ``G`` per column. A finite lower bound's multiplier s
-    (>= 0) is that row's slack, so the row reads ``G rho <= 0`` and s leaves
-    the objective as ``-lb^T G rho``, which vanishes when lb = 0. A column
-    without a finite lower bound has no slack: its row is an equality.
+    with one row of ``G`` per column; that row's slack is the multiplier of
+    the column's bound ``x >= 0``.
     """
     ineq, eq = senses != EQ, senses == EQ
     sign = np.where(senses[ineq] == LE, -1.0, 1.0)  # <= rows enter as >=
     A_in = sp.diags(sign) @ A[ineq]
-    has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
+    has_ub = np.isfinite(ub)
     I_ub = sp.identity(len(ub), format="csr")[has_ub]
     G = sp.hstack([A_in.T, A[eq].T, -A[eq].T, -I_ub.T]).tocsr()
     h = np.concatenate([sign * rhs[ineq], rhs[eq], -rhs[eq], -ub[has_ub]])
-    h = h - G.T @ np.where(has_lb, lb, 0.0)
     n = G.shape[1]
     if n == 0:
         return None  # no rows and no finite upper bounds: nothing to prove
-    res = linprog(-h, A_ub=sp.vstack([G[has_lb], np.ones((1, n))]).tocsr(),
-                  b_ub=np.concatenate([np.zeros(int(has_lb.sum())), [1.0]]),
-                  A_eq=G[~has_lb], b_eq=np.zeros(int((~has_lb).sum())),
+    res = linprog(-h, A_ub=sp.vstack([G, np.ones((1, n))]).tocsr(),
+                  b_ub=np.append(np.zeros(G.shape[0]), 1.0),
                   bounds=(0, None), method="highs")
     if res.status != 0 or -res.fun <= tol:
         return None
@@ -466,8 +450,8 @@ def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
     rows[eq] = x[n_in:n_in + n_eq] - x[n_in + n_eq:n_in + 2 * n_eq]
     upper = np.zeros(len(ub))
     upper[has_ub] = x[n_in + 2 * n_eq:]
-    lower = np.where(has_lb, np.maximum(0.0, -(G @ x)), 0.0)
-    return FarkasRay(rows, lower, upper, float(-res.fun))
+    return FarkasRay(rows, np.maximum(0.0, -(G @ x)), upper,
+                     float(-res.fun))
 
 
 # ---------------------------------------------------------------------------

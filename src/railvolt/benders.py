@@ -45,6 +45,8 @@ __all__ = [
 _DUALITY_TOL = 1e-4
 _RAY_TOL = 1e-8
 _W_FLOOR = -1e7
+_RMP_GAP = 0.005        # relative MIP gap of every master solve
+_RMP_SECONDS = 300.0    # cap on one master solve and on the warm start
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +71,8 @@ class BendersSplit:
     senses: np.ndarray          # ">=" or "=" per row
     c_u: np.ndarray
     c_v: np.ndarray
-    u_lb: np.ndarray
-    u_ub: np.ndarray
+    u_ub: np.ndarray            # the continuous columns' lower bounds are 0
     offset: float
-    row_ids: List[str]
-    v_col_ids: List[str]
     v_only: np.ndarray          # bool mask: rows for the master (set V)
     vm: Optional[VarMap] = None
 
@@ -91,26 +90,18 @@ def split_model(model: be.AbstractModel,
 
     flip = np.where(senses == be.LE, -1.0, 1.0)
     A_norm = sp.diags(flip) @ A_all
-    b = rhs * flip
-    senses_norm = np.where(senses == be.EQ, be.EQ, be.GE)
-
     A = A_norm[:, n_v:].tocsr()
-    Dm = A_norm[:, :n_v].tocsr()
-    v_only = np.asarray(A.getnnz(axis=1) == 0)
 
     # NOTE: equality rows may touch both blocks (the charge-duration
     # interpolation rows do); their duals are free, which the cut algebra
     # w >= pi^T (b - Dm v) tolerates by weak duality, and the ray program
     # doubles them into +/- pairs.
     return BendersSplit(
-        n_v=n_v, n_u=model.n_cols - n_v,
-        A=A, Dm=Dm, b=b, senses=senses_norm,
-        c_u=c[n_v:].copy(), c_v=c[:n_v].copy(),
-        u_lb=lb[n_v:].copy(), u_ub=ub[n_v:].copy(),
+        n_v=n_v, n_u=model.n_cols - n_v, A=A, Dm=A_norm[:, :n_v].tocsr(),
+        b=rhs * flip, senses=np.where(senses == be.EQ, be.EQ, be.GE),
+        c_u=c[n_v:].copy(), c_v=c[:n_v].copy(), u_ub=ub[n_v:].copy(),
         offset=model.objective_offset,
-        row_ids=list(model.row_ids),
-        v_col_ids=[col.id for col in model.columns[:n_v]],
-        v_only=v_only, vm=vm,
+        v_only=np.asarray(A.getnnz(axis=1) == 0), vm=vm,
     )
 
 
@@ -195,9 +186,8 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
     """
     rhs = split.b - split.Dm @ np.asarray(v_hat, dtype=float)
     rows = ~split.v_only
-    system = (split.A[rows], split.senses[rows], rhs[rows],
-              split.u_lb, split.u_ub)
-    out = be.solve_lp(split.c_u, *system)
+    system = (split.A[rows], split.senses[rows], rhs[rows])
+    out = be.solve_lp(split.c_u, *system, np.zeros(split.n_u), split.u_ub)
 
     if out.status == "optimal":
         pi = np.zeros(len(split.b))
@@ -215,7 +205,7 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
             objective=out.objective), out.primal
 
     if out.status == "infeasible":
-        ray = be.farkas_ray(*system, tol=_RAY_TOL)
+        ray = be.farkas_ray(*system, split.u_ub, tol=_RAY_TOL)
         if ray is None:
             raise be.CapabilityError(
                 "no infeasibility certificate found for the scheduling LP")
@@ -341,44 +331,42 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
 # Master problem
 # ---------------------------------------------------------------------------
 
-def build_rmp(split: BendersSplit, pool: CutPool,
-              config: SolveConfig) -> be.AbstractModel:
-    """Master model over (v, w): deployment costs plus the epigraph of the
-    continuous cost, under the v-only original rows and every cut."""
-    m = be.AbstractModel()
-    for cid, cost in zip(split.v_col_ids, split.c_v):
-        m.add_column(cid, be.BINARY, objective=float(cost))
-    w_lower = _W_FLOOR if pool.Q == 0 else -np.inf
-    w_idx = m.add_column("w", be.CONTINUOUS, lower=w_lower, objective=1.0)
-    m.objective_offset = split.offset
+def build_rmp(split: BendersSplit, pool: CutPool):
+    """Master arrays over (v, w): deployment costs plus the epigraph ``w`` of
+    the continuous cost, under the v-only original rows and every cut.
 
-    v_only = split.v_only
-    master = split.Dm[v_only]
-    m.add_rows([split.row_ids[r] for r in np.flatnonzero(v_only)],
-               master.indptr, master.indices, master.data,
-               split.senses[v_only], split.b[v_only])
-    for rid, entries, sense, rhs in pool.static:
-        m.add_row(rid, entries, sense, rhs)
-    _add_cut_rows(m, "opt_cut", pool.optimality, w_idx)
-    _add_cut_rows(m, "feas_cut", pool.feasibility, None)
-    return m
-
-
-def _add_cut_rows(m: be.AbstractModel, prefix: str, cuts, w_idx) -> None:
-    """One ``>=`` row per cut over all v columns (zeros drop out), followed
-    by ``w`` with coefficient 1 when ``w_idx`` is given."""
-    if not cuts:
-        return
-    coef = np.vstack([cut.coef for cut in cuts])
-    columns = np.arange(coef.shape[1])
-    if w_idx is not None:
-        coef = np.column_stack([coef, np.ones(len(cuts))])
-        columns = np.append(columns, w_idx)
-    width = len(columns)
-    m.add_rows([f"{prefix}_{q}" for q in range(len(cuts))],
-               np.arange(0, len(cuts) * width + 1, width),
-               np.tile(columns, len(cuts)), coef.ravel(), be.GE,
-               [cut.rhs for cut in cuts])
+    Returns ``(c, A, senses, rhs, lb, ub, integrality)`` for
+    :func:`backend.solve_milp`. ``w`` is the last column; the rows are
+    ``Dm[v_only]``, the static cuts, the optimality cuts ``coef·v + w >=
+    rhs`` and the feasibility cuts ``coef·v >= rhs``, in that order. ``A``
+    is canonical CSR without stored zeros.
+    """
+    n, static = split.n_v + 1, pool.static
+    master = split.Dm[split.v_only]
+    cols, vals = np.array([pair for _, row, _, _ in static for pair in row],
+                          float).reshape(-1, 2).T
+    blocks = [
+        sp.csr_matrix((master.data, master.indices, master.indptr),
+                      shape=(master.shape[0], n)),
+        sp.csr_matrix((vals, cols.astype(np.int32),
+                       np.cumsum([0] + [len(row) for _, row, _, _ in static])),
+                      shape=(len(static), n))]
+    cuts = pool.optimality + pool.feasibility
+    if cuts:  # w has coefficient 1 in the optimality cuts only
+        blocks.append(sp.csr_matrix(np.column_stack(
+            [np.vstack([cut.coef for cut in cuts]),
+             np.arange(len(cuts)) < pool.Q])))
+    A = sp.vstack(blocks, format="csr")
+    A.eliminate_zeros()
+    A.sum_duplicates()
+    senses = np.concatenate([split.senses[split.v_only], np.array(
+        [s for _, _, s, _ in static] + [be.GE] * len(cuts), "<U2")])
+    rhs = np.concatenate([split.b[split.v_only], [r for *_, r in static],
+                          [cut.rhs for cut in cuts]])
+    lb = np.append(np.zeros(split.n_v), _W_FLOOR if pool.Q == 0 else -np.inf)
+    ub = np.append(np.ones(split.n_v), np.inf)
+    integrality = np.append(np.ones(split.n_v, int), 0)
+    return (np.append(split.c_v, 1.0), A, senses, rhs, lb, ub, integrality)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +385,14 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     the bound gap closes.
 
     Warm start: deploy everything, load every battery slot, and solve that
-    schedule MILP to ``mip_gap`` for up to min(rmp_time_limit_seconds, the
-    remaining budget but at least 1 s); its priced subproblem seeds the pool
-    with one dual point and its incumbent seeds the upper bound. Each round
-    then solves the master (lower bound), prices its proposal (cut and
-    possibly a better incumbent), and stops once (UB-LB)/UB <= benders_gap,
-    on a stalled pool, or at the time limit.
+    schedule MILP to ``mip_gap`` for up to min(300 s, the remaining budget
+    but at least 1 s); its priced subproblem seeds the pool with one dual
+    point and its incumbent seeds the upper bound. Each round then solves
+    the master (lower bound) to a 0.5 % MIP gap under the same time cap,
+    prices its proposal (cut and possibly a better incumbent), and stops
+    once (UB-LB)/UB <= benders_gap, on a stalled pool, or at the time limit.
+    A lower bound past the incumbent is rounding noise and is clamped to it,
+    so the reported gap is never negative.
 
     ``keep_pool`` stashes the live CutPool in ``info["cut_pool"]`` so
     callers can audit the cuts; the result is then not JSON-serializable.
@@ -422,7 +412,7 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         return cfg.time_limit_seconds - elapsed()
 
     # -- warm start ---------------------------------------------------------
-    warm_cfg = cfg.replace(time_limit_seconds=min(cfg.rmp_time_limit_seconds,
+    warm_cfg = cfg.replace(time_limit_seconds=min(_RMP_SECONDS,
                                                   max(1.0, remaining())))
     warm = solve_pla(instance, warm_cfg,
                      fixed_deployment=list(instance.interior),
@@ -446,6 +436,8 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         obj = float(split.c_v @ v) + cut.objective + split.offset
         if obj < pool.upper_bound - 1e-12:
             pool.upper_bound = obj
+            # a lower bound past the incumbent is rounding noise
+            pool.lower_bound = min(pool.lower_bound, obj)
             best_primal = np.concatenate([v, u])
         return "optimality", fresh
 
@@ -458,10 +450,10 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     for it in itertools.count(1):
         if remaining() <= 0:
             break
-        rmp = build_rmp(split, pool, cfg)
-        outcome = be.ScipyBackend().solve(
-            rmp, gap=cfg.rmp_gap,
-            seconds=min(cfg.rmp_time_limit_seconds, max(1.0, remaining())))
+        outcome = be.solve_milp(
+            *build_rmp(split, pool), gap=_RMP_GAP,
+            seconds=min(_RMP_SECONDS, max(1.0, remaining())),
+            offset=split.offset)
         if outcome.status == "infeasible":
             return empty_solution(instance, "infeasible", "bd", elapsed(),
                                   {"phase": f"master-{it}",
@@ -471,7 +463,8 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
                 f"master solve failed at iteration {it}: {outcome.status}")
         v_hat = np.round(outcome.primal[:split.n_v])
         if outcome.best_bound is not None:
-            pool.lower_bound = max(pool.lower_bound, outcome.best_bound)
+            pool.lower_bound = min(max(pool.lower_bound, outcome.best_bound),
+                                   pool.upper_bound)
 
         entry = {"iteration": it, "lower_bound": pool.lower_bound,
                  "upper_bound": pool.upper_bound, "cut": None,
@@ -482,7 +475,8 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
             break
 
         entry["cut"], fresh = price(v_hat)
-        entry["upper_bound"] = pool.upper_bound
+        entry.update(lower_bound=pool.lower_bound,
+                     upper_bound=pool.upper_bound)
         pool.log.append(entry)
 
         if _gap(pool.upper_bound, pool.lower_bound) <= cfg.benders_gap:
@@ -501,13 +495,10 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
 
     outcome = be.SolveOutcome(
         status="optimal" if status == "optimal" else "feasible-limit",
-        primal=best_primal,
-        objective=pool.upper_bound,
+        primal=best_primal, objective=pool.upper_bound,
         best_bound=pool.lower_bound,
-        gap=_gap(pool.upper_bound, pool.lower_bound),
-        wall_seconds=elapsed(),
-        message=f"decomposition {status}: Q={pool.Q} R={pool.R}",
-        has_integers=True)
+        gap=_gap(pool.upper_bound, pool.lower_bound), wall_seconds=elapsed(),
+        message=f"decomposition {status}: Q={pool.Q} R={pool.R}")
     solution = decode_solution(outcome, vm, instance)
     solution.algorithm = "bd"
     solution.info.update({

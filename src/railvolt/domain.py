@@ -321,8 +321,6 @@ class SolveConfig:
     mip_gap: float = 0.01
     time_limit_seconds: float = 1800.0
     benders_gap: float = 0.05
-    rmp_gap: float = 0.005
-    rmp_time_limit_seconds: float = 300.0
     seed: int = 0
 
     def replace(self, **kw) -> "SolveConfig":

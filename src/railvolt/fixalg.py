@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .domain import InfeasibleError, Instance, SolveConfig, Solution
-from .model import solve_pla
+from .model import empty_solution, solve_pla
 
 __all__ = [
     "FixState",
@@ -166,12 +166,22 @@ def run_fix_algorithm(
     battery load. If the restricted problem is infeasible, or the solver
     returns nothing within its slice of the time budget, the next
     best-scoring station is opened and the round repeats.
+
+    No plan is a status, never an exception: ``"infeasible"`` when the
+    stations cannot cover the energy deficit, and the last round's own
+    status (infeasible or out of time) when even every station open gives
+    no schedule.
     """
     config = config if config is not None else SolveConfig()
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
 
-    deployed, state = initialize_deployment(instance, config, rng)
+    try:
+        deployed, state = initialize_deployment(instance, config, rng)
+    except InfeasibleError as exc:
+        return empty_solution(instance, "infeasible", "fa",
+                              time.perf_counter() - start,
+                              {"phase": "seed", "reason": str(exc)})
     interior = list(instance.interior)
 
     while True:
@@ -192,15 +202,11 @@ def run_fix_algorithm(
             "objective": solution.objective_value,
         }
         state.rounds.append(round_rec)
-        if solution.status in ("optimal-within-gap", "feasible-time-limit") and np.isfinite(
-            solution.objective_value
-        ):
+        # a plan (only decoded plans have a finite objective), or every
+        # station open and still none: this round's status is the answer
+        if np.isfinite(solution.objective_value) or \
+                len(deployed) == len(interior):
             break
-        if len(deployed) == len(interior):
-            raise InfeasibleError(
-                "restricted schedule problem produced no schedule (infeasible "
-                "or out of time) with every interior station deployed"
-            )
         scores = compute_benefit(instance, deployed, config)
         pick = _argmax(scores, rng)
         deployed.add(pick)

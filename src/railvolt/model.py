@@ -442,50 +442,44 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
     cfg = vm.config or SolveConfig()
     S = inst.n_stations
     J = range(inst.n_trains)
+    status = {"optimal": "optimal-within-gap",
+              "feasible-limit": "feasible-time-limit"}.get(
+                  outcome.status, outcome.status)
+    sol = empty_solution(inst, status, "pla", outcome.wall_seconds,
+                         {"solver_message": outcome.message})
 
-    deployed = sorted(i for i, c in vm.X.items()
-                      if _as_flag(x[c], f"X[{i}]") == 1)
-    has_battery = [[_as_flag(x[vm.Y[j, k]], f"Y[{j},{k}]")
-                    for k in range(inst.consists(j))] for j in J]
+    sol.deployed = sorted(i for i, c in vm.X.items()
+                          if _as_flag(x[c], f"X[{i}]") == 1)
+    sol.has_battery = [[_as_flag(x[vm.Y[j, k]], f"Y[{j},{k}]")
+                        for k in range(inst.consists(j))] for j in J]
 
-    def per_ijk(source, default, clamp=None, flag=False):
-        out = []
-        for j in J:
-            rows = []
-            for i in range(S):
-                cell = []
-                for k in range(inst.consists(j)):
-                    key = (i, j, k)
-                    if key in source:
-                        v = x[source[key]]
-                        if flag:
-                            cell.append(_as_flag(v, f"col{source[key]}"))
-                        elif clamp:
-                            cell.append(_clamped(v, *clamp, f"col{source[key]}"))
-                        else:
-                            cell.append(float(v))
-                    else:
-                        cell.append(default)
-                rows.append(cell)
-            out.append(rows)
-        return out
+    def flag(c):
+        return _as_flag(x[c], f"col{c}")
 
-    swap = per_ijk(vm.Zs, 0, flag=True)
-    charge = per_ijk(vm.Zc, 0, flag=True)
-    charge_hours = per_ijk(vm.Tc, 0.0, clamp=(0.0, math.inf))
-    soc_arrive = per_ijk(vm.Sarr, 0.0, clamp=(0.0, 1.0))
-    soc_depart = per_ijk(vm.Sdep, 0.0, clamp=(0.0, 1.0))
-    nonempty = per_ijk(vm.B, 0, flag=True)
+    def hours(c):
+        return _clamped(x[c], 0.0, math.inf, f"col{c}")
 
-    arrive = [[_clamped(x[vm.Tarr[i, j]], 0.0, math.inf, "arrive")
-               for i in range(S)] for j in J]
-    depart = [[_clamped(x[vm.Tdep[i, j]], 0.0, math.inf, "depart")
-               for i in range(S)] for j in J]
-    delay = [[max(0.0, depart[j][i] - arrive[j][i] - inst.wait_time[i, j])
-              for i in range(S)] for j in J]
+    def soc(c):
+        return _clamped(x[c], 0.0, 1.0, f"col{c}")
+
+    # (i, j, k) cells without a column keep empty_solution's zero
+    for grid, columns, read in (
+            (sol.swap, vm.Zs, flag), (sol.charge, vm.Zc, flag),
+            (sol.charge_hours, vm.Tc, hours), (sol.soc_arrive, vm.Sarr, soc),
+            (sol.soc_depart, vm.Sdep, soc),
+            (sol.battery_nonempty, vm.B, flag)):
+        for (i, j, k), c in columns.items():
+            grid[j][i][k] = read(c)
+
+    sol.arrive = [[_clamped(x[vm.Tarr[i, j]], 0.0, math.inf, "arrive")
+                   for i in range(S)] for j in J]
+    sol.depart = [[_clamped(x[vm.Tdep[i, j]], 0.0, math.inf, "depart")
+                   for i in range(S)] for j in J]
+    sol.delay = [[max(0.0, sol.depart[j][i] - sol.arrive[j][i]
+                      - inst.wait_time[i, j]) for i in range(S)] for j in J]
 
     # Independent objective recomputation from the decoded columns.
-    setup = sum(inst.fixed_cost[i] for i in deployed)
+    setup = sum(inst.fixed_cost[i] for i in sol.deployed)
     d_term = sum(x[vm.D[i, j]] - inst.wait_time[i, j]
                  for i in range(S) for j in J)
     recomputed = cfg.alpha_fixed * setup + cfg.alpha_delay * d_term
@@ -494,23 +488,9 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
         raise DecodeError(
             f"objective mismatch: solver {outcome.objective!r} vs "
             f"recomputed {recomputed!r}")
-
-    status = {"optimal": "optimal-within-gap",
-              "feasible-limit": "feasible-time-limit"}.get(
-                  outcome.status, outcome.status)
-    return Solution(
-        deployed=deployed,
-        has_battery=has_battery,
-        swap=swap, charge=charge, charge_hours=charge_hours,
-        arrive=arrive, depart=depart,
-        soc_arrive=soc_arrive, soc_depart=soc_depart,
-        delay=delay, battery_nonempty=nonempty,
-        objective_value=float(recomputed),
-        bound=outcome.best_bound, gap=outcome.gap,
-        status=status, wall_seconds=outcome.wall_seconds,
-        algorithm="pla",
-        info={"solver_message": outcome.message},
-    )
+    sol.objective_value = float(recomputed)
+    sol.bound, sol.gap = outcome.best_bound, outcome.gap
+    return sol
 
 
 def empty_solution(instance: Instance, status: str, algorithm: str,

@@ -315,9 +315,10 @@ def _zero_wait_spec(seed: int) -> GenSpec:
 def weight_sweep():
     instances = [generate_instance(_zero_wait_spec(s)) for s in SWEEP_SEEDS]
     algos = ["pla", "fa", "bd"]
-    kw = dict(time_limit_seconds=30.0, rmp_time_limit_seconds=30.0)
-    low = run_batch(instances, algos, SolveConfig(alpha_delay=3.0, **kw))
-    high = run_batch(instances, algos, SolveConfig(alpha_delay=5.0, **kw))
+    low = run_batch(instances, algos,
+                    SolveConfig(alpha_delay=3.0, time_limit_seconds=30.0))
+    high = run_batch(instances, algos,
+                     SolveConfig(alpha_delay=5.0, time_limit_seconds=30.0))
     return sensitivity_compare(low, high)
 
 

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 import pytest
 
 import railvolt
@@ -110,37 +111,37 @@ def test_duals_refused_for_milp():
 
 
 def _checked_ray(m):
-    """farkas_ray on a model's arrays, checked against its documented
-    identities: A^T rows + lower - upper = 0 and
-    rhs^T rows + lb^T lower - ub^T upper = violation > 0 (finite bounds)."""
+    """farkas_ray on a model's arrays (every column x >= 0), checked against
+    its documented identities: A^T rows + lower - upper = 0 and
+    rhs^T rows - ub^T upper = violation > 0 (finite upper bounds)."""
     _, lb, ub, _, A, senses, rhs = m.arrays()
-    ray = be.farkas_ray(A, senses, rhs, lb, ub)
+    assert np.all(lb == 0.0)
+    ray = be.farkas_ray(A, senses, rhs, ub)
     if ray is None:
         return None
     assert ray.violation > 1e-9
-    has_lb, has_ub = np.isfinite(lb), np.isfinite(ub)
-    assert np.all(ray.lower >= 0) and np.all(ray.lower[~has_lb] == 0)
+    has_ub = np.isfinite(ub)
+    assert np.all(ray.lower >= 0)
     assert np.all(ray.upper >= 0) and np.all(ray.upper[~has_ub] == 0)
     assert np.all(ray.rows[senses == ">="] >= 0)
     assert np.all(ray.rows[senses == "<="] <= 0)
     np.testing.assert_allclose(A.T @ ray.rows + ray.lower - ray.upper, 0.0,
                                atol=1e-8)
-    score = (rhs @ ray.rows + lb[has_lb] @ ray.lower[has_lb]
-             - ub[has_ub] @ ray.upper[has_ub])
+    score = rhs @ ray.rows - ub[has_ub] @ ray.upper[has_ub]
     assert score == pytest.approx(ray.violation, abs=1e-8)
     return ray
 
 
 def test_farkas_ray_on_disjoint_rows():
     m = _lp()
-    x = m.add_column("x", "continuous", -INF, INF, 0.0)
+    x = m.add_column("x", "continuous", 0.0, INF, 0.0)
     m.add_row("ge2", [(x, 1.0)], ">=", 2.0)
     m.add_row("le1", [(x, 1.0)], "<=", 1.0)
     out = be.ScipyBackend().solve(m)
     assert out.status == "infeasible"
     ray = _checked_ray(m)
     assert ray is not None
-    # x is free, so the two rows alone prove it
+    # the two rows alone prove it: no bound multiplier is needed
     assert ray.rows[0] > 1e-9 and ray.rows[1] < -1e-9
     assert not ray.lower.any() and not ray.upper.any()
 
@@ -156,14 +157,15 @@ def test_farkas_ray_uses_bound_rows():
     assert ray.rows[0] > 1e-9 and ray.upper[x] > 1e-9
 
 
-def test_farkas_ray_uses_nonzero_lower_bound():
-    # x in [3, 10] cannot meet x <= 2; only the lower bound proves it.
+def test_farkas_ray_uses_the_sign_bound():
+    # x >= 0 cannot meet x <= -1; only the bound x >= 0 proves it.
     m = _lp()
-    x = m.add_column("x", "continuous", 3.0, 10.0, 0.0)
-    m.add_row("le2", [(x, 1.0)], "<=", 2.0)
+    x = m.add_column("x", "continuous", 0.0, 10.0, 0.0)
+    m.add_row("le_minus1", [(x, 1.0)], "<=", -1.0)
     ray = _checked_ray(m)
     assert ray is not None
     assert ray.rows[0] < -1e-9 and ray.lower[x] > 1e-9
+    assert ray.upper[x] == 0.0
 
 
 def test_infeasible_lp_is_one_highs_call(monkeypatch):
@@ -181,6 +183,36 @@ def test_infeasible_lp_is_one_highs_call(monkeypatch):
     m.add_row("ge5", [(x, 1.0)], ">=", 5.0)
     assert be.ScipyBackend().solve(m).status == "infeasible"
     assert len(calls) == 1
+
+
+def test_array_routines_report_bad_input_as_error():
+    # A ValueError from scipy is the status "error" for every caller of
+    # solve_lp and solve_milp, not only for ScipyBackend.solve.
+    A = sp.csr_matrix(np.ones((1, 3)))  # three columns against two costs
+    senses, rhs = np.array([">="]), np.array([1.0])
+    lb, ub = np.zeros(2), np.ones(2)
+    lp = be.solve_lp(np.ones(2), A, senses, rhs, lb, ub)
+    milp = be.solve_milp(np.ones(2), A, senses, rhs, lb, ub, np.ones(2, int))
+    assert (lp.status, lp.has_integers) == ("error", False)
+    assert (milp.status, milp.has_integers) == ("error", True)
+    assert lp.message and milp.message
+
+
+def test_solve_milp_matches_the_model_solve():
+    # ScipyBackend.solve is the model's arrays handed to solve_milp.
+    m = _lp()
+    cols = [m.add_column(f"b{i}", "binary", objective=-v)
+            for i, v in enumerate((6.0, 5.0, 4.0))]
+    m.add_row("cap", list(zip(cols, (5.0, 4.0, 3.0))), "<=", 7.0)
+    m.objective_offset = 2.5
+    c, lb, ub, integrality, A, senses, rhs = m.arrays()
+    direct = be.solve_milp(c, A, senses, rhs, lb, ub, integrality, gap=0.0,
+                           offset=2.5)
+    via = be.ScipyBackend().solve(m, gap=0.0)
+    assert direct.status == via.status == "optimal"
+    assert direct.objective == via.objective == pytest.approx(-9.0 + 2.5)
+    np.testing.assert_array_equal(direct.primal, via.primal)
+    assert direct.best_bound == via.best_bound
 
 
 def test_farkas_ray_none_when_feasible():
@@ -269,10 +301,9 @@ def test_infeasible_and_unbounded_lp_statuses():
 
 def test_duplicate_ids_rejected():
     m = _lp()
-    m.add_column("x", "continuous", 0.0, 1.0, 0.0)
+    i = m.add_column("x", "continuous", 0.0, 1.0, 0.0)
     with pytest.raises(be.BackendError):
         m.add_column("x", "continuous", 0.0, 1.0, 0.0)
-    i = m.column_index("x")
     m.add_row("r", [(i, 1.0)], "<=", 1.0)
     with pytest.raises(be.BackendError):
         m.add_row("r", [(i, 1.0)], "<=", 1.0)
@@ -372,7 +403,6 @@ def test_binary_columns_are_clamped_to_unit_box():
     b = m.add_column("b", "binary", -5.0, 9.0, 1.0)
     _, lb, ub, integrality, *_ = m.arrays()
     assert lb[b] == 0.0 and ub[b] == 1.0 and integrality[b] == 1
-    assert m.has_integers
 
 
 def test_only_backend_imports_scipy_optimize():

@@ -135,6 +135,23 @@ def test_walk_never_beats_the_free_optimum(golden_pla, fa_reference):
     assert golden_pla.objective_value <= fa_reference.objective_value + 1e-6
 
 
+def test_no_plan_is_a_status_not_an_exception():
+    # every leg needs more than one battery, so even all stations open
+    # leave no schedule: the last round's "infeasible" is the answer
+    inst = tiny_corridor(41, energy_lo=1.2, energy_hi=1.5)
+    sol = run_fix_algorithm(inst, SolveConfig(time_limit_seconds=30.0))
+    assert sol.status == "infeasible"
+    assert sol.algorithm == "fa"
+    assert sol.info["deployed"] == list(inst.interior)
+    # a line whose stations cannot cover the deficit stops at the seed
+    dry = tiny_corridor(31, energy_lo=0.6, energy_hi=0.9)
+    dry.chargers[:] = 0
+    dry.full_batteries[:] = 0
+    sol = run_fix_algorithm(dry, SolveConfig(time_limit_seconds=30.0))
+    assert (sol.status, sol.algorithm, sol.info["phase"]) == (
+        "infeasible", "fa", "seed")
+
+
 def test_walk_on_tiny_corridor_respects_budget():
     inst = tiny_corridor(37)
     sol = run_fix_algorithm(inst, SolveConfig(time_limit_seconds=30.0))
