@@ -1,13 +1,17 @@
 """Thin abstraction over the LP/MILP engine.
 
-This is the only module that talks to a third-party solver: HiGHS, through
-``scipy.optimize.linprog`` / ``milp``. The array-level routines
-:func:`solve_lp`, :func:`solve_milp` and :func:`farkas_ray` take a system as
-matrices; they serve the decomposition, whose master and scheduling LP are
-plain arrays. Named models are described engine-neutrally (columns, rows,
-senses) in :class:`AbstractModel`, solved by :class:`ScipyBackend` through
-the same routines, and can be exported to the textual LP interchange format
-for debugging.
+This is the only module that talks to a third-party solver: HiGHS 1.12,
+through scipy's private binding ``scipy.optimize._highspy._core._Highs``
+(hence the ``scipy>=1.17`` floor). A :class:`Session` is passed its model
+once and keeps it alive: it can change row bounds, column costs and column
+bounds, append rows, take a MIP start and run again, an LP from its last
+basis. Every run maps HiGHS's status onto a :class:`SolveOutcome` the same
+way. The decomposition keeps sessions for its pricing LPs and its master;
+the one-shot routines :func:`solve_lp`, :func:`solve_milp` and
+:func:`farkas_ray` are single runs of a session. Named models are described
+engine-neutrally (columns, rows, senses) in :class:`AbstractModel`, solved
+by :class:`ScipyBackend` through the same routines, and can be exported to
+the textual LP interchange format for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -24,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog, milp, LinearConstraint, Bounds
+from scipy.optimize._highspy import _core as _highs
 
 from .domain import RailvoltError
 
@@ -290,7 +294,194 @@ class SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
-# The scipy/HiGHS adapter
+# HiGHS sessions
+# ---------------------------------------------------------------------------
+
+_MS = _highs.HighsModelStatus
+_LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit)
+_DEFAULTS = _highs.HighsOptions()
+_AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+
+
+def _checked(status, what: str) -> None:
+    """Raise when HiGHS refuses a change to its model or options."""
+    if status == _highs.HighsStatus.kError:
+        raise BackendError(f"HiGHS refused {what}")
+
+
+def _row_bounds(senses: np.ndarray, rhs: np.ndarray):
+    """HiGHS's ``lower <= row <= upper`` form of ``row {senses} rhs``."""
+    return (np.where(senses == LE, -np.inf, rhs),
+            np.where(senses == GE, np.inf, rhs))
+
+
+class Session:
+    """One HiGHS model kept alive between runs.
+
+    The model is: minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``,
+    ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1 (no
+    ``integrality``: an LP). HiGHS is passed it once, as column-wise arrays;
+    after that the setters change it in place and :meth:`run` solves it
+    again. An LP re-run starts from the last basis; when such a warm run
+    ends neither optimal nor infeasible, the solver is cleared and the run
+    repeated once cold. A MILP re-run starts from scratch, or from the point
+    given to :meth:`set_start`. Arrays HiGHS cannot take (inconsistent
+    shapes, or a model it rejects) make every run return status "error".
+    """
+
+    def __init__(self, c, A, senses, rhs, lb, ub, integrality=None,
+                 offset: float = 0.0):
+        self.offset = offset
+        self.has_integers = integrality is not None
+        self.senses = np.asarray(senses)
+        self.rhs = np.array(rhs, dtype=float)
+        self._error = ""
+        self.runs = 0  # runs so far
+        self._highs = _highs._Highs()
+        options = _highs.HighsOptions()
+        options.log_to_console = False
+        self._highs.passOptions(options)
+        n = len(c)
+        if A.shape != (len(self.rhs), n) or len(self.senses) != len(self.rhs) \
+                or len(lb) != n or len(ub) != n \
+                or (self.has_integers and len(integrality) != n):
+            self._error = (f"inconsistent shapes: A {A.shape}, {n} costs, "
+                           f"{len(self.rhs)} rows, {len(lb)}/{len(ub)} bounds")
+            return
+        A = sp.csc_array(A)
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(self.rhs)
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.col_cost_ = np.asarray(c, dtype=float)
+        lp.col_lower_ = np.asarray(lb, dtype=float)
+        lp.col_upper_ = np.asarray(ub, dtype=float)
+        lp.row_lower_, lp.row_upper_ = _row_bounds(self.senses, self.rhs)
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data.astype(float)
+        if self.has_integers:
+            lp.integrality_ = [_highs.HighsVarType(int(i))
+                               for i in integrality]
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            self._error = "HiGHS rejected the model"
+
+    # -- changes ------------------------------------------------------------
+
+    def set_rhs(self, rhs: np.ndarray) -> None:
+        """New right-hand sides; only the rows whose value moved reach
+        HiGHS (the binding changes row bounds one row at a time)."""
+        rhs = np.asarray(rhs, dtype=float)
+        moved = np.flatnonzero(rhs != self.rhs)
+        lower, upper = _row_bounds(self.senses[moved], rhs[moved])
+        for r, lo, hi in zip(moved.tolist(), lower.tolist(), upper.tolist()):
+            _checked(self._highs.changeRowBounds(r, lo, hi), f"row {r} bounds")
+        self.rhs[moved] = rhs[moved]
+
+    def set_costs(self, c: np.ndarray) -> None:
+        _checked(self._highs.changeColsCost(
+            len(c), np.arange(len(c), dtype=np.int32),
+            np.asarray(c, dtype=float)), "the costs")
+
+    def set_bounds(self, cols, lb, ub) -> None:
+        _checked(self._highs.changeColsBounds(
+            len(cols), np.asarray(cols, np.int32), np.asarray(lb, dtype=float),
+            np.asarray(ub, dtype=float)), "the column bounds")
+
+    def add_rows(self, A, senses, rhs) -> None:
+        """Append the rows ``A x {senses} rhs`` (``A`` over every column)."""
+        A = sp.csr_array(A)
+        senses, rhs = np.asarray(senses), np.asarray(rhs, dtype=float)
+        lower, upper = _row_bounds(senses, rhs)
+        _checked(self._highs.addRows(
+            len(rhs), lower, upper, A.nnz, A.indptr.astype(np.int32),
+            A.indices.astype(np.int32), A.data.astype(float)), "the new rows")
+        self.senses = np.append(self.senses, senses)
+        self.rhs = np.append(self.rhs, rhs)
+
+    def clear(self) -> None:
+        """Drop the basis and solution: the next run starts cold."""
+        self._highs.clearSolver()
+
+    def set_start(self, x: np.ndarray) -> None:
+        """A MIP start for the next run (HiGHS drops it if infeasible)."""
+        _checked(self._highs.setSolution(
+            len(x), np.arange(len(x), dtype=np.int32),
+            np.asarray(x, dtype=float)), "the MIP start")
+
+    # -- runs ---------------------------------------------------------------
+
+    def run(self, gap: Optional[float] = None,
+            seconds: Optional[float] = None) -> SolveOutcome:
+        """Solve the model as it stands now.
+
+        ``gap`` is HiGHS's relative MIP gap and ``seconds`` the time limit
+        of this run alone (HiGHS's defaults when None). The HiGHS status
+        maps onto a :class:`SolveOutcome`: optimal; a time or iteration
+        limit with or without an incumbent (LPs never keep one); infeasible;
+        unbounded; anything else is an error. A MILP outcome carries HiGHS's
+        dual bound and gap when it has an incumbent. An optimal LP outcome
+        carries the row duals (module convention) and ``bound_duals``, the
+        duals of the column upper bounds (<= 0, zero where a bound does not
+        bind).
+        """
+        t0 = time.perf_counter()
+        out = SolveOutcome(status="error", message=self._error,
+                           has_integers=self.has_integers)
+        if not self._error:
+            try:
+                self._run(out, gap, seconds)
+            except MemoryError as exc:
+                out.status, out.message = "error", str(exc)
+        out.wall_seconds = time.perf_counter() - t0
+        return out
+
+    def _run(self, out: SolveOutcome, gap, seconds) -> None:
+        h = self._highs
+        gap = _DEFAULTS.mip_rel_gap if gap is None else gap
+        seconds = _DEFAULTS.time_limit if seconds is None else seconds
+        _checked(h.setOptionValue("mip_rel_gap", float(gap)), f"gap {gap}")
+        _checked(h.setOptionValue("time_limit", float(seconds)),
+                 f"time limit {seconds}")
+        h.run()
+        status = h.getModelStatus()
+        if self.runs and not self.has_integers \
+                and status not in (_MS.kOptimal, _MS.kInfeasible):
+            self.clear()
+            h.run()
+            status = h.getModelStatus()
+        self.runs += 1
+
+        info = h.getInfo()
+        found = status == _MS.kOptimal or (
+            status in _LIMITS and self.has_integers
+            and info.objective_function_value < _highs.kHighsInf)
+        if status in _LIMITS:
+            out.status = "feasible-limit" if found else "limit-no-incumbent"
+        else:
+            out.status = {_MS.kOptimal: "optimal",
+                          _MS.kInfeasible: "infeasible",
+                          _MS.kUnbounded: "unbounded"}.get(status, "error")
+        out.message = h.modelStatusToString(status)
+        if not found:
+            return
+        solution = h.getSolution()
+        out.primal = np.array(solution.col_value)
+        out.objective = info.objective_function_value + self.offset
+        if self.has_integers:
+            out.best_bound = info.mip_dual_bound + self.offset
+            out.gap = info.mip_gap
+            return
+        out.best_bound = out.objective
+        out.duals = np.array(solution.row_dual)
+        col_status = h.getBasis().col_status
+        at_upper = np.fromiter(map(int, col_status), np.int8, len(col_status))
+        out.bound_duals = np.where(at_upper == _AT_UPPER, solution.col_dual,
+                                   0.0)
+
+
+# ---------------------------------------------------------------------------
+# One-run routines
 # ---------------------------------------------------------------------------
 
 class ScipyBackend:
@@ -299,7 +490,8 @@ class ScipyBackend:
 
     LPs come back with row and upper-bound duals. An infeasible LP is only a
     status; :func:`farkas_ray` proves it on request from the arrays.
-    One solve = one engine session; HiGHS may multithread internally.
+    One solve = one HiGHS session run once; HiGHS may multithread
+    internally.
     """
 
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
@@ -312,66 +504,15 @@ class ScipyBackend:
                         model.objective_offset)
 
 
-# ---------------------------------------------------------------------------
-# Array-level routines
-# ---------------------------------------------------------------------------
-
-def _run_highs(call, offset: float, has_integers: bool):
-    """Run ``call()``, one ``linprog`` or ``milp`` call, and map its HiGHS
-    status onto a :class:`SolveOutcome`: 0 optimal, 1 a limit with or
-    without an incumbent, 2 infeasible, 3 unbounded. Any other status, and a
-    ValueError or MemoryError raised by the call, is an error. Returns the
-    outcome and the raw result (None after an exception)."""
-    t0 = time.perf_counter()
-    out = SolveOutcome(status="error", has_integers=has_integers)
-    try:
-        res = call()
-    except (ValueError, MemoryError) as exc:
-        out.message, res = str(exc), None
-    else:
-        found = res.status in (0, 1) and res.x is not None
-        out.status = {
-            0: "optimal", 1: "feasible-limit" if found else "limit-no-incumbent",
-            2: "infeasible", 3: "unbounded"}.get(res.status, "error")
-        out.message = res.message
-        if found:
-            out.primal = np.asarray(res.x)
-            out.objective = float(res.fun) + offset
-        if has_integers and res.status in (0, 1):
-            bound = res.get("mip_dual_bound")
-            out.best_bound = None if bound is None else float(bound) + offset
-            out.gap = res.get("mip_gap")
-        elif res.status == 0:
-            out.best_bound = out.objective
-    out.wall_seconds = time.perf_counter() - t0
-    return out, res
-
-
 def solve_lp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
              rhs: np.ndarray, lb: np.ndarray, ub: np.ndarray,
              seconds: Optional[float] = None,
              offset: float = 0.0) -> SolveOutcome:
-    """Minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``, ``lb <= x <= ub``.
-
-    An optimal outcome carries the primal, the row duals (module convention)
-    and ``bound_duals``, the duals of the column upper bounds (<= 0, zero
-    where a bound does not bind).
+    """Minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``, ``lb <= x <= ub``:
+    one run of a :class:`Session`, whose optimal outcome carries the duals.
     """
-    ineq, eq = senses != EQ, senses == EQ
-    sign = np.where(senses[ineq] == GE, -1.0, 1.0)  # >= rows enter as <=
-    options = {} if seconds is None else {"time_limit": seconds}
-    out, res = _run_highs(
-        lambda: linprog(c, A_ub=sp.diags(sign) @ A[ineq],
-                        b_ub=sign * rhs[ineq], A_eq=A[eq], b_eq=rhs[eq],
-                        bounds=np.column_stack([lb, ub]), method="highs",
-                        options=options),
-        offset, has_integers=False)
-    if out.status == "optimal":
-        out.duals = np.zeros(len(rhs))
-        out.duals[ineq] = sign * np.asarray(res.ineqlin.marginals)
-        out.duals[eq] = np.asarray(res.eqlin.marginals)
-        out.bound_duals = np.asarray(res.upper.marginals)
-    return out
+    return Session(c, A, senses, rhs, lb, ub, offset=offset).run(
+        seconds=seconds)
 
 
 def solve_milp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
@@ -380,23 +521,14 @@ def solve_milp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
                seconds: Optional[float] = None,
                offset: float = 0.0) -> SolveOutcome:
     """Minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``,
-    ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1.
+    ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1: one
+    run of a :class:`Session`.
 
     ``gap`` is HiGHS's relative MIP gap and ``seconds`` its time limit.
     The outcome carries the incumbent, HiGHS's dual bound and its gap.
     """
-    options = {}
-    if gap is not None:
-        options["mip_rel_gap"] = gap
-    if seconds is not None:
-        options["time_limit"] = seconds
-    row_lb = np.where(senses == LE, -np.inf, rhs)
-    row_ub = np.where(senses == GE, np.inf, rhs)
-    return _run_highs(
-        lambda: milp(c, constraints=LinearConstraint(A, row_lb, row_ub),
-                     integrality=integrality, bounds=Bounds(lb, ub),
-                     options=options),
-        offset, has_integers=True)[0]
+    return Session(c, A, senses, rhs, lb, ub, integrality, offset).run(
+        gap, seconds)
 
 
 class FarkasRay(NamedTuple):
@@ -414,10 +546,9 @@ class FarkasRay(NamedTuple):
     violation: float
 
 
-def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
-               ub: np.ndarray, tol: float = 1e-9) -> Optional[FarkasRay]:
-    """Solve the Farkas LP of a system over ``x >= 0``; None when no ray
-    beats ``tol``.
+class FarkasLP:
+    """The Farkas LP of a system ``A x {senses} rhs`` over ``x >= 0``, held
+    in one :class:`Session` for a fixed ``A``, ``senses`` and ``ub``.
 
     Inequality rows enter in their ``>=`` orientation, each equality as a
     +/- pair, and each finite upper bound with a multiplier; together these
@@ -426,32 +557,50 @@ def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
         max  h^T rho   s.t.  G rho <= 0,  sum rho <= 1
 
     with one row of ``G`` per column; that row's slack is the multiplier of
-    the column's bound ``x >= 0``.
+    the column's bound ``x >= 0``. ``G`` does not depend on ``rhs``; only
+    ``h`` does, so :meth:`ray` changes the costs and runs again.
     """
-    ineq, eq = senses != EQ, senses == EQ
-    sign = np.where(senses[ineq] == LE, -1.0, 1.0)  # <= rows enter as >=
-    A_in = sp.diags(sign) @ A[ineq]
-    has_ub = np.isfinite(ub)
-    I_ub = sp.identity(len(ub), format="csr")[has_ub]
-    G = sp.hstack([A_in.T, A[eq].T, -A[eq].T, -I_ub.T]).tocsr()
-    h = np.concatenate([sign * rhs[ineq], rhs[eq], -rhs[eq], -ub[has_ub]])
-    n = G.shape[1]
-    if n == 0:
-        return None  # no rows and no finite upper bounds: nothing to prove
-    res = linprog(-h, A_ub=sp.vstack([G, np.ones((1, n))]).tocsr(),
-                  b_ub=np.append(np.zeros(G.shape[0]), 1.0),
-                  bounds=(0, None), method="highs")
-    if res.status != 0 or -res.fun <= tol:
-        return None
-    x = np.asarray(res.x)
-    n_in, n_eq = int(ineq.sum()), int(eq.sum())
-    rows = np.zeros(len(rhs))
-    rows[ineq] = sign * x[:n_in]
-    rows[eq] = x[n_in:n_in + n_eq] - x[n_in + n_eq:n_in + 2 * n_eq]
-    upper = np.zeros(len(ub))
-    upper[has_ub] = x[n_in + 2 * n_eq:]
-    return FarkasRay(rows, np.maximum(0.0, -(G @ x)), upper,
-                     float(-res.fun))
+
+    def __init__(self, A: sp.csr_matrix, senses: np.ndarray, ub: np.ndarray):
+        self.ineq, self.eq = senses != EQ, senses == EQ
+        self.sign = np.where(senses[self.ineq] == LE, -1.0, 1.0)  # <= as >=
+        self.ub, self.has_ub = ub, np.isfinite(ub)
+        I_ub = sp.identity(len(ub), format="csr")[self.has_ub]
+        self.G = sp.hstack([(sp.diags(self.sign) @ A[self.ineq]).T,
+                            A[self.eq].T, -A[self.eq].T, -I_ub.T]).tocsr()
+        m, n = self.G.shape
+        self.session = None if n == 0 else Session(  # n == 0: nothing to prove
+            np.zeros(n), sp.vstack([self.G, np.ones((1, n))]),
+            np.full(m + 1, LE), np.append(np.zeros(m), 1.0), np.zeros(n),
+            np.full(n, np.inf))
+
+    def ray(self, rhs: np.ndarray, tol: float = 1e-9) -> Optional[FarkasRay]:
+        """The ray for right-hand sides ``rhs``; None if none beats ``tol``."""
+        if self.session is None:
+            return None
+        ineq, eq = self.ineq, self.eq
+        h = np.concatenate([self.sign * rhs[ineq], rhs[eq], -rhs[eq],
+                            -self.ub[self.has_ub]])
+        self.session.set_costs(-h)
+        out = self.session.run()
+        if out.status != "optimal" or -out.objective <= tol:
+            return None
+        x = out.primal
+        n_in, n_eq = int(ineq.sum()), int(eq.sum())
+        rows = np.zeros(len(rhs))
+        rows[ineq] = self.sign * x[:n_in]
+        rows[eq] = x[n_in:n_in + n_eq] - x[n_in + n_eq:n_in + 2 * n_eq]
+        upper = np.zeros(len(self.ub))
+        upper[self.has_ub] = x[n_in + 2 * n_eq:]
+        return FarkasRay(rows, np.maximum(0.0, -(self.G @ x)), upper,
+                         float(-out.objective))
+
+
+def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
+               ub: np.ndarray, tol: float = 1e-9) -> Optional[FarkasRay]:
+    """Solve the Farkas LP of a system over ``x >= 0`` once (see
+    :class:`FarkasLP`); None when no ray beats ``tol``."""
+    return FarkasLP(A, senses, ub).ray(rhs, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +75,9 @@ class BendersSplit:
     offset: float
     v_only: np.ndarray          # bool mask: rows for the master (set V)
     vm: Optional[VarMap] = None
+    # HiGHS sessions of the scheduling LP ("lp") and its Farkas LP
+    # ("farkas"), made by the first pricing that needs them
+    sessions: Dict[str, object] = field(default_factory=dict, repr=False)
 
 
 def split_model(model: be.AbstractModel,
@@ -182,18 +185,32 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
 
     Also returns the primal continuous solution so the caller can assemble
     a full incumbent. Return shape: (kind, cut, u or None) with kind in
-    {"point", "ray"}.
+    {"point", "ray"}. The scheduling LP and its Farkas LP each stay in one
+    HiGHS session on ``split.sessions``: later proposals move only the
+    right-hand sides that changed, and only the Farkas LP's costs.
     """
-    rhs = split.b - split.Dm @ np.asarray(v_hat, dtype=float)
     rows = ~split.v_only
-    system = (split.A[rows], split.senses[rows], rhs[rows])
-    out = be.solve_lp(split.c_u, *system, np.zeros(split.n_u), split.u_ub)
+    rhs = (split.b - split.Dm @ np.asarray(v_hat, dtype=float))[rows]
+    lp = split.sessions.get("lp")
+    if lp is None:
+        lp = split.sessions["lp"] = be.Session(
+            split.c_u, split.A[rows], split.senses[rows], rhs,
+            np.zeros(split.n_u), split.u_ub)
+    else:
+        lp.set_rhs(rhs)
+    out = lp.run()
+    if out.status == "optimal" and lp.runs > 1:
+        # A degenerate LP has many optimal duals, and a warm run picks one
+        # by history; a point is priced cold so its cut does not depend on
+        # what was priced before.
+        lp.clear()
+        out = lp.run()
 
     if out.status == "optimal":
         pi = np.zeros(len(split.b))
         pi[rows] = out.duals
         const = _bound_constant(split, out.bound_duals)
-        dual_value = float(pi @ rhs) + const
+        dual_value = float(out.duals @ rhs) + const
         if abs(dual_value - out.objective) > \
                 _DUALITY_TOL * max(1.0, abs(out.objective)):
             raise be.BackendError(
@@ -205,7 +222,11 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
             objective=out.objective), out.primal
 
     if out.status == "infeasible":
-        ray = be.farkas_ray(*system, split.u_ub, tol=_RAY_TOL)
+        farkas = split.sessions.get("farkas")
+        if farkas is None:
+            farkas = split.sessions["farkas"] = be.FarkasLP(
+                split.A[rows], split.senses[rows], split.u_ub)
+        ray = farkas.ray(rhs, tol=_RAY_TOL)
         if ray is None:
             raise be.CapabilityError(
                 "no infeasibility certificate found for the scheduling LP")
@@ -335,8 +356,8 @@ def build_rmp(split: BendersSplit, pool: CutPool):
     """Master arrays over (v, w): deployment costs plus the epigraph ``w`` of
     the continuous cost, under the v-only original rows and every cut.
 
-    Returns ``(c, A, senses, rhs, lb, ub, integrality)`` for
-    :func:`backend.solve_milp`. ``w`` is the last column; the rows are
+    Returns ``(c, A, senses, rhs, lb, ub, integrality)`` for a
+    :class:`backend.Session`. ``w`` is the last column; the rows are
     ``Dm[v_only]``, the static cuts, the optimality cuts ``coef·v + w >=
     rhs`` and the feasibility cuts ``coef·v >= rhs``, in that order. ``A``
     is canonical CSR without stored zeros.
@@ -394,6 +415,13 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     A lower bound past the incumbent is rounding noise and is clamped to it,
     so the reported gap is never negative.
 
+    HiGHS keeps its models for the whole call and no longer: the master is
+    built once by :func:`build_rmp` and stays in one session, which gets
+    each fresh cut appended, ``w`` freed at the first optimality cut, and
+    a MIP start at the incumbent v* with w = max over the optimality cuts
+    of (rhs - coef·v*). Pricing keeps the scheduling LP and its Farkas LP
+    in two sessions of their own (see :func:`solve_subproblem_dual`).
+
     ``keep_pool`` stashes the live CutPool in ``info["cut_pool"]`` so
     callers can audit the cuts; the result is then not JSON-serializable.
     """
@@ -446,14 +474,17 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     if np.isfinite(warm.objective_value) and "primal" in warm.info:
         price(np.round(np.asarray(warm.info["primal"])[:split.n_v]))
 
+    master = be.Session(*build_rmp(split, pool), offset=split.offset)
     status = "feasible-limit"
     for it in itertools.count(1):
         if remaining() <= 0:
             break
-        outcome = be.solve_milp(
-            *build_rmp(split, pool), gap=_RMP_GAP,
-            seconds=min(_RMP_SECONDS, max(1.0, remaining())),
-            offset=split.offset)
+        if best_primal is not None:
+            v_star = best_primal[:split.n_v]
+            master.set_start(np.append(v_star, max(
+                cut.rhs - cut.coef @ v_star for cut in pool.optimality)))
+        outcome = master.run(gap=_RMP_GAP, seconds=min(_RMP_SECONDS,
+                                                       max(1.0, remaining())))
         if outcome.status == "infeasible":
             return empty_solution(instance, "infeasible", "bd", elapsed(),
                                   {"phase": f"master-{it}",
@@ -487,6 +518,14 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
             # report what we have rather than loop forever
             status = "stalled"
             break
+        if entry["cut"] == "optimality":
+            cut, w = pool.optimality[-1], 1.0
+            if pool.Q == 1:  # the epigraph is bounded by cuts from now on
+                master.set_bounds([split.n_v], [-np.inf], [np.inf])
+        else:
+            cut, w = pool.feasibility[-1], 0.0
+        master.add_rows(sp.csr_matrix(np.append(cut.coef, w)), [be.GE],
+                        [cut.rhs])
 
     if best_primal is None:
         return empty_solution(
@@ -510,6 +549,7 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         "termination": status,
     })
     if keep_pool:
+        split.sessions.clear()  # no solver state outlives the run
         solution.info["cut_pool"] = pool
         solution.info["split"] = split
     return solution

@@ -8,6 +8,22 @@ from railvolt.generator import illustrative_instance
 from railvolt.model import solve_pla
 
 
+def check_farkas_ray(A, senses, rhs, ub, ray):
+    """Assert the identities a ``backend.FarkasRay`` documents for the system
+    ``A x {senses} rhs``, ``0 <= x <= ub``: sign rules, A^T rows + lower -
+    upper = 0 and rhs^T rows - ub^T upper = violation > 0."""
+    assert ray.violation > 1e-9
+    has_ub = np.isfinite(ub)
+    assert np.all(ray.lower >= 0)
+    assert np.all(ray.upper >= 0) and np.all(ray.upper[~has_ub] == 0)
+    assert np.all(ray.rows[senses == ">="] >= 0)
+    assert np.all(ray.rows[senses == "<="] <= 0)
+    np.testing.assert_allclose(A.T @ ray.rows + ray.lower - ray.upper, 0.0,
+                               atol=1e-8)
+    score = rhs @ ray.rows - ub[has_ub] @ ray.upper[has_ub]
+    assert score == pytest.approx(ray.violation, abs=1e-8)
+
+
 @pytest.fixture(scope="session")
 def golden():
     return illustrative_instance()

@@ -11,6 +11,8 @@ import pytest
 import railvolt
 from railvolt import backend as be
 
+from conftest import check_farkas_ray
+
 INF = float("inf")
 
 
@@ -112,23 +114,12 @@ def test_duals_refused_for_milp():
 
 def _checked_ray(m):
     """farkas_ray on a model's arrays (every column x >= 0), checked against
-    its documented identities: A^T rows + lower - upper = 0 and
-    rhs^T rows - ub^T upper = violation > 0 (finite upper bounds)."""
+    its documented identities (see ``conftest.check_farkas_ray``)."""
     _, lb, ub, _, A, senses, rhs = m.arrays()
     assert np.all(lb == 0.0)
     ray = be.farkas_ray(A, senses, rhs, ub)
-    if ray is None:
-        return None
-    assert ray.violation > 1e-9
-    has_ub = np.isfinite(ub)
-    assert np.all(ray.lower >= 0)
-    assert np.all(ray.upper >= 0) and np.all(ray.upper[~has_ub] == 0)
-    assert np.all(ray.rows[senses == ">="] >= 0)
-    assert np.all(ray.rows[senses == "<="] <= 0)
-    np.testing.assert_allclose(A.T @ ray.rows + ray.lower - ray.upper, 0.0,
-                               atol=1e-8)
-    score = rhs @ ray.rows - ub[has_ub] @ ray.upper[has_ub]
-    assert score == pytest.approx(ray.violation, abs=1e-8)
+    if ray is not None:
+        check_farkas_ray(A, senses, rhs, ub, ray)
     return ray
 
 
@@ -169,20 +160,21 @@ def test_farkas_ray_uses_the_sign_bound():
 
 
 def test_infeasible_lp_is_one_highs_call(monkeypatch):
-    # Certificates are computed on request only, never inside solve().
-    calls = []
-    real_linprog = be.linprog
+    # Certificates are computed on request only, never inside solve(): a
+    # Farkas LP would be a second session run.
+    runs = []
+    real_run = be.Session.run
 
-    def counting_linprog(*args, **kwargs):
-        calls.append(args)
-        return real_linprog(*args, **kwargs)
+    def counting_run(self, *args, **kwargs):
+        runs.append(self.has_integers)
+        return real_run(self, *args, **kwargs)
 
-    monkeypatch.setattr(be, "linprog", counting_linprog)
+    monkeypatch.setattr(be.Session, "run", counting_run)
     m = _lp()
     x = m.add_column("x", "continuous", 0.0, 1.0, 0.0)
     m.add_row("ge5", [(x, 1.0)], ">=", 5.0)
     assert be.ScipyBackend().solve(m).status == "infeasible"
-    assert len(calls) == 1
+    assert runs == [False]
 
 
 def test_array_routines_report_bad_input_as_error():
@@ -280,6 +272,53 @@ def test_time_limit_without_incumbent_reports_no_primal():
         assert out.status in {"limit-no-incumbent", "infeasible"}
     else:
         assert math.isfinite(out.objective)
+
+
+def test_session_changes_match_a_fresh_solve():
+    # After set_rhs, set_costs, set_bounds and add_rows, a warm re-run
+    # solves the changed model: the same optimum and duals as a one-shot
+    # solve of it.
+    A = sp.csr_matrix([[1.0, 1.0], [1.0, -1.0]])
+    senses = np.array([">=", "<="])
+    session = be.Session(np.array([1.0, 2.0]), A, senses,
+                         np.array([2.0, 1.0]), np.zeros(2), np.full(2, 10.0))
+    assert session.run().objective == pytest.approx(2.5)
+    session.set_rhs(np.array([4.0, 1.0]))
+    session.set_costs(np.array([3.0, 1.0]))
+    session.set_bounds([0], [1.0], [2.0])
+    session.add_rows(sp.csr_matrix([[0.0, 1.0]]), [">="], [3.5])
+    warm = session.run()
+    cold = be.solve_lp(np.array([3.0, 1.0]), sp.vstack([A, [[0.0, 1.0]]]),
+                       np.array([">=", "<=", ">="]), np.array([4.0, 1.0, 3.5]),
+                       np.array([1.0, 0.0]), np.array([2.0, 10.0]))
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective) \
+        == pytest.approx(6.5)
+    np.testing.assert_allclose(warm.primal, cold.primal, atol=1e-9)
+    np.testing.assert_allclose(warm.duals, cold.duals, atol=1e-9)
+
+
+def test_session_time_limit_applies_to_each_run():
+    # HiGHS's own run clock adds up over a session's runs. The limit must
+    # not: runs of a small knapsack, each far below 0.25 s, add up past it
+    # and every one still ends optimal.
+    rng = np.random.default_rng(3)
+    m = _lp("knapsack")
+    n = 12
+    cols = [m.add_column(f"b{i}", "binary",
+                         objective=-float(rng.uniform(1, 2)))
+            for i in range(n)]
+    w = rng.integers(20, 60, size=n).astype(float)
+    m.add_row("cap", list(zip(cols, w)), "<=", float(w.sum()) / 2.0)
+    c, lb, ub, integrality, A, senses, rhs = m.arrays()
+    session = be.Session(c, A, senses, rhs, lb, ub, integrality)
+    limit, runs = 0.25, []
+    while sum(out.wall_seconds for out in runs) <= 2 * limit \
+            and len(runs) < 5000:
+        runs.append(session.run(seconds=limit))
+    assert sum(out.wall_seconds for out in runs) > 2 * limit
+    assert max(out.wall_seconds for out in runs) < limit
+    assert {out.status for out in runs} == {"optimal"}
 
 
 def test_infeasible_and_unbounded_lp_statuses():

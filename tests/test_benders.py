@@ -1,10 +1,12 @@
 """Decomposition: split algebra, pricing, cut audits, the full loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from railvolt import backend as be
+from railvolt import backend as be, benders
 from railvolt.benders import (CutPool, ExtremePoint, ExtremeRay, _gap,
                               build_rmp, extra_feasibility_cuts, run_benders,
                               solve_subproblem_dual, split_model)
@@ -12,7 +14,7 @@ from railvolt.domain import SolveConfig
 from railvolt.model import build_model, solve_pla
 from railvolt.validator import simulate_schedule
 
-from conftest import tiny_corridor
+from conftest import check_farkas_ray, tiny_corridor
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,44 @@ def test_pricing_an_impossible_assignment_yields_a_ray(
     assert float(cut.coef @ v_zero) - cut.rhs < -1e-8
     v_star = _incumbent_v(split, golden_pla)
     assert float(cut.coef @ v_star) - cut.rhs >= -1e-7
+
+
+def test_warm_pricing_matches_cold_pricing(golden_pla, reference_split,
+                                          monkeypatch):
+    # One split prices incumbent -> impossible -> incumbent -> impossible
+    # through the same two sessions; a fresh split prices each step cold.
+    # Where the dual vertex is not unique the optimum value still is.
+    _, _, split = reference_split
+    rays = []
+    real_ray = be.FarkasLP.ray
+
+    def recording_ray(self, rhs, tol=1e-9):
+        ray = real_ray(self, rhs, tol)
+        rays.append((rhs, ray))
+        return ray
+
+    monkeypatch.setattr(be.FarkasLP, "ray", recording_ray)
+    rows = ~split.v_only
+    warm = dataclasses.replace(split, sessions={})
+    v_star, v_zero = _incumbent_v(split, golden_pla), np.zeros(split.n_v)
+    for v in (v_star, v_zero, v_star, v_zero):
+        kind, cut, _ = solve_subproblem_dual(warm, v)
+        cold_kind, cold, _ = solve_subproblem_dual(
+            dataclasses.replace(split, sessions={}), v)
+        assert kind == cold_kind == ("point" if v is v_star else "ray")
+        if kind == "point":
+            assert cut.objective == pytest.approx(cold.objective, abs=1e-9)
+            np.testing.assert_allclose(cut.coef, cold.coef, rtol=0,
+                                       atol=1e-9)
+        else:
+            (rhs, ray), _ = rays[-2:]
+            check_farkas_ray(split.A[rows], split.senses[rows], rhs,
+                             split.u_ub, ray)
+            assert cut.violation == pytest.approx(cold.violation, abs=1e-9)
+    # the two rays went through one Farkas session, the four proposals
+    # through one scheduling-LP session
+    assert warm.sessions["farkas"].session.runs == 2
+    assert warm.sessions["lp"].runs >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +345,22 @@ def test_loop_never_reports_a_bound_past_its_incumbent(tiny_bd):
     assert sol.bound <= log[-1]["upper_bound"]
     for e in log:
         assert e["lower_bound"] <= e["upper_bound"], e
+
+
+def test_master_is_built_once_per_run(monkeypatch):
+    # The master lives in one session: build_rmp runs once, and each later
+    # cut is appended to the live model.
+    calls = []
+    real_build_rmp = benders.build_rmp
+
+    def counting_build_rmp(split, pool):
+        calls.append(split)
+        return real_build_rmp(split, pool)
+
+    monkeypatch.setattr(benders, "build_rmp", counting_build_rmp)
+    sol = run_benders(tiny_corridor(7), SolveConfig(time_limit_seconds=120.0))
+    assert sol.info["termination"] == "optimal"
+    assert sol.info["iterations"] > 1 and len(calls) == 1
 
 
 def test_loop_is_deterministic(tiny_bd):
