@@ -6,12 +6,12 @@ through scipy's private binding ``scipy.optimize._highspy._core._Highs``
 once and keeps it alive: it can change row bounds, column costs and column
 bounds, append rows, take a MIP start and run again, an LP from its last
 basis. Every run maps HiGHS's status onto a :class:`SolveOutcome` the same
-way. The decomposition keeps sessions for its pricing LPs and its master;
-the one-shot routines :func:`solve_lp`, :func:`solve_milp` and
-:func:`farkas_ray` are single runs of a session. Named models are described
-engine-neutrally (columns, rows, senses) in :class:`AbstractModel`, solved
-by :class:`ScipyBackend` through the same routines, and can be exported to
-the textual LP interchange format for debugging.
+way. The decomposition keeps sessions for its pricing LPs and its master,
+and :class:`FarkasLP` holds one for infeasibility proofs. Named models are
+described engine-neutrally (columns, rows, senses) in
+:class:`AbstractModel`, solved by :class:`ScipyBackend` as one run of a
+fresh session, and can be exported to the textual LP interchange format
+for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -481,54 +481,25 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
-# One-run routines
+# Named models and Farkas rays
 # ---------------------------------------------------------------------------
 
 class ScipyBackend:
-    """Solves an :class:`AbstractModel` from its arrays: :func:`solve_milp`
-    when it has binary columns, :func:`solve_lp` otherwise.
+    """Solves an :class:`AbstractModel` as one run of a fresh
+    :class:`Session` on its arrays, a MILP when it has binary columns and
+    an LP otherwise.
 
     LPs come back with row and upper-bound duals. An infeasible LP is only a
-    status; :func:`farkas_ray` proves it on request from the arrays.
-    One solve = one HiGHS session run once; HiGHS may multithread
-    internally.
+    status; :class:`FarkasLP` proves it on request from the arrays. HiGHS
+    may multithread internally.
     """
 
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
               seconds: Optional[float] = None) -> SolveOutcome:
         c, lb, ub, integrality, A, senses, rhs = model.arrays()
-        if integrality.any():
-            return solve_milp(c, A, senses, rhs, lb, ub, integrality, gap,
-                              seconds, model.objective_offset)
-        return solve_lp(c, A, senses, rhs, lb, ub, seconds,
-                        model.objective_offset)
-
-
-def solve_lp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
-             rhs: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-             seconds: Optional[float] = None,
-             offset: float = 0.0) -> SolveOutcome:
-    """Minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``, ``lb <= x <= ub``:
-    one run of a :class:`Session`, whose optimal outcome carries the duals.
-    """
-    return Session(c, A, senses, rhs, lb, ub, offset=offset).run(
-        seconds=seconds)
-
-
-def solve_milp(c: np.ndarray, A: sp.csr_matrix, senses: np.ndarray,
-               rhs: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-               integrality: np.ndarray, gap: Optional[float] = None,
-               seconds: Optional[float] = None,
-               offset: float = 0.0) -> SolveOutcome:
-    """Minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``,
-    ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1: one
-    run of a :class:`Session`.
-
-    ``gap`` is HiGHS's relative MIP gap and ``seconds`` its time limit.
-    The outcome carries the incumbent, HiGHS's dual bound and its gap.
-    """
-    return Session(c, A, senses, rhs, lb, ub, integrality, offset).run(
-        gap, seconds)
+        return Session(c, A, senses, rhs, lb, ub,
+                       integrality if integrality.any() else None,
+                       model.objective_offset).run(gap, seconds)
 
 
 class FarkasRay(NamedTuple):
@@ -594,13 +565,6 @@ class FarkasLP:
         upper[self.has_ub] = x[n_in + 2 * n_eq:]
         return FarkasRay(rows, np.maximum(0.0, -(self.G @ x)), upper,
                          float(-out.objective))
-
-
-def farkas_ray(A: sp.csr_matrix, senses: np.ndarray, rhs: np.ndarray,
-               ub: np.ndarray, tol: float = 1e-9) -> Optional[FarkasRay]:
-    """Solve the Farkas LP of a system over ``x >= 0`` once (see
-    :class:`FarkasLP`); None when no ray beats ``tol``."""
-    return FarkasLP(A, senses, ub).ray(rhs, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -352,39 +352,34 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
 # Master problem
 # ---------------------------------------------------------------------------
 
-def build_rmp(split: BendersSplit, pool: CutPool):
-    """Master arrays over (v, w): deployment costs plus the epigraph ``w`` of
-    the continuous cost, under the v-only original rows and every cut.
+def build_rmp(split: BendersSplit,
+              static: List[Tuple[str, List[Tuple[int, float]], str, float]]):
+    """Master arrays over (v, w) before any cut: deployment costs plus the
+    epigraph ``w`` of the continuous cost, under the v-only original rows
+    and the ``static`` cuts (see :func:`extra_feasibility_cuts`).
 
     Returns ``(c, A, senses, rhs, lb, ub, integrality)`` for a
-    :class:`backend.Session`. ``w`` is the last column; the rows are
-    ``Dm[v_only]``, the static cuts, the optimality cuts ``coef·v + w >=
-    rhs`` and the feasibility cuts ``coef·v >= rhs``, in that order. ``A``
-    is canonical CSR without stored zeros.
+    :class:`backend.Session`. ``w`` is the last column, floored at
+    ``_W_FLOOR`` until an optimality cut bounds it; the rows are
+    ``Dm[v_only]`` and then the static cuts. ``A`` is canonical CSR without
+    stored zeros. :func:`run_benders` appends each cut to the live master.
     """
-    n, static = split.n_v + 1, pool.static
+    n = split.n_v + 1
     master = split.Dm[split.v_only]
     cols, vals = np.array([pair for _, row, _, _ in static for pair in row],
                           float).reshape(-1, 2).T
-    blocks = [
+    A = sp.vstack([
         sp.csr_matrix((master.data, master.indices, master.indptr),
                       shape=(master.shape[0], n)),
         sp.csr_matrix((vals, cols.astype(np.int32),
                        np.cumsum([0] + [len(row) for _, row, _, _ in static])),
-                      shape=(len(static), n))]
-    cuts = pool.optimality + pool.feasibility
-    if cuts:  # w has coefficient 1 in the optimality cuts only
-        blocks.append(sp.csr_matrix(np.column_stack(
-            [np.vstack([cut.coef for cut in cuts]),
-             np.arange(len(cuts)) < pool.Q])))
-    A = sp.vstack(blocks, format="csr")
+                      shape=(len(static), n))], format="csr")
     A.eliminate_zeros()
     A.sum_duplicates()
-    senses = np.concatenate([split.senses[split.v_only], np.array(
-        [s for _, _, s, _ in static] + [be.GE] * len(cuts), "<U2")])
-    rhs = np.concatenate([split.b[split.v_only], [r for *_, r in static],
-                          [cut.rhs for cut in cuts]])
-    lb = np.append(np.zeros(split.n_v), _W_FLOOR if pool.Q == 0 else -np.inf)
+    senses = np.concatenate([split.senses[split.v_only],
+                             np.array([s for _, _, s, _ in static], "<U2")])
+    rhs = np.concatenate([split.b[split.v_only], [r for *_, r in static]])
+    lb = np.append(np.zeros(split.n_v), _W_FLOOR)
     ub = np.append(np.ones(split.n_v), np.inf)
     integrality = np.append(np.ones(split.n_v, int), 0)
     return (np.append(split.c_v, 1.0), A, senses, rhs, lb, ub, integrality)
@@ -416,11 +411,14 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     so the reported gap is never negative.
 
     HiGHS keeps its models for the whole call and no longer: the master is
-    built once by :func:`build_rmp` and stays in one session, which gets
-    each fresh cut appended, ``w`` freed at the first optimality cut, and
-    a MIP start at the incumbent v* with w = max over the optimality cuts
-    of (rhs - coef·v*). Pricing keeps the scheduling LP and its Farkas LP
-    in two sessions of their own (see :func:`solve_subproblem_dual`).
+    built once by :func:`build_rmp`, before the warm start is priced, and
+    stays in one session. Pricing a proposal is the one place a cut joins
+    it: each fresh cut is appended in arrival order, ``coef·v + w >= rhs``
+    for a point and ``coef·v >= rhs`` for a ray, and ``w`` is freed at the
+    first optimality cut. Before each solve the master gets a MIP start at
+    the incumbent v* with w = max over the optimality cuts of
+    (rhs - coef·v*). Pricing keeps the scheduling LP and its Farkas LP in
+    two sessions of their own (see :func:`solve_subproblem_dual`).
 
     ``keep_pool`` stashes the live CutPool in ``info["cut_pool"]`` so
     callers can audit the cuts; the result is then not JSON-serializable.
@@ -450,31 +448,39 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         return empty_solution(instance, "infeasible", "bd", elapsed(),
                               {"phase": "warm-start"})
 
+    master = be.Session(*build_rmp(split, pool.static), offset=split.offset)
     best_primal: Optional[np.ndarray] = None
 
     def price(v: np.ndarray) -> Tuple[str, bool]:
-        """Price proposal ``v``, pool its cut and keep ``v`` as the incumbent
-        if it schedules more cheaply; returns the kind of cut and whether
-        it was new."""
+        """Price proposal ``v``, pool its cut, append it to the master if it
+        is new, and keep ``v`` as the incumbent if it schedules more
+        cheaply; returns the kind of cut and whether it was new."""
         nonlocal best_primal
         kind, cut, u = solve_subproblem_dual(split, v)
-        if kind == "ray":
-            return "feasibility", pool.add_ray(cut)
-        fresh = pool.add_point(cut)
-        obj = float(split.c_v @ v) + cut.objective + split.offset
-        if obj < pool.upper_bound - 1e-12:
-            pool.upper_bound = obj
-            # a lower bound past the incumbent is rounding noise
-            pool.lower_bound = min(pool.lower_bound, obj)
-            best_primal = np.concatenate([v, u])
-        return "optimality", fresh
+        point = kind == "point"
+        if point:
+            fresh = pool.add_point(cut)
+            obj = float(split.c_v @ v) + cut.objective + split.offset
+            if obj < pool.upper_bound - 1e-12:
+                pool.upper_bound = obj
+                # a lower bound past the incumbent is rounding noise
+                pool.lower_bound = min(pool.lower_bound, obj)
+                best_primal = np.concatenate([v, u])
+        else:
+            fresh = pool.add_ray(cut)
+        if fresh:
+            if point and pool.Q == 1:  # cuts bound the epigraph from now on
+                master.set_bounds([split.n_v], [-np.inf], [np.inf])
+            # w has coefficient 1 in the optimality cuts only
+            master.add_rows(sp.csr_matrix(np.append(cut.coef, float(point))),
+                            [be.GE], [cut.rhs])
+        return ("optimality" if point else "feasibility"), fresh
 
     # The warm incumbent came from the full model, so it prices to a point;
     # a ray would still be a valid cut.
     if np.isfinite(warm.objective_value) and "primal" in warm.info:
         price(np.round(np.asarray(warm.info["primal"])[:split.n_v]))
 
-    master = be.Session(*build_rmp(split, pool), offset=split.offset)
     status = "feasible-limit"
     for it in itertools.count(1):
         if remaining() <= 0:
@@ -518,14 +524,6 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
             # report what we have rather than loop forever
             status = "stalled"
             break
-        if entry["cut"] == "optimality":
-            cut, w = pool.optimality[-1], 1.0
-            if pool.Q == 1:  # the epigraph is bounded by cuts from now on
-                master.set_bounds([split.n_v], [-np.inf], [np.inf])
-        else:
-            cut, w = pool.feasibility[-1], 0.0
-        master.add_rows(sp.csr_matrix(np.append(cut.coef, w)), [be.GE],
-                        [cut.rhs])
 
     if best_primal is None:
         return empty_solution(

@@ -1,11 +1,13 @@
 """Command-line entry point: generate, solve, validate, report, sweep.
 
-Exit codes: 0 success, 1 validation failure or infeasibility, 2 usage error.
+Exit codes: 0 success; 1 validation failure, or a solve that found no plan
+(infeasible, or out of time without an incumbent); 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from typing import List, Optional
 
@@ -165,8 +167,9 @@ def _cmd_solve(args) -> int:
 
     print(f"algorithm: {sol.algorithm}")
     print(f"status: {sol.status}")
-    if sol.status == "infeasible":
-        print("no feasible schedule exists for this instance")
+    if not math.isfinite(sol.objective_value):
+        print("no feasible schedule exists for this instance"
+              if sol.status == "infeasible" else "no plan found")
         return 1
     print(f"objective: {sol.objective_value:.4f}")
     if sol.gap is not None:

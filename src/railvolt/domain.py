@@ -219,7 +219,12 @@ class Instance:
             return cls.from_dict(json.load(fh))
 
 
-def validate_instance(inst: Instance, additivity_tol: float = 1e-6) -> List[str]:
+# Largest gap allowed between a long-range energy/time entry and the sum of
+# its adjacent legs.
+_ADDITIVITY_TOL = 1e-6
+
+
+def validate_instance(inst: Instance) -> List[str]:
     """Structural checks on an instance; returns a list of problems.
 
     An empty list means the instance is well formed. This checks shapes,
@@ -285,7 +290,7 @@ def validate_instance(inst: Instance, additivity_tol: float = 1e-6) -> List[str]
             legs = np.array([m[i, i + 1] for i in range(s - 1)])
             cum = np.concatenate([[0.0], np.cumsum(legs)])
             want = np.abs(cum[None, :] - cum[:, None])
-            if np.max(np.abs(m - want)) > additivity_tol:
+            if np.max(np.abs(m - want)) > _ADDITIVITY_TOL:
                 a, b = np.unravel_index(np.argmax(np.abs(m - want)), m.shape)
                 problems.append(
                     f"train {j} {label}[{a},{b}]={m[a, b]:g} is not the sum of "
@@ -305,23 +310,29 @@ SOC_BIG_M = 2.0
 
 @dataclass
 class SolveConfig:
-    """Weights, tolerances and limits shared by all solve paths.
+    """Weights, limits and the seed: the settings a caller chooses.
 
-    ``n`` and ``m`` are the SOC-axis and time-axis segment counts of the
-    piecewise-linear charging surface; ``t_max`` is the longest modelled
-    charge duration.
+    The model's fixed values are class constants, read as ``cfg.n`` and so
+    on but not settable: ``n = m = 10`` SOC-axis and time-axis segments of
+    the piecewise-linear charging surface, ``t_max = 10`` hours of longest
+    modelled charge, ``big_M = 1000`` for the big-M rows off the SOC scale
+    (battery carry, charge duration, the decomposition's static cuts),
+    ``epsilon = 1e-6``, the charge flag's slack in the departure-SOC row,
+    and ``benders_gap = 0.05``, the relative bound gap at which the
+    decomposition stops.
     """
     alpha_fixed: float = 1.0
     alpha_delay: float = 3.0
-    big_M: float = 1000.0
-    epsilon: float = 1e-6
-    n: int = 10
-    m: int = 10
-    t_max: float = 10.0
     mip_gap: float = 0.01
     time_limit_seconds: float = 1800.0
-    benders_gap: float = 0.05
     seed: int = 0
+
+    big_M: ClassVar[float] = 1000.0
+    epsilon: ClassVar[float] = 1e-6
+    n: ClassVar[int] = 10
+    m: ClassVar[int] = 10
+    t_max: ClassVar[float] = 10.0
+    benders_gap: ClassVar[float] = 0.05
 
     def replace(self, **kw) -> "SolveConfig":
         d = asdict(self)

@@ -422,6 +422,14 @@ def _clamped(x: float, lo: float, hi: float, what: str) -> float:
     return min(hi, max(lo, x))
 
 
+# Planner status of each backend outcome a planner reports; the first two
+# come with a plan.
+_PLAN_STATUS = {"optimal": "optimal-within-gap",
+                "feasible-limit": "feasible-time-limit",
+                "infeasible": "infeasible",
+                "limit-no-incumbent": "time-limit-no-incumbent"}
+
+
 def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
                     instance: Instance) -> Solution:
     """Turn a solver primal point into a schedule, with sanity checks.
@@ -442,9 +450,7 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
     cfg = vm.config or SolveConfig()
     S = inst.n_stations
     J = range(inst.n_trains)
-    status = {"optimal": "optimal-within-gap",
-              "feasible-limit": "feasible-time-limit"}.get(
-                  outcome.status, outcome.status)
+    status = _PLAN_STATUS.get(outcome.status, outcome.status)
     sol = empty_solution(inst, status, "pla", outcome.wall_seconds,
                          {"solver_message": outcome.message})
 
@@ -524,10 +530,6 @@ def empty_solution(instance: Instance, status: str, algorithm: str,
 # One-shot solve
 # ---------------------------------------------------------------------------
 
-_NO_PLAN_STATUS = {"infeasible": "infeasible",
-                   "limit-no-incumbent": "time-limit-no-incumbent"}
-
-
 def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
               fixed_deployment: Optional[Set[int]] = None,
               max_loading: bool = False,
@@ -562,8 +564,8 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
                          "n_binaries": vm.n_binary})
         if keep_primal:
             sol.info["primal"] = np.asarray(outcome.primal).tolist()
-    elif outcome.status in _NO_PLAN_STATUS:
-        sol = empty_solution(instance, _NO_PLAN_STATUS[outcome.status], "pla",
+    elif outcome.status in _PLAN_STATUS:
+        sol = empty_solution(instance, _PLAN_STATUS[outcome.status], "pla",
                              info={"solver_message": outcome.message})
     else:
         raise be.BackendError(

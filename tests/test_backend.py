@@ -113,11 +113,12 @@ def test_duals_refused_for_milp():
 
 
 def _checked_ray(m):
-    """farkas_ray on a model's arrays (every column x >= 0), checked against
-    its documented identities (see ``conftest.check_farkas_ray``)."""
+    """The Farkas LP's ray for a model's arrays (every column x >= 0),
+    checked against its documented identities (see
+    ``conftest.check_farkas_ray``)."""
     _, lb, ub, _, A, senses, rhs = m.arrays()
     assert np.all(lb == 0.0)
-    ray = be.farkas_ray(A, senses, rhs, ub)
+    ray = be.FarkasLP(A, senses, ub).ray(rhs)
     if ray is not None:
         check_farkas_ray(A, senses, rhs, ub, ray)
     return ray
@@ -178,28 +179,29 @@ def test_infeasible_lp_is_one_highs_call(monkeypatch):
 
 
 def test_array_routines_report_bad_input_as_error():
-    # A ValueError from scipy is the status "error" for every caller of
-    # solve_lp and solve_milp, not only for ScipyBackend.solve.
+    # Arrays of inconsistent shapes are the status "error" for every run of
+    # a Session, not only for ScipyBackend.solve.
     A = sp.csr_matrix(np.ones((1, 3)))  # three columns against two costs
     senses, rhs = np.array([">="]), np.array([1.0])
     lb, ub = np.zeros(2), np.ones(2)
-    lp = be.solve_lp(np.ones(2), A, senses, rhs, lb, ub)
-    milp = be.solve_milp(np.ones(2), A, senses, rhs, lb, ub, np.ones(2, int))
+    lp = be.Session(np.ones(2), A, senses, rhs, lb, ub).run()
+    milp = be.Session(np.ones(2), A, senses, rhs, lb, ub,
+                      np.ones(2, int)).run()
     assert (lp.status, lp.has_integers) == ("error", False)
     assert (milp.status, milp.has_integers) == ("error", True)
     assert lp.message and milp.message
 
 
 def test_solve_milp_matches_the_model_solve():
-    # ScipyBackend.solve is the model's arrays handed to solve_milp.
+    # ScipyBackend.solve is one Session run on the model's arrays.
     m = _lp()
     cols = [m.add_column(f"b{i}", "binary", objective=-v)
             for i, v in enumerate((6.0, 5.0, 4.0))]
     m.add_row("cap", list(zip(cols, (5.0, 4.0, 3.0))), "<=", 7.0)
     m.objective_offset = 2.5
     c, lb, ub, integrality, A, senses, rhs = m.arrays()
-    direct = be.solve_milp(c, A, senses, rhs, lb, ub, integrality, gap=0.0,
-                           offset=2.5)
+    direct = be.Session(c, A, senses, rhs, lb, ub, integrality,
+                        offset=2.5).run(gap=0.0)
     via = be.ScipyBackend().solve(m, gap=0.0)
     assert direct.status == via.status == "optimal"
     assert direct.objective == via.objective == pytest.approx(-9.0 + 2.5)
@@ -276,8 +278,8 @@ def test_time_limit_without_incumbent_reports_no_primal():
 
 def test_session_changes_match_a_fresh_solve():
     # After set_rhs, set_costs, set_bounds and add_rows, a warm re-run
-    # solves the changed model: the same optimum and duals as a one-shot
-    # solve of it.
+    # solves the changed model: the same optimum and duals as a fresh
+    # session on it.
     A = sp.csr_matrix([[1.0, 1.0], [1.0, -1.0]])
     senses = np.array([">=", "<="])
     session = be.Session(np.array([1.0, 2.0]), A, senses,
@@ -288,9 +290,9 @@ def test_session_changes_match_a_fresh_solve():
     session.set_bounds([0], [1.0], [2.0])
     session.add_rows(sp.csr_matrix([[0.0, 1.0]]), [">="], [3.5])
     warm = session.run()
-    cold = be.solve_lp(np.array([3.0, 1.0]), sp.vstack([A, [[0.0, 1.0]]]),
-                       np.array([">=", "<=", ">="]), np.array([4.0, 1.0, 3.5]),
-                       np.array([1.0, 0.0]), np.array([2.0, 10.0]))
+    cold = be.Session(np.array([3.0, 1.0]), sp.vstack([A, [[0.0, 1.0]]]),
+                      np.array([">=", "<=", ">="]), np.array([4.0, 1.0, 3.5]),
+                      np.array([1.0, 0.0]), np.array([2.0, 10.0])).run()
     assert warm.status == cold.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective) \
         == pytest.approx(6.5)

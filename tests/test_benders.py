@@ -232,63 +232,46 @@ def test_gap_convention():
     assert _gap(-90.0, -100.0) == pytest.approx(10.0 / 90.0)
 
 
-def test_rmp_grows_with_the_pool(reference_split):
+def test_rmp_floors_w_over_the_v_only_rows(reference_split):
+    # Without static cuts the master is the v-only rows alone: build_rmp
+    # stacks no cuts, and w stays floored until a cut is appended.
     _, _, split = reference_split
-    pool = CutPool()
-    c, A, senses, rhs, lb, ub, integrality = build_rmp(split, pool)
+    c, A, senses, rhs, lb, ub, integrality = build_rmp(split, [])
     n_rows = int(split.v_only.sum())
     assert len(c) == len(lb) == len(ub) == len(integrality) == split.n_v + 1
     assert A.shape == (n_rows, split.n_v + 1)
+    np.testing.assert_array_equal(A[:, :-1].toarray(),
+                                  split.Dm[split.v_only].toarray())
+    assert A[:, -1].nnz == 0
     assert len(senses) == len(rhs) == n_rows
-    # while no optimality cut exists the epigraph must be floored
-    assert np.isfinite(lb[-1])
-
-    pool.add_point(_point(np.zeros(split.n_v), 5.0))
-    pool.add_ray(ExtremeRay(coef=np.eye(split.n_v)[0], rhs=1.0,
-                            violation=0.1))
-    c, A, senses, rhs, lb, ub, integrality = build_rmp(split, pool)
-    assert A.shape == (n_rows + 2, split.n_v + 1)
-    assert not np.isfinite(lb[-1])
-    np.testing.assert_array_equal(rhs[-2:], [5.0, 1.0])
+    assert lb[-1] == benders._W_FLOOR
 
 
-def test_rmp_stacks_master_rows_static_rows_and_cuts(golden,
-                                                     reference_split):
+def test_rmp_stacks_master_rows_and_static_rows(golden, reference_split):
     _, vm, split = reference_split
-    pool = CutPool()
-    pool.static = extra_feasibility_cuts(golden, vm)
-    rng = np.random.default_rng(5)
-    point_coef = np.where(rng.uniform(size=split.n_v) < 0.3,
-                          rng.normal(size=split.n_v), 0.0)
-    ray_coef = np.where(rng.uniform(size=split.n_v) < 0.3,
-                        rng.normal(size=split.n_v), 0.0)
-    pool.add_point(_point(point_coef, 4.0))
-    pool.add_ray(ExtremeRay(coef=ray_coef, rhs=-1.5, violation=0.1))
-    c, A, senses, rhs, lb, ub, integrality = build_rmp(split, pool)
+    static = extra_feasibility_cuts(golden, vm)
+    c, A, senses, rhs, lb, ub, integrality = build_rmp(split, static)
 
-    # [Dm[v_only]; static; point row; ray row], with w as the last column
+    # [Dm[v_only]; static], with w as the last column
     n = split.n_v
-    static = np.zeros((len(pool.static), n + 1))
-    for r, (_, entries, _, _) in enumerate(pool.static):
+    static_rows = np.zeros((len(static), n + 1))
+    for r, (_, entries, _, _) in enumerate(static):
         for ci, val in entries:
-            static[r, ci] += val
+            static_rows[r, ci] += val
     want = np.vstack([
         np.hstack([split.Dm[split.v_only].toarray(),
                    np.zeros((int(split.v_only.sum()), 1))]),
-        static,
-        np.append(point_coef, 1.0),
-        np.append(ray_coef, 0.0)])
+        static_rows])
     np.testing.assert_array_equal(A.toarray(), want)
     assert A.has_canonical_format and not np.any(A.data == 0.0)
     assert list(senses) == (list(split.senses[split.v_only])
-                            + [s for _, _, s, _ in pool.static]
-                            + [be.GE, be.GE])
+                            + [s for _, _, s, _ in static])
     np.testing.assert_array_equal(
         rhs, np.concatenate([split.b[split.v_only],
-                             [b for _, _, _, b in pool.static], [4.0, -1.5]]))
+                             [b for _, _, _, b in static]]))
     np.testing.assert_array_equal(c, np.append(split.c_v, 1.0))
     np.testing.assert_array_equal(integrality, [1] * n + [0])
-    np.testing.assert_array_equal(lb, [0.0] * n + [-np.inf])
+    np.testing.assert_array_equal(lb, [0.0] * n + [benders._W_FLOOR])
     np.testing.assert_array_equal(ub, [1.0] * n + [np.inf])
 
 
@@ -348,19 +331,51 @@ def test_loop_never_reports_a_bound_past_its_incumbent(tiny_bd):
 
 
 def test_master_is_built_once_per_run(monkeypatch):
-    # The master lives in one session: build_rmp runs once, and each later
-    # cut is appended to the live model.
-    calls = []
+    # The master lives in one session: build_rmp runs once, and each cut
+    # is appended to the live model after the static rows, coef·v + w for
+    # an optimality cut and coef·v for a feasibility cut.
+    built, sessions = [], []
     real_build_rmp = benders.build_rmp
 
-    def counting_build_rmp(split, pool):
-        calls.append(split)
-        return real_build_rmp(split, pool)
+    def counting_build_rmp(split, static):
+        built.append(real_build_rmp(split, static))
+        return built[-1]
+
+    class CapturingSession(be.Session):
+        def __init__(self, c, A, *args, **kwargs):
+            super().__init__(c, A, *args, **kwargs)
+            sessions.append((A, self))
 
     monkeypatch.setattr(benders, "build_rmp", counting_build_rmp)
-    sol = run_benders(tiny_corridor(7), SolveConfig(time_limit_seconds=120.0))
+    monkeypatch.setattr(be, "Session", CapturingSession)
+    sol = run_benders(tiny_corridor(7), SolveConfig(time_limit_seconds=120.0),
+                      keep_pool=True)
     assert sol.info["termination"] == "optimal"
-    assert sol.info["iterations"] > 1 and len(calls) == 1
+    assert sol.info["iterations"] > 1 and len(built) == 1
+
+    pool = sol.info["cut_pool"]
+    master, = [s for A, s in sessions if A is built[0][1]]
+    lp = master._highs.getLp()
+    assert lp.a_matrix_.format_ == be._highs.MatrixFormat.kColwise
+    A = sp.csc_matrix((lp.a_matrix_.value_, lp.a_matrix_.index_,
+                       lp.a_matrix_.start_),
+                      shape=(lp.num_row_, lp.num_col_)).toarray()
+    n_static = built[0][1].shape[0]
+    cuts = A[n_static:]
+    rows_lo = np.asarray(lp.row_lower_)[n_static:]
+    is_point = cuts[:, -1] == 1.0
+    assert set(cuts[:, -1]) <= {0.0, 1.0}
+    assert len(cuts) == pool.Q + pool.R >= 1
+    for rows, lo, pooled in ((cuts[is_point], rows_lo[is_point],
+                              pool.optimality),
+                             (cuts[~is_point], rows_lo[~is_point],
+                              pool.feasibility)):
+        np.testing.assert_array_equal(
+            rows[:, :-1], np.array([cut.coef for cut in pooled]).reshape(
+                len(pooled), -1))
+        np.testing.assert_array_equal(lo, [cut.rhs for cut in pooled])
+    assert np.all(np.isinf(np.asarray(lp.row_upper_)[n_static:]))
+    assert pool.Q >= 1 and lp.col_lower_[-1] == -np.inf
 
 
 def test_loop_is_deterministic(tiny_bd):

@@ -1,11 +1,19 @@
 """Command-line workflows: exit codes and artifact round trips."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import railvolt
+from railvolt import cli
 from railvolt.cli import main
-from railvolt.domain import Instance, Solution, validate_instance
+from railvolt.domain import Instance, Solution, SolveConfig, validate_instance
+from railvolt.model import empty_solution
 
 from conftest import tiny_corridor
 
@@ -142,6 +150,54 @@ def test_solve_infeasible_exits_1(tmp_path, capsys):
                  "--time-limit", "30"])
     assert code == 1
     assert "no feasible schedule" in capsys.readouterr().out
+
+
+def test_solve_without_a_plan_exits_1(tiny_file, tmp_path, monkeypatch,
+                                     capsys):
+    # Out of time without an incumbent is no plan, like infeasibility: the
+    # status is printed, nothing is written, and the exit code is 1.
+    inst, path = tiny_file
+    monkeypatch.setattr(cli, "solve_pla", lambda inst, cfg, dump_model: (
+        empty_solution(inst, "time-limit-no-incumbent", "pla")))
+    sol_path = tmp_path / "plan.json"
+    code = main(["solve", "--algo", "pla", "--instance", path,
+                 "--out", str(sol_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status: time-limit-no-incumbent" in out
+    assert "no plan found" in out and "objective:" not in out
+    assert not sol_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Configuration
+# ---------------------------------------------------------------------------
+
+
+def test_every_config_field_is_a_common_flag():
+    args = cli._build_parser().parse_args([
+        "solve", "--algo", "pla", "--instance", "x.json", "--alpha-f", "2",
+        "--alpha-d", "5", "--gap", "0.02", "--time-limit", "9", "--seed", "4"])
+    cfg, default = cli._config(args), SolveConfig()
+    for f in dataclasses.fields(SolveConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+
+
+def test_fixed_model_values_are_not_settable():
+    assert SolveConfig().n == 10
+    with pytest.raises(TypeError):
+        SolveConfig(n=12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; the package does not
+    # need it.
+    code = "import sys, railvolt; print('scipy.stats' in sys.modules)"
+    src = str(Path(railvolt.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
