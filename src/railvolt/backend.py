@@ -36,6 +36,7 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 GE, LE, EQ = ">=", "<=", "="
 _SENSES = (GE, LE, EQ)
+_RAY_TOL = 1e-8         # a Farkas ray must prove a violation above this
 
 
 class BackendError(RailvoltError):
@@ -545,8 +546,9 @@ class FarkasLP:
             np.full(m + 1, LE), np.append(np.zeros(m), 1.0), np.zeros(n),
             np.full(n, np.inf))
 
-    def ray(self, rhs: np.ndarray, tol: float = 1e-9) -> Optional[FarkasRay]:
-        """The ray for right-hand sides ``rhs``; None if none beats ``tol``."""
+    def ray(self, rhs: np.ndarray) -> Optional[FarkasRay]:
+        """The ray for right-hand sides ``rhs``; None if none beats
+        ``_RAY_TOL``."""
         if self.session is None:
             return None
         ineq, eq = self.ineq, self.eq
@@ -554,7 +556,7 @@ class FarkasLP:
                             -self.ub[self.has_ub]])
         self.session.set_costs(-h)
         out = self.session.run()
-        if out.status != "optimal" or -out.objective <= tol:
+        if out.status != "optimal" or -out.objective <= _RAY_TOL:
             return None
         x = out.primal
         n_in, n_eq = int(ineq.sum()), int(eq.sum())

@@ -27,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import backend as be
-from .domain import Instance, SolveConfig, Solution
-from .model import VarMap, build_model, decode_solution, empty_solution, solve_pla
+from .domain import Instance, SolveConfig, Solution, empty_solution
+from .model import VarMap, build_model, decode_solution, solve_pla
 
 __all__ = [
     "BendersSplit",
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _DUALITY_TOL = 1e-4
-_RAY_TOL = 1e-8
 _W_FLOOR = -1e7
 _RMP_GAP = 0.005        # relative MIP gap of every master solve
 _RMP_SECONDS = 300.0    # cap on one master solve and on the warm start
@@ -226,7 +225,7 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
         if farkas is None:
             farkas = split.sessions["farkas"] = be.FarkasLP(
                 split.A[rows], split.senses[rows], split.u_ub)
-        ray = farkas.ray(rhs, tol=_RAY_TOL)
+        ray = farkas.ray(rhs)
         if ray is None:
             raise be.CapabilityError(
                 "no infeasibility certificate found for the scheduling LP")
@@ -442,7 +441,7 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
                                                   max(1.0, remaining())))
     warm = solve_pla(instance, warm_cfg,
                      fixed_deployment=list(instance.interior),
-                     max_loading=True, keep_primal=True)
+                     keep_primal=True)
     if warm.status == "infeasible":
         # every resource maxed out and still no schedule: nothing can work
         return empty_solution(instance, "infeasible", "bd", elapsed(),

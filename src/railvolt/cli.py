@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from typing import List, Optional
 
+from . import backend as be
 from .domain import Instance, RailvoltError, SolveConfig, Solution
 from .generator import GenSpec, generate_instance
-from .model import solve_pla
+from .model import build_model
 from .reporting import (ALGORITHMS, run_batch, sensitivity_compare,
                         write_json, write_long_csv, write_results_csv)
 from .validator import simulate_schedule
@@ -21,23 +23,27 @@ from .validator import simulate_schedule
 __all__ = ["main", "format_schedule"]
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha-f", type=float, default=1.0,
-                   help="weight on station setup cost")
-    p.add_argument("--alpha-d", type=float, default=3.0,
-                   help="weight on each hour of excess delay")
-    p.add_argument("--gap", type=float, default=0.01,
-                   help="relative MIP gap for full solves")
-    p.add_argument("--time-limit", type=float, default=1800.0,
-                   help="wall-clock budget in seconds")
-    p.add_argument("--out", default=None, help="output file path")
+# The flags several subcommands take; a configuration flag stores into the
+# SolveConfig field it sets.
+_FLAGS = {
+    "seed": dict(type=int, default=0, help="random seed"),
+    "alpha-f": dict(dest="alpha_fixed", type=float, default=1.0,
+                    help="weight on station setup cost"),
+    "alpha-d": dict(dest="alpha_delay", type=float, default=3.0,
+                    help="weight on each hour of excess delay"),
+    "gap": dict(dest="mip_gap", type=float, default=0.01,
+                help="relative MIP gap for full solves"),
+    "time-limit": dict(dest="time_limit_seconds", type=float, default=1800.0,
+                       help="wall-clock budget in seconds"),
+    "out": dict(default=None, help="output file path"),
+}
 
 
 def _config(args) -> SolveConfig:
-    return SolveConfig(alpha_fixed=args.alpha_f, alpha_delay=args.alpha_d,
-                       mip_gap=args.gap, time_limit_seconds=args.time_limit,
-                       seed=args.seed)
+    """The settings of the configuration flags this subcommand takes."""
+    return SolveConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(SolveConfig)
+                          if hasattr(args, f.name)})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,31 +53,35 @@ def _build_parser() -> argparse.ArgumentParser:
                     "scheduling for battery-electric freight corridors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="draw a random corridor instance")
-    _add_common(p)
+    def command(name, summary, *flags):
+        # no abbreviations: a prefix of a flag that is not there (say
+        # --alpha-d for --alpha-d-values) must be a usage error
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        return p
+
+    p = command("generate", "draw a random corridor instance", "seed", "out")
     p.add_argument("--size", choices=("small", "medium", "large"),
                    default="small")
     p.add_argument("--trains", type=int, default=2)
     p.add_argument("--consists", type=int, default=3)
 
-    p = sub.add_parser("solve", help="plan deployment and schedules")
-    _add_common(p)
+    p = command("solve", "plan deployment and schedules", *_FLAGS)
     p.add_argument("--algo", choices=sorted(ALGORITHMS), required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--dump-model", default=None, metavar="PATH",
-                   help="also write the built model in LP format")
+                   help="also write the full model in LP format")
     p.add_argument("--schedule", action="store_true",
                    help="print the human-readable schedule table")
 
-    p = sub.add_parser("validate",
-                       help="re-simulate a solution against an instance")
-    _add_common(p)
+    p = command("validate", "re-simulate a solution against an instance",
+                "alpha-f", "alpha-d")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--tolerance", type=float, default=0.05)
 
-    p = sub.add_parser("report", help="run a batch and write the CSV table")
-    _add_common(p)
+    p = command("report", "run a batch and write the CSV table", *_FLAGS)
     p.add_argument("--instances", nargs="+", required=True,
                    help="instance JSON files")
     p.add_argument("--algos", default="pla,fa,bd",
@@ -79,9 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--long", default=None, metavar="PATH",
                    help="also write long-format plot data CSV")
 
-    p = sub.add_parser("sweep",
-                       help="re-run a batch at two delay weights and compare")
-    _add_common(p)
+    p = command("sweep", "re-run a batch at two delay weights and compare",
+                "seed", "alpha-f", "gap", "time-limit", "out")
     p.add_argument("--instances", nargs="+", required=True)
     p.add_argument("--algos", default="pla,fa,bd")
     p.add_argument("--alpha-d-values", default="3,5",
@@ -157,13 +166,10 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     inst = Instance.from_json(args.instance)
     cfg = _config(args)
-    if args.algo == "pla":
-        sol = solve_pla(inst, cfg, dump_model=args.dump_model)
-    else:
-        if args.dump_model:
-            print("--dump-model applies to the full model; ignored for "
-                  f"{args.algo}", file=sys.stderr)
-        sol = ALGORITHMS[args.algo](inst, cfg)
+    if args.dump_model:
+        # the full model: what pla solves and fa and bd restrict
+        be.write_lp(build_model(inst, cfg)[0], args.dump_model)
+    sol = ALGORITHMS[args.algo](inst, cfg)
 
     print(f"algorithm: {sol.algorithm}")
     print(f"status: {sol.status}")

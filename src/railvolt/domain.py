@@ -390,6 +390,33 @@ class Solution:
             return cls.from_dict(json.load(fh))
 
 
+def empty_solution(instance: Instance, status: str, algorithm: str,
+                   wall_seconds: float = 0.0, info: Optional[dict] = None
+                   ) -> Solution:
+    """A structurally valid all-zeros Solution for non-primal outcomes."""
+    S = instance.n_stations
+    J = range(instance.n_trains)
+
+    def z3(fill):
+        # fresh rows per call: several of these fields get mutated in place
+        # by consumers, so none of them may share list objects
+        return [[[fill for _ in range(instance.consists(j))]
+                 for _ in range(S)] for j in J]
+
+    def z2():
+        return [[0.0] * S for _ in J]
+
+    return Solution(
+        deployed=[], has_battery=[[0] * instance.consists(j) for j in J],
+        swap=z3(0), charge=z3(0),
+        charge_hours=z3(0.0), arrive=z2(), depart=z2(),
+        soc_arrive=z3(0.0), soc_depart=z3(0.0),
+        delay=z2(), battery_nonempty=z3(0),
+        objective_value=float("inf"), status=status,
+        wall_seconds=wall_seconds, algorithm=algorithm, info=info or {},
+    )
+
+
 @dataclass
 class Metrics:
     """The eight reported measures of a schedule."""

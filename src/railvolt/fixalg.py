@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .domain import InfeasibleError, Instance, SolveConfig, Solution
-from .model import empty_solution, solve_pla
+from .domain import (InfeasibleError, Instance, SolveConfig, Solution,
+                     empty_solution)
+from .model import solve_pla
 
 __all__ = [
     "FixState",
@@ -190,11 +191,8 @@ def run_fix_algorithm(
         round_limit = min(config.time_limit_seconds / remaining,
                           max(1.0, budget_left))
         solution = solve_pla(
-            instance,
-            config.replace(time_limit_seconds=round_limit),
-            fixed_deployment=sorted(deployed),
-            max_loading=True,
-        )
+            instance, config.replace(time_limit_seconds=round_limit),
+            fixed_deployment=sorted(deployed))
         round_rec = {
             "phase": "solve",
             "deployed": sorted(deployed),

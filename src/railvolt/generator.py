@@ -16,6 +16,7 @@ instance's ``meta`` block.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,9 +33,11 @@ MIN_LEG_KM = 50.0
 class GenSpec:
     """Distribution parameters for random corridor instances.
 
-    Costs are in millions of dollars, distances in km, durations in hours.
-    Each (mean, sd, min, max) quadruple describes a clamped normal; count
-    attributes are additionally rounded to integers.
+    The fields are what a caller sets: the size class, the fleet, the
+    leg-distance normal (km) and the seed. The rest are class constants,
+    read as ``spec.cost_mean`` but not settable. Costs are in millions of
+    dollars, durations in hours; each (mean, sd, min, max) quadruple
+    describes a clamped normal, with counts rounded to integers.
     """
     size_class: str = "small"
     n_trains: int = 2
@@ -42,26 +45,27 @@ class GenSpec:
     max_batteries: int = 3
     distance_mean_km: float = 373.0
     distance_sd_km: float = 146.0
-    speed_kmh: float = 100.0
-    consumption_kwh_per_km: float = 30.0
-    battery_kwh: float = 7000.0
-    cost_mean: float = 22.0
-    cost_sd: float = 3.0
-    cost_min: float = 15.0
-    cost_max: float = 30.0
-    chargers_mean: float = 5.0
-    chargers_sd: float = 1.0
-    chargers_min: float = 1.0
-    chargers_max: float = 10.0
-    batteries_mean: float = 10.0
-    batteries_sd: float = 2.0
-    batteries_min: float = 5.0
-    batteries_max: float = 15.0
-    wait_probability: float = 0.5
-    wait_sd_hours: float = 0.3
-    r0: float = 0.40
-    swap_hours: float = 2.0
     seed: int = 0
+
+    speed_kmh: ClassVar[float] = 100.0
+    consumption_kwh_per_km: ClassVar[float] = 30.0
+    battery_kwh: ClassVar[float] = 7000.0
+    cost_mean: ClassVar[float] = 22.0
+    cost_sd: ClassVar[float] = 3.0
+    cost_min: ClassVar[float] = 15.0
+    cost_max: ClassVar[float] = 30.0
+    chargers_mean: ClassVar[float] = 5.0
+    chargers_sd: ClassVar[float] = 1.0
+    chargers_min: ClassVar[float] = 1.0
+    chargers_max: ClassVar[float] = 10.0
+    batteries_mean: ClassVar[float] = 10.0
+    batteries_sd: ClassVar[float] = 2.0
+    batteries_min: ClassVar[float] = 5.0
+    batteries_max: ClassVar[float] = 15.0
+    wait_probability: ClassVar[float] = 0.5
+    wait_sd_hours: ClassVar[float] = 0.3
+    r0: ClassVar[float] = 0.40
+    swap_hours: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if self.size_class not in SIZE_CLASS_STATIONS:
@@ -69,25 +73,10 @@ class GenSpec:
                 f"size_class must be one of {sorted(SIZE_CLASS_STATIONS)}, "
                 f"got {self.size_class!r}"
             )
-        for stem in ("cost", "chargers", "batteries"):
-            lo = getattr(self, f"{stem}_min")
-            mean = getattr(self, f"{stem}_mean")
-            hi = getattr(self, f"{stem}_max")
-            if not (0 < lo <= mean <= hi):
-                raise ValueError(
-                    f"{stem} bounds must satisfy 0 < min <= mean <= max, "
-                    f"got {lo}/{mean}/{hi}"
-                )
         for name in ("n_trains", "consists_per_train", "max_batteries",
-                     "distance_mean_km", "distance_sd_km", "speed_kmh",
-                     "consumption_kwh_per_km", "battery_kwh",
-                     "wait_sd_hours", "swap_hours"):
+                     "distance_mean_km", "distance_sd_km"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not (0.0 <= self.wait_probability <= 1.0):
-            raise ValueError("wait_probability must lie in [0, 1]")
-        if not (0.0 < self.r0 < 1.0):
-            raise ValueError("r0 must lie in (0, 1)")
 
     @property
     def n_stations(self) -> int:

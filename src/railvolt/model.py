@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 import numpy as np
 
 from .domain import (Instance, SolveConfig, Solution, DecodeError,
-                     InstanceError, SOC_BIG_M, validate_instance)
+                     InstanceError, SOC_BIG_M, empty_solution,
+                     validate_instance)
 from . import backend as be
 
 
@@ -499,50 +500,23 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
     return sol
 
 
-def empty_solution(instance: Instance, status: str, algorithm: str,
-                   wall_seconds: float = 0.0, info: Optional[dict] = None
-                   ) -> Solution:
-    """A structurally valid all-zeros Solution for non-primal outcomes."""
-    S = instance.n_stations
-    J = range(instance.n_trains)
-
-    def z3(fill):
-        # fresh rows per call: several of these fields get mutated in place
-        # by consumers, so none of them may share list objects
-        return [[[fill for _ in range(instance.consists(j))]
-                 for _ in range(S)] for j in J]
-
-    def z2():
-        return [[0.0] * S for _ in J]
-
-    return Solution(
-        deployed=[], has_battery=[[0] * instance.consists(j) for j in J],
-        swap=z3(0), charge=z3(0),
-        charge_hours=z3(0.0), arrive=z2(), depart=z2(),
-        soc_arrive=z3(0.0), soc_depart=z3(0.0),
-        delay=z2(), battery_nonempty=z3(0),
-        objective_value=float("inf"), status=status,
-        wall_seconds=wall_seconds, algorithm=algorithm, info=info or {},
-    )
-
-
 # ---------------------------------------------------------------------------
 # One-shot solve
 # ---------------------------------------------------------------------------
 
 def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
-              fixed_deployment: Optional[Set[int]] = None,
-              max_loading: bool = False,
-              dump_model: Optional[str] = None,
+              fixed_deployment: Optional[Collection[int]] = None,
               keep_primal: bool = False) -> Solution:
     """Build and solve the full MILP; decode the incumbent.
 
-    ``fixed_deployment``/``max_loading`` pin the deployment / carry binaries
-    (used by the heuristic and the decomposition warm start). Infeasibility
-    is a status on the returned Solution, not an exception. ``keep_primal``
-    stashes the raw column vector in ``info["primal"]`` for consumers that
-    need the solver's exact binary assignment (decoding rounds and clamps).
-    ``wall_seconds`` runs from entry to return, as for the other planners.
+    ``fixed_deployment`` deploys exactly those interior stations and has
+    every train carry a battery in its leading ``max_batteries`` consists:
+    the restricted schedule MILP of the heuristic's rounds and the
+    decomposition's warm start. Infeasibility is a status on the returned
+    Solution, not an exception. ``keep_primal`` stashes the raw column
+    vector in ``info["primal"]`` for consumers that need the solver's exact
+    binary assignment (decoding rounds and clamps). ``wall_seconds`` runs
+    from entry to return, as for the other planners.
     """
     started = time.perf_counter()
     cfg = config or SolveConfig()
@@ -550,12 +524,8 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     if fixed_deployment is not None:
         for i, col in vm.X.items():
             model.fix_column(col, float(i in fixed_deployment))
-    if max_loading:
-        # every train carries its allowance in the leading consists
         for (j, k), col in vm.Y.items():
             model.fix_column(col, float(k < instance.trains[j].max_batteries))
-    if dump_model:
-        be.write_lp(model, dump_model)
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
                                       seconds=cfg.time_limit_seconds)
     if outcome.status in ("optimal", "feasible-limit"):

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .domain import (Instance, Metrics, Solution, SolveConfig, RailvoltError,
-                     soc_after_charging)
-from .model import empty_solution
+                     empty_solution, soc_after_charging)
 
 
 class SolutionShapeError(RailvoltError):
@@ -356,7 +355,7 @@ def brute_force_best(instance: Instance, config: Optional[SolveConfig] = None,
 
     if best is None:
         return math.inf, empty_solution(instance, "infeasible", "brute-force")
-    return best_obj, _assemble(inst, cfg, best[0], best[1], best_obj)
+    return best_obj, _assemble(inst, best[0], best[1], best_obj)
 
 
 def _best_train_plan(inst, cfg, j, deployed, durations):
@@ -415,7 +414,7 @@ def _best_train_plan(inst, cfg, j, deployed, durations):
     return (None, None) if cost is None else (cost, plan)
 
 
-def _assemble(inst, cfg, deployed, plans, objective) -> Solution:
+def _assemble(inst, deployed, plans, objective) -> Solution:
     """Build a full Solution (times, SOCs, flags) from per-train plans."""
     S = inst.n_stations
     sol = empty_solution(inst, "optimal", "brute-force")

@@ -305,15 +305,17 @@ def test_6_decomposition_converges_on_generated_instances():
 # ---------------------------------------------------------------------------
 
 
-def _zero_wait_spec(seed: int) -> GenSpec:
-    return GenSpec(n_trains=1, consists_per_train=1, max_batteries=1,
-                   distance_mean_km=180.0, distance_sd_km=30.0,
-                   wait_probability=0.0, seed=seed)
+def _zero_wait(seed: int) -> Instance:
+    # The short-haul corridor without planned waits. The generator draws the
+    # waits last, so the other numbers are those of the corridor with waits.
+    inst = generate_instance(_short_haul(seed))
+    inst.wait_time[:] = 0.0
+    return inst
 
 
 @pytest.fixture(scope="module")
 def weight_sweep():
-    instances = [generate_instance(_zero_wait_spec(s)) for s in SWEEP_SEEDS]
+    instances = [_zero_wait(s) for s in SWEEP_SEEDS]
     algos = ["pla", "fa", "bd"]
     low = run_batch(instances, algos,
                     SolveConfig(alpha_delay=3.0, time_limit_seconds=30.0))

@@ -487,6 +487,38 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_every_parameter_is_read():
+    # A parameter nothing reads is an option that does nothing. Methods may
+    # leave self/cls unread.
+    unread = []
+    for path in sorted(Path(railvolt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}({p}) (line {node.lineno})"
+                       for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []
+
+
+def test_validator_imports_nothing_it_checks():
+    # The replay is independent of the planners: validator.py takes only
+    # the domain types from this package.
+    path = Path(railvolt.__file__).parent / "validator.py"
+    relative = sorted(node.module or "." for node in ast.walk(
+        ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0)
+    assert relative == ["domain"]
+
+
 # ---------------------------------------------------------------------------
 # LP text export
 # ---------------------------------------------------------------------------

@@ -144,8 +144,8 @@ def test_warm_pricing_matches_cold_pricing(golden_pla, reference_split,
     rays = []
     real_ray = be.FarkasLP.ray
 
-    def recording_ray(self, rhs, tol=1e-9):
-        ray = real_ray(self, rhs, tol)
+    def recording_ray(self, rhs):
+        ray = real_ray(self, rhs)
         rays.append((rhs, ray))
         return ray
 

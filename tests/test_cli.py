@@ -1,5 +1,6 @@
 """Command-line workflows: exit codes and artifact round trips."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -12,8 +13,8 @@ import pytest
 import railvolt
 from railvolt import cli
 from railvolt.cli import main
-from railvolt.domain import Instance, Solution, SolveConfig, validate_instance
-from railvolt.model import empty_solution
+from railvolt.domain import (Instance, Solution, SolveConfig, empty_solution,
+                             validate_instance)
 
 from conftest import tiny_corridor
 
@@ -46,6 +47,54 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "generate" in out and "sweep" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--alpha-f", "2"],
+    ["generate", "--alpha-d", "7"],
+    ["generate", "--gap", "0.5"],
+    ["generate", "--time-limit", "5"],
+    ["validate", "--instance", "i.json", "--solution", "s.json",
+     "--out", "x.json"],
+    ["validate", "--instance", "i.json", "--solution", "s.json",
+     "--seed", "3"],
+    ["validate", "--instance", "i.json", "--solution", "s.json",
+     "--gap", "0.5"],
+    ["validate", "--instance", "i.json", "--solution", "s.json",
+     "--time-limit", "5"],
+    ["sweep", "--instances", "i.json", "--alpha-d", "7"],
+    ["sweep", "--instances", "i.json", "--alpha-d", "7",
+     "--alpha-d-values", "3,5"],
+], ids=["generate-alpha-f", "generate-alpha-d", "generate-gap",
+        "generate-time-limit", "validate-out", "validate-seed",
+        "validate-gap", "validate-time-limit", "sweep-alpha-d",
+        "sweep-alpha-d-with-values"])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    # a flag that would change nothing is refused, not silently ignored;
+    # that includes a prefix of another flag (--alpha-d of --alpha-d-values)
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                          if opt.startswith("--") and opt != "--help")
+             for name, p in subparsers.choices.items()}
+    common = ["--alpha-d", "--alpha-f", "--gap", "--out", "--seed",
+              "--time-limit"]
+    assert flags == {
+        "generate": ["--consists", "--out", "--seed", "--size", "--trains"],
+        "solve": sorted(common + ["--algo", "--dump-model", "--instance",
+                                  "--schedule"]),
+        "validate": ["--alpha-d", "--alpha-f", "--instance", "--solution",
+                     "--tolerance"],
+        "report": sorted(common + ["--algos", "--instances", "--long"]),
+        "sweep": ["--algos", "--alpha-d-values", "--alpha-f", "--gap",
+                  "--instances", "--out", "--seed", "--time-limit"],
+    }
 
 
 def test_missing_instance_file_reports_failure(capsys):
@@ -157,7 +206,7 @@ def test_solve_without_a_plan_exits_1(tiny_file, tmp_path, monkeypatch,
     # Out of time without an incumbent is no plan, like infeasibility: the
     # status is printed, nothing is written, and the exit code is 1.
     inst, path = tiny_file
-    monkeypatch.setattr(cli, "solve_pla", lambda inst, cfg, dump_model: (
+    monkeypatch.setitem(cli.ALGORITHMS, "pla", lambda inst, cfg: (
         empty_solution(inst, "time-limit-no-incumbent", "pla")))
     sol_path = tmp_path / "plan.json"
     code = main(["solve", "--algo", "pla", "--instance", path,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from railvolt import backend as be
+from railvolt import cli
 from railvolt import model as model_mod
 from railvolt.domain import InstanceError, SolveConfig
 from railvolt.model import (build_model, build_pla_grid, decode_solution,
@@ -207,23 +208,28 @@ def test_pla_wall_seconds_cover_the_whole_call(monkeypatch):
 def test_max_loading_pins_leading_consists():
     inst = tiny_corridor(9, consists=2, max_batteries=1)
     cfg = SolveConfig(time_limit_seconds=60.0)
-    sol = solve_pla(inst, cfg, fixed_deployment=set(inst.interior),
-                    max_loading=True)
+    sol = solve_pla(inst, cfg, fixed_deployment=set(inst.interior))
     assert sol.status == "optimal-within-gap"
     for j in range(inst.n_trains):
         assert sol.has_battery[j] == [1, 0]
 
 
-def test_dump_model_round_trips(tmp_path):
-    # --dump-model writes exactly the model that is solved; the LP text
-    # carries the objective offset as the objective's constant term
+def test_dump_model_round_trips(tmp_path, capsys):
+    # --dump-model writes the full model, the one pla solves and fa and bd
+    # restrict, whichever planner runs; the LP text carries the objective
+    # offset as the objective's constant term
     inst = tiny_corridor(2, wait_hours=0.25)
-    path = tmp_path / "model.lp"
-    cfg = SolveConfig(time_limit_seconds=60.0)
-    sol = solve_pla(inst, cfg, dump_model=str(path))
-    assert sol.status == "optimal-within-gap"
-    model, _ = build_model(inst, cfg)
-    assert model.objective_offset == -1.5
-    text = path.read_text()
-    assert text == be.to_lp_string(model)
-    assert text.splitlines()[2].endswith(" - 1.5")
+    inst_path = tmp_path / "tiny.json"
+    inst.to_json(str(inst_path))
+    model, _ = build_model(inst, SolveConfig(alpha_delay=5.0))
+    assert model.objective_offset == -2.5
+    for algo in ("pla", "fa", "bd"):
+        path = tmp_path / f"{algo}.lp"
+        assert cli.main(["solve", "--algo", algo, "--instance",
+                         str(inst_path), "--alpha-d", "5",
+                         "--time-limit", "60", "--dump-model",
+                         str(path)]) == 0, algo
+        assert f"algorithm: {algo}" in capsys.readouterr().out
+        text = path.read_text()
+        assert text == be.to_lp_string(model), algo
+        assert text.splitlines()[2].endswith(" - 2.5")
