@@ -327,7 +327,8 @@ class Session:
     ends neither optimal nor infeasible, the solver is cleared and the run
     repeated once cold. A MILP re-run starts from scratch, or from the point
     given to :meth:`set_start`. Arrays HiGHS cannot take (inconsistent
-    shapes, or a model it rejects) make every run return status "error".
+    shapes, or a model it rejects) raise :class:`BackendError` here, when
+    the session is built.
     """
 
     def __init__(self, c, A, senses, rhs, lb, ub, integrality=None,
@@ -336,7 +337,6 @@ class Session:
         self.has_integers = integrality is not None
         self.senses = np.asarray(senses)
         self.rhs = np.array(rhs, dtype=float)
-        self._error = ""
         self.runs = 0  # runs so far
         self._highs = _highs._Highs()
         options = _highs.HighsOptions()
@@ -346,9 +346,9 @@ class Session:
         if A.shape != (len(self.rhs), n) or len(self.senses) != len(self.rhs) \
                 or len(lb) != n or len(ub) != n \
                 or (self.has_integers and len(integrality) != n):
-            self._error = (f"inconsistent shapes: A {A.shape}, {n} costs, "
-                           f"{len(self.rhs)} rows, {len(lb)}/{len(ub)} bounds")
-            return
+            raise BackendError(
+                f"inconsistent shapes: A {A.shape}, {n} costs, "
+                f"{len(self.rhs)} rows, {len(lb)}/{len(ub)} bounds")
         A = sp.csc_array(A)
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -364,8 +364,7 @@ class Session:
         if self.has_integers:
             lp.integrality_ = [_highs.HighsVarType(int(i))
                                for i in integrality]
-        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
-            self._error = "HiGHS rejected the model"
+        _checked(self._highs.passModel(lp), "the model")
 
     # -- changes ------------------------------------------------------------
 
@@ -427,13 +426,11 @@ class Session:
         bind).
         """
         t0 = time.perf_counter()
-        out = SolveOutcome(status="error", message=self._error,
-                           has_integers=self.has_integers)
-        if not self._error:
-            try:
-                self._run(out, gap, seconds)
-            except MemoryError as exc:
-                out.status, out.message = "error", str(exc)
+        out = SolveOutcome(status="error", has_integers=self.has_integers)
+        try:
+            self._run(out, gap, seconds)
+        except MemoryError as exc:
+            out.status, out.message = "error", str(exc)
         out.wall_seconds = time.perf_counter() - t0
         return out
 

@@ -32,9 +32,7 @@ from .model import VarMap, build_model, decode_solution, solve_pla
 
 __all__ = [
     "BendersSplit",
-    "CutPool",
-    "ExtremePoint",
-    "ExtremeRay",
+    "Cut",
     "split_model",
     "solve_subproblem_dual",
     "build_rmp",
@@ -112,59 +110,29 @@ def split_model(model: be.AbstractModel,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ExtremePoint:
-    """Dual solution of a feasible subproblem: yields w + coef·v >= rhs."""
+class Cut:
+    """One Benders cut over the master's binary columns ``v``.
 
-    coef: np.ndarray            # pi^T Dm over v columns
-    rhs: float                  # pi^T b + sigma^T ub
-    objective: float            # subproblem optimum at the priced v̂
+    A dual point of a feasible subproblem yields the optimality cut
+    ``w + coef·v >= rhs`` with ``rhs = pi^T b + sigma^T ub``, and ``value``
+    is the subproblem optimum at the priced v̂. An infeasibility ray yields
+    the feasibility cut ``coef·v >= rhs`` (no epigraph term) with ``rhs =
+    rho^T b - sigma^T ub``, and ``value`` is how far v̂ falls short.
+    """
 
-
-@dataclass
-class ExtremeRay:
-    """Infeasibility certificate: yields coef·v >= rhs (no epigraph term)."""
-
-    coef: np.ndarray            # rho^T Dm over v columns
-    rhs: float                  # rho^T b - sigma^T ub
-    violation: float            # how far the priced v̂ falls short
+    coef: np.ndarray            # multipliers^T Dm over v columns
+    rhs: float
+    value: float
 
 
-@dataclass
-class CutPool:
-    """All cuts accumulated so far plus the bound history."""
-
-    optimality: List[ExtremePoint] = field(default_factory=list)
-    feasibility: List[ExtremeRay] = field(default_factory=list)
-    static: List[Tuple[str, List[Tuple[int, float]], str, float]] = \
-        field(default_factory=list)
-    upper_bound: float = np.inf
-    lower_bound: float = -np.inf
-    log: List[dict] = field(default_factory=list)
-    _seen: Set[bytes] = field(default_factory=set)
-
-    @property
-    def Q(self) -> int:
-        return len(self.optimality)
-
-    @property
-    def R(self) -> int:
-        return len(self.feasibility)
-
-    def add_point(self, cut: ExtremePoint) -> bool:
-        return self._add(b"P", cut, self.optimality)
-
-    def add_ray(self, cut: ExtremeRay) -> bool:
-        return self._add(b"R", cut, self.feasibility)
-
-    def _add(self, kind: bytes, cut, cuts: list) -> bool:
-        """Append ``cut`` unless a cut of the same kind with the same
-        coefficients and rhs (to 9 decimals) is already pooled."""
-        key = kind + np.round(np.append(cut.coef, cut.rhs), 9).tobytes()
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        cuts.append(cut)
-        return True
+def _is_new(seen: Set[bytes], kind: str, cut: Cut) -> bool:
+    """Record ``cut`` in ``seen`` unless a cut of the same kind with the
+    same coefficients and rhs (to 9 decimals) is there already."""
+    key = kind.encode() + np.round(np.append(cut.coef, cut.rhs), 9).tobytes()
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
 
 
 def _bound_constant(split: BendersSplit, sigma: np.ndarray) -> float:
@@ -179,14 +147,17 @@ def _bound_constant(split: BendersSplit, sigma: np.ndarray) -> float:
 
 
 def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
-    """Price a master assignment: ExtremePoint if the scheduling LP is
-    feasible, ExtremeRay otherwise.
+    """Price a master assignment: an optimality :class:`Cut` from a dual
+    point if the scheduling LP is feasible, a feasibility cut from a Farkas
+    ray otherwise.
 
     Also returns the primal continuous solution so the caller can assemble
     a full incumbent. Return shape: (kind, cut, u or None) with kind in
-    {"point", "ray"}. The scheduling LP and its Farkas LP each stay in one
-    HiGHS session on ``split.sessions``: later proposals move only the
-    right-hand sides that changed, and only the Farkas LP's costs.
+    {"point", "ray"}; ``cut.value`` is the subproblem optimum for a point
+    and the ray's violation for a ray. The scheduling LP and its Farkas LP
+    each stay in one HiGHS session on ``split.sessions``: later proposals
+    move only the right-hand sides that changed, and only the Farkas LP's
+    costs.
     """
     rows = ~split.v_only
     rhs = (split.b - split.Dm @ np.asarray(v_hat, dtype=float))[rows]
@@ -215,10 +186,10 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
             raise be.BackendError(
                 f"strong duality violated: dual {dual_value!r} vs primal "
                 f"{out.objective!r}")
-        return "point", ExtremePoint(
+        return "point", Cut(
             coef=np.asarray((split.Dm.T @ pi).ravel()),
             rhs=float(pi @ split.b) + const,
-            objective=out.objective), out.primal
+            value=out.objective), out.primal
 
     if out.status == "infeasible":
         farkas = split.sessions.get("farkas")
@@ -233,10 +204,10 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
         # schedulable v has rho^T Dm v >= rho^T b - sigma^T ub.
         rho = np.zeros(len(split.b))
         rho[rows] = ray.rows
-        return "ray", ExtremeRay(
+        return "ray", Cut(
             coef=np.asarray((split.Dm.T @ rho).ravel()),
             rhs=float(rho @ split.b) - _bound_constant(split, ray.upper),
-            violation=ray.violation), None
+            value=ray.violation), None
 
     raise be.CapabilityError(
         f"scheduling LP returned neither optimum nor certificate "
@@ -264,7 +235,7 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     cuts: List[Tuple[str, List[Tuple[int, float]], str, float]] = []
     S = instance.n_stations
     J = range(instance.n_trains)
-    top = vm.grid.n - 1
+    top = cfg.n - 1  # the top SOC cell of the PLA grid
 
     for i in range(S):
         for j in J:
@@ -394,41 +365,41 @@ def _gap(ub: float, lb: float) -> float:
     return (ub - lb) / max(abs(ub), 1e-9)
 
 
-def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
-                keep_pool: bool = False) -> Solution:
+def run_benders(instance: Instance,
+                config: Optional[SolveConfig] = None) -> Solution:
     """Iterate master assignments against the scheduling subproblem until
     the bound gap closes.
 
     Warm start: deploy everything, load every battery slot, and solve that
     schedule MILP to ``mip_gap`` for up to min(300 s, the remaining budget
-    but at least 1 s); its priced subproblem seeds the pool with one dual
-    point and its incumbent seeds the upper bound. Each round then solves
-    the master (lower bound) to a 0.5 % MIP gap under the same time cap,
-    prices its proposal (cut and possibly a better incumbent), and stops
-    once (UB-LB)/UB <= benders_gap, on a stalled pool, or at the time limit.
-    A lower bound past the incumbent is rounding noise and is clamped to it,
-    so the reported gap is never negative.
+    but at least 1 s); its priced subproblem gives the first cut and its
+    incumbent seeds the upper bound. Each round then solves the master
+    (lower bound) to a 0.5 % MIP gap under the same time cap, prices its
+    proposal (cut and possibly a better incumbent), and stops once
+    (UB-LB)/UB <= benders_gap, when a proposal prices to a cut the master
+    already has, or at the time limit. A lower bound past the incumbent is
+    rounding noise and is clamped to it, so the reported gap is never
+    negative.
 
     HiGHS keeps its models for the whole call and no longer: the master is
     built once by :func:`build_rmp`, before the warm start is priced, and
-    stays in one session. Pricing a proposal is the one place a cut joins
-    it: each fresh cut is appended in arrival order, ``coef·v + w >= rhs``
-    for a point and ``coef·v >= rhs`` for a ray, and ``w`` is freed at the
-    first optimality cut. Before each solve the master gets a MIP start at
-    the incumbent v* with w = max over the optimality cuts of
-    (rhs - coef·v*). Pricing keeps the scheduling LP and its Farkas LP in
-    two sessions of their own (see :func:`solve_subproblem_dual`).
-
-    ``keep_pool`` stashes the live CutPool in ``info["cut_pool"]`` so
-    callers can audit the cuts; the result is then not JSON-serializable.
+    stays in one session, which is the only store of the cuts. Pricing a
+    proposal is the one place a cut joins it: each cut not seen before (same
+    kind, coefficients and rhs to 9 decimals) is appended in arrival order,
+    ``coef·v + w >= rhs`` for a point and ``coef·v >= rhs`` for a ray, and
+    ``w`` is freed at the first optimality cut. Before each solve the master
+    gets a MIP start at the incumbent v* with w = max over the optimality
+    cuts of (rhs - coef·v*). Pricing keeps the scheduling LP and its Farkas
+    LP in two sessions of their own (see :func:`solve_subproblem_dual`).
+    ``info`` reports the cut counts and the bound log; to audit the cuts,
+    read the master's rows back from its session.
     """
     cfg = config or SolveConfig()
     started = time.perf_counter()
 
     model, vm = build_model(instance, cfg)
     split = split_model(model, vm)
-    pool = CutPool()
-    pool.static = extra_feasibility_cuts(instance, vm, cfg)
+    static = extra_feasibility_cuts(instance, vm, cfg)
 
     def elapsed() -> float:
         return time.perf_counter() - started
@@ -447,29 +418,36 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         return empty_solution(instance, "infeasible", "bd", elapsed(),
                               {"phase": "warm-start"})
 
-    master = be.Session(*build_rmp(split, pool.static), offset=split.offset)
+    master = be.Session(*build_rmp(split, static), offset=split.offset)
+    seen: Set[bytes] = set()
+    optimality: List[Cut] = []  # for the MIP start's w
+    n_rays = 0
+    upper_bound, lower_bound = np.inf, -np.inf
+    log: List[dict] = []
     best_primal: Optional[np.ndarray] = None
 
     def price(v: np.ndarray) -> Tuple[str, bool]:
-        """Price proposal ``v``, pool its cut, append it to the master if it
-        is new, and keep ``v`` as the incumbent if it schedules more
-        cheaply; returns the kind of cut and whether it was new."""
-        nonlocal best_primal
+        """Price proposal ``v``, append its cut to the master if it is new,
+        and keep ``v`` as the incumbent if it schedules more cheaply;
+        returns the kind of cut and whether it was new."""
+        nonlocal best_primal, n_rays, upper_bound, lower_bound
         kind, cut, u = solve_subproblem_dual(split, v)
         point = kind == "point"
         if point:
-            fresh = pool.add_point(cut)
-            obj = float(split.c_v @ v) + cut.objective + split.offset
-            if obj < pool.upper_bound - 1e-12:
-                pool.upper_bound = obj
+            obj = float(split.c_v @ v) + cut.value + split.offset
+            if obj < upper_bound - 1e-12:
+                upper_bound = obj
                 # a lower bound past the incumbent is rounding noise
-                pool.lower_bound = min(pool.lower_bound, obj)
+                lower_bound = min(lower_bound, obj)
                 best_primal = np.concatenate([v, u])
-        else:
-            fresh = pool.add_ray(cut)
+        fresh = _is_new(seen, kind, cut)
         if fresh:
-            if point and pool.Q == 1:  # cuts bound the epigraph from now on
-                master.set_bounds([split.n_v], [-np.inf], [np.inf])
+            if point:
+                optimality.append(cut)
+                if len(optimality) == 1:  # cuts bound the epigraph from now on
+                    master.set_bounds([split.n_v], [-np.inf], [np.inf])
+            else:
+                n_rays += 1
             # w has coefficient 1 in the optimality cuts only
             master.add_rows(sp.csr_matrix(np.append(cut.coef, float(point))),
                             [be.GE], [cut.rhs])
@@ -487,35 +465,34 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
         if best_primal is not None:
             v_star = best_primal[:split.n_v]
             master.set_start(np.append(v_star, max(
-                cut.rhs - cut.coef @ v_star for cut in pool.optimality)))
+                cut.rhs - cut.coef @ v_star for cut in optimality)))
         outcome = master.run(gap=_RMP_GAP, seconds=min(_RMP_SECONDS,
                                                        max(1.0, remaining())))
         if outcome.status == "infeasible":
             return empty_solution(instance, "infeasible", "bd", elapsed(),
                                   {"phase": f"master-{it}",
-                                   "benders_log": pool.log})
+                                   "benders_log": log})
         if outcome.status not in ("optimal", "feasible-limit"):
             raise be.BackendError(
                 f"master solve failed at iteration {it}: {outcome.status}")
         v_hat = np.round(outcome.primal[:split.n_v])
         if outcome.best_bound is not None:
-            pool.lower_bound = min(max(pool.lower_bound, outcome.best_bound),
-                                   pool.upper_bound)
+            lower_bound = min(max(lower_bound, outcome.best_bound),
+                              upper_bound)
 
-        entry = {"iteration": it, "lower_bound": pool.lower_bound,
-                 "upper_bound": pool.upper_bound, "cut": None,
+        entry = {"iteration": it, "lower_bound": lower_bound,
+                 "upper_bound": upper_bound, "cut": None,
                  "master_status": outcome.status, "wall_seconds": elapsed()}
-        if _gap(pool.upper_bound, pool.lower_bound) <= cfg.benders_gap:
+        if _gap(upper_bound, lower_bound) <= cfg.benders_gap:
             status = "optimal"
-            pool.log.append(entry)
+            log.append(entry)
             break
 
         entry["cut"], fresh = price(v_hat)
-        entry.update(lower_bound=pool.lower_bound,
-                     upper_bound=pool.upper_bound)
-        pool.log.append(entry)
+        entry.update(lower_bound=lower_bound, upper_bound=upper_bound)
+        log.append(entry)
 
-        if _gap(pool.upper_bound, pool.lower_bound) <= cfg.benders_gap:
+        if _gap(upper_bound, lower_bound) <= cfg.benders_gap:
             status = "optimal"
             break
         if not fresh:
@@ -527,26 +504,22 @@ def run_benders(instance: Instance, config: Optional[SolveConfig] = None,
     if best_primal is None:
         return empty_solution(
             instance, "time-limit-no-incumbent", "bd", elapsed(),
-            {"benders_log": pool.log})
+            {"benders_log": log})
 
+    Q = len(optimality)
     outcome = be.SolveOutcome(
         status="optimal" if status == "optimal" else "feasible-limit",
-        primal=best_primal, objective=pool.upper_bound,
-        best_bound=pool.lower_bound,
-        gap=_gap(pool.upper_bound, pool.lower_bound), wall_seconds=elapsed(),
-        message=f"decomposition {status}: Q={pool.Q} R={pool.R}")
+        primal=best_primal, objective=upper_bound, best_bound=lower_bound,
+        gap=_gap(upper_bound, lower_bound), wall_seconds=elapsed(),
+        message=f"decomposition {status}: Q={Q} R={n_rays}")
     solution = decode_solution(outcome, vm, instance)
     solution.algorithm = "bd"
     solution.info.update({
-        "benders_log": pool.log,
-        "iterations": len(pool.log),
-        "n_optimality_cuts": pool.Q,
-        "n_feasibility_cuts": pool.R,
-        "n_static_cuts": len(pool.static),
+        "benders_log": log,
+        "iterations": len(log),
+        "n_optimality_cuts": Q,
+        "n_feasibility_cuts": n_rays,
+        "n_static_cuts": len(static),
         "termination": status,
     })
-    if keep_pool:
-        split.sessions.clear()  # no solver state outlives the run
-        solution.info["cut_pool"] = pool
-        solution.info["split"] = split
     return solution

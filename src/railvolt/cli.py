@@ -39,6 +39,27 @@ _FLAGS = {
 }
 
 
+def _algorithms(text: str) -> List[str]:
+    """``--algos``: a comma list of planner names."""
+    algos = [a for a in text.split(",") if a]
+    if not algos or not set(algos) <= set(ALGORITHMS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list from {{pla,fa,bd}}")
+    return algos
+
+
+def _two_weights(text: str) -> List[float]:
+    """``--alpha-d-values``: two comma-separated delay weights."""
+    try:
+        values = [float(x) for x in text.split(",") if x]
+    except ValueError:
+        values = []
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not two comma-separated numbers")
+    return values
+
+
 def _config(args) -> SolveConfig:
     """The settings of the configuration flags this subcommand takes."""
     return SolveConfig(**{f.name: getattr(args, f.name)
@@ -84,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("report", "run a batch and write the CSV table", *_FLAGS)
     p.add_argument("--instances", nargs="+", required=True,
                    help="instance JSON files")
-    p.add_argument("--algos", default="pla,fa,bd",
+    p.add_argument("--algos", type=_algorithms, default="pla,fa,bd",
                    help="comma list from {pla,fa,bd}")
     p.add_argument("--long", default=None, metavar="PATH",
                    help="also write long-format plot data CSV")
@@ -92,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("sweep", "re-run a batch at two delay weights and compare",
                 "seed", "alpha-f", "gap", "time-limit", "out")
     p.add_argument("--instances", nargs="+", required=True)
-    p.add_argument("--algos", default="pla,fa,bd")
-    p.add_argument("--alpha-d-values", default="3,5",
+    p.add_argument("--algos", type=_algorithms, default="pla,fa,bd")
+    p.add_argument("--alpha-d-values", type=_two_weights, default="3,5",
                    help="two comma-separated delay weights")
     return parser
 
@@ -223,8 +244,7 @@ def _load_instances(paths: List[str]) -> List[Instance]:
 
 def _cmd_report(args) -> int:
     instances = _load_instances(args.instances)
-    algos = [a for a in args.algos.split(",") if a]
-    rows = run_batch(instances, algos, _config(args))
+    rows = run_batch(instances, args.algos, _config(args))
     out = args.out or "results.csv"
     write_results_csv(rows, out)
     print(f"wrote {out}: {len(rows)} rows")
@@ -235,15 +255,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = [float(x) for x in args.alpha_d_values.split(",") if x]
-    if len(values) != 2:
-        print("sweep needs exactly two --alpha-d-values", file=sys.stderr)
-        return 2
+    values = args.alpha_d_values
     instances = _load_instances(args.instances)
-    algos = [a for a in args.algos.split(",") if a]
     cfg = _config(args)
     batches = [
-        run_batch(instances, algos, cfg.replace(alpha_delay=v),
+        run_batch(instances, args.algos, cfg.replace(alpha_delay=v),
                   with_average=False)
         for v in values
     ]

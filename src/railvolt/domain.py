@@ -97,6 +97,16 @@ def charge_time_for_target(soc: float, target: float, r0: float) -> float:
     return math.log((1.0 - target) / (1.0 - soc)) / math.log(1.0 - r0)
 
 
+def _read_json(path: str, error: type):
+    """The JSON document in the file at ``path``; raises ``error`` when the
+    file is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise error(f"{path} is not a JSON document: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Instance
 # ---------------------------------------------------------------------------
@@ -205,7 +215,7 @@ class Instance:
                 name=str(d.get("name", "instance")),
                 meta=dict(d.get("meta", {})),
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"malformed instance document: {exc}") from exc
 
     def to_json(self, path: str) -> None:
@@ -215,8 +225,7 @@ class Instance:
 
     @classmethod
     def from_json(cls, path: str) -> "Instance":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path, InstanceError))
 
 
 # Largest gap allowed between a long-range energy/time entry and the sum of
@@ -377,7 +386,10 @@ class Solution:
     @classmethod
     def from_dict(cls, d: dict) -> "Solution":
         fields = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in fields})
+        try:
+            return cls(**{k: v for k, v in d.items() if k in fields})
+        except (AttributeError, TypeError) as exc:
+            raise RailvoltError(f"malformed solution document: {exc}") from exc
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -386,8 +398,7 @@ class Solution:
 
     @classmethod
     def from_json(cls, path: str) -> "Solution":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path, RailvoltError))
 
 
 def empty_solution(instance: Instance, status: str, algorithm: str,

@@ -15,7 +15,6 @@ setup cost, and the planned waits it can hide delay behind.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -25,22 +24,11 @@ from .domain import (InfeasibleError, Instance, SolveConfig, Solution,
 from .model import solve_pla
 
 __all__ = [
-    "FixState",
     "compute_supply_demand",
     "compute_benefit",
     "initialize_deployment",
     "run_fix_algorithm",
 ]
-
-
-@dataclass
-class FixState:
-    """Progress of the greedy loop, kept for inspection and reporting."""
-
-    demand: float = 0.0
-    onboard: float = 0.0
-    deficit: float = 0.0
-    rounds: List[dict] = field(default_factory=list)
 
 
 def compute_supply_demand(instance: Instance) -> Tuple[float, float, float]:
@@ -123,12 +111,14 @@ def initialize_deployment(
     instance: Instance,
     config: SolveConfig,
     rng: Optional[np.random.Generator] = None,
-) -> Tuple[Set[int], FixState]:
+) -> Tuple[Set[int], List[dict]]:
     """Greedy energy-coverage seed: add best-scoring stations until the
-    deployed set can hand out at least the line's energy deficit."""
+    deployed set can hand out at least the line's energy deficit.
+
+    Returns the deployed set and one ``"seed"`` record per pick.
+    """
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    demand, onboard, deficit = compute_supply_demand(instance)
-    state = FixState(demand=demand, onboard=onboard, deficit=deficit)
+    deficit = compute_supply_demand(instance)[2]
 
     total_supply = sum(station_supply(instance, i) for i in instance.interior)
     if total_supply < deficit:
@@ -138,13 +128,14 @@ def initialize_deployment(
         )
 
     deployed: Set[int] = set()
+    rounds: List[dict] = []
     covered = 0.0
     while covered < deficit:
         scores = compute_benefit(instance, deployed, config)
         pick = _argmax(scores, rng)
         deployed.add(pick)
         covered += station_supply(instance, pick)
-        state.rounds.append(
+        rounds.append(
             {
                 "phase": "seed",
                 "picked": pick,
@@ -153,7 +144,7 @@ def initialize_deployment(
                 "deficit": deficit,
             }
         )
-    return deployed, state
+    return deployed, rounds
 
 
 def run_fix_algorithm(
@@ -178,7 +169,7 @@ def run_fix_algorithm(
     start = time.perf_counter()
 
     try:
-        deployed, state = initialize_deployment(instance, config, rng)
+        deployed, rounds = initialize_deployment(instance, config, rng)
     except InfeasibleError as exc:
         return empty_solution(instance, "infeasible", "fa",
                               time.perf_counter() - start,
@@ -199,7 +190,7 @@ def run_fix_algorithm(
             "status": solution.status,
             "objective": solution.objective_value,
         }
-        state.rounds.append(round_rec)
+        rounds.append(round_rec)
         # a plan (only decoded plans have a finite objective), or every
         # station open and still none: this round's status is the answer
         if np.isfinite(solution.objective_value) or \
@@ -213,13 +204,14 @@ def run_fix_algorithm(
 
     solution.algorithm = "fa"
     solution.wall_seconds = time.perf_counter() - start
+    demand, onboard, deficit = compute_supply_demand(instance)
     solution.info = dict(solution.info)
     solution.info.update(
         {
-            "fix_rounds": state.rounds,
-            "demand": state.demand,
-            "onboard": state.onboard,
-            "deficit": state.deficit,
+            "fix_rounds": rounds,
+            "demand": demand,
+            "onboard": onboard,
+            "deficit": deficit,
             "deployed": sorted(deployed),
         }
     )

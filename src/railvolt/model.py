@@ -77,10 +77,12 @@ def build_pla_grid(n: int, m: int, t_max: float, r0: float) -> PlaGrid:
 
 @dataclass
 class VarMap:
-    """Column indices for every model variable, plus build metadata.
+    """Column indices of the model variables other modules read, plus
+    build metadata.
 
     Binary columns occupy indices [0, n_binary); everything after is
-    continuous.
+    continuous. The PLA block's time selectors, weights, offsets and
+    uncharged fractions (tau, gamma, eta, F) stay inside :func:`build_model`.
     """
     X: Dict[int, int] = field(default_factory=dict)
     Y: Dict[Tuple[int, int], int] = field(default_factory=dict)
@@ -88,19 +90,14 @@ class VarMap:
     Zs: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     B: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     beta: Dict[Tuple[int, int, int, int], int] = field(default_factory=dict)
-    tau: Dict[Tuple[int, int, int, int], int] = field(default_factory=dict)
     D: Dict[Tuple[int, int], int] = field(default_factory=dict)
     Tarr: Dict[Tuple[int, int], int] = field(default_factory=dict)
     Tdep: Dict[Tuple[int, int], int] = field(default_factory=dict)
     Tc: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     Sarr: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     Sdep: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    gamma: Dict[Tuple[int, int, int, int], int] = field(default_factory=dict)
-    eta: Dict[Tuple[int, int, int, int], int] = field(default_factory=dict)
-    F: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     n_binary: int = 0
     n_cols: int = 0
-    grid: Optional[PlaGrid] = None
     config: Optional[SolveConfig] = None
 
 
@@ -129,7 +126,7 @@ def build_model(instance: Instance,
     eps = cfg.epsilon
 
     model = be.AbstractModel(name=f"plan[{inst.name}]")
-    vm = VarMap(grid=grid, config=cfg)
+    vm = VarMap(config=cfg)
 
     # Index sets: every (station, train) stop, every (station, train,
     # consist) cell, and the cells at interior stations, where operations
@@ -162,7 +159,7 @@ def build_model(instance: Instance,
     vm.Zs = family("Zs", slots, be.BINARY)
     vm.B = family("B", cells, be.BINARY)
     vm.beta = family("beta", per_slot(grid.n), be.BINARY)
-    vm.tau = family("tau", per_slot(grid.m), be.BINARY)
+    tau_of = family("tau", per_slot(grid.m), be.BINARY)
     vm.n_binary = model.n_cols
 
     # ---- columns: continuous ----------------------------------------------
@@ -172,9 +169,9 @@ def build_model(instance: Instance,
     vm.Tc = family("Tc", slots)
     vm.Sarr = family("Sarr", cells, upper=1.0)
     vm.Sdep = family("Sdep", cells, upper=1.0)
-    vm.gamma = family("gamma", per_slot(grid.n + 1), upper=1.0)
-    vm.eta = family("eta", per_slot(grid.m + 1), upper=1.0)
-    vm.F = family("F", slots)
+    gamma_of = family("gamma", per_slot(grid.n + 1), upper=1.0)
+    eta_of = family("eta", per_slot(grid.m + 1), upper=1.0)
+    F_of = family("F", slots)
     vm.n_cols = model.n_cols
 
     # The objective counts delay beyond the planned waits: subtract the
@@ -343,10 +340,10 @@ def build_model(instance: Instance,
     for slot in slots:
         tag = "_%d_%d_%d" % slot
         beta = [vm.beta[slot + (u,)] for u in range(n)]
-        tau = [vm.tau[slot + (v,)] for v in range(m)]
-        gamma = [vm.gamma[slot + (u,)] for u in range(n + 1)]
-        eta = [vm.eta[slot + (v,)] for v in range(m + 1)]
-        F, Sdep = vm.F[slot], vm.Sdep[slot]
+        tau = [tau_of[slot + (v,)] for v in range(m)]
+        gamma = [gamma_of[slot + (u,)] for u in range(n + 1)]
+        eta = [eta_of[slot + (v,)] for v in range(m + 1)]
+        F, Sdep = F_of[slot], vm.Sdep[slot]
 
         # Departure SOC = 1 - F when charging (F = uncharged fraction), with
         # a swap overriding to full and epsilon slack when the charge flag

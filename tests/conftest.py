@@ -1,11 +1,15 @@
 """Shared fixtures: the worked six-station example and its (expensive)
 reference solve are computed once per session."""
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from railvolt import backend as be, benders
 from railvolt.domain import Instance, SolveConfig, Train
 from railvolt.generator import illustrative_instance
-from railvolt.model import solve_pla
+from railvolt.model import build_model, solve_pla
 
 
 def check_farkas_ray(A, senses, rhs, ub, ray):
@@ -22,6 +26,68 @@ def check_farkas_ray(A, senses, rhs, ub, ray):
                                atol=1e-8)
     score = rhs @ ray.rows - ub[has_ub] @ ray.upper[has_ub]
     assert score == pytest.approx(ray.violation, abs=1e-8)
+
+
+class MasterRows(NamedTuple):
+    """A decomposition master as HiGHS holds it at the end of a run: rows
+    ``lower <= A [v; w] <= upper`` and the columns' lower bounds. The first
+    ``n_fixed`` rows are :func:`benders.build_rmp`'s (v-only and static);
+    the cuts follow in the order they were appended."""
+    A: sp.csr_matrix
+    lower: np.ndarray
+    upper: np.ndarray
+    col_lower: np.ndarray
+    n_fixed: int
+
+
+def run_benders_with_master(inst: Instance, config: SolveConfig):
+    """``benders.run_benders`` plus its master's rows, read back from the
+    master session, which is the only place the run keeps its cuts."""
+    built, sessions = [], []
+    real_build_rmp = benders.build_rmp
+
+    def recording_build_rmp(split, static):
+        built.append(real_build_rmp(split, static))
+        return built[-1]
+
+    class CapturingSession(be.Session):
+        def __init__(self, c, A, *args, **kwargs):
+            super().__init__(c, A, *args, **kwargs)
+            sessions.append((A, self))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(benders, "build_rmp", recording_build_rmp)
+        mp.setattr(be, "Session", CapturingSession)
+        sol = benders.run_benders(inst, config)
+    assert len(built) == 1, "the master is built once per run"
+    master, = [s for A, s in sessions if A is built[0][1]]
+    lp = master._highs.getLp()
+    assert lp.a_matrix_.format_ == be._highs.MatrixFormat.kColwise
+    A = sp.csc_matrix((lp.a_matrix_.value_, lp.a_matrix_.index_,
+                       lp.a_matrix_.start_),
+                      shape=(lp.num_row_, lp.num_col_)).tocsr()
+    return sol, MasterRows(A, np.asarray(lp.row_lower_),
+                           np.asarray(lp.row_upper_),
+                           np.asarray(lp.col_lower_), built[0][1].shape[0])
+
+
+def count_overcuts(inst: Instance, config: SolveConfig, master: MasterRows,
+                   one_shot) -> int:
+    """Master rows that reject the one-shot incumbent (there must be none).
+
+    The incumbent is (v*, w*): the binaries of ``one_shot`` (a ``solve_pla``
+    result kept with its primal) and the scheduling LP's optimum at v*.
+    The v-only and static rows are checked within 1e-6, the cuts within
+    1e-5.
+    """
+    split = benders.split_model(*build_model(inst, config))
+    v_star = np.round(np.asarray(one_shot.info["primal"])[:split.n_v])
+    kind, cut_star, _ = benders.solve_subproblem_dual(split, v_star)
+    assert kind == "point", "one-shot incumbent must price as feasible"
+    lhs = master.A @ np.append(v_star, cut_star.value)
+    tol = np.where(np.arange(len(lhs)) < master.n_fixed, 1e-6, 1e-5)
+    return int(np.sum((lhs < master.lower - tol)
+                      | (lhs > master.upper + tol)))
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from railvolt import backend as be
-from railvolt.benders import run_benders, solve_subproblem_dual
+from railvolt.benders import run_benders
 from railvolt.domain import (Instance, SolveConfig, Solution,
                              charge_time_for_target, soc_after_charging)
 from railvolt.fixalg import run_fix_algorithm
@@ -28,7 +27,7 @@ from railvolt.reporting import paired_t_test, run_batch, sensitivity_compare
 from railvolt.validator import (brute_force_best, recompute_metrics,
                                 simulate_schedule)
 
-from conftest import tiny_corridor
+from conftest import count_overcuts, run_benders_with_master, tiny_corridor
 
 FIXTURE_INSTANCE = "instances/illustrative.json"
 FIXTURE_SCHEDULE = "instances/illustrative_schedule.json"
@@ -250,25 +249,6 @@ def _short_haul(seed: int) -> GenSpec:
                    distance_mean_km=180.0, distance_sd_km=30.0, seed=seed)
 
 
-def _count_overcuts(split, pool, v_star) -> int:
-    """Cuts that reject the one-shot incumbent (there must be none)."""
-    kind, cut_star, _ = solve_subproblem_dual(split, v_star)
-    assert kind == "point", "one-shot incumbent must price as feasible"
-    w_star = cut_star.objective
-    bad = 0
-    for cut in pool.optimality:
-        if w_star + float(cut.coef @ v_star) < cut.rhs - 1e-5:
-            bad += 1
-    for cut in pool.feasibility:
-        if float(cut.coef @ v_star) < cut.rhs - 1e-5:
-            bad += 1
-    for _rid, entries, sense, rhs in pool.static:
-        lhs = sum(val * v_star[ci] for ci, val in entries)
-        if (lhs < rhs - 1e-6) if sense == be.GE else (lhs > rhs + 1e-6):
-            bad += 1
-    return bad
-
-
 def test_6_decomposition_converges_on_generated_instances():
     cfg = SolveConfig(time_limit_seconds=60.0)
     t0 = time.perf_counter()
@@ -276,7 +256,7 @@ def test_6_decomposition_converges_on_generated_instances():
     ok = True
     for seed in CONVERGENCE_SEEDS:
         inst = generate_instance(_short_haul(seed))
-        bd = run_benders(inst, cfg, keep_pool=True)
+        bd, master = run_benders_with_master(inst, cfg)
         pla = solve_pla(inst, cfg, keep_primal=True)
         converged = (bd.info["termination"] == "optimal"
                      and bd.gap <= cfg.benders_gap + 1e-9)
@@ -285,9 +265,7 @@ def test_6_decomposition_converges_on_generated_instances():
         ubs = [e["upper_bound"] for e in log]
         monotone = (all(b >= a - 1e-9 for a, b in zip(lbs, lbs[1:]))
                     and all(b <= a + 1e-9 for a, b in zip(ubs, ubs[1:])))
-        split = bd.info["split"]
-        v_star = np.round(np.asarray(pla.info["primal"])[:split.n_v])
-        overcuts = _count_overcuts(split, bd.info["cut_pool"], v_star)
+        overcuts = count_overcuts(inst, cfg, master, pla)
         replay = simulate_schedule(inst, bd).ok
         ok = ok and converged and monotone and overcuts == 0 and replay
         lines.append(f"seed {seed}: gap {bd.gap:.4f} "

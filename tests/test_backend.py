@@ -179,17 +179,17 @@ def test_infeasible_lp_is_one_highs_call(monkeypatch):
 
 
 def test_array_routines_report_bad_input_as_error():
-    # Arrays of inconsistent shapes are the status "error" for every run of
-    # a Session, not only for ScipyBackend.solve.
+    # A Session refuses arrays HiGHS cannot take when it is built, LP or
+    # MILP: inconsistent shapes, and a model HiGHS rejects (a NaN rhs).
     A = sp.csr_matrix(np.ones((1, 3)))  # three columns against two costs
     senses, rhs = np.array([">="]), np.array([1.0])
     lb, ub = np.zeros(2), np.ones(2)
-    lp = be.Session(np.ones(2), A, senses, rhs, lb, ub).run()
-    milp = be.Session(np.ones(2), A, senses, rhs, lb, ub,
-                      np.ones(2, int)).run()
-    assert (lp.status, lp.has_integers) == ("error", False)
-    assert (milp.status, milp.has_integers) == ("error", True)
-    assert lp.message and milp.message
+    for integrality in (None, np.ones(2, int)):
+        with pytest.raises(be.BackendError, match="inconsistent shapes"):
+            be.Session(np.ones(2), A, senses, rhs, lb, ub, integrality)
+        with pytest.raises(be.BackendError, match="refused the model"):
+            be.Session(np.ones(2), A[:, :2], senses, np.array([np.nan]), lb,
+                       ub, integrality)
 
 
 def test_solve_milp_matches_the_model_solve():

@@ -7,14 +7,14 @@ import pytest
 import scipy.sparse as sp
 
 from railvolt import backend as be, benders
-from railvolt.benders import (CutPool, ExtremePoint, ExtremeRay, _gap,
-                              build_rmp, extra_feasibility_cuts, run_benders,
-                              solve_subproblem_dual, split_model)
+from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
+                              run_benders, solve_subproblem_dual, split_model)
 from railvolt.domain import SolveConfig
 from railvolt.model import build_model, solve_pla
 from railvolt.validator import simulate_schedule
 
-from conftest import check_farkas_ray, tiny_corridor
+from conftest import (check_farkas_ray, count_overcuts,
+                      run_benders_with_master, tiny_corridor)
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +115,10 @@ def test_pricing_the_reference_incumbent(golden, golden_pla, reference_split):
     assert kind == "point"
     assert u is not None and len(u) == split.n_u
     # master cost + subproblem value + constant = the incumbent objective
-    total = float(split.c_v @ v_star) + cut.objective + split.offset
+    total = float(split.c_v @ v_star) + cut.value + split.offset
     assert total == pytest.approx(golden_pla.objective_value, rel=1e-4)
     # the cut is tight at the point it was priced from (strong duality)
-    assert cut.rhs - float(cut.coef @ v_star) == pytest.approx(cut.objective,
+    assert cut.rhs - float(cut.coef @ v_star) == pytest.approx(cut.value,
                                                                abs=1e-4)
 
 
@@ -128,7 +128,7 @@ def test_pricing_an_impossible_assignment_yields_a_ray(
     v_zero = np.zeros(split.n_v)
     kind, cut, u = solve_subproblem_dual(split, v_zero)
     assert kind == "ray" and u is None
-    assert cut.violation > 1e-8
+    assert cut.value > 1e-8  # the violation
     # the ray must cut off the priced point but keep the true incumbent
     assert float(cut.coef @ v_zero) - cut.rhs < -1e-8
     v_star = _incumbent_v(split, golden_pla)
@@ -159,14 +159,14 @@ def test_warm_pricing_matches_cold_pricing(golden_pla, reference_split,
             dataclasses.replace(split, sessions={}), v)
         assert kind == cold_kind == ("point" if v is v_star else "ray")
         if kind == "point":
-            assert cut.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert cut.value == pytest.approx(cold.value, abs=1e-9)
             np.testing.assert_allclose(cut.coef, cold.coef, rtol=0,
                                        atol=1e-9)
         else:
             (rhs, ray), _ = rays[-2:]
             check_farkas_ray(split.A[rows], split.senses[rows], rhs,
                              split.u_ub, ray)
-            assert cut.violation == pytest.approx(cold.violation, abs=1e-9)
+            assert cut.value == pytest.approx(cold.value, abs=1e-9)
     # the two rays went through one Farkas session, the four proposals
     # through one scheduling-LP session
     assert warm.sessions["farkas"].session.runs == 2
@@ -204,24 +204,21 @@ def test_static_cuts_admit_the_reference_incumbent(
 
 
 # ---------------------------------------------------------------------------
-# Cut pool and master assembly
+# Cut dedupe and master assembly
 # ---------------------------------------------------------------------------
 
 
-def _point(coef, rhs):
-    return ExtremePoint(coef=np.asarray(coef, dtype=float), rhs=rhs,
-                        objective=0.0)
-
-
-def test_cut_pool_rejects_duplicates():
-    pool = CutPool()
-    assert pool.add_point(_point([1.0, 0.0], 2.0))
-    assert not pool.add_point(_point([1.0, 0.0], 2.0))
-    assert pool.add_point(_point([1.0, 0.0], 2.5))
-    ray = ExtremeRay(coef=np.array([1.0, 0.0]), rhs=2.0, violation=0.1)
-    assert pool.add_ray(ray)  # same numbers, different kind: still new
-    assert not pool.add_ray(ray)
-    assert pool.Q == 2 and pool.R == 1
+def test_a_cut_is_new_once_per_kind():
+    # The key is the kind plus coef and rhs to 9 decimals; value is not
+    # part of it.
+    seen = set()
+    cut = Cut(coef=np.array([1.0, 0.0]), rhs=2.0, value=0.0)
+    assert benders._is_new(seen, "point", cut)
+    assert not benders._is_new(seen, "point", Cut(cut.coef + 1e-12, 2.0, 5.0))
+    assert benders._is_new(seen, "point", Cut(cut.coef, 2.5, 0.0))
+    assert benders._is_new(seen, "ray", cut)  # same numbers, other kind
+    assert not benders._is_new(seen, "ray", cut)
+    assert len(seen) == 3
 
 
 def test_gap_convention():
@@ -284,13 +281,13 @@ def test_rmp_stacks_master_rows_and_static_rows(golden, reference_split):
 def tiny_bd(request):
     inst = tiny_corridor(request.param)
     cfg = SolveConfig(time_limit_seconds=120.0)
-    sol = run_benders(inst, cfg, keep_pool=True)
+    sol, master = run_benders_with_master(inst, cfg)
     pla = solve_pla(inst, cfg, keep_primal=True)
-    return inst, cfg, sol, pla
+    return inst, cfg, sol, pla, master
 
 
 def test_loop_terminates_within_gap(tiny_bd):
-    inst, cfg, sol, _ = tiny_bd
+    inst, cfg, sol, *_ = tiny_bd
     assert sol.algorithm == "bd"
     assert sol.info["termination"] == "optimal"
     assert sol.status == "optimal-within-gap"
@@ -298,7 +295,7 @@ def test_loop_terminates_within_gap(tiny_bd):
 
 
 def test_loop_bounds_are_monotone(tiny_bd):
-    _, _, sol, _ = tiny_bd
+    _, _, sol, *_ = tiny_bd
     log = sol.info["benders_log"]
     assert len(log) == sol.info["iterations"] >= 2
     lbs = [e["lower_bound"] for e in log]
@@ -311,7 +308,7 @@ def test_loop_bounds_are_monotone(tiny_bd):
 
 
 def test_loop_matches_the_one_shot_solve(tiny_bd):
-    inst, cfg, sol, pla = tiny_bd
+    inst, cfg, sol, pla, _ = tiny_bd
     # the decomposition's incumbent is a feasible plan of the same model, so
     # it can undercut the one-shot incumbent by at most that solve's gap and
     # overshoot by at most its own
@@ -322,7 +319,7 @@ def test_loop_matches_the_one_shot_solve(tiny_bd):
 def test_loop_never_reports_a_bound_past_its_incumbent(tiny_bd):
     # A master bound a rounding error above the incumbent (corridor 11 ends
     # on one) is clamped to it, so the gap is never negative.
-    _, _, sol, _ = tiny_bd
+    _, _, sol, *_ = tiny_bd
     log = sol.info["benders_log"]
     assert sol.gap >= 0.0
     assert sol.bound <= log[-1]["upper_bound"]
@@ -331,97 +328,71 @@ def test_loop_never_reports_a_bound_past_its_incumbent(tiny_bd):
 
 
 def test_master_is_built_once_per_run(monkeypatch):
-    # The master lives in one session: build_rmp runs once, and each cut
-    # is appended to the live model after the static rows, coef·v + w for
-    # an optimality cut and coef·v for a feasibility cut.
-    built, sessions = [], []
-    real_build_rmp = benders.build_rmp
+    # The master lives in one session: build_rmp runs once (the helper
+    # checks), and each priced cut not seen before is appended to the live
+    # model after build_rmp's rows, in arrival order: coef·v + w >= rhs for
+    # an optimality cut and coef·v >= rhs for a feasibility cut.
+    priced = []
+    real_price = benders.solve_subproblem_dual
 
-    def counting_build_rmp(split, static):
-        built.append(real_build_rmp(split, static))
-        return built[-1]
+    def recording_price(split, v):
+        kind, cut, u = real_price(split, v)
+        priced.append((kind, cut))
+        return kind, cut, u
 
-    class CapturingSession(be.Session):
-        def __init__(self, c, A, *args, **kwargs):
-            super().__init__(c, A, *args, **kwargs)
-            sessions.append((A, self))
-
-    monkeypatch.setattr(benders, "build_rmp", counting_build_rmp)
-    monkeypatch.setattr(be, "Session", CapturingSession)
-    sol = run_benders(tiny_corridor(7), SolveConfig(time_limit_seconds=120.0),
-                      keep_pool=True)
+    monkeypatch.setattr(benders, "solve_subproblem_dual", recording_price)
+    sol, master = run_benders_with_master(
+        tiny_corridor(7), SolveConfig(time_limit_seconds=120.0))
     assert sol.info["termination"] == "optimal"
-    assert sol.info["iterations"] > 1 and len(built) == 1
+    assert sol.info["iterations"] > 1
 
-    pool = sol.info["cut_pool"]
-    master, = [s for A, s in sessions if A is built[0][1]]
-    lp = master._highs.getLp()
-    assert lp.a_matrix_.format_ == be._highs.MatrixFormat.kColwise
-    A = sp.csc_matrix((lp.a_matrix_.value_, lp.a_matrix_.index_,
-                       lp.a_matrix_.start_),
-                      shape=(lp.num_row_, lp.num_col_)).toarray()
-    n_static = built[0][1].shape[0]
-    cuts = A[n_static:]
-    rows_lo = np.asarray(lp.row_lower_)[n_static:]
-    is_point = cuts[:, -1] == 1.0
-    assert set(cuts[:, -1]) <= {0.0, 1.0}
-    assert len(cuts) == pool.Q + pool.R >= 1
-    for rows, lo, pooled in ((cuts[is_point], rows_lo[is_point],
-                              pool.optimality),
-                             (cuts[~is_point], rows_lo[~is_point],
-                              pool.feasibility)):
-        np.testing.assert_array_equal(
-            rows[:, :-1], np.array([cut.coef for cut in pooled]).reshape(
-                len(pooled), -1))
-        np.testing.assert_array_equal(lo, [cut.rhs for cut in pooled])
-    assert np.all(np.isinf(np.asarray(lp.row_upper_)[n_static:]))
-    assert pool.Q >= 1 and lp.col_lower_[-1] == -np.inf
+    seen = set()
+    fresh = [(kind, cut) for kind, cut in priced
+             if benders._is_new(seen, kind, cut)]
+    cuts = master.A[master.n_fixed:].toarray()
+    assert len(cuts) == len(fresh) >= 1
+    np.testing.assert_array_equal(cuts[:, :-1],
+                                  [cut.coef for _, cut in fresh])
+    np.testing.assert_array_equal(
+        cuts[:, -1], [float(kind == "point") for kind, _ in fresh])
+    np.testing.assert_array_equal(master.lower[master.n_fixed:],
+                                  [cut.rhs for _, cut in fresh])
+    assert np.all(np.isinf(master.upper[master.n_fixed:]))
+    n_points = sum(kind == "point" for kind, _ in fresh)
+    assert sol.info["n_optimality_cuts"] == n_points >= 1
+    assert sol.info["n_feasibility_cuts"] == len(fresh) - n_points
+    assert master.col_lower[-1] == -np.inf
+    # no cut row is there twice (the w coefficient tells the kinds apart)
+    assert len(np.unique(np.column_stack(
+        [cuts, master.lower[master.n_fixed:]]), axis=0)) == len(cuts)
 
 
 def test_loop_is_deterministic(tiny_bd):
     # A second run on the same corridor repeats the first one exactly: the
     # same bounds in every iteration and the same cuts, bit for bit.
-    inst, cfg, sol, _ = tiny_bd
-    again = run_benders(inst, cfg, keep_pool=True)
+    inst, cfg, sol, _, master = tiny_bd
+    again, again_master = run_benders_with_master(inst, cfg)
 
     def log(s):
         return [{k: v for k, v in e.items() if k != "wall_seconds"}
                 for e in s.info["benders_log"]]
 
-    def cuts(s):
-        pool = s.info["cut_pool"]
-        return [(c.coef.tobytes(), c.rhs)
-                for c in pool.optimality + pool.feasibility]
-
     assert log(again) == log(sol)
-    assert cuts(again) == cuts(sol)
-    assert again.info["cut_pool"].Q == sol.info["cut_pool"].Q
+    assert (again_master.A != master.A).nnz == 0
+    np.testing.assert_array_equal(again_master.lower, master.lower)
+    assert again.info["n_optimality_cuts"] == sol.info["n_optimality_cuts"]
+    assert again.info["n_feasibility_cuts"] == sol.info["n_feasibility_cuts"]
 
 
 def test_loop_incumbent_replays_clean(tiny_bd):
-    inst, _, sol, _ = tiny_bd
+    inst, _, sol, *_ = tiny_bd
     report = simulate_schedule(inst, sol)
     assert report.ok, report.violations
 
 
 def test_no_cut_excludes_the_one_shot_incumbent(tiny_bd):
-    inst, _, sol, pla = tiny_bd
-    pool = sol.info["cut_pool"]
-    split = sol.info["split"]
-    v_star = _incumbent_v(split, pla)
-    kind, cut_star, _ = solve_subproblem_dual(split, v_star)
-    assert kind == "point"
-    w_star = cut_star.objective
-    for cut in pool.optimality:
-        assert w_star + float(cut.coef @ v_star) >= cut.rhs - 1e-5
-    for cut in pool.feasibility:
-        assert float(cut.coef @ v_star) >= cut.rhs - 1e-5
-    for rid, entries, sense, rhs in pool.static:
-        lhs = sum(val * v_star[ci] for ci, val in entries)
-        if sense == be.GE:
-            assert lhs >= rhs - 1e-6, rid
-        else:
-            assert lhs <= rhs + 1e-6, rid
+    inst, cfg, _, pla, master = tiny_bd
+    assert count_overcuts(inst, cfg, master, pla) == 0
 
 
 def test_infeasible_line_is_reported_not_raised():

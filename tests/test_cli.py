@@ -103,6 +103,39 @@ def test_missing_instance_file_reports_failure(capsys):
     assert "such.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["not-json", "ragged-energy",
+                                  "solution-not-json", "solution-fields"])
+def test_malformed_files_report_failure(case, tiny_file, tmp_path, capsys):
+    _, good = tiny_file
+    bad = tmp_path / "bad.json"
+    doc = json.loads(Path(good).read_text())
+    if case == "ragged-energy":
+        doc["energy"][0][1] = doc["energy"][0][1][:-1]
+        bad.write_text(json.dumps(doc))
+    elif case == "solution-fields":
+        bad.write_text(json.dumps({"deployed": []}))
+    else:
+        bad.write_text("{not json")
+    if case.startswith("solution"):
+        argv = ["validate", "--instance", good, "--solution", str(bad)]
+    else:
+        argv = ["solve", "--algo", "pla", "--instance", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--instances", "i.json", "--algos", "pla,foo"],
+    ["report", "--instances", "i.json", "--algos", ","],
+    ["sweep", "--instances", "i.json", "--alpha-d-values", "3,x"],
+], ids=["unknown-algo", "no-algo", "bad-weight"])
+def test_malformed_list_flags_are_usage_errors(argv, capsys):
+    # refused while parsing, before any instance file is opened
+    assert main(argv) == 2
+    assert f"argument {argv[3]}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------

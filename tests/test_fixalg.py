@@ -78,11 +78,12 @@ def test_tie_break_is_seeded_and_stable():
 
 
 def test_seed_deploys_best_scorer_until_covered(golden):
-    deployed, state = initialize_deployment(golden, SolveConfig())
+    deployed, rounds = initialize_deployment(golden, SolveConfig())
     assert deployed == {1}
-    assert state.deficit == pytest.approx(9.98, abs=0.02)
-    assert state.rounds[-1]["covered"] >= state.deficit
-    assert state.rounds[0]["picked"] == 1
+    assert [r["phase"] for r in rounds] == ["seed"]
+    assert rounds[-1]["deficit"] == pytest.approx(9.98, abs=0.02)
+    assert rounds[-1]["covered"] >= rounds[-1]["deficit"]
+    assert rounds[0]["picked"] == 1
 
 
 def test_seed_refuses_uncoverable_lines():
