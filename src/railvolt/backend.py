@@ -3,15 +3,15 @@
 This is the only module that talks to a third-party solver: HiGHS 1.12,
 through scipy's private binding ``scipy.optimize._highspy._core._Highs``
 (hence the ``scipy>=1.17`` floor). A :class:`Session` is passed its model
-once and keeps it alive: it can change row bounds, column costs and column
-bounds, append rows, take a MIP start and run again, an LP from its last
-basis. Every run maps HiGHS's status onto a :class:`SolveOutcome` the same
-way. The decomposition keeps sessions for its pricing LPs and its master,
-and :class:`FarkasLP` holds one for infeasibility proofs. Named models are
-described engine-neutrally (columns, rows, senses) in
-:class:`AbstractModel`, solved by :class:`ScipyBackend` as one run of a
-fresh session, and can be exported to the textual LP interchange format
-for debugging.
+once and keeps it alive: it can change row bounds, column costs, column
+bounds and integrality, append rows, take a MIP start and run again, an LP
+from its last basis. Every run maps HiGHS's status onto a
+:class:`SolveOutcome` the same way. The decomposition keeps sessions for
+its pricing LPs and its master, and :class:`FarkasLP` holds one for
+infeasibility proofs. Named models are described engine-neutrally
+(columns, rows, senses) in :class:`AbstractModel`, solved by
+:class:`ScipyBackend` as one run of a fresh session, and can be exported
+to the textual LP interchange format for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -322,7 +322,9 @@ class Session:
     The model is: minimize ``c^T x + offset`` s.t. ``A x {senses} rhs``,
     ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1 (no
     ``integrality``: an LP). HiGHS is passed it once, as column-wise arrays;
-    after that the setters change it in place and :meth:`run` solves it
+    after that the setters change it in place (right-hand sides, costs,
+    column bounds, appended rows, and integrality: :meth:`set_integrality`
+    relaxes a MILP to its LP and restores it) and :meth:`run` solves it
     again. An LP re-run starts from the last basis; when such a warm run
     ends neither optimal nor infeasible, the solver is cleared and the run
     repeated once cold. A MILP re-run starts from scratch, or from the point
@@ -334,7 +336,6 @@ class Session:
     def __init__(self, c, A, senses, rhs, lb, ub, integrality=None,
                  offset: float = 0.0):
         self.offset = offset
-        self.has_integers = integrality is not None
         self.senses = np.asarray(senses)
         self.rhs = np.array(rhs, dtype=float)
         self.runs = 0  # runs so far
@@ -343,9 +344,10 @@ class Session:
         options.log_to_console = False
         self._highs.passOptions(options)
         n = len(c)
+        self._integral = np.zeros(n, bool) if integrality is None \
+            else np.asarray(integrality) != 0
         if A.shape != (len(self.rhs), n) or len(self.senses) != len(self.rhs) \
-                or len(lb) != n or len(ub) != n \
-                or (self.has_integers and len(integrality) != n):
+                or len(lb) != n or len(ub) != n or len(self._integral) != n:
             raise BackendError(
                 f"inconsistent shapes: A {A.shape}, {n} costs, "
                 f"{len(self.rhs)} rows, {len(lb)}/{len(ub)} bounds")
@@ -398,6 +400,25 @@ class Session:
             A.indices.astype(np.int32), A.data.astype(float)), "the new rows")
         self.senses = np.append(self.senses, senses)
         self.rhs = np.append(self.rhs, rhs)
+
+    @property
+    def has_integers(self) -> bool:
+        """Whether the model has an integral column now (a MILP)."""
+        return bool(self._integral.any())
+
+    def set_integrality(self, cols, integral: bool) -> None:
+        """Make the columns ``cols`` integral or continuous. The next run
+        solves the model as it then is: a MILP (bound, no duals) while a
+        column is integral, an LP (duals) otherwise. It starts cold, so a
+        MILP never starts from an LP's fractional point."""
+        cols = np.asarray(cols, np.int32)
+        kind = _highs.HighsVarType.kInteger if integral \
+            else _highs.HighsVarType.kContinuous
+        _checked(self._highs.changeColsIntegrality(
+            len(cols), cols, np.full(len(cols), int(kind), np.uint8)),
+            "the integrality")
+        self._integral[cols] = integral
+        self.clear()
 
     def clear(self) -> None:
         """Drop the basis and solution: the next run starts cold."""

@@ -44,6 +44,7 @@ _DUALITY_TOL = 1e-4
 _W_FLOOR = -1e7
 _RMP_GAP = 0.005        # relative MIP gap of every master solve
 _RMP_SECONDS = 300.0    # cap on one master solve and on the warm start
+_SMALL_COEF = 1e-9      # HiGHS drops matrix entries this small
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ class Cut:
     rho^T b - sigma^T ub``, and ``value`` is how far v̂ falls short.
     """
 
-    coef: np.ndarray            # multipliers^T Dm over v columns
+    coef: np.ndarray            # multipliers^T Dm over v, 1e-9 noise zeroed
     rhs: float
     value: float
 
@@ -133,6 +134,19 @@ def _is_new(seen: Set[bytes], kind: str, cut: Cut) -> bool:
         return False
     seen.add(key)
     return True
+
+
+def _cut_coef(split: BendersSplit, multipliers: np.ndarray) -> np.ndarray:
+    """``multipliers^T Dm`` with every entry of size at most 1e-9 zeroed.
+
+    HiGHS drops such entries from the rows it is given (its
+    ``small_matrix_value``), so zeroing them here keeps the master's row
+    equal to the recorded cut. Cuts priced at fractional proposals carry
+    entries of about 1e-14.
+    """
+    coef = np.asarray((split.Dm.T @ multipliers).ravel())
+    coef[np.abs(coef) <= _SMALL_COEF] = 0.0
+    return coef
 
 
 def _bound_constant(split: BendersSplit, sigma: np.ndarray) -> float:
@@ -187,7 +201,7 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
                 f"strong duality violated: dual {dual_value!r} vs primal "
                 f"{out.objective!r}")
         return "point", Cut(
-            coef=np.asarray((split.Dm.T @ pi).ravel()),
+            coef=_cut_coef(split, pi),
             rhs=float(pi @ split.b) + const,
             value=out.objective), out.primal
 
@@ -205,7 +219,7 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
         rho = np.zeros(len(split.b))
         rho[rows] = ray.rows
         return "ray", Cut(
-            coef=np.asarray((split.Dm.T @ rho).ravel()),
+            coef=_cut_coef(split, rho),
             rhs=float(rho @ split.b) - _bound_constant(split, ray.upper),
             value=ray.violation), None
 
@@ -373,13 +387,26 @@ def run_benders(instance: Instance,
     Warm start: deploy everything, load every battery slot, and solve that
     schedule MILP to ``mip_gap`` for up to min(300 s, the remaining budget
     but at least 1 s); its priced subproblem gives the first cut and its
-    incumbent seeds the upper bound. Each round then solves the master
-    (lower bound) to a 0.5 % MIP gap under the same time cap, prices its
-    proposal (cut and possibly a better incumbent), and stops once
-    (UB-LB)/UB <= benders_gap, when a proposal prices to a cut the master
-    already has, or at the time limit. A lower bound past the incumbent is
-    rounding noise and is clamped to it, so the reported gap is never
-    negative.
+    incumbent seeds the upper bound.
+
+    LP phase (McDaniel & Devine's two-phase scheme): with the master's
+    binaries relaxed in place, each round solves its LP relaxation (warm
+    simplex) and prices the fractional proposal for its cut only. The phase
+    stops at the first point cut whose LP objective does not improve on
+    the best LP objective so far, at a cut the master already has, at an LP
+    run that does not end optimal, or at the time limit; then integrality
+    is restored. A fractional proposal never sets the incumbent or the
+    upper bound, and the LP bound never stops the loop. ``info`` records
+    ``lp_rounds`` (LP proposals priced) and ``lp_stop``
+    ("no-progress", "repeat", "status" or "time").
+
+    Each integer round then solves the master (lower bound) to a 0.5 % MIP
+    gap under the warm start's time cap, prices its proposal (cut and
+    possibly a better incumbent), and stops once (UB-LB)/UB <=
+    benders_gap, when a proposal prices to a cut the master already has,
+    or at the time limit. ``iterations`` and ``benders_log`` count these
+    rounds only. A lower bound past the incumbent is rounding noise and is
+    clamped to it, so the reported gap is never negative.
 
     HiGHS keeps its models for the whole call and no longer: the master is
     built once by :func:`build_rmp`, before the warm start is priced, and
@@ -426,14 +453,14 @@ def run_benders(instance: Instance,
     log: List[dict] = []
     best_primal: Optional[np.ndarray] = None
 
-    def price(v: np.ndarray) -> Tuple[str, bool]:
+    def price(v: np.ndarray, integral: bool = True) -> Tuple[str, bool]:
         """Price proposal ``v``, append its cut to the master if it is new,
-        and keep ``v`` as the incumbent if it schedules more cheaply;
-        returns the kind of cut and whether it was new."""
+        and keep an ``integral`` ``v`` as the incumbent if it schedules more
+        cheaply; returns the kind of cut and whether it was new."""
         nonlocal best_primal, n_rays, upper_bound, lower_bound
         kind, cut, u = solve_subproblem_dual(split, v)
         point = kind == "point"
-        if point:
+        if point and integral:
             obj = float(split.c_v @ v) + cut.value + split.offset
             if obj < upper_bound - 1e-12:
                 upper_bound = obj
@@ -458,6 +485,27 @@ def run_benders(instance: Instance,
     if np.isfinite(warm.objective_value) and "primal" in warm.info:
         price(np.round(np.asarray(warm.info["primal"])[:split.n_v]))
 
+    # -- LP phase: cut the master's LP relaxation ---------------------------
+    binaries = np.arange(split.n_v)
+    master.set_integrality(binaries, False)
+    lp_rounds, lp_stop, best_lp = 0, "time", -np.inf
+    while remaining() > 0:
+        relaxed = master.run(seconds=min(_RMP_SECONDS, max(1.0, remaining())))
+        if relaxed.status != "optimal":
+            lp_stop = "status"
+            break
+        kind, fresh = price(relaxed.primal[:split.n_v], integral=False)
+        lp_rounds += 1
+        if not fresh:
+            lp_stop = "repeat"
+            break
+        if kind == "optimality" and relaxed.objective <= best_lp:
+            lp_stop = "no-progress"
+            break
+        best_lp = max(best_lp, relaxed.objective)
+    master.set_integrality(binaries, True)
+    lp = {"lp_rounds": lp_rounds, "lp_stop": lp_stop}
+
     status = "feasible-limit"
     for it in itertools.count(1):
         if remaining() <= 0:
@@ -471,7 +519,7 @@ def run_benders(instance: Instance,
         if outcome.status == "infeasible":
             return empty_solution(instance, "infeasible", "bd", elapsed(),
                                   {"phase": f"master-{it}",
-                                   "benders_log": log})
+                                   "benders_log": log, **lp})
         if outcome.status not in ("optimal", "feasible-limit"):
             raise be.BackendError(
                 f"master solve failed at iteration {it}: {outcome.status}")
@@ -504,7 +552,7 @@ def run_benders(instance: Instance,
     if best_primal is None:
         return empty_solution(
             instance, "time-limit-no-incumbent", "bd", elapsed(),
-            {"benders_log": log})
+            {"benders_log": log, **lp})
 
     Q = len(optimality)
     outcome = be.SolveOutcome(
@@ -521,5 +569,6 @@ def run_benders(instance: Instance,
         "n_feasibility_cuts": n_rays,
         "n_static_cuts": len(static),
         "termination": status,
+        **lp,
     })
     return solution

@@ -300,6 +300,37 @@ def test_session_changes_match_a_fresh_solve():
     np.testing.assert_allclose(warm.duals, cold.duals, atol=1e-9)
 
 
+def test_session_integrality_relaxes_and_restores():
+    # Knapsack max 5x + 4y with 6x + 4y <= 9 over binaries: the LP takes
+    # y = 1 and x = 5/6 (8.1667), the MILP only x (5). Relaxed, a run is an
+    # LP with row duals; restored, a MILP with its bound and no duals.
+    c = np.array([-5.0, -4.0])
+    session = be.Session(c, sp.csr_matrix([[6.0, 4.0]]), np.array(["<="]),
+                         np.array([9.0]), np.zeros(2), np.ones(2),
+                         np.array([1, 1]))
+    assert session.has_integers
+    session.set_integrality([0, 1], False)
+    assert not session.has_integers
+    relaxed = session.run()
+    assert relaxed.status == "optimal" and not relaxed.has_integers
+    assert relaxed.objective == pytest.approx(-49.0 / 6.0)
+    np.testing.assert_allclose(relaxed.primal, [5.0 / 6.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(relaxed.duals, [-5.0 / 6.0], atol=1e-9)
+
+    session.set_integrality([0, 1], True)
+    assert session.has_integers
+    integral = session.run()
+    assert integral.status == "optimal" and integral.has_integers
+    assert integral.objective == pytest.approx(-5.0)
+    assert integral.best_bound == pytest.approx(-5.0)
+    assert integral.duals is None
+    np.testing.assert_allclose(integral.primal, [1.0, 0.0], atol=1e-9)
+
+    with pytest.raises(be.BackendError):
+        session.set_integrality([2], False)
+    assert session.has_integers
+
+
 def test_session_time_limit_applies_to_each_run():
     # HiGHS's own run clock adds up over a session's runs. The limit must
     # not: runs of a small knapsack, each far below 0.25 s, add up past it

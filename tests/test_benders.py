@@ -10,6 +10,7 @@ from railvolt import backend as be, benders
 from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
                               run_benders, solve_subproblem_dual, split_model)
 from railvolt.domain import SolveConfig
+from railvolt.generator import GenSpec, generate_instance
 from railvolt.model import build_model, solve_pla
 from railvolt.validator import simulate_schedule
 
@@ -365,6 +366,54 @@ def test_master_is_built_once_per_run(monkeypatch):
     # no cut row is there twice (the w coefficient tells the kinds apart)
     assert len(np.unique(np.column_stack(
         [cuts, master.lower[master.n_fixed:]]), axis=0)) == len(cuts)
+
+
+@pytest.mark.parametrize("corridor", ["tiny-7", "short-haul-4"])
+def test_a_fractional_proposal_never_becomes_the_plan(monkeypatch, corridor):
+    # The LP phase prices fractional proposals for their cuts only. Every
+    # upper bound the loop logs, and the plan it returns, is the cost of a
+    # point priced at an integral proposal.
+    inst = tiny_corridor(7) if corridor == "tiny-7" else generate_instance(
+        GenSpec(n_trains=1, consists_per_train=1, max_batteries=1,
+                distance_mean_km=180.0, distance_sd_km=30.0, seed=4))
+    priced, decoded = [], []
+    real_price, real_decode = (benders.solve_subproblem_dual,
+                               benders.decode_solution)
+
+    def recording_price(split, v):
+        kind, cut, u = real_price(split, v)
+        priced.append((split, np.array(v, dtype=float), kind, cut))
+        return kind, cut, u
+
+    def recording_decode(outcome, vm, instance):
+        decoded.append(outcome)
+        return real_decode(outcome, vm, instance)
+
+    monkeypatch.setattr(benders, "solve_subproblem_dual", recording_price)
+    monkeypatch.setattr(benders, "decode_solution", recording_decode)
+    sol = run_benders(inst, SolveConfig(time_limit_seconds=120.0))
+    assert sol.info["termination"] == "optimal"
+
+    def integral(v):
+        return np.array_equal(v, np.round(v))
+
+    fractional = [v for _, v, _, _ in priced if not integral(v)]
+    assert len(fractional) >= 1, "no fractional proposal was priced"
+    assert sol.info["lp_rounds"] >= len(fractional)
+    assert sol.info["lp_stop"] in ("no-progress", "repeat", "status", "time")
+    log = sol.info["benders_log"]
+    # the warm start, each LP round and each logged cut priced once
+    assert len(priced) == 1 + sol.info["lp_rounds"] + sum(
+        e["cut"] is not None for e in log)
+
+    costs = {float(split.c_v @ v) + cut.value + split.offset
+             for split, v, kind, cut in priced
+             if kind == "point" and integral(v)}
+    assert all(e["upper_bound"] in costs for e in log)
+    outcome, = decoded
+    assert outcome.objective == min(costs)
+    v_plan = outcome.primal[:priced[0][0].n_v]
+    assert np.all((v_plan == 0.0) | (v_plan == 1.0))
 
 
 def test_loop_is_deterministic(tiny_bd):
