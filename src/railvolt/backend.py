@@ -516,8 +516,7 @@ class ScipyBackend:
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
               seconds: Optional[float] = None) -> SolveOutcome:
         c, lb, ub, integrality, A, senses, rhs = model.arrays()
-        return Session(c, A, senses, rhs, lb, ub,
-                       integrality if integrality.any() else None,
+        return Session(c, A, senses, rhs, lb, ub, integrality,
                        model.objective_offset).run(gap, seconds)
 
 

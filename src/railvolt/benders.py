@@ -482,7 +482,7 @@ def run_benders(instance: Instance,
 
     # The warm incumbent came from the full model, so it prices to a point;
     # a ray would still be a valid cut.
-    if np.isfinite(warm.objective_value) and "primal" in warm.info:
+    if np.isfinite(warm.objective_value):
         price(np.round(np.asarray(warm.info["primal"])[:split.n_v]))
 
     # -- LP phase: cut the master's LP relaxation ---------------------------

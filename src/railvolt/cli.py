@@ -13,27 +13,49 @@ import sys
 from typing import List, Optional
 
 from . import backend as be
-from .domain import Instance, RailvoltError, SolveConfig, Solution
+from .domain import (Instance, RailvoltError, SolveConfig, Solution,
+                     write_json)
 from .generator import GenSpec, generate_instance
 from .model import build_model
 from .reporting import (ALGORITHMS, run_batch, sensitivity_compare,
-                        write_json, write_long_csv, write_results_csv)
+                        write_long_csv, write_results_csv)
 from .validator import simulate_schedule
 
 __all__ = ["main", "format_schedule"]
 
 
+def _number(convert, low, strict: bool = False):
+    """An argparse type: the text as ``convert`` reads it, refused unless it
+    is finite and at least ``low`` (above ``low`` when ``strict``)."""
+    want = ("an integer" if convert is int else "a finite number") \
+        + f" {'>' if strict else '>='} {low:g}"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
+        return value
+    return parse
+
+
+_COUNT = _number(int, 1)
+_WEIGHT = _number(float, 0.0)
+
 # The flags several subcommands take; a configuration flag stores into the
 # SolveConfig field it sets.
 _FLAGS = {
-    "seed": dict(type=int, default=0, help="random seed"),
-    "alpha-f": dict(dest="alpha_fixed", type=float, default=1.0,
+    "seed": dict(type=_number(int, 0), default=0, help="random seed"),
+    "alpha-f": dict(dest="alpha_fixed", type=_WEIGHT, default=1.0,
                     help="weight on station setup cost"),
-    "alpha-d": dict(dest="alpha_delay", type=float, default=3.0,
+    "alpha-d": dict(dest="alpha_delay", type=_WEIGHT, default=3.0,
                     help="weight on each hour of excess delay"),
-    "gap": dict(dest="mip_gap", type=float, default=0.01,
+    "gap": dict(dest="mip_gap", type=_WEIGHT, default=0.01,
                 help="relative MIP gap for full solves"),
-    "time-limit": dict(dest="time_limit_seconds", type=float, default=1800.0,
+    "time-limit": dict(dest="time_limit_seconds",
+                       type=_number(float, 0.0, strict=True), default=1800.0,
                        help="wall-clock budget in seconds"),
     "out": dict(default=None, help="output file path"),
 }
@@ -51,12 +73,12 @@ def _algorithms(text: str) -> List[str]:
 def _two_weights(text: str) -> List[float]:
     """``--alpha-d-values``: two comma-separated delay weights."""
     try:
-        values = [float(x) for x in text.split(",") if x]
-    except ValueError:
+        values = [_WEIGHT(x) for x in text.split(",") if x]
+    except argparse.ArgumentTypeError:
         values = []
     if len(values) != 2:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not two comma-separated numbers")
+            f"{text!r} is not two comma-separated numbers >= 0")
     return values
 
 
@@ -85,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("generate", "draw a random corridor instance", "seed", "out")
     p.add_argument("--size", choices=("small", "medium", "large"),
                    default="small")
-    p.add_argument("--trains", type=int, default=2)
-    p.add_argument("--consists", type=int, default=3)
+    p.add_argument("--trains", type=_COUNT, default=2)
+    p.add_argument("--consists", type=_COUNT, default=3)
 
     p = command("solve", "plan deployment and schedules", *_FLAGS)
     p.add_argument("--algo", choices=sorted(ALGORITHMS), required=True)
@@ -100,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "alpha-f", "alpha-d")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
-    p.add_argument("--tolerance", type=float, default=0.05)
+    p.add_argument("--tolerance", type=_WEIGHT, default=0.05)
 
     p = command("report", "run a batch and write the CSV table", *_FLAGS)
     p.add_argument("--instances", nargs="+", required=True,

@@ -97,6 +97,14 @@ def charge_time_for_target(soc: float, target: float, r0: float) -> float:
     return math.log((1.0 - target) / (1.0 - soc)) / math.log(1.0 - r0)
 
 
+def write_json(payload, path: str) -> None:
+    """Write ``payload`` to ``path`` as indented JSON (numpy scalars as
+    floats), ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, default=float)
+        fh.write("\n")
+
+
 def _read_json(path: str, error: type):
     """The JSON document in the file at ``path``; raises ``error`` when the
     file is not JSON."""
@@ -117,6 +125,12 @@ class Train:
     name: str
     consists: int
     max_batteries: int
+
+    @property
+    def full_load(self) -> int:
+        """Batteries aboard when fully loaded: one in each of the leading
+        consists, up to the allowance."""
+        return min(self.max_batteries, self.consists)
 
 
 @dataclass
@@ -199,9 +213,11 @@ class Instance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
+        """The instance ``d`` describes; raises :class:`InstanceError` when
+        ``d`` is malformed or :func:`validate_instance` finds problems."""
         try:
             physics = d.get("physics", {})
-            return cls(
+            inst = cls(
                 stations=list(d["stations"]),
                 fixed_cost=np.asarray(d["fixed_cost"], float),
                 chargers=np.asarray(d["chargers"], int),
@@ -210,18 +226,20 @@ class Instance:
                 energy=np.asarray(d["energy"], float),
                 travel_time=np.asarray(d["travel_time"], float),
                 wait_time=np.asarray(d["wait_time"], float),
-                r0=float(physics.get("r0", 0.40)),
-                swap_hours=float(physics.get("swap_hours", 2.0)),
+                r0=float(physics.get("r0", cls.r0)),
+                swap_hours=float(physics.get("swap_hours", cls.swap_hours)),
                 name=str(d.get("name", "instance")),
                 meta=dict(d.get("meta", {})),
             )
+            problems = validate_instance(inst)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"malformed instance document: {exc}") from exc
+        if problems:
+            raise InstanceError("invalid instance: " + "; ".join(problems))
+        return inst
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def from_json(cls, path: str) -> "Instance":
@@ -231,6 +249,13 @@ class Instance:
 # Largest gap allowed between a long-range energy/time entry and the sum of
 # its adjacent legs.
 _ADDITIVITY_TOL = 1e-6
+
+
+def leg_sums(legs) -> np.ndarray:
+    """The station-to-station matrix whose entry [a, b] sums the adjacent
+    legs (last axis of ``legs``) between stations a and b."""
+    cum = np.cumsum(np.insert(legs, 0, 0.0, axis=-1), axis=-1)
+    return np.abs(cum[..., None, :] - cum[..., :, None])
 
 
 def validate_instance(inst: Instance) -> List[str]:
@@ -296,9 +321,7 @@ def validate_instance(inst: Instance) -> List[str]:
             if not np.allclose(m, m.T, atol=1e-9):
                 problems.append(f"train {j} {label} matrix is not symmetric")
             # legs must telescope: m[a, b] == sum of adjacent legs a..b
-            legs = np.array([m[i, i + 1] for i in range(s - 1)])
-            cum = np.concatenate([[0.0], np.cumsum(legs)])
-            want = np.abs(cum[None, :] - cum[:, None])
+            want = leg_sums(np.diagonal(m, 1))
             if np.max(np.abs(m - want)) > _ADDITIVITY_TOL:
                 a, b = np.unravel_index(np.argmax(np.abs(m - want)), m.shape)
                 problems.append(
@@ -392,9 +415,7 @@ class Solution:
             raise RailvoltError(f"malformed solution document: {exc}") from exc
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def from_json(cls, path: str) -> "Solution":

@@ -35,8 +35,10 @@ def compute_supply_demand(instance: Instance) -> Tuple[float, float, float]:
     """Return (demand, onboard, deficit) in battery-equivalents.
 
     ``demand`` is the total traction energy over every train's full run,
-    ``onboard`` the energy all trains can carry out of the origin when fully
-    loaded, and ``deficit`` what the line itself has to provide.
+    ``onboard`` the energy all trains carry out of the origin when fully
+    loaded (each train's :attr:`~railvolt.domain.Train.full_load` full
+    batteries, the load every round's schedule MILP fixes), and ``deficit``
+    what the line itself has to provide.
     """
     n = instance.n_stations
     demand = sum(
@@ -44,7 +46,7 @@ def compute_supply_demand(instance: Instance) -> Tuple[float, float, float]:
         for j in range(instance.n_trains)
         for i in range(n - 1)
     )
-    onboard = float(sum(tr.max_batteries for tr in instance.trains))
+    onboard = float(sum(tr.full_load for tr in instance.trains))
     return demand, onboard, max(0.0, demand - onboard)
 
 

@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .domain import Instance, Train
+from .domain import Instance, Train, leg_sums
 
 SIZE_CLASS_STATIONS = {"small": 6, "medium": 15, "large": 25}
 
@@ -37,7 +37,8 @@ class GenSpec:
     leg-distance normal (km) and the seed. The rest are class constants,
     read as ``spec.cost_mean`` but not settable. Costs are in millions of
     dollars, durations in hours; each (mean, sd, min, max) quadruple
-    describes a clamped normal, with counts rounded to integers.
+    describes a clamped normal, with counts rounded to integers. There is
+    no physics: instances take ``Instance``'s default r0 and swap time.
     """
     size_class: str = "small"
     n_trains: int = 2
@@ -64,8 +65,6 @@ class GenSpec:
     batteries_max: ClassVar[float] = 15.0
     wait_probability: ClassVar[float] = 0.5
     wait_sd_hours: ClassVar[float] = 0.3
-    r0: ClassVar[float] = 0.40
-    swap_hours: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if self.size_class not in SIZE_CLASS_STATIONS:
@@ -81,26 +80,6 @@ class GenSpec:
     @property
     def n_stations(self) -> int:
         return SIZE_CLASS_STATIONS[self.size_class]
-
-
-def energy_between(distance_km, consumption_kwh_per_km: float,
-                   battery_kwh: float):
-    """Battery-equivalents of energy needed to cover ``distance_km``
-    (scalar or array)."""
-    if battery_kwh <= 0:
-        raise ValueError("battery_kwh must be positive")
-    if np.any(np.asarray(distance_km) < 0) or consumption_kwh_per_km < 0:
-        raise ValueError("distance and consumption must be non-negative")
-    return distance_km * consumption_kwh_per_km / battery_kwh
-
-
-def travel_hours(distance_km, speed_kmh: float):
-    """Hours to cover ``distance_km`` (scalar or array) at ``speed_kmh``."""
-    if speed_kmh <= 0:
-        raise ValueError("speed_kmh must be positive")
-    if np.any(np.asarray(distance_km) < 0):
-        raise ValueError("distance must be non-negative")
-    return distance_km / speed_kmh
 
 
 def _clamped_normal(rng, mean, sd, lo, hi, size, integer=False):
@@ -141,14 +120,9 @@ def generate_instance(spec: GenSpec) -> Instance:
     wait[1:-1] = np.where(has_wait, magnitudes, 0.0)
 
     # Full matrices from cumulative distances: additive by construction.
-    energy = np.zeros((spec.n_trains, s, s))
-    time = np.zeros((spec.n_trains, s, s))
-    for j in range(spec.n_trains):
-        cum = np.concatenate([[0.0], np.cumsum(dist[j])])
-        dmat = np.abs(cum[None, :] - cum[:, None])
-        energy[j] = energy_between(
-            dmat, spec.consumption_kwh_per_km, spec.battery_kwh)
-        time[j] = travel_hours(dmat, spec.speed_kmh)
+    dmat = leg_sums(dist)
+    energy = dmat * spec.consumption_kwh_per_km / spec.battery_kwh
+    time = dmat / spec.speed_kmh
 
     trains = [
         Train(name=f"Train {j + 1}", consists=spec.consists_per_train,
@@ -167,8 +141,6 @@ def generate_instance(spec: GenSpec) -> Instance:
         energy=energy,
         travel_time=time,
         wait_time=wait,
-        r0=spec.r0,
-        swap_hours=spec.swap_hours,
         name=f"{spec.size_class}-{spec.seed}",
         meta={
             "generator": "numpy.random.default_rng(PCG64)",
@@ -185,20 +157,14 @@ def illustrative_instance() -> Instance:
     Adjacent-leg energies and times are the authoritative figures; longer
     entries are their cumulative sums (shipped as instances/illustrative.json).
     """
-    e_legs = [
+    energy = leg_sums([
         [1.73, 1.67, 1.00, 1.83, 2.27],
         [1.41, 1.64, 0.65, 2.24, 1.54],
-    ]
-    t_legs = [
+    ])
+    time = leg_sums([
         [7.00, 2.18, 3.38, 3.60, 4.10],
         [2.10, 4.06, 3.48, 3.50, 5.12],
-    ]
-    energy = np.zeros((2, 6, 6))
-    time = np.zeros((2, 6, 6))
-    for j in range(2):
-        for mat, legs in ((energy, e_legs[j]), (time, t_legs[j])):
-            cum = np.concatenate([[0.0], np.cumsum(legs)])
-            mat[j] = np.abs(cum[None, :] - cum[:, None])
+    ])
     wait = np.array([
         [0.00, 0.00],
         [0.00, 0.28],
@@ -217,8 +183,6 @@ def illustrative_instance() -> Instance:
         energy=energy,
         travel_time=time,
         wait_time=wait,
-        r0=0.40,
-        swap_hours=2.0,
         name="illustrative",
         meta={"source": "bundled worked example"},
     )

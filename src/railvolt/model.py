@@ -47,7 +47,6 @@ class PlaGrid:
     t: np.ndarray          # m+1 time breakpoints, 0..t_max
     g: np.ndarray          # (n+1, m+1) surface samples
     w: np.ndarray          # (n, m) interpolation slopes, all <= 0
-    r0: float
 
     @property
     def n(self) -> int:
@@ -68,7 +67,7 @@ def build_pla_grid(n: int, m: int, t_max: float, r0: float) -> PlaGrid:
     g = (1.0 - s)[:, None] * (1.0 - r0) ** t[None, :]
     dg = g[:, 1:] - g[:, :-1]          # time-direction increments
     w = np.minimum(dg[:-1, :], dg[1:, :])
-    return PlaGrid(s=s, t=t, g=g, w=w, r0=r0)
+    return PlaGrid(s=s, t=t, g=g, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +505,9 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
               keep_primal: bool = False) -> Solution:
     """Build and solve the full MILP; decode the incumbent.
 
-    ``fixed_deployment`` deploys exactly those interior stations and has
-    every train carry a battery in its leading ``max_batteries`` consists:
+    ``fixed_deployment`` deploys exactly those interior stations and loads
+    every train fully (a battery in each of its leading
+    :attr:`~railvolt.domain.Train.full_load` consists):
     the restricted schedule MILP of the heuristic's rounds and the
     decomposition's warm start. Infeasibility is a status on the returned
     Solution, not an exception. ``keep_primal`` stashes the raw column
@@ -522,7 +522,7 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
         for i, col in vm.X.items():
             model.fix_column(col, float(i in fixed_deployment))
         for (j, k), col in vm.Y.items():
-            model.fix_column(col, float(k < instance.trains[j].max_batteries))
+            model.fix_column(col, float(k < instance.trains[j].full_load))
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
                                       seconds=cfg.time_limit_seconds)
     if outcome.status in ("optimal", "feasible-limit"):

@@ -8,7 +8,6 @@ aggregate row.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -218,9 +217,3 @@ def long_format(rows: List[dict]) -> List[dict]:
 def write_long_csv(rows: List[dict], path: str) -> None:
     write_results_csv(long_format(rows), path,
                       fields=["instance", "algorithm", "measure", "value"])
-
-
-def write_json(payload, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, default=float)
-        fh.write("\n")

@@ -84,6 +84,18 @@ def _drain(soc: List[float], energy: float) -> Tuple[List[float], float]:
     return out, need
 
 
+def _after_stop(soc, swap, charge, hours, r0: float) -> List[float]:
+    """SOCs after one stop's per-consist actions: a swapped battery leaves
+    full, and one charged for ``hours`` > 0 follows the exact curve."""
+    out = list(soc)
+    for k in range(len(out)):
+        if swap[k]:
+            out[k] = 1.0
+        elif charge[k] and hours[k] > 0:
+            out[k] = soc_after_charging(out[k], hours[k], r0)
+    return out
+
+
 def simulate_schedule(instance: Instance, solution: Solution,
                       tolerance: float = 0.05,
                       config: Optional[SolveConfig] = None
@@ -96,8 +108,12 @@ def simulate_schedule(instance: Instance, solution: Solution,
     batteries at the origin, and the drain-order arrival pattern (while an
     earlier battery still holds charge, every later carried battery must
     still be full). Time bookkeeping gets tolerance/4 slack (two-decimal
-    tabulated inputs round that much); SOC claims get ``tolerance``.
+    tabulated inputs round that much); SOC claims get ``tolerance``, which
+    must be a finite number >= 0 (ValueError otherwise).
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(
+            f"tolerance must be a finite number >= 0, got {tolerance!r}")
     inst = instance
     _check_shape(inst, solution)
     sol = solution
@@ -194,14 +210,9 @@ def simulate_schedule(instance: Instance, solution: Solution,
                           f"charge while consist {k+1} is below full")
                         break
             # apply declared operations
-            for k in range(K):
-                if i in (0, S - 1):
-                    continue
-                if sol.swap[j][i][k]:
-                    sim[k] = 1.0
-                elif sol.charge[j][i][k] and sol.charge_hours[j][i][k] > 0:
-                    sim[k] = soc_after_charging(
-                        sim[k], sol.charge_hours[j][i][k], inst.r0)
+            if 0 < i < S - 1:
+                sim = _after_stop(sim, sol.swap[j][i], sol.charge[j][i],
+                                  sol.charge_hours[j][i], inst.r0)
             for k in range(K):
                 if abs(sol.soc_depart[j][i][k] - sim[k]) > tol:
                     v(f"{label}: claimed departure SOC "
@@ -254,30 +265,32 @@ _MAX_CONSISTS = 2
 
 
 def _station_actions(inst: Instance, j: int, i: int, durations: Sequence[float]
-                     ) -> List[Tuple[Tuple[str, ...], Tuple[float, ...]]]:
+                     ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...],
+                                     Tuple[float, ...]]]:
     """All legal per-stop actions for train j at a deployed station i.
 
-    Returns (kind per consist, charge hours per consist) pairs; kinds are
-    '-' (none), 's' (swap), 'c' (charge). Swaps and charges never mix at
-    one stop, and station capacities cap the counts.
+    Returns (swap flag, charge flag, charge hours) triples, each one entry
+    per consist, as :func:`_after_stop` takes them. Swaps and charges never
+    mix at one stop, and station capacities cap the counts.
     """
     K = inst.consists(j)
-    carried = list(range(min(inst.trains[j].max_batteries, K)))
-    out = [(("-",) * K, (0.0,) * K)]
+    carried = list(range(inst.trains[j].full_load))
+    none, idle = (0,) * K, (0.0,) * K
+    out = [(none, none, idle)]
     max_swaps = min(len(carried), int(inst.full_batteries[i]))
     for r in range(1, max_swaps + 1):
         for combo in itertools.combinations(carried, r):
-            kinds = tuple("s" if k in combo else "-" for k in range(K))
-            out.append((kinds, (0.0,) * K))
+            swap = tuple(int(k in combo) for k in range(K))
+            out.append((swap, none, idle))
     max_charges = min(len(carried), int(inst.chargers[i]))
     for r in range(1, max_charges + 1):
         for combo in itertools.combinations(carried, r):
+            charge = tuple(int(k in combo) for k in range(K))
             for durs in itertools.product(durations, repeat=r):
-                kinds = tuple("c" if k in combo else "-" for k in range(K))
                 hours = [0.0] * K
                 for k, d in zip(combo, durs):
                     hours[k] = d
-                out.append((kinds, tuple(hours)))
+                out.append((none, charge, tuple(hours)))
     return out
 
 
@@ -285,7 +298,7 @@ def _count_states(inst: Instance, deployed: Sequence[int],
                   n_durations: int) -> float:
     total = 0.0
     for j in range(inst.n_trains):
-        K = min(inst.trains[j].max_batteries, inst.consists(j))
+        K = inst.trains[j].full_load
         per = 1.0
         for i in deployed:
             swaps = sum(math.comb(K, r)
@@ -362,7 +375,7 @@ def _best_train_plan(inst, cfg, j, deployed, durations):
     """Min extra-delay plan for one train, or (None, None) if stranded."""
     S = inst.n_stations
     K = inst.consists(j)
-    carried = [k < min(inst.trains[j].max_batteries, K) for k in range(K)]
+    carried = [k < inst.trains[j].full_load for k in range(K)]
     dep_set = set(deployed)
     action_cache = {i: _station_actions(inst, j, i, durations)
                     for i in dep_set}
@@ -384,16 +397,11 @@ def _best_train_plan(inst, cfg, j, deployed, durations):
         best_cost, best_plan = None, None
         options = action_cache.get(i) if i in dep_set else None
         if options is None or i == 0:
-            options = [(("-",) * K, (0.0,) * K)]
-        for kinds, hours in options:
-            after = list(soc)
-            for k in range(K):
-                if kinds[k] == "s":
-                    after[k] = 1.0
-                elif kinds[k] == "c":
-                    after[k] = soc_after_charging(after[k], hours[k], inst.r0)
+            options = [((0,) * K, (0,) * K, (0.0,) * K)]
+        for swap, charge, hours in options:
+            after = _after_stop(soc, swap, charge, hours, inst.r0)
             dwell = max(float(inst.wait_time[i, j]),
-                        inst.swap_hours if "s" in kinds else 0.0,
+                        inst.swap_hours if any(swap) else 0.0,
                         max(hours))
             step_cost = cfg.alpha_delay * (dwell - float(inst.wait_time[i, j]))
             nxt, unmet = _drain(after, inst.leg_energy(j, i))
@@ -405,7 +413,7 @@ def _best_train_plan(inst, cfg, j, deployed, durations):
             cost = step_cost + rest[0]
             if best_cost is None or cost < best_cost - 1e-12:
                 best_cost = cost
-                best_plan = [(i, kinds, hours, dwell)] + rest[1]
+                best_plan = [(i, swap, charge, hours, dwell)] + rest[1]
         memo[key] = (best_cost, best_plan)
         return memo[key]
 
@@ -424,25 +432,22 @@ def _assemble(inst, deployed, plans, objective) -> Solution:
     sol.gap = 0.0
     for j, plan in enumerate(plans):
         K = inst.consists(j)
-        carried = [k < min(inst.trains[j].max_batteries, K) for k in range(K)]
+        carried = [k < inst.trains[j].full_load for k in range(K)]
         sol.has_battery[j] = [int(c) for c in carried]
-        steps = {i: (kinds, hours, dwell) for i, kinds, hours, dwell in plan}
+        steps = {i: actions for i, *actions in plan}
         soc = [1.0 if carried[k] else 0.0 for k in range(K)]
         clock = 0.0
         for i in range(S):
             sol.arrive[j][i] = clock
             sol.battery_nonempty[j][i] = [int(soc[k] > 1e-9) for k in range(K)]
             sol.soc_arrive[j][i] = list(soc)
-            kinds, hours, dwell = steps.get(
-                i, (("-",) * K, (0.0,) * K, float(inst.wait_time[i, j])))
-            for k in range(K):
-                if kinds[k] == "s":
-                    sol.swap[j][i][k] = 1
-                    soc[k] = 1.0
-                elif kinds[k] == "c":
-                    sol.charge[j][i][k] = 1
-                    sol.charge_hours[j][i][k] = hours[k]
-                    soc[k] = soc_after_charging(soc[k], hours[k], inst.r0)
+            swap, charge, hours, dwell = steps.get(
+                i, ((0,) * K, (0,) * K, (0.0,) * K,
+                    float(inst.wait_time[i, j])))
+            sol.swap[j][i] = list(swap)
+            sol.charge[j][i] = list(charge)
+            sol.charge_hours[j][i] = list(hours)
+            soc = _after_stop(soc, swap, charge, hours, inst.r0)
             sol.soc_depart[j][i] = list(soc)
             clock += dwell
             sol.depart[j][i] = clock

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from railvolt import backend as be, benders
-from railvolt.domain import Instance, SolveConfig, Train
+from railvolt.domain import Instance, SolveConfig, Train, leg_sums
 from railvolt.generator import illustrative_instance
 from railvolt.model import build_model, solve_pla
 
@@ -120,14 +120,6 @@ def tiny_corridor(seed: int, n_interior: int = 2, n_trains: int = 1,
     leg_time = rng.uniform(leg_hours_lo, leg_hours_hi, size=(n_trains, legs))
     leg_energy = rng.uniform(energy_lo, energy_hi, size=(n_trains, legs))
 
-    energy = np.zeros((n_trains, s, s))
-    time = np.zeros((n_trains, s, s))
-    for j in range(n_trains):
-        ce = np.concatenate([[0.0], np.cumsum(leg_energy[j])])
-        ct = np.concatenate([[0.0], np.cumsum(leg_time[j])])
-        energy[j] = np.abs(ce[None, :] - ce[:, None])
-        time[j] = np.abs(ct[None, :] - ct[:, None])
-
     fixed_cost = np.zeros(s)
     fixed_cost[1:-1] = rng.uniform(15.0, 30.0, size=n_interior)
     chargers = np.zeros(s, dtype=int)
@@ -146,11 +138,9 @@ def tiny_corridor(seed: int, n_interior: int = 2, n_trains: int = 1,
         trains=[Train(name=f"Train {j + 1}", consists=consists,
                       max_batteries=max_batteries)
                 for j in range(n_trains)],
-        energy=energy,
-        travel_time=time,
+        energy=leg_sums(leg_energy),
+        travel_time=leg_sums(leg_time),
         wait_time=wait,
-        r0=0.4,
-        swap_hours=2.0,
         name=f"tiny-{seed}",
         meta={"seed": seed},
     )

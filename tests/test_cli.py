@@ -104,13 +104,18 @@ def test_missing_instance_file_reports_failure(capsys):
 
 
 @pytest.mark.parametrize("case", ["not-json", "ragged-energy",
+                                  "short-energy-validate", "short-energy-fa",
                                   "solution-not-json", "solution-fields"])
 def test_malformed_files_report_failure(case, tiny_file, tmp_path, capsys):
-    _, good = tiny_file
+    inst, good = tiny_file
     bad = tmp_path / "bad.json"
     doc = json.loads(Path(good).read_text())
     if case == "ragged-energy":
         doc["energy"][0][1] = doc["energy"][0][1][:-1]
+        bad.write_text(json.dumps(doc))
+    elif case.startswith("short-energy"):
+        # well-formed JSON arrays, one station short of the station list
+        doc["energy"] = [[row[:-1] for row in m[:-1]] for m in doc["energy"]]
         bad.write_text(json.dumps(doc))
     elif case == "solution-fields":
         bad.write_text(json.dumps({"deployed": []}))
@@ -118,6 +123,12 @@ def test_malformed_files_report_failure(case, tiny_file, tmp_path, capsys):
         bad.write_text("{not json")
     if case.startswith("solution"):
         argv = ["validate", "--instance", good, "--solution", str(bad)]
+    elif case == "short-energy-validate":
+        schedule = str(tmp_path / "schedule.json")
+        empty_solution(inst, "optimal", "pla").to_json(schedule)
+        argv = ["validate", "--instance", str(bad), "--solution", schedule]
+    elif case == "short-energy-fa":
+        argv = ["solve", "--algo", "fa", "--instance", str(bad)]
     else:
         argv = ["solve", "--algo", "pla", "--instance", str(bad)]
     assert main(argv) == 1
@@ -129,7 +140,28 @@ def test_malformed_files_report_failure(case, tiny_file, tmp_path, capsys):
     ["report", "--instances", "i.json", "--algos", "pla,foo"],
     ["report", "--instances", "i.json", "--algos", ","],
     ["sweep", "--instances", "i.json", "--alpha-d-values", "3,x"],
-], ids=["unknown-algo", "no-algo", "bad-weight"])
+    ["sweep", "--instances", "i.json", "--alpha-d-values", "3,nan"],
+    ["sweep", "--instances", "i.json", "--alpha-d-values", "3,-1"],
+    ["generate", "--size", "small", "--trains", "0"],
+    ["generate", "--size", "small", "--consists", "-1"],
+    ["generate", "--size", "small", "--seed", "-1"],
+    ["solve", "--algo", "fa", "--seed", "-3", "--instance", "i.json"],
+    ["solve", "--algo", "pla", "--alpha-f", "-1", "--instance", "i.json"],
+    ["solve", "--algo", "pla", "--alpha-d", "inf", "--instance", "i.json"],
+    ["solve", "--algo", "pla", "--gap", "nan", "--instance", "i.json"],
+    ["solve", "--algo", "bd", "--time-limit", "nan", "--instance", "i.json"],
+    ["solve", "--algo", "pla", "--time-limit", "-1", "--instance", "i.json"],
+    ["solve", "--algo", "pla", "--time-limit", "0", "--instance", "i.json"],
+    ["validate", "--instance", "i.json", "--tolerance", "nan",
+     "--solution", "s.json"],
+    ["validate", "--instance", "i.json", "--tolerance", "-0.1",
+     "--solution", "s.json"],
+], ids=["unknown-algo", "no-algo", "bad-weight", "nan-weight",
+        "negative-weight", "zero-trains", "negative-consists",
+        "negative-seed", "negative-solve-seed",
+        "negative-alpha-f", "infinite-alpha-d", "nan-gap", "nan-time-limit",
+        "negative-time-limit", "zero-time-limit", "nan-tolerance",
+        "negative-tolerance"])
 def test_malformed_list_flags_are_usage_errors(argv, capsys):
     # refused while parsing, before any instance file is opened
     assert main(argv) == 2

@@ -9,6 +9,7 @@ from railvolt.domain import InfeasibleError, SolveConfig
 from railvolt.fixalg import (_argmax, _nearest_deployed, compute_benefit,
                              compute_supply_demand, initialize_deployment,
                              run_fix_algorithm, station_supply)
+from railvolt.generator import GenSpec, generate_instance
 from railvolt.validator import simulate_schedule
 
 from conftest import tiny_corridor
@@ -29,6 +30,22 @@ def test_supply_demand_on_reference(golden):
     assert demand == pytest.approx(15.98, abs=0.02)
     assert onboard == pytest.approx(6.0, abs=1e-12)
     assert deficit == pytest.approx(9.98, abs=0.02)
+
+
+def test_onboard_counts_only_batteries_a_consist_can_hold():
+    # two trains of 2 consists with an allowance of 3 carry 2 batteries each
+    inst = tiny_corridor(37, n_trains=2, consists=2, max_batteries=3)
+    demand, onboard, deficit = compute_supply_demand(inst)
+    assert onboard == 4.0
+    assert deficit == pytest.approx(max(0.0, demand - 4.0), abs=1e-12)
+
+
+def test_seed_covers_the_deficit_of_the_full_load():
+    # the deficit of 4 batteries aboard, not 6, takes a third station
+    inst = generate_instance(GenSpec(size_class="medium", n_trains=2,
+                                     consists_per_train=2, seed=1))
+    deployed, _ = initialize_deployment(inst, SolveConfig())
+    assert sorted(deployed) == [4, 8, 10]
 
 
 def test_station_supply_counts_stock_and_charger_sessions(golden):

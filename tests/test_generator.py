@@ -7,8 +7,7 @@ import pytest
 
 from railvolt.domain import validate_instance
 from railvolt.generator import (
-    GenSpec, energy_between, generate_instance, illustrative_instance,
-    travel_hours, MIN_LEG_KM,
+    GenSpec, generate_instance, illustrative_instance, MIN_LEG_KM,
 )
 
 
@@ -89,18 +88,6 @@ def test_mean_distance_matches_distribution():
         t = inst.travel_time[0]
         legs.extend(t[i, i + 1] for i in range(inst.n_stations - 1))
     assert 3.3 <= float(np.mean(legs)) <= 4.2
-
-
-def test_unit_helpers():
-    assert energy_between(7000.0 / 30.0, 30.0, 7000.0) == pytest.approx(1.0)
-    assert travel_hours(250.0, 100.0) == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        energy_between(-1.0, 30.0, 7000.0)
-    with pytest.raises(ValueError):
-        travel_hours(100.0, 0.0)
-    # array form used by the matrix builder
-    arr = energy_between(np.array([70.0, 140.0]), 30.0, 7000.0)
-    assert np.allclose(arr, [0.3, 0.6])
 
 
 def test_illustrative_instance_fixed_numbers():

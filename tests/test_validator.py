@@ -1,7 +1,9 @@
 """Independent schedule replay and the exhaustive tiny-instance search."""
 
 import copy
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -188,6 +190,20 @@ def test_detects_operations_at_endpoints(fixture_pair):
     assert any("endpoint" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
+def test_tolerance_must_be_a_finite_number_at_least_zero(fixture_pair,
+                                                         tolerance):
+    # every comparison with nan is false: a nan tolerance would pass any
+    # SOC claim, and this one is off by a full battery
+    inst, sol = fixture_pair
+    bad = _mutable(sol)
+    bad.soc_depart[0][1][0] = 0.0
+    assert any("departure SOC" in v
+               for v in simulate_schedule(inst, bad).violations)
+    with pytest.raises(ValueError, match="tolerance"):
+        simulate_schedule(inst, bad, tolerance=tolerance)
+
+
 def test_shape_mismatch_is_refused(fixture_pair):
     inst, sol = fixture_pair
     bad = _mutable(sol)
@@ -246,6 +262,78 @@ def test_brute_force_grid_refinement_never_hurts():
     coarse, _ = brute_force_best(inst, time_step=2.0)
     fine, _ = brute_force_best(inst, time_step=0.5)
     assert fine <= coarse + 1e-9
+
+
+def _digest(records) -> str:
+    return hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+def _tampered(inst, sol, rng):
+    """A copy of ``sol`` with one seeded field of one stop changed."""
+    bad = _mutable(sol)
+    j = rng.randrange(inst.n_trains)
+    i = rng.randrange(inst.n_stations)
+    k = rng.randrange(inst.consists(j))
+    what = rng.randrange(10)
+    if what == 0:
+        bad.swap[j][i][k] ^= 1
+    elif what == 1:
+        bad.charge[j][i][k] ^= 1
+    elif what == 2:
+        bad.charge_hours[j][i][k] = rng.uniform(0.0, 3.0)
+    elif what == 3:
+        bad.soc_arrive[j][i][k] = rng.random()
+    elif what == 4:
+        bad.soc_depart[j][i][k] = rng.random()
+    elif what == 5:
+        bad.arrive[j][i] += rng.uniform(-1.0, 1.0)
+    elif what == 6:
+        bad.depart[j][i] += rng.uniform(-1.0, 1.0)
+    elif what == 7:
+        bad.delay[j][i] = rng.uniform(0.0, 2.0)
+    elif what == 8:
+        bad.has_battery[j][k] ^= 1
+    else:
+        bad.deployed = sorted(set(bad.deployed)
+                              ^ {rng.choice(list(inst.interior))})
+    return bad
+
+
+def test_replay_reports_are_pinned(fixture_pair):
+    # the replay's verdicts on 40 seeded tampered copies of the worked
+    # schedule, at the loose and the strict tolerance, pinned by hash so a
+    # refactor of the oracle cannot change one unnoticed
+    inst, sol = fixture_pair
+    reports = []
+    for seed in range(40):
+        bad = _tampered(inst, sol, random.Random(seed))
+        for tolerance in (0.05, 1e-4):
+            reports.append(
+                simulate_schedule(inst, bad, tolerance=tolerance).as_dict())
+    assert sum(not r["ok"] for r in reports) > 40
+    assert _digest(reports) == "c272e9f45fda0c85"
+
+
+def test_brute_force_results_are_pinned():
+    # optima of tiny corridors with 1 or 2 trains, 1 or 2 consists and
+    # allowances below, at and above the consist count, pinned by hash
+    results = []
+    for seed in range(4):
+        for n_trains in (1, 2):
+            for consists in (1, 2):
+                for max_batteries in (1, 2, 3):
+                    inst = tiny_corridor(
+                        seed, n_interior=2 + seed % 2, n_trains=n_trains,
+                        consists=consists, max_batteries=max_batteries,
+                        energy_lo=(0.35, 0.2, 0.8, 0.35)[seed],
+                        energy_hi=(0.85, 0.6, 1.6, 0.85)[seed],
+                        wait_hours=0.3 * seed)
+                    obj, sol = brute_force_best(inst)
+                    results.append((obj, sol.to_dict()))
+    assert {math.isinf(obj) for obj, _ in results} == {False, True}
+    assert any(any(map(any, sum(sol["charge"], [])))
+               for _, sol in results)
+    assert _digest(results) == "81f78124da2966a5"
 
 
 def test_brute_force_refuses_generated_instances():
