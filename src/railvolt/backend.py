@@ -328,7 +328,9 @@ class Session:
     again. An LP re-run starts from the last basis; when such a warm run
     ends neither optimal nor infeasible, the solver is cleared and the run
     repeated once cold. A MILP re-run starts from scratch, or from the point
-    given to :meth:`set_start`. Arrays HiGHS cannot take (inconsistent
+    given to :meth:`set_start`; when it ends in HiGHS's ``Solve error`` (as
+    when HiGHS finds its own optimum violates a row by 1e-6), the solver is
+    cleared and the run repeated once. Arrays HiGHS cannot take (inconsistent
     shapes, or a model it rejects) raise :class:`BackendError` here, when
     the session is built.
     """
@@ -464,8 +466,9 @@ class Session:
                  f"time limit {seconds}")
         h.run()
         status = h.getModelStatus()
-        if self.runs and not self.has_integers \
-                and status not in (_MS.kOptimal, _MS.kInfeasible):
+        retry = status == _MS.kSolveError if self.has_integers \
+            else status not in (_MS.kOptimal, _MS.kInfeasible)
+        if self.runs and retry:
             self.clear()
             h.run()
             status = h.getModelStatus()

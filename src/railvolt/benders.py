@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _DUALITY_TOL = 1e-4
-_W_FLOOR = -1e7
 _RMP_GAP = 0.005        # relative MIP gap of every master solve
 _RMP_SECONDS = 300.0    # cap on one master solve and on the warm start
 _SMALL_COEF = 1e-9      # HiGHS drops matrix entries this small
@@ -109,6 +108,11 @@ def split_model(model: be.AbstractModel,
 # ---------------------------------------------------------------------------
 # Cuts
 # ---------------------------------------------------------------------------
+
+class NoCertificateError(be.CapabilityError):
+    """The scheduling LP is infeasible at a proposal, but its Farkas LP
+    finds no ray that proves it by more than the ray tolerance."""
+
 
 @dataclass
 class Cut:
@@ -212,7 +216,7 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
                 split.A[rows], split.senses[rows], split.u_ub)
         ray = farkas.ray(rhs)
         if ray is None:
-            raise be.CapabilityError(
+            raise NoCertificateError(
                 "no infeasibility certificate found for the scheduling LP")
         # The ray proves rho^T (b - Dm v) - sigma^T ub > 0 at v_hat, so every
         # schedulable v has rho^T Dm v >= rho^T b - sigma^T ub.
@@ -343,10 +347,12 @@ def build_rmp(split: BendersSplit,
     and the ``static`` cuts (see :func:`extra_feasibility_cuts`).
 
     Returns ``(c, A, senses, rhs, lb, ub, integrality)`` for a
-    :class:`backend.Session`. ``w`` is the last column, floored at
-    ``_W_FLOOR`` until an optimality cut bounds it; the rows are
-    ``Dm[v_only]`` and then the static cuts. ``A`` is canonical CSR without
-    stored zeros. :func:`run_benders` appends each cut to the live master.
+    :class:`backend.Session`. ``w`` is the last column, floored at the
+    least value the continuous cost can take (the sum of min(0, c_u) times
+    u's upper bound: 0, since the only continuous costs are the delay
+    weights on D >= 0); the rows are ``Dm[v_only]`` and then the static
+    cuts. ``A`` is canonical CSR without stored zeros. :func:`run_benders`
+    appends each cut to the live master.
     """
     n = split.n_v + 1
     master = split.Dm[split.v_only]
@@ -363,7 +369,8 @@ def build_rmp(split: BendersSplit,
     senses = np.concatenate([split.senses[split.v_only],
                              np.array([s for _, _, s, _ in static], "<U2")])
     rhs = np.concatenate([split.b[split.v_only], [r for *_, r in static]])
-    lb = np.append(np.zeros(split.n_v), _W_FLOOR)
+    neg = split.c_u < 0
+    lb = np.append(np.zeros(split.n_v), split.c_u[neg] @ split.u_ub[neg])
     ub = np.append(np.ones(split.n_v), np.inf)
     integrality = np.append(np.ones(split.n_v, int), 0)
     return (np.append(split.c_v, 1.0), A, senses, rhs, lb, ub, integrality)
@@ -394,11 +401,12 @@ def run_benders(instance: Instance,
     simplex) and prices the fractional proposal for its cut only. The phase
     stops at the first point cut whose LP objective does not improve on
     the best LP objective so far, at a cut the master already has, at an LP
-    run that does not end optimal, or at the time limit; then integrality
-    is restored. A fractional proposal never sets the incumbent or the
-    upper bound, and the LP bound never stops the loop. ``info`` records
-    ``lp_rounds`` (LP proposals priced) and ``lp_stop``
-    ("no-progress", "repeat", "status" or "time").
+    run that does not end optimal, at a proposal whose infeasibility the
+    Farkas LP cannot certify, or at the time limit; then integrality is
+    restored. A fractional proposal never sets the incumbent or the upper
+    bound, and the LP bound never stops the loop. ``info`` records
+    ``lp_rounds`` (LP proposals priced) and ``lp_stop`` ("no-progress",
+    "repeat", "status", "certificate" or "time").
 
     Each integer round then solves the master (lower bound) to a 0.5 % MIP
     gap under the warm start's time cap, prices its proposal (cut and
@@ -413,13 +421,13 @@ def run_benders(instance: Instance,
     stays in one session, which is the only store of the cuts. Pricing a
     proposal is the one place a cut joins it: each cut not seen before (same
     kind, coefficients and rhs to 9 decimals) is appended in arrival order,
-    ``coef·v + w >= rhs`` for a point and ``coef·v >= rhs`` for a ray, and
-    ``w`` is freed at the first optimality cut. Before each solve the master
-    gets a MIP start at the incumbent v* with w = max over the optimality
-    cuts of (rhs - coef·v*). Pricing keeps the scheduling LP and its Farkas
-    LP in two sessions of their own (see :func:`solve_subproblem_dual`).
-    ``info`` reports the cut counts and the bound log; to audit the cuts,
-    read the master's rows back from its session.
+    ``coef·v + w >= rhs`` for a point and ``coef·v >= rhs`` for a ray.
+    Before each solve the master gets a MIP start at the incumbent v* with
+    w = max over the optimality cuts of (rhs - coef·v*). Pricing keeps the
+    scheduling LP and its Farkas LP in two sessions of their own (see
+    :func:`solve_subproblem_dual`). ``info`` reports the cut counts and the
+    bound log; to audit the cuts, read the master's rows back from its
+    session.
     """
     cfg = config or SolveConfig()
     started = time.perf_counter()
@@ -471,8 +479,6 @@ def run_benders(instance: Instance,
         if fresh:
             if point:
                 optimality.append(cut)
-                if len(optimality) == 1:  # cuts bound the epigraph from now on
-                    master.set_bounds([split.n_v], [-np.inf], [np.inf])
             else:
                 n_rays += 1
             # w has coefficient 1 in the optimality cuts only
@@ -494,7 +500,11 @@ def run_benders(instance: Instance,
         if relaxed.status != "optimal":
             lp_stop = "status"
             break
-        kind, fresh = price(relaxed.primal[:split.n_v], integral=False)
+        try:
+            kind, fresh = price(relaxed.primal[:split.n_v], integral=False)
+        except NoCertificateError:
+            lp_stop = "certificate"
+            break
         lp_rounds += 1
         if not fresh:
             lp_stop = "repeat"

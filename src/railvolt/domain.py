@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
-from typing import ClassVar, List, Optional, Tuple
+from typing import Callable, ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -336,7 +336,7 @@ def validate_instance(inst: Instance) -> List[str]:
 # ---------------------------------------------------------------------------
 
 # Big-M for rows on the SOC scale (sequential-battery linking and the PLA
-# departure/surface rows). SOC lives in [0, 1], so 2 is always enough.
+# departure rows). SOC lives in [0, 1], so 2 is always enough.
 SOC_BIG_M = 2.0
 
 
@@ -447,6 +447,66 @@ def empty_solution(instance: Instance, status: str, algorithm: str,
         objective_value=float("inf"), status=status,
         wall_seconds=wall_seconds, algorithm=algorithm, info=info or {},
     )
+
+
+def plan_from_actions(instance: Instance, deployed, has_battery,
+                      actions: Callable, status: str, algorithm: str,
+                      config: Optional[SolveConfig] = None) -> Solution:
+    """The plan that per-stop actions make, simulated forward from the
+    origin on the exact charge curve.
+
+    Each train leaves the origin at time 0 with its carried batteries
+    (``has_battery[j]``) full. At station i, ``actions(j, i, soc)`` gives
+    its (swap flags, charge flags, charge hours), one entry per consist,
+    from the SOCs it arrives with. A swapped battery leaves full, and one
+    charged for hours > 0 follows :func:`soc_after_charging`. The stop lasts
+    the planned wait, the swap time when a battery is swapped, or the
+    longest charge, whichever is longest, and the legs drain the batteries
+    front first. The objective is the weighted setup cost plus the weighted
+    delay beyond the planned waits.
+    """
+    cfg = config or SolveConfig()
+    S = instance.n_stations
+    sol = empty_solution(instance, status, algorithm)
+    sol.deployed = sorted(deployed)
+    for j in range(instance.n_trains):
+        K = instance.consists(j)
+        sol.has_battery[j] = [int(c) for c in has_battery[j]]
+        soc = [1.0 if c else 0.0 for c in has_battery[j]]
+        clock = 0.0
+        for i in range(S):
+            wait = float(instance.wait_time[i, j])
+            sol.arrive[j][i] = clock
+            sol.battery_nonempty[j][i] = [int(s > 1e-9) for s in soc]
+            sol.soc_arrive[j][i] = list(soc)
+            swap, charge, hours = actions(j, i, soc)
+            sol.swap[j][i] = list(swap)
+            sol.charge[j][i] = list(charge)
+            sol.charge_hours[j][i] = list(hours)
+            soc = [1.0 if swap[k] else
+                   soc_after_charging(soc[k], hours[k], instance.r0)
+                   if charge[k] and hours[k] > 0 else soc[k]
+                   for k in range(K)]
+            sol.soc_depart[j][i] = list(soc)
+            dwell = max(wait, instance.swap_hours if any(swap) else 0.0,
+                        max(hours))
+            clock += dwell
+            sol.depart[j][i] = clock
+            sol.delay[j][i] = max(0.0, dwell - wait)
+            if i < S - 1:
+                # front-first drain
+                need = instance.leg_energy(j, i)
+                for k in range(K):
+                    take = min(soc[k], need)
+                    soc[k] -= take
+                    need -= take
+                    if need <= 0:
+                        break
+                clock += instance.leg_time(j, i)
+    setup = sum(float(instance.fixed_cost[i]) for i in sol.deployed)
+    sol.objective_value = float(cfg.alpha_fixed * setup + cfg.alpha_delay
+                                * sum(sum(row) for row in sol.delay))
+    return sol
 
 
 @dataclass

@@ -9,7 +9,13 @@ piecewise-linear approximation (PLA) of the surface
 
 (the *uncharged fraction* after charging from SOC ``s`` for ``t`` hours):
 binary selectors pick a grid rectangle, convex weights interpolate along the
-SOC axis, and an offset variable interpolates along the time axis.
+SOC axis, and an offset variable interpolates along the time axis. One pair
+of surface rows per time interval carries the function, with the offset
+moved onto the selected SOC interval.
+
+The MILP only chooses the decisions. Every decoded plan is re-timed on the
+exact charge curve (:func:`exact_plan`), so no interpolation error reaches
+the plan a planner returns.
 
 Column order is load-bearing: all binaries come first (deployment, carry,
 charge/swap flags, nonempty-arrival flags, PLA selectors), then all
@@ -26,8 +32,8 @@ from typing import Collection, Dict, Optional, Tuple
 import numpy as np
 
 from .domain import (Instance, SolveConfig, Solution, DecodeError,
-                     InstanceError, SOC_BIG_M, empty_solution,
-                     validate_instance)
+                     InstanceError, SOC_BIG_M, charge_time_for_target,
+                     empty_solution, plan_from_actions, validate_instance)
 from . import backend as be
 
 
@@ -41,12 +47,16 @@ class PlaGrid:
 
     ``g[u, v]`` samples the uncharged-fraction surface at (s_u, t_v);
     ``w[u, v]`` is the safe (most negative is *not* wanted — the min of the
-    two corner increments) per-rectangle time-slope constant.
+    two corner increments) per-rectangle time-slope constant. ``M[v]`` is
+    the big-M of time interval v's surface rows: the largest gap, over every
+    rectangle (u, v*) and its corners, between the rectangle's value and
+    the surface that interval v's slopes put through the same corner.
     """
     s: np.ndarray          # n+1 SOC breakpoints, 0..1
     t: np.ndarray          # m+1 time breakpoints, 0..t_max
     g: np.ndarray          # (n+1, m+1) surface samples
     w: np.ndarray          # (n, m) interpolation slopes, all <= 0
+    M: np.ndarray          # (m,) surface-row big-Ms
 
     @property
     def n(self) -> int:
@@ -67,7 +77,14 @@ def build_pla_grid(n: int, m: int, t_max: float, r0: float) -> PlaGrid:
     g = (1.0 - s)[:, None] * (1.0 - r0) ** t[None, :]
     dg = g[:, 1:] - g[:, :-1]          # time-direction increments
     w = np.minimum(dg[:-1, :], dg[1:, :])
-    return PlaGrid(s=s, t=t, g=g, w=w)
+    # Value at each rectangle corner: SOC endpoint s_u or s_u+1, time
+    # offset 0 or 1; along v only the rectangle's own time interval varies.
+    corners = np.stack([low + offset * w for low in (g[:-1, :-1], g[1:, :-1])
+                        for offset in (0.0, 1.0)])
+    spread = np.maximum(corners.max(axis=2, keepdims=True) - corners,
+                        corners - corners.min(axis=2, keepdims=True))
+    M = spread.max(axis=(0, 1))
+    return PlaGrid(s=s, t=t, g=g, w=w, M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +188,7 @@ def build_model(instance: Instance,
     gamma_of = family("gamma", per_slot(grid.n + 1), upper=1.0)
     eta_of = family("eta", per_slot(grid.m + 1), upper=1.0)
     F_of = family("F", slots)
+    xi_of = family("xi", per_slot(grid.n), upper=1.0)
     vm.n_cols = model.n_cols
 
     # The objective counts delay beyond the planned waits: subtract the
@@ -319,22 +337,30 @@ def build_model(instance: Instance,
                 soc + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
 
     # ---- PLA block: departure SOC after charging --------------------------
-    # A slot's surface sandwich rows go in cell by cell (u-major), the upper
-    # row before the lower. Only their columns vary by slot; each reads
-    #   F - sum_u' g[u', v] gamma_u' - w[u, v] eta_v +/- Ms (tau_v + beta_u)
-    # against +/- 2 Ms, with its entries in that order.
+    # A slot's last rows tie the time offset to the selected rectangle:
+    # xi_u <= beta_u for each SOC interval u, sum_u xi_u = sum_{v<m} eta_v,
+    # then an upper and a lower surface row per time interval v, reading
+    #   F - sum_u' g[u', v] gamma_u' - sum_u w[u, v] xi_u +/- M_v tau_v
+    # against +/- M_v, with the entries in that order. At an integer point
+    # xi carries eta only on the selected SOC interval, so the selected
+    # interval's pair pins F to the rectangle's value, and M_v (see
+    # PlaGrid) switches the other pairs off. Only the columns vary by slot.
     n, m = grid.n, grid.m
-    cell_u = np.repeat(np.arange(n), m)
-    cell_v = np.tile(np.arange(m), n)
-    cell_ids = [f"_{u}_{v}" for u, v in zip(cell_u, cell_v)]
-    common = np.column_stack([np.ones(len(cell_u)), -grid.g[:, cell_v].T,
-                              -grid.w[cell_u, cell_v]])
-    big = np.full((len(cell_u), 2), Ms)
-    surface_values = np.stack(
-        [np.hstack([common, big]), np.hstack([common, -big])], axis=1).ravel()
-    surface_indptr = np.arange(0, len(surface_values) + 1, n + 5)
-    surface_senses = np.tile([be.LE, be.GE], len(cell_u))
-    surface_rhs = np.tile([2.0 * Ms, -2.0 * Ms], len(cell_u))
+    surface = np.hstack([np.ones((m, 1)), -grid.g[:, :m].T, -grid.w.T])
+    big = grid.M[:, None]
+    block_values = np.concatenate([
+        np.tile([1.0, -1.0], n),
+        np.ones(n), -np.ones(m),
+        np.stack([np.hstack([surface, big]), np.hstack([surface, -big])],
+                 axis=1).ravel()])
+    block_indptr = np.cumsum([0] + [2] * n + [n + m] + [2 * n + 3] * 2 * m)
+    block_senses = [be.LE] * n + [be.EQ] + [be.LE, be.GE] * m
+    block_rhs = np.concatenate([np.zeros(n + 1),
+                                np.column_stack([grid.M, -grid.M]).ravel()])
+    block_ids = ([("pla_xi_in", f"_{u}") for u in range(n)]
+                 + [("pla_xi_sum", "")]
+                 + [(f"pla_surface_{side}", f"_{v}") for v in range(m)
+                    for side in ("ub", "lb")])
 
     for slot in slots:
         tag = "_%d_%d_%d" % slot
@@ -383,17 +409,16 @@ def build_model(instance: Instance,
             add(f"pla_{name}{tag}", [(col, 1.0), (selector, -1.0)],
                 be.LE, 0.0)
 
-        # Surface sandwich, active only on the selected rectangle.
-        cols = np.column_stack([
-            np.full(len(cell_u), F),
-            np.broadcast_to(gamma, (len(cell_u), n + 1)),
-            np.asarray(eta)[cell_v], np.asarray(tau)[cell_v],
-            np.asarray(beta)[cell_u]])
+        xi = [xi_of[slot + (u,)] for u in range(n)]
+        surface_cols = np.column_stack([
+            np.full(m, F), np.broadcast_to(gamma, (m, n + 1)),
+            np.broadcast_to(xi, (m, n)), tau])
         model.add_rows(
-            [p + tag + cell for cell in cell_ids
-             for p in ("pla_surface_ub", "pla_surface_lb")],
-            surface_indptr, np.repeat(cols, 2, axis=0).ravel(),
-            surface_values, surface_senses, surface_rhs)
+            [prefix + tag + suffix for prefix, suffix in block_ids],
+            block_indptr,
+            np.concatenate([np.column_stack([xi, beta]).ravel(), xi, eta[:m],
+                            np.repeat(surface_cols, 2, axis=0).ravel()]),
+            block_values, block_senses, block_rhs)
 
     return model, vm
 
@@ -434,7 +459,8 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
     Binaries are rounded, SOC/time values clamped to their bounds; any
     violation beyond 1e-4, or an objective that does not recompute from the
     decoded variables, is a decode error (it would mean the model and the
-    decoder disagree).
+    decoder disagree). The schedule returned is the decoded one re-timed on
+    the exact charge curve (:func:`exact_plan`).
     """
     if outcome.primal is None:
         raise DecodeError(f"no primal point to decode (status {outcome.status})")
@@ -493,6 +519,45 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
             f"recomputed {recomputed!r}")
     sol.objective_value = float(recomputed)
     sol.bound, sol.gap = outcome.best_bound, outcome.gap
+    return exact_plan(sol, inst, cfg)
+
+
+def exact_plan(decoded: Solution, instance: Instance,
+               config: SolveConfig) -> Solution:
+    """``decoded``'s decisions, re-timed on the exact charge curve.
+
+    The deployment, the loadout and the swap and charge flags stay. Each
+    flagged battery charges from its exact arrival SOC to its decoded
+    departure SOC (for at most ``t_max`` hours, the longest charge the model
+    knows; a departure SOC of 1 is unreachable and gets ``t_max``), and
+    dwell, times, delay and the objective follow
+    (:func:`~railvolt.domain.plan_from_actions`). A charge that needs no
+    time loses its flag. The MILP's own objective stays in
+    ``info["model_objective"]``; ``bound`` and ``gap`` stay the MILP's, and
+    ``info["capped_charges"]`` counts the charges cut to ``t_max``.
+    """
+    capped = 0
+
+    def actions(j, i, soc):
+        nonlocal capped
+        charge, hours = list(decoded.charge[j][i]), [0.0] * len(soc)
+        for k, flagged in enumerate(charge):
+            target = decoded.soc_depart[j][i][k]
+            if flagged and target > soc[k]:
+                need = charge_time_for_target(soc[k], target, instance.r0) \
+                    if target < 1.0 else math.inf
+                hours[k] = min(need, config.t_max)
+                capped += need > config.t_max
+            charge[k] = int(hours[k] > 0)
+        return decoded.swap[j][i], charge, hours
+
+    sol = plan_from_actions(instance, decoded.deployed, decoded.has_battery,
+                            actions, decoded.status, decoded.algorithm,
+                            config)
+    sol.bound, sol.gap = decoded.bound, decoded.gap
+    sol.wall_seconds = decoded.wall_seconds
+    sol.info = dict(decoded.info, model_objective=decoded.objective_value,
+                    capped_charges=capped)
     return sol
 
 

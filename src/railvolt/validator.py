@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .domain import (Instance, Metrics, Solution, SolveConfig, RailvoltError,
-                     empty_solution, soc_after_charging)
+                     empty_solution, plan_from_actions, soc_after_charging)
 
 
 class SolutionShapeError(RailvoltError):
@@ -317,10 +317,14 @@ def brute_force_best(instance: Instance, config: Optional[SolveConfig] = None,
     """Exhaustive optimum over deployments x per-stop actions.
 
     Charge durations are gridded at ``time_step`` (up to the configured
-    maximum charge duration), so the result is exact up to that grid. Only
+    maximum charge duration), so the result is exact up to that grid;
+    ``time_step`` must be a finite number > 0 (ValueError otherwise). Only
     tiny instances are accepted; anything larger raises
     :class:`SearchSpaceError` with a size estimate.
     """
+    if not (math.isfinite(time_step) and time_step > 0):
+        raise ValueError(
+            f"time_step must be a finite number > 0, got {time_step!r}")
     inst = instance
     cfg = config or SolveConfig()
     interior = list(inst.interior)
@@ -350,36 +354,52 @@ def brute_force_best(instance: Instance, config: Optional[SolveConfig] = None,
             if setup >= best_obj:
                 continue  # delay costs are nonnegative; cannot improve
             total = setup
-            plans = []
+            policies = []
             feasible = True
             for j in range(inst.n_trains):
-                cost, plan = _best_train_plan(inst, cfg, j, deployed, durations)
+                cost, policy = _best_train_plan(inst, cfg, j, deployed,
+                                                durations)
                 if cost is None:
                     feasible = False
                     break
                 total += cost
-                plans.append(plan)
+                policies.append(policy)
                 if total >= best_obj:
                     feasible = False  # dominated; lexicographic-first wins ties
                     break
             if feasible and total < best_obj:
                 best_obj = total
-                best = (deployed, plans)
+                best = (deployed, policies)
 
     if best is None:
         return math.inf, empty_solution(instance, "infeasible", "brute-force")
-    return best_obj, _assemble(inst, best[0], best[1], best_obj)
+    deployed, policies = best
+    sol = plan_from_actions(
+        inst, deployed, [[int(k < inst.trains[j].full_load)
+                          for k in range(inst.consists(j))]
+                         for j in range(inst.n_trains)],
+        lambda j, i, soc: policies[j](i, soc), "optimal", "brute-force", cfg)
+    sol.objective_value = sol.bound = float(best_obj)
+    sol.gap = 0.0
+    return best_obj, sol
 
 
 def _best_train_plan(inst, cfg, j, deployed, durations):
-    """Min extra-delay plan for one train, or (None, None) if stranded."""
+    """Min extra-delay cost for one train and its optimal policy, or
+    (None, None) if stranded.
+
+    The policy maps a station and the SOCs the train arrives there with to
+    the stop's best (swap, charge, hours), as :func:`_station_actions` gives
+    them; following it from the origin gives the optimal plan.
+    """
     S = inst.n_stations
     K = inst.consists(j)
     carried = [k < inst.trains[j].full_load for k in range(K)]
     dep_set = set(deployed)
+    idle = ((0,) * K, (0,) * K, (0.0,) * K)
     action_cache = {i: _station_actions(inst, j, i, durations)
                     for i in dep_set}
-    memo: Dict[Tuple[int, Tuple[int, ...]], Tuple[Optional[float], Optional[list]]] = {}
+    memo: Dict[Tuple[int, Tuple[int, ...]], Tuple[Optional[float], tuple]] = {}
 
     def arrival_ok(soc):
         # zeros, then one partial, then fulls (carried consists only)
@@ -390,15 +410,16 @@ def _best_train_plan(inst, cfg, j, deployed, durations):
 
     def go(i, soc):
         if i == S - 1:
-            return 0.0, []
+            return 0.0, idle
         key = (i, tuple(round(s, 9) for s in soc))
         if key in memo:
             return memo[key]
-        best_cost, best_plan = None, None
+        best_cost, best_action = None, None
         options = action_cache.get(i) if i in dep_set else None
         if options is None or i == 0:
-            options = [((0,) * K, (0,) * K, (0.0,) * K)]
-        for swap, charge, hours in options:
+            options = [idle]
+        for action in options:
+            swap, charge, hours = action
             after = _after_stop(soc, swap, charge, hours, inst.r0)
             dwell = max(float(inst.wait_time[i, j]),
                         inst.swap_hours if any(swap) else 0.0,
@@ -407,52 +428,16 @@ def _best_train_plan(inst, cfg, j, deployed, durations):
             nxt, unmet = _drain(after, inst.leg_energy(j, i))
             if unmet > 1e-9 or not arrival_ok(nxt):
                 continue
-            rest = go(i + 1, nxt)
-            if rest[0] is None:
+            rest, _ = go(i + 1, nxt)
+            if rest is None:
                 continue
-            cost = step_cost + rest[0]
+            cost = step_cost + rest
             if best_cost is None or cost < best_cost - 1e-12:
-                best_cost = cost
-                best_plan = [(i, swap, charge, hours, dwell)] + rest[1]
-        memo[key] = (best_cost, best_plan)
+                best_cost, best_action = cost, action
+        memo[key] = (best_cost, best_action)
         return memo[key]
 
     start = [1.0 if carried[k] else 0.0 for k in range(K)]
-    cost, plan = go(0, start)
-    return (None, None) if cost is None else (cost, plan)
-
-
-def _assemble(inst, deployed, plans, objective) -> Solution:
-    """Build a full Solution (times, SOCs, flags) from per-train plans."""
-    S = inst.n_stations
-    sol = empty_solution(inst, "optimal", "brute-force")
-    sol.deployed = sorted(deployed)
-    sol.objective_value = float(objective)
-    sol.bound = float(objective)
-    sol.gap = 0.0
-    for j, plan in enumerate(plans):
-        K = inst.consists(j)
-        carried = [k < inst.trains[j].full_load for k in range(K)]
-        sol.has_battery[j] = [int(c) for c in carried]
-        steps = {i: actions for i, *actions in plan}
-        soc = [1.0 if carried[k] else 0.0 for k in range(K)]
-        clock = 0.0
-        for i in range(S):
-            sol.arrive[j][i] = clock
-            sol.battery_nonempty[j][i] = [int(soc[k] > 1e-9) for k in range(K)]
-            sol.soc_arrive[j][i] = list(soc)
-            swap, charge, hours, dwell = steps.get(
-                i, ((0,) * K, (0,) * K, (0.0,) * K,
-                    float(inst.wait_time[i, j])))
-            sol.swap[j][i] = list(swap)
-            sol.charge[j][i] = list(charge)
-            sol.charge_hours[j][i] = list(hours)
-            soc = _after_stop(soc, swap, charge, hours, inst.r0)
-            sol.soc_depart[j][i] = list(soc)
-            clock += dwell
-            sol.depart[j][i] = clock
-            sol.delay[j][i] = max(0.0, dwell - float(inst.wait_time[i, j]))
-            if i < S - 1:
-                soc, _ = _drain(soc, inst.leg_energy(j, i))
-                clock += inst.leg_time(j, i)
-    return sol
+    cost, _ = go(0, start)
+    return (None, None) if cost is None else \
+        (cost, lambda i, soc: go(i, soc)[1])

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from railvolt import backend as be, benders
 from railvolt.domain import Instance, SolveConfig, Train, leg_sums
+from railvolt.fixalg import run_fix_algorithm
 from railvolt.generator import illustrative_instance
 from railvolt.model import build_model, solve_pla
 
@@ -105,6 +106,16 @@ def golden_pla(golden, golden_config):
     sol = solve_pla(golden, golden_config, keep_primal=True)
     assert sol.status == "optimal-within-gap", sol.status
     return sol
+
+
+@pytest.fixture(scope="session")
+def fa_60(golden):
+    return run_fix_algorithm(golden, SolveConfig(time_limit_seconds=60.0))
+
+
+@pytest.fixture(scope="session")
+def bd_150(golden):
+    return benders.run_benders(golden, SolveConfig(time_limit_seconds=150.0))
 
 
 def tiny_corridor(seed: int, n_interior: int = 2, n_trains: int = 1,

@@ -6,8 +6,8 @@ and the oracle values recomputed independently in the unit suites.  Two
 checks are marked strict-xfail: the greedy heuristic's historically
 reported plan and the decomposition's quality target on the worked
 example are not reproducible by a faithful implementation (the
-decomposition's warm-start MILP uses its whole budget, so the loop never
-runs; details in the repository notes).  They are asserted as stated and
+decomposition's master bound stays far below its incumbent within the
+budget; details in the repository notes).  They are asserted as stated and
 expected to fail, never weakened.
 """
 
@@ -48,21 +48,6 @@ SWEEP_SEEDS = (1, 4, 5, 6, 7, 8, 9, 10, 11, 12)
 def _verdict(item: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {item}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"acceptance item {item}: {detail}"
-
-
-# ---------------------------------------------------------------------------
-# Shared expensive solves
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def fa_60(golden):
-    return run_fix_algorithm(golden, SolveConfig(time_limit_seconds=60.0))
-
-
-@pytest.fixture(scope="module")
-def bd_150(golden):
-    return run_benders(golden, SolveConfig(time_limit_seconds=150.0))
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +94,12 @@ def test_2a_greedy_matches_reported_plan(golden, fa_60):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="on the worked example the warm start (the all-deployed, fully "
-           "loaded schedule MILP) uses the whole 150 s budget, so the loop "
-           "runs 0 iterations and bd returns the warm incumbent (129.17 at "
-           "stations 1-4, termination feasible-limit), 36% above the "
-           "reference")
+    reason="on the worked example bd runs out of its 150 s budget with the "
+           "bound gap still at 0.38: the warm start and the LP phase (144 "
+           "rounds, ending at a proposal the Farkas LP cannot certify) take "
+           "about 34 s, and the ~555 integer masters after them lift the "
+           "lower bound only to 70.13, so bd returns 113.63 at stations 1, "
+           "2, 4 (termination feasible-limit), 20% above the reference")
 def test_2b_decomposition_reaches_reference_quality(bd_150):
     rel = abs(bd_150.objective_value - PLA_OBJECTIVE) / PLA_OBJECTIVE
     ok = rel <= 0.05

@@ -331,6 +331,39 @@ def test_session_integrality_relaxes_and_restores():
     assert session.has_integers
 
 
+def test_milp_rerun_after_a_solve_error_goes_again_cold():
+    # HiGHS can end a MILP re-run in "Solve error" when it finds its own
+    # optimum off a row by 1e-6; the session clears the solver and runs
+    # once more, and that run's answer is the outcome.
+    session = be.Session(np.array([-5.0, -4.0]), sp.csr_matrix([[6.0, 4.0]]),
+                         np.array(["<="]), np.array([9.0]), np.zeros(2),
+                         np.ones(2), np.array([1, 1]))
+    assert session.run().status == "optimal"
+
+    class OneSolveError:
+        def __init__(self, highs):
+            self.highs, self.calls = highs, []
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def getModelStatus(self):
+            self.calls.append("status")
+            if len(self.calls) == 1:
+                return be._MS.kSolveError
+            return self.highs.getModelStatus()
+
+        def clearSolver(self):
+            self.calls.append("clear")
+            return self.highs.clearSolver()
+
+    session._highs = flaky = OneSolveError(session._highs)
+    again = session.run()
+    assert flaky.calls == ["status", "clear", "status"]
+    assert again.status == "optimal"
+    assert again.objective == pytest.approx(-5.0)
+
+
 def test_session_time_limit_applies_to_each_run():
     # HiGHS's own run clock adds up over a session's runs. The limit must
     # not: runs of a small knapsack, each far below 0.25 s, add up past it

@@ -36,7 +36,7 @@ def _incumbent_v(split, pla_solution):
 def test_split_census_on_reference(golden, reference_split):
     model, vm, split = reference_split
     assert split.n_v == 574
-    assert split.n_u == model.n_cols - 574 == 684
+    assert split.n_u == model.n_cols - 574 == 924
     assert set(np.unique(split.senses)) <= {">=", "="}
     assert int(split.v_only.sum()) == 156
     # deployment costs sit in the binary block, delay costs in the
@@ -115,9 +115,10 @@ def test_pricing_the_reference_incumbent(golden, golden_pla, reference_split):
     kind, cut, u = solve_subproblem_dual(split, v_star)
     assert kind == "point"
     assert u is not None and len(u) == split.n_u
-    # master cost + subproblem value + constant = the incumbent objective
+    # master cost + subproblem value + constant = the MILP's objective
     total = float(split.c_v @ v_star) + cut.value + split.offset
-    assert total == pytest.approx(golden_pla.objective_value, rel=1e-4)
+    assert total == pytest.approx(golden_pla.info["model_objective"],
+                                  rel=1e-4)
     # the cut is tight at the point it was priced from (strong duality)
     assert cut.rhs - float(cut.coef @ v_star) == pytest.approx(cut.value,
                                                                abs=1e-4)
@@ -232,7 +233,8 @@ def test_gap_convention():
 
 def test_rmp_floors_w_over_the_v_only_rows(reference_split):
     # Without static cuts the master is the v-only rows alone: build_rmp
-    # stacks no cuts, and w stays floored until a cut is appended.
+    # stacks no cuts, and w is floored at the least continuous cost, 0 (the
+    # delay weights on D >= 0 are the only continuous costs).
     _, _, split = reference_split
     c, A, senses, rhs, lb, ub, integrality = build_rmp(split, [])
     n_rows = int(split.v_only.sum())
@@ -242,7 +244,7 @@ def test_rmp_floors_w_over_the_v_only_rows(reference_split):
                                   split.Dm[split.v_only].toarray())
     assert A[:, -1].nnz == 0
     assert len(senses) == len(rhs) == n_rows
-    assert lb[-1] == benders._W_FLOOR
+    assert lb[-1] == 0.0
 
 
 def test_rmp_stacks_master_rows_and_static_rows(golden, reference_split):
@@ -269,7 +271,7 @@ def test_rmp_stacks_master_rows_and_static_rows(golden, reference_split):
                              [b for _, _, _, b in static]]))
     np.testing.assert_array_equal(c, np.append(split.c_v, 1.0))
     np.testing.assert_array_equal(integrality, [1] * n + [0])
-    np.testing.assert_array_equal(lb, [0.0] * n + [benders._W_FLOOR])
+    np.testing.assert_array_equal(lb, [0.0] * (n + 1))
     np.testing.assert_array_equal(ub, [1.0] * n + [np.inf])
 
 
@@ -362,7 +364,8 @@ def test_master_is_built_once_per_run(monkeypatch):
     n_points = sum(kind == "point" for kind, _ in fresh)
     assert sol.info["n_optimality_cuts"] == n_points >= 1
     assert sol.info["n_feasibility_cuts"] == len(fresh) - n_points
-    assert master.col_lower[-1] == -np.inf
+    # w keeps its floor: the cuts bound it, and no bound is ever freed
+    assert master.col_lower[-1] == 0.0
     # no cut row is there twice (the w coefficient tells the kinds apart)
     assert len(np.unique(np.column_stack(
         [cuts, master.lower[master.n_fixed:]]), axis=0)) == len(cuts)
@@ -414,6 +417,22 @@ def test_a_fractional_proposal_never_becomes_the_plan(monkeypatch, corridor):
     assert outcome.objective == min(costs)
     v_plan = outcome.primal[:priced[0][0].n_v]
     assert np.all((v_plan == 0.0) | (v_plan == 1.0))
+
+
+def test_an_uncertified_fractional_proposal_ends_the_lp_phase(monkeypatch):
+    # A fractional proposal whose infeasibility the Farkas LP cannot certify
+    # gives no cut: the LP phase stops there and the integer loop runs on.
+    real_price = benders.solve_subproblem_dual
+
+    def uncertified(split, v):
+        if not np.array_equal(v, np.round(v)):
+            raise benders.NoCertificateError("no certificate")
+        return real_price(split, v)
+
+    monkeypatch.setattr(benders, "solve_subproblem_dual", uncertified)
+    sol = run_benders(tiny_corridor(7), SolveConfig(time_limit_seconds=120.0))
+    assert sol.info["lp_stop"] == "certificate"
+    assert sol.info["termination"] == "optimal"
 
 
 def test_loop_is_deterministic(tiny_bd):

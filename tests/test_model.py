@@ -9,9 +9,13 @@ import pytest
 from railvolt import backend as be
 from railvolt import cli
 from railvolt import model as model_mod
-from railvolt.domain import InstanceError, SolveConfig
+from railvolt.domain import (InstanceError, SolveConfig,
+                             charge_time_for_target, empty_solution)
+from railvolt.generator import GenSpec, generate_instance
 from railvolt.model import (build_model, build_pla_grid, decode_solution,
-                            solve_pla)
+                            exact_plan, solve_pla)
+from railvolt.reporting import ALGORITHMS
+from railvolt.validator import simulate_schedule
 
 from conftest import tiny_corridor
 
@@ -70,6 +74,47 @@ def test_surface_fidelity_on_default_grid():
     assert worst < 0.05
 
 
+def test_surface_rows_give_every_rectangle_its_value():
+    # One slot's offset and surface rows, at every cell (u*, v*) with beta
+    # and tau fixed there and gamma, eta at each corner of the rectangle:
+    # the rows hold, the selected interval's pair pins F to the rectangle's
+    # value, and no other interval's pair needs more than its M_v.
+    model, _ = build_model(tiny_corridor(7), SolveConfig())
+    grid = build_pla_grid(SolveConfig.n, SolveConfig.m, SolveConfig.t_max,
+                          tiny_corridor(7).r0)
+    n, m, tag = grid.n, grid.m, "_1_0_0"
+    col = {c.id: i for i, c in enumerate(model.columns)}
+    prefixes = tuple(p + tag for p in ("pla_xi_in", "pla_xi_sum",
+                                       "pla_surface_ub", "pla_surface_lb"))
+    rows = [r for r, rid in enumerate(model.row_ids)
+            if rid.startswith(prefixes)]
+    assert len(rows) == 2 * m + n + 1
+    _, _, _, _, A, senses, rhs = model.arrays()
+    A, senses, rhs = A[rows], senses[rows], rhs[rows]
+    surface, worst = slice(n + 1, None), np.zeros(m)
+    for u in range(n):
+        for v in range(m):
+            for e in (u, u + 1):
+                for eta in (0.0, 1.0):
+                    x = np.zeros(model.n_cols)
+                    x[col[f"beta{tag}_{u}"]] = x[col[f"tau{tag}_{v}"]] = 1.0
+                    x[col[f"gamma{tag}_{e}"]] = 1.0
+                    x[col[f"eta{tag}_{v}"]] = x[col[f"xi{tag}_{u}"]] = eta
+                    x[col[f"F{tag}"]] = grid.g[e, v] + grid.w[u, v] * eta
+                    lhs = A @ x
+                    assert np.all(lhs[senses == "<="]
+                                  <= rhs[senses == "<="] + 1e-12)
+                    assert np.all(lhs[senses == ">="]
+                                  >= rhs[senses == ">="] - 1e-12)
+                    assert np.allclose(lhs[senses == "="], 0.0, atol=1e-12)
+                    # F - sum g gamma - sum w xi, per time interval
+                    value = lhs[surface][0::2] - grid.M * (np.arange(m) == v)
+                    assert value[v] == pytest.approx(0.0, abs=1e-12)
+                    worst = np.maximum(worst, np.abs(value))
+    # each M_v is needed by some corner, and none needs more
+    np.testing.assert_allclose(worst, grid.M, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Assembly census on the worked corridor
 # ---------------------------------------------------------------------------
@@ -77,9 +122,9 @@ def test_surface_fidelity_on_default_grid():
 
 def test_model_census_on_reference_corridor(golden):
     model, vm = build_model(golden, SolveConfig())
-    assert model.n_cols == 1258
+    assert model.n_cols == 1498
     assert vm.n_binary == 574
-    assert model.n_rows == 6166
+    assert model.n_rows == 2110
     _, _, _, integrality, *_ = model.arrays()
     # binaries occupy a contiguous prefix (the decomposition relies on it)
     assert (integrality[:vm.n_binary] == 1).all()
@@ -101,7 +146,7 @@ def test_worked_example_model_is_pinned(golden):
     model, _ = build_model(golden, SolveConfig())
     digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
     assert digest == (
-        "9d67f95153f5f97172ac9b9e1b8d75558b87ac34c0c42be2efc96f6c0299cd8d")
+        "f4dfd9c6475fe4a493808e3ae19a00975d48498a66f3a0a9ccec95f3787008e7")
 
 
 def test_build_model_rejects_invalid_instance():
@@ -172,6 +217,62 @@ def test_decode_refuses_truncated_primal(golden):
     from railvolt.domain import DecodeError
     with pytest.raises(DecodeError):
         decode_solution(fake, vm, golden)
+
+
+# ---------------------------------------------------------------------------
+# Plans re-timed on the exact charge curve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("planner", ["pla", "fa", "bd"])
+@pytest.mark.parametrize("corridor", ["worked-example", "short-haul-4"])
+def test_plans_replay_exactly(request, corridor, planner):
+    # Every plan is re-timed on the exact curve, so it replays at the strict
+    # tolerance; the MILP's own value stays beside the plan's.
+    if corridor == "worked-example":
+        inst = request.getfixturevalue("golden")
+        sol = request.getfixturevalue(
+            {"pla": "golden_pla", "fa": "fa_60", "bd": "bd_150"}[planner])
+    else:
+        inst = generate_instance(GenSpec(
+            n_trains=1, consists_per_train=1, max_batteries=1,
+            distance_mean_km=180.0, distance_sd_km=30.0, seed=4))
+        sol = ALGORITHMS[planner](inst, SolveConfig(time_limit_seconds=60.0))
+    report = simulate_schedule(inst, sol, tolerance=1e-4)
+    assert report.ok, report.violations
+    assert not report.warnings, report.warnings
+    assert report.metrics.objective == pytest.approx(sol.objective_value,
+                                                     abs=1e-9)
+    assert np.isfinite(sol.info["model_objective"])
+    assert sol.info["capped_charges"] == 0
+
+
+def test_exact_plan_keeps_decisions_and_retimes_charges():
+    # One train, one battery, a charge at station 1: to a target above the
+    # exact arrival SOC it takes exactly the hours the curve needs, to one
+    # below it none (the flag goes), and to a full battery t_max (capped).
+    inst = tiny_corridor(7)
+    cfg = SolveConfig()
+    arrival = 1.0 - inst.leg_energy(0, 0)
+    for target, hours, flag, capped in (
+            (arrival + 0.1,
+             charge_time_for_target(arrival, arrival + 0.1, inst.r0), 1, 0),
+            (arrival - 0.01, 0.0, 0, 0),
+            (1.0, cfg.t_max, 1, 1)):
+        decoded = empty_solution(inst, "optimal-within-gap", "pla")
+        decoded.deployed, decoded.has_battery = [1], [[1]]
+        decoded.charge[0][1] = [1]
+        decoded.soc_depart[0][1] = [target]
+        decoded.objective_value = 12.5
+        sol = exact_plan(decoded, inst, cfg)
+        assert sol.charge[0][1] == [flag]
+        assert sol.charge_hours[0][1] == [pytest.approx(hours, abs=1e-12)]
+        assert sol.soc_arrive[0][1] == [pytest.approx(arrival, abs=1e-12)]
+        assert sol.depart[0][1] - sol.arrive[0][1] == pytest.approx(hours)
+        assert sol.info["model_objective"] == 12.5
+        assert sol.info["capped_charges"] == capped
+        assert sol.objective_value == pytest.approx(
+            inst.fixed_cost[1] + cfg.alpha_delay * hours)
 
 
 # ---------------------------------------------------------------------------

@@ -346,3 +346,11 @@ def test_brute_force_refuses_explosive_state_counts():
     inst = tiny_corridor(29, n_interior=4, consists=2, max_batteries=2)
     with pytest.raises(SearchSpaceError):
         brute_force_best(inst, time_step=0.01, max_states=1000)
+
+
+@pytest.mark.parametrize("time_step", [0.0, -1.0, math.nan, math.inf])
+def test_brute_force_refuses_a_bad_time_step(time_step):
+    # a step of 0 divides by zero, NaN cannot grid, and a negative step
+    # grids no charge durations at all: each is refused up front
+    with pytest.raises(ValueError, match="time_step"):
+        brute_force_best(tiny_corridor(11), time_step=time_step)
