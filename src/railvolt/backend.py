@@ -323,16 +323,16 @@ class Session:
     ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1 (no
     ``integrality``: an LP). HiGHS is passed it once, as column-wise arrays;
     after that the setters change it in place (right-hand sides, costs,
-    column bounds, appended rows, and integrality: :meth:`set_integrality`
+    appended rows, and integrality: :meth:`set_integrality`
     relaxes a MILP to its LP and restores it) and :meth:`run` solves it
     again. An LP re-run starts from the last basis; when such a warm run
     ends neither optimal nor infeasible, the solver is cleared and the run
     repeated once cold. A MILP re-run starts from scratch, or from the point
-    given to :meth:`set_start`; when it ends in HiGHS's ``Solve error`` (as
-    when HiGHS finds its own optimum violates a row by 1e-6), the solver is
-    cleared and the run repeated once. Arrays HiGHS cannot take (inconsistent
-    shapes, or a model it rejects) raise :class:`BackendError` here, when
-    the session is built.
+    given to :meth:`set_start`. When a MILP run ends in HiGHS's ``Solve
+    error`` (as when HiGHS's optimum, mapped back through presolve, violates
+    a row by 1e-6), the solver is cleared and the run repeated once without
+    presolve. Arrays HiGHS cannot take (inconsistent shapes, or a model it
+    rejects) raise :class:`BackendError` here, when the session is built.
     """
 
     def __init__(self, c, A, senses, rhs, lb, ub, integrality=None,
@@ -386,11 +386,6 @@ class Session:
         _checked(self._highs.changeColsCost(
             len(c), np.arange(len(c), dtype=np.int32),
             np.asarray(c, dtype=float)), "the costs")
-
-    def set_bounds(self, cols, lb, ub) -> None:
-        _checked(self._highs.changeColsBounds(
-            len(cols), np.asarray(cols, np.int32), np.asarray(lb, dtype=float),
-            np.asarray(ub, dtype=float)), "the column bounds")
 
     def add_rows(self, A, senses, rhs) -> None:
         """Append the rows ``A x {senses} rhs`` (``A`` over every column)."""
@@ -466,9 +461,17 @@ class Session:
                  f"time limit {seconds}")
         h.run()
         status = h.getModelStatus()
-        retry = status == _MS.kSolveError if self.has_integers \
-            else status not in (_MS.kOptimal, _MS.kInfeasible)
-        if self.runs and retry:
+        if self.has_integers and status == _MS.kSolveError:
+            # HiGHS checks its optimum after postsolve; a cold run without
+            # presolve has no postsolve to leave a row 1e-6 off.
+            self.clear()
+            _checked(h.setOptionValue("presolve", "off"), "presolve off")
+            h.run()
+            status = h.getModelStatus()
+            _checked(h.setOptionValue("presolve", _DEFAULTS.presolve),
+                     "presolve back on")
+        elif self.runs and not self.has_integers \
+                and status not in (_MS.kOptimal, _MS.kInfeasible):
             self.clear()
             h.run()
             status = h.getModelStatus()

@@ -412,9 +412,14 @@ def run_benders(instance: Instance,
     gap under the warm start's time cap, prices its proposal (cut and
     possibly a better incumbent), and stops once (UB-LB)/UB <=
     benders_gap, when a proposal prices to a cut the master already has,
-    or at the time limit. ``iterations`` and ``benders_log`` count these
-    rounds only. A lower bound past the incumbent is rounding noise and is
-    clamped to it, so the reported gap is never negative.
+    when the Farkas LP cannot certify an infeasible proposal, or at the
+    time limit; ``info["termination"]`` says which ("optimal", "stalled",
+    "certificate" or "feasible-limit"). Every stop but "optimal" returns
+    the incumbent as ``feasible-time-limit``, or
+    ``time-limit-no-incumbent`` without one. ``iterations`` and
+    ``benders_log`` count these rounds only. A lower bound past the
+    incumbent is rounding noise and is clamped to it, so the reported gap
+    is never negative.
 
     HiGHS keeps its models for the whole call and no longer: the master is
     built once by :func:`build_rmp`, before the warm start is priced, and
@@ -546,7 +551,12 @@ def run_benders(instance: Instance,
             log.append(entry)
             break
 
-        entry["cut"], fresh = price(v_hat)
+        try:
+            entry["cut"], fresh = price(v_hat)
+        except NoCertificateError:
+            status = "certificate"
+            log.append(entry)
+            break
         entry.update(lower_bound=lower_bound, upper_bound=upper_bound)
         log.append(entry)
 
@@ -562,7 +572,7 @@ def run_benders(instance: Instance,
     if best_primal is None:
         return empty_solution(
             instance, "time-limit-no-incumbent", "bd", elapsed(),
-            {"benders_log": log, **lp})
+            {"benders_log": log, "termination": status, **lp})
 
     Q = len(optimality)
     outcome = be.SolveOutcome(

@@ -5,10 +5,11 @@ Reference numbers are the worked six-station example's documented results
 and the oracle values recomputed independently in the unit suites.  Two
 checks are marked strict-xfail: the greedy heuristic's historically
 reported plan and the decomposition's quality target on the worked
-example are not reproducible by a faithful implementation (the
-decomposition's master bound stays far below its incumbent within the
-budget; details in the repository notes).  They are asserted as stated and
-expected to fail, never weakened.
+example are not reproducible by a faithful implementation (within the
+budget the decomposition's master proposes almost only schedules the
+scheduling LP rejects, so its bound stays far below its incumbent, which
+stays the warm start's plan; details in the repository notes).  They are
+asserted as stated and expected to fail, never weakened.
 """
 
 import math
@@ -95,11 +96,13 @@ def test_2a_greedy_matches_reported_plan(golden, fa_60):
 @pytest.mark.xfail(
     strict=True,
     reason="on the worked example bd runs out of its 150 s budget with the "
-           "bound gap still at 0.38: the warm start and the LP phase (144 "
-           "rounds, ending at a proposal the Farkas LP cannot certify) take "
-           "about 34 s, and the ~555 integer masters after them lift the "
-           "lower bound only to 70.13, so bd returns 113.63 at stations 1, "
-           "2, 4 (termination feasible-limit), 20% above the reference")
+           "bound gap still at 0.37: the warm start and the LP phase (122 "
+           "rounds, ending no-progress) take about 6 s; the ~545 integer "
+           "masters after them mostly propose schedules the LP rejects "
+           "(only 8 of the run's ~670 cuts are optimality cuts), so the "
+           "lower bound reaches only 77.68 and the incumbent stays the "
+           "warm start's plan: bd returns 123.87 at stations 1, 2, 3, 4 "
+           "(termination feasible-limit), 31% above the reference")
 def test_2b_decomposition_reaches_reference_quality(bd_150):
     rel = abs(bd_150.objective_value - PLA_OBJECTIVE) / PLA_OBJECTIVE
     ok = rel <= 0.05

@@ -277,9 +277,8 @@ def test_time_limit_without_incumbent_reports_no_primal():
 
 
 def test_session_changes_match_a_fresh_solve():
-    # After set_rhs, set_costs, set_bounds and add_rows, a warm re-run
-    # solves the changed model: the same optimum and duals as a fresh
-    # session on it.
+    # After set_rhs, set_costs and add_rows, a warm re-run solves the
+    # changed model: the same optimum and duals as a fresh session on it.
     A = sp.csr_matrix([[1.0, 1.0], [1.0, -1.0]])
     senses = np.array([">=", "<="])
     session = be.Session(np.array([1.0, 2.0]), A, senses,
@@ -287,15 +286,14 @@ def test_session_changes_match_a_fresh_solve():
     assert session.run().objective == pytest.approx(2.5)
     session.set_rhs(np.array([4.0, 1.0]))
     session.set_costs(np.array([3.0, 1.0]))
-    session.set_bounds([0], [1.0], [2.0])
     session.add_rows(sp.csr_matrix([[0.0, 1.0]]), [">="], [3.5])
     warm = session.run()
     cold = be.Session(np.array([3.0, 1.0]), sp.vstack([A, [[0.0, 1.0]]]),
                       np.array([">=", "<=", ">="]), np.array([4.0, 1.0, 3.5]),
-                      np.array([1.0, 0.0]), np.array([2.0, 10.0])).run()
+                      np.zeros(2), np.full(2, 10.0)).run()
     assert warm.status == cold.status == "optimal"
     assert warm.objective == pytest.approx(cold.objective) \
-        == pytest.approx(6.5)
+        == pytest.approx(4.0)
     np.testing.assert_allclose(warm.primal, cold.primal, atol=1e-9)
     np.testing.assert_allclose(warm.duals, cold.duals, atol=1e-9)
 
@@ -334,7 +332,7 @@ def test_session_integrality_relaxes_and_restores():
 def test_milp_rerun_after_a_solve_error_goes_again_cold():
     # HiGHS can end a MILP re-run in "Solve error" when it finds its own
     # optimum off a row by 1e-6; the session clears the solver and runs
-    # once more, and that run's answer is the outcome.
+    # once more (without presolve), and that run's answer is the outcome.
     session = be.Session(np.array([-5.0, -4.0]), sp.csr_matrix([[6.0, 4.0]]),
                          np.array(["<="]), np.array([9.0]), np.zeros(2),
                          np.ones(2), np.array([1, 1]))
@@ -362,6 +360,45 @@ def test_milp_rerun_after_a_solve_error_goes_again_cold():
     assert flaky.calls == ["status", "clear", "status"]
     assert again.status == "optimal"
     assert again.objective == pytest.approx(-5.0)
+
+
+def test_milp_solve_error_goes_again_without_presolve():
+    # HiGHS can end a MILP run in "Solve error" when its optimum, mapped
+    # back through presolve, misses a row by 1e-6, and a cold run with
+    # presolve repeats it. So such a run, the session's first included,
+    # goes again cold without presolve; later runs presolve again.
+    session = be.Session(np.array([-5.0, -4.0]), sp.csr_matrix([[6.0, 4.0]]),
+                         np.array(["<="]), np.array([9.0]), np.zeros(2),
+                         np.ones(2), np.array([1, 1]))
+
+    class FirstRunSolveError:
+        def __init__(self, highs):
+            self.highs, self.calls = highs, []
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def getModelStatus(self):
+            self.calls.append("status")
+            if len(self.calls) == 1:
+                return be._MS.kSolveError
+            return self.highs.getModelStatus()
+
+        def setOptionValue(self, name, value):
+            if name == "presolve":
+                self.calls.append(("presolve", value))
+            return self.highs.setOptionValue(name, value)
+
+        def clearSolver(self):
+            self.calls.append("clear")
+            return self.highs.clearSolver()
+
+    session._highs = flaky = FirstRunSolveError(session._highs)
+    first = session.run()
+    assert flaky.calls == ["status", "clear", ("presolve", "off"), "status",
+                           ("presolve", be._DEFAULTS.presolve)]
+    assert first.status == "optimal"
+    assert first.objective == pytest.approx(-5.0)
 
 
 def test_session_time_limit_applies_to_each_run():

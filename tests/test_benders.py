@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from railvolt import backend as be, benders
 from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
                               run_benders, solve_subproblem_dual, split_model)
-from railvolt.domain import SolveConfig
+from railvolt.domain import SolveConfig, empty_solution
 from railvolt.generator import GenSpec, generate_instance
 from railvolt.model import build_model, solve_pla
 from railvolt.validator import simulate_schedule
@@ -36,7 +36,7 @@ def _incumbent_v(split, pla_solution):
 def test_split_census_on_reference(golden, reference_split):
     model, vm, split = reference_split
     assert split.n_v == 574
-    assert split.n_u == model.n_cols - 574 == 924
+    assert split.n_u == model.n_cols - 574 == 900
     assert set(np.unique(split.senses)) <= {">=", "="}
     assert int(split.v_only.sum()) == 156
     # deployment costs sit in the binary block, delay costs in the
@@ -433,6 +433,38 @@ def test_an_uncertified_fractional_proposal_ends_the_lp_phase(monkeypatch):
     sol = run_benders(tiny_corridor(7), SolveConfig(time_limit_seconds=120.0))
     assert sol.info["lp_stop"] == "certificate"
     assert sol.info["termination"] == "optimal"
+
+
+@pytest.mark.parametrize("warm_incumbent", [True, False])
+def test_an_uncertified_integral_proposal_ends_the_loop(monkeypatch,
+                                                        warm_incumbent):
+    # An integral proposal whose infeasibility the Farkas LP cannot certify
+    # ends the integer loop with termination "certificate": the incumbent
+    # comes back as a time-limit plan, or no plan without one.
+    real_price = benders.solve_subproblem_dual
+    priced = []
+
+    def uncertified(split, v):
+        priced.append(v)
+        if len(priced) > warm_incumbent and np.array_equal(v, np.round(v)):
+            raise benders.NoCertificateError("no certificate")
+        return real_price(split, v)
+
+    def no_warm_incumbent(instance, config, **kw):
+        return empty_solution(instance, "time-limit-no-incumbent", "pla")
+
+    monkeypatch.setattr(benders, "solve_subproblem_dual", uncertified)
+    if not warm_incumbent:
+        monkeypatch.setattr(benders, "solve_pla", no_warm_incumbent)
+    inst = tiny_corridor(7)
+    sol = run_benders(inst, SolveConfig(time_limit_seconds=120.0))
+    assert sol.info["termination"] == "certificate"
+    if warm_incumbent:
+        assert sol.status == "feasible-time-limit"
+        assert np.isfinite(sol.objective_value)
+        assert simulate_schedule(inst, sol).ok
+    else:
+        assert sol.status == "time-limit-no-incumbent"
 
 
 def test_loop_is_deterministic(tiny_bd):

@@ -10,10 +10,11 @@ from railvolt import backend as be
 from railvolt import cli
 from railvolt import model as model_mod
 from railvolt.domain import (InstanceError, SolveConfig,
-                             charge_time_for_target, empty_solution)
+                             charge_time_for_target, empty_solution,
+                             soc_after_charging)
 from railvolt.generator import GenSpec, generate_instance
-from railvolt.model import (build_model, build_pla_grid, decode_solution,
-                            exact_plan, solve_pla)
+from railvolt.model import (TANGENT_HOURS, build_model, build_pla_grid,
+                            decode_solution, exact_plan, solve_pla)
 from railvolt.reporting import ALGORITHMS
 from railvolt.validator import simulate_schedule
 
@@ -115,6 +116,49 @@ def test_surface_rows_give_every_rectangle_its_value():
     np.testing.assert_allclose(worst, grid.M, atol=1e-12)
 
 
+def test_tangent_rows_hold_at_every_exact_charge(golden):
+    # An exact charge of Tc hours from Sarr, a swap and an idle slot meet
+    # every tangent row; at Sarr = 0 the row of duration T binds at Tc = T.
+    model, vm = build_model(golden, SolveConfig())
+    rows = [r for r, rid in enumerate(model.row_ids)
+            if rid.startswith("charge_tangent_")]
+    assert len(rows) == len(TANGENT_HOURS) * len(vm.Tc)
+    _, _, _, _, A, senses, rhs = model.arrays()
+    assert set(senses[rows]) == {">="}
+    A, rhs = A[rows], rhs[rows]
+
+    def slack(Sarr, Tc, Sdep, Zs):
+        # every slot at the same point, every other column at zero; one
+        # row per slot and tangent
+        x = np.zeros(model.n_cols)
+        for columns, value in ((vm.Sarr, Sarr), (vm.Tc, Tc),
+                               (vm.Sdep, Sdep), (vm.Zs, Zs)):
+            x[[columns[slot] for slot in vm.Tc]] = value
+        return (A @ x - rhs).reshape(len(vm.Tc), len(TANGENT_HOURS))
+
+    for Sarr in np.linspace(0.0, 1.0, 11):
+        for Tc in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0):
+            charged = slack(Sarr, Tc, soc_after_charging(Sarr, Tc, golden.r0),
+                            0.0)
+            assert charged.min() >= -1e-12, (Sarr, Tc)
+            if Sarr == 0.0 and Tc in TANGENT_HOURS:
+                np.testing.assert_allclose(
+                    charged[:, TANGENT_HOURS.index(Tc)], 0.0, atol=1e-12)
+        assert slack(Sarr, 0.0, 1.0, 1.0).min() >= -1e-12        # swap
+        assert slack(Sarr, 0.0, Sarr, 0.0).min() >= -1e-12       # idle
+
+
+def test_worked_example_lp_relaxation_is_pinned(golden):
+    # The tangent rows lift the LP relaxation from 22.1056 (the PLA alone)
+    # to 26.9067.
+    model, _ = build_model(golden, SolveConfig())
+    c, lb, ub, _, A, senses, rhs = model.arrays()
+    relaxed = be.Session(c, A, senses, rhs, lb, ub,
+                         offset=model.objective_offset).run()
+    assert relaxed.status == "optimal"
+    assert relaxed.objective == pytest.approx(26.9067, abs=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # Assembly census on the worked corridor
 # ---------------------------------------------------------------------------
@@ -122,9 +166,9 @@ def test_surface_rows_give_every_rectangle_its_value():
 
 def test_model_census_on_reference_corridor(golden):
     model, vm = build_model(golden, SolveConfig())
-    assert model.n_cols == 1498
+    assert model.n_cols == 1474
     assert vm.n_binary == 574
-    assert model.n_rows == 2110
+    assert model.n_rows == 1960
     _, _, _, integrality, *_ = model.arrays()
     # binaries occupy a contiguous prefix (the decomposition relies on it)
     assert (integrality[:vm.n_binary] == 1).all()
@@ -146,7 +190,7 @@ def test_worked_example_model_is_pinned(golden):
     model, _ = build_model(golden, SolveConfig())
     digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
     assert digest == (
-        "f4dfd9c6475fe4a493808e3ae19a00975d48498a66f3a0a9ccec95f3787008e7")
+        "b491d5ced712d02d195c982bed860f4fc872f4bb8a7f5c5d6cc5b0a1e32072bf")
 
 
 def test_build_model_rejects_invalid_instance():
