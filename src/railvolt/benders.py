@@ -1,10 +1,10 @@
 """Decomposition solver: binary master problem plus continuous scheduling LP.
 
 The full MILP separates cleanly: every binary (deployment X, battery loadout
-Y, charge/swap actions Z, nonempty flags B, charge-surface cell selectors
-beta/tau) goes to a relaxed master problem (RMP); every continuous column
-(times, delays, SOC levels, surface weights) goes to a linear subproblem that
-prices a candidate master assignment. Subproblem duals feed optimality cuts,
+Y, charge/swap actions Z, nonempty flags B, SOC-interval selectors beta)
+goes to a relaxed master problem (RMP); every continuous column (times,
+delays, SOC levels, interpolation weights, charge-clock readings) goes to a
+linear subproblem that prices a candidate master assignment. Subproblem duals feed optimality cuts,
 infeasibility certificates feed feasibility cuts, and a family of static
 cuts derived from battery-order logic keeps the master from proposing
 assignments that cannot carry trains between stations.
@@ -253,7 +253,7 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     cuts: List[Tuple[str, List[Tuple[int, float]], str, float]] = []
     S = instance.n_stations
     J = range(instance.n_trains)
-    top = cfg.n - 1  # the top SOC cell of the PLA grid
+    top = cfg.n - 1  # the top SOC interval of the PLA grid
 
     for i in range(S):
         for j in J:
@@ -306,7 +306,7 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
                          [(vm.B[0, j, k], 1.0), (vm.Y[j, k], -1.0)],
                          be.GE, 0.0))
 
-    # surface-cell selectors must sit in the bottom/top SOC interval when
+    # SOC-interval selectors must sit in the bottom/top interval when
     # the nonempty flags say empty/full
     for i in instance.interior:
         for j in J:

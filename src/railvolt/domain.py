@@ -345,12 +345,11 @@ class SolveConfig:
     """Weights, limits and the seed: the settings a caller chooses.
 
     The model's fixed values are class constants, read as ``cfg.n`` and so
-    on but not settable: ``n = m = 10`` SOC-axis and time-axis segments of
-    the piecewise-linear charging surface, ``t_max = 10`` hours of longest
-    modelled charge, ``big_M = 1000`` for the big-M rows off the SOC scale
-    (battery carry, charge duration, the decomposition's static cuts),
-    ``epsilon = 1e-6``, the charge flag's slack in the departure-SOC row,
-    and ``benders_gap = 0.05``, the relative bound gap at which the
+    on but not settable: ``n = 10`` SOC intervals on which the model samples
+    the charge clock, ``t_max = 10`` hours of longest modelled charge,
+    ``big_M = 1000`` for the big-M rows off the SOC scale (battery carry,
+    charge duration, the decomposition's static cuts), and
+    ``benders_gap = 0.05``, the relative bound gap at which the
     decomposition stops.
     """
     alpha_fixed: float = 1.0
@@ -360,9 +359,7 @@ class SolveConfig:
     seed: int = 0
 
     big_M: ClassVar[float] = 1000.0
-    epsilon: ClassVar[float] = 1e-6
     n: ClassVar[int] = 10
-    m: ClassVar[int] = 10
     t_max: ClassVar[float] = 10.0
     benders_gap: ClassVar[float] = 0.05
 

@@ -2,27 +2,30 @@
 
 One binary per interior station decides deployment; per (station, train,
 consist) binaries decide swaps and charges; continuous variables track times
-and SOC. The nonlinear charging curve enters through a rectangle-method
-piecewise-linear approximation (PLA) of the surface
+and SOC. The nonlinear charging curve enters through its *charge clock*
 
-    g(s, t) = (1 - s) * (1 - r0) ** t
+    theta(s) = -ln(1 - s) / kappa,    kappa = -ln(1 - r0),
 
-(the *uncharged fraction* after charging from SOC ``s`` for ``t`` hours):
-binary selectors pick a grid rectangle, convex weights interpolate along the
-SOC axis, and an offset variable interpolates along the time axis. One pair
-of surface rows per time interval carries the function, with the offset
-moved onto the selected SOC interval. Each slot also gets one row per
-duration in :data:`TANGENT_HOURS`: a tangent of the exact, concave gain
-``1 - (1 - r0) ** t`` bounds the SOC a charge adds. Every exact charge meets
-these rows, and they tighten the rectangle method's weak LP relaxation
-(outer approximation, Duran & Grossmann 1986).
+the hours that charge an empty battery to SOC ``s``. The curve composes with
+itself, so an exact charge of Tc hours is the shift
+``theta(Sdep) = theta(Sarr) + Tc``. The model reads the clock as ``phi``:
+theta up to the SOC that ``t_max`` hours give an empty battery, continued by
+its tangent there (:class:`PlaGrid`). Binary selectors pick an SOC interval
+and convex weights interpolate the arrival SOC on it, which bounds the clock
+at arrival by a chord of the convex ``phi``; tangents of ``phi`` bound the
+clock at departure, and a charge must last at least their difference. Each
+slot also gets one row per duration in :data:`TANGENT_HOURS`: a tangent of
+the exact, concave gain ``1 - (1 - r0) ** t`` bounds the SOC a charge adds.
+Every exact charge, swap and idle slot meets all these rows, so the MILP is
+an outer approximation (Duran & Grossmann 1986) and its bound is a lower
+bound on the exact-curve optimum.
 
 The MILP only chooses the decisions. Every decoded plan is re-timed on the
-exact charge curve (:func:`exact_plan`), so no interpolation error reaches
+exact charge curve (:func:`exact_plan`), so no approximation error reaches
 the plan a planner returns.
 
 Column order is load-bearing: all binaries come first (deployment, carry,
-charge/swap flags, nonempty-arrival flags, PLA selectors), then all
+charge/swap flags, nonempty-arrival flags, SOC-interval selectors), then all
 continuous columns. The decomposition solver relies on that split.
 """
 
@@ -56,48 +59,51 @@ TANGENT_HOURS = (0.0, 1.0, 2.0, 4.0)
 
 @dataclass(frozen=True)
 class PlaGrid:
-    """Uniform breakpoints and surface samples for the rectangle method.
+    """SOC breakpoints and the charge clock the model samples on them.
 
-    ``g[u, v]`` samples the uncharged-fraction surface at (s_u, t_v);
-    ``w[u, v]`` is the safe (most negative is *not* wanted — the min of the
-    two corner increments) per-rectangle time-slope constant. ``M[v]`` is
-    the big-M of time interval v's surface rows: the largest gap, over every
-    rectangle (u, v*) and its corners, between the rectangle's value and
-    the surface that interval v's slopes put through the same corner.
+    ``clock`` is phi: the charge clock theta(s) = -ln(1 - s) / kappa on
+    [0, ``cap``], where ``cap = 1 - (1 - r0) ** t_max`` is the SOC that
+    ``t_max`` hours give an empty battery, continued past ``cap`` by its
+    tangent there, so ``clock(1) = t_max + 1 / kappa``. phi is convex, lies
+    under theta and rises no faster than theta, so phi(Sdep) - phi(Sarr)
+    never exceeds an exact charge's hours theta(Sdep) - theta(Sarr).
     """
     s: np.ndarray          # n+1 SOC breakpoints, 0..1
-    t: np.ndarray          # m+1 time breakpoints, 0..t_max
-    g: np.ndarray          # (n+1, m+1) surface samples
-    w: np.ndarray          # (n, m) interpolation slopes, all <= 0
-    M: np.ndarray          # (m,) surface-row big-Ms
+    t_max: float
+    kappa: float           # -ln(1 - r0)
 
     @property
     def n(self) -> int:
         return len(self.s) - 1
 
     @property
-    def m(self) -> int:
-        return len(self.t) - 1
+    def cap(self) -> float:
+        return 1.0 - math.exp(-self.kappa * self.t_max)
+
+    @property
+    def top(self) -> float:
+        """phi(1) = t_max + 1/kappa, the largest clock reading."""
+        return self.t_max + 1.0 / self.kappa
+
+    def slope(self, soc) -> np.ndarray:
+        """phi' at each SOC in ``soc``."""
+        return 1.0 / (self.kappa * (1.0 - np.minimum(soc, self.cap)))
+
+    def clock(self, soc) -> np.ndarray:
+        """phi at each SOC in ``soc``."""
+        soc = np.asarray(soc, dtype=float)
+        return np.where(soc <= self.cap,
+                        -np.log1p(-np.minimum(soc, self.cap)) / self.kappa,
+                        self.top - (1.0 - soc) * self.slope(1.0))
 
 
-def build_pla_grid(n: int, m: int, t_max: float, r0: float) -> PlaGrid:
-    if n < 2 or m < 2:
-        raise ValueError("need at least 2 segments per axis")
+def build_pla_grid(n: int, t_max: float, r0: float) -> PlaGrid:
+    if n < 2:
+        raise ValueError("need at least 2 SOC segments")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    s = np.linspace(0.0, 1.0, n + 1)
-    t = np.linspace(0.0, t_max, m + 1)
-    g = (1.0 - s)[:, None] * (1.0 - r0) ** t[None, :]
-    dg = g[:, 1:] - g[:, :-1]          # time-direction increments
-    w = np.minimum(dg[:-1, :], dg[1:, :])
-    # Value at each rectangle corner: SOC endpoint s_u or s_u+1, time
-    # offset 0 or 1; along v only the rectangle's own time interval varies.
-    corners = np.stack([low + offset * w for low in (g[:-1, :-1], g[1:, :-1])
-                        for offset in (0.0, 1.0)])
-    spread = np.maximum(corners.max(axis=2, keepdims=True) - corners,
-                        corners - corners.min(axis=2, keepdims=True))
-    M = spread.max(axis=(0, 1))
-    return PlaGrid(s=s, t=t, g=g, w=w, M=M)
+    return PlaGrid(s=np.linspace(0.0, 1.0, n + 1), t_max=float(t_max),
+                   kappa=-math.log(1.0 - r0))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +116,8 @@ class VarMap:
     build metadata.
 
     Binary columns occupy indices [0, n_binary); everything after is
-    continuous. The PLA block's time selectors, weights, offsets and
-    uncharged fractions (tau, gamma, eta, F) stay inside :func:`build_model`.
+    continuous. The charge-clock block's weights and clock readings (gamma,
+    Theta) stay inside :func:`build_model`.
     """
     X: Dict[int, int] = field(default_factory=dict)
     Y: Dict[Tuple[int, int], int] = field(default_factory=dict)
@@ -149,10 +155,9 @@ def build_model(instance: Instance,
     J = range(inst.n_trains)
     K = [range(inst.consists(j)) for j in J]
     max_k = max(inst.consists(j) for j in J)
-    grid = build_pla_grid(cfg.n, cfg.m, cfg.t_max, inst.r0)
+    grid = build_pla_grid(cfg.n, cfg.t_max, inst.r0)
     M = cfg.big_M
     Ms = SOC_BIG_M
-    eps = cfg.epsilon
 
     model = be.AbstractModel(name=f"plan[{inst.name}]")
     vm = VarMap(config=cfg)
@@ -188,20 +193,18 @@ def build_model(instance: Instance,
     vm.Zs = family("Zs", slots, be.BINARY)
     vm.B = family("B", cells, be.BINARY)
     vm.beta = family("beta", per_slot(grid.n), be.BINARY)
-    tau_of = family("tau", per_slot(grid.m), be.BINARY)
     vm.n_binary = model.n_cols
 
     # ---- columns: continuous ----------------------------------------------
     vm.D = family("D", stops, objective=aD)
     vm.Tarr = family("Tarr", stops)
     vm.Tdep = family("Tdep", stops)
-    vm.Tc = family("Tc", slots)
+    vm.Tc = family("Tc", slots, upper=cfg.t_max)
     vm.Sarr = family("Sarr", cells, upper=1.0)
     vm.Sdep = family("Sdep", cells, upper=1.0)
     gamma_of = family("gamma", per_slot(grid.n + 1), upper=1.0)
-    eta_of = family("eta", per_slot(grid.m), upper=1.0)
-    F_of = family("F", slots)
-    xi_of = family("xi", per_slot(grid.n), upper=1.0)
+    clock_arr = family("Theta_arr", slots)
+    clock_dep = family("Theta_dep", slots, upper=grid.top)
     vm.n_cols = model.n_cols
 
     # The objective counts delay beyond the planned waits: subtract the
@@ -348,15 +351,20 @@ def build_model(instance: Instance,
             add(f"no_battery_no_soc_{j}_{k}",
                 soc + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
 
-    # ---- PLA block: departure SOC after charging --------------------------
-    # A slot's last rows tie the time offset to the selected rectangle:
-    # xi_u <= beta_u for each SOC interval u, sum_u xi_u = sum_v eta_v,
-    # then an upper and a lower surface row per time interval v, reading
-    #   F - sum_u' g[u', v] gamma_u' - sum_u w[u, v] xi_u +/- M_v tau_v
-    # against +/- M_v, with the entries in that order. At an integer point
-    # xi carries eta only on the selected SOC interval, so the selected
-    # interval's pair pins F to the rectangle's value, and M_v (see
-    # PlaGrid) switches the other pairs off.
+    # ---- charge-clock block ------------------------------------------------
+    # Beta picks the SOC interval of Sarr and gamma interpolates Sarr on it.
+    # Then, with entries in this order, a slot's rows read
+    #   Theta_arr - sum_u phi(s_u) gamma_u <= 0
+    # (Theta_arr is at most phi's chord at Sarr, which lies over phi),
+    #   Theta_dep - phi'(s_p) Sdep - M_p Zc >= phi(s_p) - phi'(s_p) s_p - M_p
+    # for each s_p in s_0 .. s_{n-1} and cap, with M_p the tangent's value at
+    # SOC 1 (when charging, Theta_dep is at least every tangent of phi at
+    # Sdep, which lie under phi; otherwise the row is void), and
+    #   Tc - Theta_dep + Theta_arr - top Zc >= -top
+    # (a charge lasts at least Theta_dep - Theta_arr). An exact charge of
+    # Tc <= t_max hours takes theta(Sdep) - theta(Sarr) >= phi(Sdep) -
+    # phi(Sarr) hours, so it meets them with Theta_arr at the chord and
+    # Theta_dep at the largest tangent; so does every swap and idle slot.
     #
     # Then one tangent row per duration T in TANGENT_HOURS,
     #   kappa q^T Tc - Sdep + Sarr + Zs >= kappa q^T T - (1 - q^T)
@@ -364,86 +372,59 @@ def build_model(instance: Instance,
     # Sdep - Sarr = (1 - Sarr)(1 - q^Tc) <= 1 - q^Tc, which lies under every
     # tangent of the concave 1 - q^t; a swap (Zs = 1) or an idle slot
     # (Tc = 0, Sdep <= Sarr) meets every row. Only the columns vary by slot.
-    n, m = grid.n, grid.m
-    surface = np.hstack([np.ones((m, 1)), -grid.g[:, :m].T, -grid.w.T])
-    big = grid.M[:, None]
+    n = grid.n
+    points = np.append(grid.s[:-1], grid.cap)
+    at, rise = grid.clock(points), grid.slope(points)
+    high = at + rise * (1.0 - points)
     q, hours = 1.0 - inst.r0, np.asarray(TANGENT_HOURS)
-    slope = -math.log(q) * q ** hours
+    slope = grid.kappa * q ** hours
     n_tan = len(hours)
     block_values = np.concatenate([
-        np.tile([1.0, -1.0], n),
-        np.ones(n), -np.ones(m),
-        np.stack([np.hstack([surface, big]), np.hstack([surface, -big])],
-                 axis=1).ravel(),
+        [1.0], -grid.clock(grid.s),
+        np.column_stack([np.ones(n + 1), -rise, -high]).ravel(),
+        [1.0, -1.0, 1.0, -grid.top],
         np.column_stack([slope, np.tile([-1.0, 1.0, 1.0], (n_tan, 1))])
         .ravel()])
-    block_indptr = np.cumsum([0] + [2] * n + [n + m] + [2 * n + 3] * 2 * m
-                             + [4] * n_tan)
-    block_senses = ([be.LE] * n + [be.EQ] + [be.LE, be.GE] * m
-                    + [be.GE] * n_tan)
-    block_rhs = np.concatenate([np.zeros(n + 1),
-                                np.column_stack([grid.M, -grid.M]).ravel(),
+    block_indptr = np.cumsum([0, n + 2] + [3] * (n + 1) + [4] * (1 + n_tan))
+    block_senses = [be.LE] + [be.GE] * (n + 2 + n_tan)
+    block_rhs = np.concatenate([[0.0], at - rise * points - high,
+                                [-grid.top],
                                 slope * hours - (1.0 - q ** hours)])
-    block_ids = ([("pla_xi_in", f"_{u}") for u in range(n)]
-                 + [("pla_xi_sum", "")]
-                 + [(f"pla_surface_{side}", f"_{v}") for v in range(m)
-                    for side in ("ub", "lb")]
+    block_ids = ([("clock_arr", "")]
+                 + [("clock_dep", f"_{p}") for p in range(n + 1)]
+                 + [("clock_charge", "")]
                  + [("charge_tangent", f"_{h}") for h in range(n_tan)])
 
     for slot in slots:
         tag = "_%d_%d_%d" % slot
         beta = [vm.beta[slot + (u,)] for u in range(n)]
-        tau = [tau_of[slot + (v,)] for v in range(m)]
         gamma = [gamma_of[slot + (u,)] for u in range(n + 1)]
-        eta = [eta_of[slot + (v,)] for v in range(m)]
-        F, Sdep = F_of[slot], vm.Sdep[slot]
-
-        # Departure SOC = 1 - F when charging (F = uncharged fraction), with
-        # a swap overriding to full and epsilon slack when the charge flag
-        # is up.
-        add("pla_dep_ub" + tag,
-            [(Sdep, 1.0), (F, 1.0), (vm.Zs[slot], -Ms)], be.LE, 1.0)
-        add("pla_dep_lb" + tag,
-            [(Sdep, 1.0), (F, 1.0), (vm.Zc[slot], eps)], be.GE, 1.0)
+        Tc, Sdep, Zc = vm.Tc[slot], vm.Sdep[slot], vm.Zc[slot]
 
         add("pla_pick_s" + tag, [(c, 1.0) for c in beta], be.EQ, 1.0)
         add("pla_weights_one" + tag, [(c, 1.0) for c in gamma], be.EQ, 1.0)
-        add("pla_pick_t" + tag, [(c, 1.0) for c in tau], be.EQ, 1.0)
-
         add("pla_soc_interp" + tag,
             list(zip(gamma, grid.s.tolist())) + [(vm.Sarr[slot], -1.0)],
             be.EQ, 0.0)
-        add("pla_time_interp" + tag,
-            list(zip(tau, grid.t[:-1].tolist()))
-            + list(zip(eta, np.diff(grid.t).tolist()))
-            + [(vm.Tc[slot], -1.0)], be.EQ, 0.0)
 
-        # Weights live only on the selected interval's endpoints; the offset
-        # lives only in the selected interval.
+        # Weights live only on the selected interval's endpoints.
         for u in range(1, n):
             add(f"pla_weight_support{tag}_{u}",
                 [(gamma[u], 1.0), (beta[u - 1], -1.0), (beta[u], -1.0)],
                 be.LE, 0.0)
-        for v in range(1, m):
-            add(f"pla_offset_in{tag}_{v}",
-                [(eta[v], 1.0), (tau[v], -1.0)], be.LE, 0.0)
         for name, col, selector in (("weight_low", gamma[0], beta[0]),
-                                    ("offset_low", eta[0], tau[0]),
                                     ("weight_high", gamma[n], beta[n - 1])):
             add(f"pla_{name}{tag}", [(col, 1.0), (selector, -1.0)],
                 be.LE, 0.0)
 
-        xi = [xi_of[slot + (u,)] for u in range(n)]
-        surface_cols = np.column_stack([
-            np.full(m, F), np.broadcast_to(gamma, (m, n + 1)),
-            np.broadcast_to(xi, (m, n)), tau])
         model.add_rows(
             [prefix + tag + suffix for prefix, suffix in block_ids],
             block_indptr,
-            np.concatenate([np.column_stack([xi, beta]).ravel(), xi, eta,
-                            np.repeat(surface_cols, 2, axis=0).ravel(),
-                            np.tile([vm.Tc[slot], Sdep, vm.Sarr[slot],
-                                     vm.Zs[slot]], n_tan)]),
+            np.concatenate([[clock_arr[slot]], gamma,
+                            np.tile([clock_dep[slot], Sdep, Zc], n + 1),
+                            [Tc, clock_dep[slot], clock_arr[slot], Zc],
+                            np.tile([Tc, Sdep, vm.Sarr[slot], vm.Zs[slot]],
+                                    n_tan)]),
             block_values, block_senses, block_rhs)
 
     return model, vm

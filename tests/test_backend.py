@@ -10,6 +10,7 @@ import pytest
 
 import railvolt
 from railvolt import backend as be
+from railvolt.domain import SolveConfig
 
 from conftest import check_farkas_ray
 
@@ -608,6 +609,18 @@ def test_every_parameter_is_read():
                        for p in params
                        if p not in read and p not in ("self", "cls")]
     assert unread == []
+
+
+def test_every_solve_config_setting_is_read():
+    # A setting nothing reads is an option that does nothing: every field
+    # and class constant of SolveConfig is read as an attribute somewhere in
+    # the package.
+    read = {node.attr
+            for path in Path(railvolt.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert sorted(set(SolveConfig.__annotations__) - read) == []
 
 
 def test_validator_imports_nothing_it_checks():

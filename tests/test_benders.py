@@ -35,10 +35,10 @@ def _incumbent_v(split, pla_solution):
 
 def test_split_census_on_reference(golden, reference_split):
     model, vm, split = reference_split
-    assert split.n_v == 574
-    assert split.n_u == model.n_cols - 574 == 900
+    assert split.n_v == 334
+    assert split.n_u == model.n_cols - 334 == 444
     assert set(np.unique(split.senses)) <= {">=", "="}
-    assert int(split.v_only.sum()) == 156
+    assert int(split.v_only.sum()) == 132
     # deployment costs sit in the binary block, delay costs in the
     # continuous one
     n_interior = len(list(golden.interior))

@@ -1,4 +1,4 @@
-"""MILP assembly: grid construction, census, decode semantics."""
+"""MILP assembly: the charge clock, census, decode semantics."""
 
 import hashlib
 import time
@@ -16,7 +16,7 @@ from railvolt.generator import GenSpec, generate_instance
 from railvolt.model import (TANGENT_HOURS, build_model, build_pla_grid,
                             decode_solution, exact_plan, solve_pla)
 from railvolt.reporting import ALGORITHMS
-from railvolt.validator import simulate_schedule
+from railvolt.validator import brute_force_best, simulate_schedule
 
 from conftest import tiny_corridor
 
@@ -27,93 +27,114 @@ from conftest import tiny_corridor
 
 
 def test_grid_samples_match_charge_surface():
-    grid = build_pla_grid(10, 10, 10.0, 0.40)
-    assert grid.n == 10 and grid.m == 10
+    # The clock reads the hours that charge an empty battery to each SOC, so
+    # on the surface s -> 1 - (1 - s)(1 - r0)^t it advances by exactly t up
+    # to cap, the SOC t_max hours give an empty battery; past cap it is the
+    # tangent there, ending at t_max + 1/kappa.
+    grid = build_pla_grid(10, 10.0, 0.40)
+    assert grid.n == 10
     assert grid.s[0] == 0.0 and grid.s[-1] == 1.0
-    assert grid.t[0] == 0.0 and grid.t[-1] == 10.0
-    expect = (1.0 - grid.s)[:, None] * 0.6 ** grid.t[None, :]
-    np.testing.assert_allclose(grid.g, expect, atol=1e-12)
-    # full SOC row is identically zero: nothing left to charge
-    np.testing.assert_allclose(grid.g[-1], 0.0, atol=1e-15)
+    assert grid.kappa == pytest.approx(-np.log(0.6), rel=1e-15)
+    assert grid.cap == pytest.approx(1.0 - 0.6 ** 10, rel=1e-15)
+    for s in grid.s[:-1]:
+        for t in (0.0, 0.5, 1.0, 3.0, 7.5):
+            after = soc_after_charging(float(s), t, 0.40)
+            if after <= grid.cap:
+                assert grid.clock(after) - grid.clock(s) == pytest.approx(
+                    t, abs=1e-9)
+    assert grid.clock(0.0) == 0.0
+    assert grid.clock(grid.cap) == pytest.approx(10.0, abs=1e-9)
+    assert grid.clock(1.0) == grid.top == 10.0 + 1.0 / grid.kappa
 
 
-def test_grid_slopes_take_the_steeper_corner():
-    grid = build_pla_grid(8, 6, 9.0, 0.35)
-    assert grid.w.shape == (8, 6)
-    assert (grid.w <= 0).all()
-    # Between the two SOC corners of a rectangle, the lower-SOC row loses
-    # more per unit time; the safe slope must equal that row's increment.
-    drop = grid.g[:, 1:] - grid.g[:, :-1]
-    np.testing.assert_allclose(grid.w, drop[:-1, :], atol=1e-12)
-
-
-@pytest.mark.parametrize("n,m,t_max", [(1, 10, 10.0), (10, 1, 10.0),
-                                       (10, 10, 0.0), (10, 10, -1.0)])
-def test_grid_rejects_degenerate_shapes(n, m, t_max):
+@pytest.mark.parametrize("n,t_max", [(1, 10.0), (10, 0.0), (10, -1.0)])
+def test_grid_rejects_degenerate_shapes(n, t_max):
     with pytest.raises(ValueError):
-        build_pla_grid(n, m, t_max, 0.4)
+        build_pla_grid(n, t_max, 0.4)
 
 
-def test_surface_fidelity_on_default_grid():
-    """Dense-sampled max deviation of the linearised surface is < 0.05."""
-    grid = build_pla_grid(10, 10, 10.0, 0.40)
-    worst = 0.0
-    for u in range(grid.n):
-        for v in range(grid.m):
-            ss = np.linspace(grid.s[u], grid.s[u + 1], 21)
-            tt = np.linspace(grid.t[v], grid.t[v + 1], 21)
-            true = (1.0 - ss)[:, None] * 0.6 ** tt[None, :]
-            lam = (ss - grid.s[u]) / (grid.s[u + 1] - grid.s[u])
-            at_tv = (1 - lam) * grid.g[u, v] + lam * grid.g[u + 1, v]
-            frac = (tt - grid.t[v]) / (grid.t[v + 1] - grid.t[v])
-            approx = at_tv[:, None] + frac[None, :] * grid.w[u, v]
-            worst = max(worst, float(np.abs(true - approx).max()))
-            # exact on the left edge of every rectangle: the SOC axis is
-            # interpolated, only the time offset is approximated
-            assert abs(true[0, 0] - approx[0, 0]) < 1e-12
-            assert abs(true[-1, 0] - approx[-1, 0]) < 1e-12
-    assert worst < 0.05
+@pytest.mark.parametrize("t_max,r0", [(10.0, 0.40), (10.0, 0.05),
+                                      (2.0, 0.40)])
+def test_clock_bounds_the_charge_curve(t_max, r0):
+    # phi lies under theta and rises no faster, every tangent the model
+    # takes lies under phi and every chord between breakpoints over it:
+    # the rows that read them hold at every exact charge. At 2 h and
+    # r0 = 0.4 the top breakpoints lie past cap.
+    grid = build_pla_grid(10, t_max, r0)
+    ss = np.linspace(0.0, 1.0 - 1e-9, 4001)
+    theta = -np.log1p(-ss) / grid.kappa
+    phi = grid.clock(ss)
+    assert np.all(phi <= theta + 1e-9)
+    inside = ss <= grid.cap
+    np.testing.assert_allclose(phi[inside], theta[inside], rtol=1e-12)
+    assert np.all(grid.slope(ss) <= 1.0 / (grid.kappa * (1.0 - ss)) + 1e-9)
+    chords = np.interp(ss, grid.s, grid.clock(grid.s))
+    assert np.all(chords >= phi - 1e-9)
+    points = np.append(grid.s[:-1], grid.cap)
+    tangents = (grid.clock(points)[:, None] + grid.slope(points)[:, None]
+                * (ss[None, :] - points[:, None]))
+    assert np.all(tangents <= phi + 1e-9)
 
 
-def test_surface_rows_give_every_rectangle_its_value():
-    # One slot's offset and surface rows, at every cell (u*, v*) with beta
-    # and tau fixed there and gamma, eta at each corner of the rectangle:
-    # the rows hold, the selected interval's pair pins F to the rectangle's
-    # value, and no other interval's pair needs more than its M_v.
-    model, _ = build_model(tiny_corridor(7), SolveConfig())
-    grid = build_pla_grid(SolveConfig.n, SolveConfig.m, SolveConfig.t_max,
-                          tiny_corridor(7).r0)
-    n, m, tag = grid.n, grid.m, "_1_0_0"
+def test_clock_rows_hold_at_every_exact_charge():
+    # One slot's clock rows, with gamma interpolating Sarr on its interval,
+    # Theta_arr at phi's chord there and Theta_dep at phi's largest tangent
+    # at Sdep: an exact charge of Tc <= t_max hours from every Sarr on a
+    # grid, a swap and an idle slot meet them. The slot is a 2-consist
+    # train's second battery, which can arrive full (Sarr = 1).
+    inst = tiny_corridor(7, consists=2, max_batteries=2)
+    model, vm = build_model(inst, SolveConfig())
+    grid = build_pla_grid(SolveConfig.n, SolveConfig.t_max, inst.r0)
+    n, slot = grid.n, (1, 0, 1)
+    tag = "_%d_%d_%d" % slot
     col = {c.id: i for i, c in enumerate(model.columns)}
-    prefixes = tuple(p + tag for p in ("pla_xi_in", "pla_xi_sum",
-                                       "pla_surface_ub", "pla_surface_lb"))
+    prefixes = tuple(p + tag for p in (
+        "pla_pick_s", "pla_weights_one", "pla_soc_interp",
+        "pla_weight_support", "pla_weight_low", "pla_weight_high",
+        "clock_arr", "clock_dep", "clock_charge"))
     rows = [r for r, rid in enumerate(model.row_ids)
             if rid.startswith(prefixes)]
-    assert len(rows) == 2 * m + n + 1
-    _, _, _, _, A, senses, rhs = model.arrays()
+    assert len(rows) == 3 + (n - 1) + 2 + 1 + (n + 1) + 1
+    _, lb, ub, _, A, senses, rhs = model.arrays()
     A, senses, rhs = A[rows], senses[rows], rhs[rows]
-    surface, worst = slice(n + 1, None), np.zeros(m)
-    for u in range(n):
-        for v in range(m):
-            for e in (u, u + 1):
-                for eta in (0.0, 1.0):
-                    x = np.zeros(model.n_cols)
-                    x[col[f"beta{tag}_{u}"]] = x[col[f"tau{tag}_{v}"]] = 1.0
-                    x[col[f"gamma{tag}_{e}"]] = 1.0
-                    x[col[f"eta{tag}_{v}"]] = x[col[f"xi{tag}_{u}"]] = eta
-                    x[col[f"F{tag}"]] = grid.g[e, v] + grid.w[u, v] * eta
-                    lhs = A @ x
-                    assert np.all(lhs[senses == "<="]
-                                  <= rhs[senses == "<="] + 1e-12)
-                    assert np.all(lhs[senses == ">="]
-                                  >= rhs[senses == ">="] - 1e-12)
-                    assert np.allclose(lhs[senses == "="], 0.0, atol=1e-12)
-                    # F - sum g gamma - sum w xi, per time interval
-                    value = lhs[surface][0::2] - grid.M * (np.arange(m) == v)
-                    assert value[v] == pytest.approx(0.0, abs=1e-12)
-                    worst = np.maximum(worst, np.abs(value))
-    # each M_v is needed by some corner, and none needs more
-    np.testing.assert_allclose(worst, grid.M, atol=1e-12)
+    assert ub[col["Theta_arr" + tag]] == np.inf
+    assert ub[col["Theta_dep" + tag]] == grid.top
+    assert ub[vm.Tc[slot]] == SolveConfig.t_max
+    points = np.append(grid.s[:-1], grid.cap)
+
+    def slack(Sarr, Tc, Sdep, Zc, Zs):
+        u = min(int(Sarr * n), n - 1)
+        lam = (Sarr - grid.s[u]) / (grid.s[u + 1] - grid.s[u])
+        x = np.zeros(model.n_cols)
+        x[vm.beta[slot + (u,)]] = 1.0
+        x[col[f"gamma{tag}_{u}"]] = 1.0 - lam
+        x[col[f"gamma{tag}_{u + 1}"]] = lam
+        x[col["Theta_arr" + tag]] = (1.0 - lam) * grid.clock(grid.s[u]) \
+            + lam * grid.clock(grid.s[u + 1])
+        theta_dep = np.max(grid.clock(points)
+                           + grid.slope(points) * (Sdep - points))
+        assert theta_dep <= grid.top + 1e-12
+        x[col["Theta_dep" + tag]] = theta_dep
+        for columns, value in ((vm.Sarr, Sarr), (vm.Tc, Tc), (vm.Sdep, Sdep),
+                               (vm.Zc, Zc), (vm.Zs, Zs)):
+            x[columns[slot]] = value
+        lhs = A @ x
+        np.testing.assert_allclose(lhs[senses == "="], rhs[senses == "="],
+                                   atol=1e-12)
+        assert np.all(lhs[senses == "<="] <= rhs[senses == "<="] + 1e-12)
+        return (lhs - rhs)[senses == ">="]
+
+    for Sarr in np.append(np.linspace(0.0, 1.0, 21), [0.013, 0.537, 0.991]):
+        for Tc in (0.01, 0.25, 1.0, 2.0, 3.5, 6.0, SolveConfig.t_max):
+            charged = slack(Sarr, Tc, soc_after_charging(Sarr, Tc, inst.r0),
+                            1.0, 0.0)
+            assert charged.min() >= -1e-9, (Sarr, Tc)
+        assert slack(Sarr, 0.0, 1.0, 0.0, 1.0).min() >= -1e-9       # swap
+        assert slack(Sarr, 0.0, Sarr, 0.0, 0.0).min() >= -1e-9      # idle
+    # exact where the clock is: a full t_max charge of an empty battery
+    # needs exactly the hours it takes
+    assert slack(0.0, SolveConfig.t_max, grid.cap, 1.0, 0.0)[-1] \
+        == pytest.approx(0.0, abs=1e-9)
 
 
 def test_tangent_rows_hold_at_every_exact_charge(golden):
@@ -149,14 +170,28 @@ def test_tangent_rows_hold_at_every_exact_charge(golden):
 
 
 def test_worked_example_lp_relaxation_is_pinned(golden):
-    # The tangent rows lift the LP relaxation from 22.1056 (the PLA alone)
-    # to 26.9067.
+    # The tangent rows lifted the LP relaxation from 22.1056 (the rectangle
+    # PLA alone) to 26.9067; the charge clock in its place keeps it there.
     model, _ = build_model(golden, SolveConfig())
     c, lb, ub, _, A, senses, rhs = model.arrays()
     relaxed = be.Session(c, A, senses, rhs, lb, ub,
                          offset=model.objective_offset).run()
     assert relaxed.status == "optimal"
     assert relaxed.objective == pytest.approx(26.9067, abs=1e-4)
+
+
+@pytest.mark.parametrize("battery", [
+    {}, {"consists": 2, "max_batteries": 2, "energy_lo": 0.7,
+         "energy_hi": 1.7}], ids=["1-consist", "2-consist"])
+def test_pla_bound_never_exceeds_the_oracle(battery):
+    # The MILP is an outer approximation: every exact schedule whose charges
+    # last at most t_max hours is feasible in it, so its bound cannot exceed
+    # the exhaustive optimum over such schedules.
+    for seed in (7, 11, 13, 17, 19):
+        inst = tiny_corridor(seed, **battery)
+        sol = solve_pla(inst, SolveConfig(time_limit_seconds=60.0))
+        assert sol.status == "optimal-within-gap", seed
+        assert sol.bound <= brute_force_best(inst, time_step=0.5)[0] + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +201,9 @@ def test_worked_example_lp_relaxation_is_pinned(golden):
 
 def test_model_census_on_reference_corridor(golden):
     model, vm = build_model(golden, SolveConfig())
-    assert model.n_cols == 1474
-    assert vm.n_binary == 574
-    assert model.n_rows == 1960
+    assert model.n_cols == 778
+    assert vm.n_binary == 334
+    assert model.n_rows == 1192
     _, _, _, integrality, *_ = model.arrays()
     # binaries occupy a contiguous prefix (the decomposition relies on it)
     assert (integrality[:vm.n_binary] == 1).all()
@@ -190,7 +225,7 @@ def test_worked_example_model_is_pinned(golden):
     model, _ = build_model(golden, SolveConfig())
     digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
     assert digest == (
-        "b491d5ced712d02d195c982bed860f4fc872f4bb8a7f5c5d6cc5b0a1e32072bf")
+        "33ee731b0cc9e040a6e07b3aed24b2e827b9ed7c216f4903538e4d881601a6dc")
 
 
 def test_build_model_rejects_invalid_instance():
