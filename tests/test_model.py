@@ -76,6 +76,57 @@ def test_clock_bounds_the_charge_curve(t_max, r0):
     assert np.all(tangents <= phi + 1e-9)
 
 
+def test_grid_slopes_take_the_steeper_corner():
+    grid = build_pla_grid(8, 9.0, 0.35)
+    corners = grid.slope(grid.s)
+    assert (corners > 0).all()
+    # phi is convex, so its slope never falls from one breakpoint to the
+    # next, and each interval's chord rises at least as fast as the lower
+    # corner's tangent and no faster than the steeper, upper corner's.
+    assert (np.diff(corners) >= 0).all()
+    chord = np.diff(grid.clock(grid.s)) / np.diff(grid.s)
+    assert (chord >= corners[:-1] - 1e-12).all()
+    assert (chord <= corners[1:] + 1e-12).all()
+    # past cap phi is the tangent there, one slope to SOC 1
+    np.testing.assert_allclose(grid.slope([grid.cap, 1.0]),
+                               1.0 / (grid.kappa * (1.0 - grid.cap)),
+                               rtol=1e-15)
+
+
+def test_surface_fidelity_on_default_grid():
+    """Dense-sampled overshoot of the linearised charge curve in SOC.
+
+    The model reads Sarr's clock as the chord between breakpoints and
+    Sdep's as the largest tangent at s_0 .. s_{n-1} and cap, so a charge of
+    t hours from Sarr may depart at any Sdep whose tangents all stay within
+    chord(Sarr) + t. That Sdep is never below the exact SOC; it overshoots
+    by less than 0.05 when Sarr is below the top interval, and by less than
+    0.065 inside it, where phi(1) is the tangent's value.
+    """
+    grid = build_pla_grid(10, 10.0, 0.40)
+    points = np.append(grid.s[:-1], grid.cap)
+    phi_p, slope_p = grid.clock(points), grid.slope(points)
+    worst_below = worst_top = 0.0
+    for u in range(grid.n):
+        ss = np.linspace(grid.s[u], grid.s[u + 1], 21)
+        chord = np.interp(ss, grid.s, grid.clock(grid.s))
+        for t in np.linspace(0.0, grid.t_max, 41):
+            rhs = chord + t
+            admitted = np.clip(np.min(
+                points[:, None] + (rhs[None, :] - phi_p[:, None])
+                / slope_p[:, None], axis=0), 0.0, 1.0)
+            exact = np.array([soc_after_charging(float(s), float(t), 0.40)
+                              for s in ss])
+            assert (admitted >= exact - 1e-9).all()
+            over = float((admitted - exact).max())
+            if u < grid.n - 1:
+                worst_below = max(worst_below, over)
+            else:
+                worst_top = max(worst_top, over)
+    assert worst_below < 0.05
+    assert worst_top < 0.065
+
+
 def test_clock_rows_hold_at_every_exact_charge():
     # One slot's clock rows, with gamma interpolating Sarr on its interval,
     # Theta_arr at phi's chord there and Theta_dep at phi's largest tangent
