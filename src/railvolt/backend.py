@@ -3,9 +3,9 @@
 This is the only module that talks to a third-party solver: HiGHS 1.12,
 through scipy's private binding ``scipy.optimize._highspy._core._Highs``
 (hence the ``scipy>=1.17`` floor). A :class:`Session` is passed its model
-once and keeps it alive: it can change row bounds, column costs, column
-bounds and integrality, append rows, take a MIP start and run again, an LP
-from its last basis. Every run maps HiGHS's status onto a
+once and keeps it alive: it can change row bounds, column costs and
+integrality, append rows, take a MIP start and run again, an LP from its
+last basis. Every run maps HiGHS's status onto a
 :class:`SolveOutcome` the same way. The decomposition keeps sessions for
 its pricing LPs and its master, and :class:`FarkasLP` holds one for
 infeasibility proofs. Named models are described engine-neutrally
@@ -331,12 +331,14 @@ class Session:
     given to :meth:`set_start`. When a MILP run ends in HiGHS's ``Solve
     error`` (as when HiGHS's optimum, mapped back through presolve, violates
     a row by 1e-6), the solver is cleared and the run repeated once without
-    presolve. Arrays HiGHS cannot take (inconsistent shapes, or a model it
-    rejects) raise :class:`BackendError` here, when the session is built.
+    presolve. ``seed`` is HiGHS's ``random_seed`` for every run (0, HiGHS's
+    default, changes nothing). Arrays HiGHS cannot take (inconsistent
+    shapes, or a model it rejects) raise :class:`BackendError` here, when
+    the session is built.
     """
 
     def __init__(self, c, A, senses, rhs, lb, ub, integrality=None,
-                 offset: float = 0.0):
+                 offset: float = 0.0, seed: int = 0):
         self.offset = offset
         self.senses = np.asarray(senses)
         self.rhs = np.array(rhs, dtype=float)
@@ -344,6 +346,7 @@ class Session:
         self._highs = _highs._Highs()
         options = _highs.HighsOptions()
         options.log_to_console = False
+        options.random_seed = seed
         self._highs.passOptions(options)
         n = len(c)
         self._integral = np.zeros(n, bool) if integrality is None \
@@ -520,10 +523,10 @@ class ScipyBackend:
     """
 
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
-              seconds: Optional[float] = None) -> SolveOutcome:
+              seconds: Optional[float] = None, seed: int = 0) -> SolveOutcome:
         c, lb, ub, integrality, A, senses, rhs = model.arrays()
         return Session(c, A, senses, rhs, lb, ub, integrality,
-                       model.objective_offset).run(gap, seconds)
+                       model.objective_offset, seed).run(gap, seconds)
 
 
 class FarkasRay(NamedTuple):

@@ -11,10 +11,11 @@ assignments that cannot carry trains between stations.
 
 Conventions: rows are kept in their original order, with <= rows flipped to
 >= (equalities stay equalities; their duals are free and only contribute
-constants to cuts, since no equality row touches a binary column). Finite
-upper bounds of continuous columns stay variable bounds; their bound duals
-enter each cut as a constant term. Both choices are pinned by the
-strong-duality identity checked on every priced subproblem.
+constants to cuts, since no equality row of the scheduling LP touches a
+binary column). Finite upper bounds of continuous columns stay variable
+bounds; their bound duals enter each cut as a constant term. Both choices
+are pinned by the strong-duality identity checked on every priced
+subproblem.
 """
 from __future__ import annotations
 
@@ -92,10 +93,10 @@ def split_model(model: be.AbstractModel,
     A_norm = sp.diags(flip) @ A_all
     A = A_norm[:, n_v:].tocsr()
 
-    # NOTE: equality rows may touch both blocks (the charge-duration
-    # interpolation rows do); their duals are free, which the cut algebra
-    # w >= pi^T (b - Dm v) tolerates by weak duality, and the ray program
-    # doubles them into +/- pairs.
+    # NOTE: no equality row with a continuous entry has a binary one (tests
+    # pin it on the worked example), so the free duals of equalities never
+    # reach a cut's coefficients; the ray program doubles equalities into
+    # +/- pairs.
     return BendersSplit(
         n_v=n_v, n_u=model.n_cols - n_v, A=A, Dm=A_norm[:, :n_v].tocsr(),
         b=rhs * flip, senses=np.where(senses == be.EQ, be.EQ, be.GE),
@@ -173,9 +174,9 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
     a full incumbent. Return shape: (kind, cut, u or None) with kind in
     {"point", "ray"}; ``cut.value`` is the subproblem optimum for a point
     and the ray's violation for a ray. The scheduling LP and its Farkas LP
-    each stay in one HiGHS session on ``split.sessions``: later proposals
-    move only the right-hand sides that changed, and only the Farkas LP's
-    costs.
+    each stay in one HiGHS session on ``split.sessions``: a later proposal
+    moves only the scheduling LP's right-hand sides that changed and runs
+    it cold, and moves only the Farkas LP's costs.
     """
     rows = ~split.v_only
     rhs = (split.b - split.Dm @ np.asarray(v_hat, dtype=float))[rows]
@@ -185,14 +186,12 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
             split.c_u, split.A[rows], split.senses[rows], rhs,
             np.zeros(split.n_u), split.u_ub)
     else:
-        lp.set_rhs(rhs)
-    out = lp.run()
-    if out.status == "optimal" and lp.runs > 1:
         # A degenerate LP has many optimal duals, and a warm run picks one
-        # by history; a point is priced cold so its cut does not depend on
-        # what was priced before.
+        # by history; every proposal is priced cold so its cut does not
+        # depend on what was priced before.
+        lp.set_rhs(rhs)
         lp.clear()
-        out = lp.run()
+    out = lp.run()
 
     if out.status == "optimal":
         pi = np.zeros(len(split.b))
@@ -458,7 +457,8 @@ def run_benders(instance: Instance,
         return empty_solution(instance, "infeasible", "bd", elapsed(),
                               {"phase": "warm-start"})
 
-    master = be.Session(*build_rmp(split, static), offset=split.offset)
+    master = be.Session(*build_rmp(split, static), offset=split.offset,
+                        seed=cfg.seed)
     seen: Set[bytes] = set()
     optimality: List[Cut] = []  # for the MIP start's w
     n_rays = 0

@@ -335,8 +335,8 @@ def validate_instance(inst: Instance) -> List[str]:
 # Solve configuration
 # ---------------------------------------------------------------------------
 
-# Big-M for rows on the SOC scale (sequential-battery linking and the PLA
-# departure rows). SOC lives in [0, 1], so 2 is always enough.
+# Big-M for rows on the SOC scale (sequential-battery linking). SOC lives
+# in [0, 1], so 2 is always enough.
 SOC_BIG_M = 2.0
 
 

@@ -20,9 +20,9 @@ Every exact charge, swap and idle slot meets all these rows, so the MILP is
 an outer approximation (Duran & Grossmann 1986) and its bound is a lower
 bound on the exact-curve optimum.
 
-The MILP only chooses the decisions. Every decoded plan is re-timed on the
-exact charge curve (:func:`exact_plan`), so no approximation error reaches
-the plan a planner returns.
+The MILP only chooses the decisions. The decoder reads just those and
+times the plan on the exact charge curve (:func:`decode_solution`), so no
+approximation error reaches the plan a planner returns.
 
 Column order is load-bearing: all binaries come first (deployment, carry,
 charge/swap flags, nonempty-arrival flags, SOC-interval selectors), then all
@@ -116,8 +116,9 @@ class VarMap:
     build metadata.
 
     Binary columns occupy indices [0, n_binary); everything after is
-    continuous. The charge-clock block's weights and clock readings (gamma,
-    Theta) stay inside :func:`build_model`.
+    continuous. The stop times (Tarr, Tdep) and the charge-clock block's
+    weights and clock readings (gamma, Theta) stay inside
+    :func:`build_model`.
     """
     X: Dict[int, int] = field(default_factory=dict)
     Y: Dict[Tuple[int, int], int] = field(default_factory=dict)
@@ -126,8 +127,6 @@ class VarMap:
     B: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     beta: Dict[Tuple[int, int, int, int], int] = field(default_factory=dict)
     D: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    Tarr: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    Tdep: Dict[Tuple[int, int], int] = field(default_factory=dict)
     Tc: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     Sarr: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     Sdep: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
@@ -197,8 +196,8 @@ def build_model(instance: Instance,
 
     # ---- columns: continuous ----------------------------------------------
     vm.D = family("D", stops, objective=aD)
-    vm.Tarr = family("Tarr", stops)
-    vm.Tdep = family("Tdep", stops)
+    arrive = family("Tarr", stops)
+    depart = family("Tdep", stops)
     vm.Tc = family("Tc", slots, upper=cfg.t_max)
     vm.Sarr = family("Sarr", cells, upper=1.0)
     vm.Sdep = family("Sdep", cells, upper=1.0)
@@ -217,8 +216,8 @@ def build_model(instance: Instance,
     # Delay measures dwell: D >= depart - arrive.
     for i, j in stops:
         add(f"delay_def_{i}_{j}",
-            [(vm.D[i, j], 1.0), (vm.Tdep[i, j], -1.0),
-             (vm.Tarr[i, j], 1.0)], be.GE, 0.0)
+            [(vm.D[i, j], 1.0), (depart[i, j], -1.0),
+             (arrive[i, j], 1.0)], be.GE, 0.0)
 
     # Operations only happen at deployed stations, and a deployed station
     # must be used at least once.
@@ -241,7 +240,7 @@ def build_model(instance: Instance,
     # Dwell covers the planned wait.
     for i, j in stops:
         add(f"dwell_wait_{i}_{j}",
-            [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0)],
+            [(depart[i, j], 1.0), (arrive[i, j], -1.0)],
             be.GE, float(inst.wait_time[i, j]))
 
     # Carry allowance, and batteries fill a consecutive prefix of consists.
@@ -298,14 +297,14 @@ def build_model(instance: Instance,
         add(f"swap_full_{i}_{j}_{k}",
             [(vm.Sdep[i, j, k], 1.0), (vm.Zs[i, j, k], -1.0)], be.GE, 0.0)
         add(f"swap_dwell_{i}_{j}_{k}",
-            [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0),
+            [(depart[i, j], 1.0), (arrive[i, j], -1.0),
              (vm.Zs[i, j, k], -inst.swap_hours)], be.GE, 0.0)
 
     # Charge duration: inside the dwell, zero unless charging is declared,
     # and strictly positive when it is declared.
     for i, j, k in slots:
         add(f"charge_within_dwell_{i}_{j}_{k}",
-            [(vm.Tdep[i, j], 1.0), (vm.Tarr[i, j], -1.0),
+            [(depart[i, j], 1.0), (arrive[i, j], -1.0),
              (vm.Tc[i, j, k], -1.0)], be.GE, 0.0)
         add(f"charge_needs_flag_{i}_{j}_{k}",
             [(vm.Tc[i, j, k], 1.0), (vm.Zc[i, j, k], -M)], be.LE, 0.0)
@@ -330,13 +329,13 @@ def build_model(instance: Instance,
     # ...and the clock starts at zero there.
     for j in J:
         add(f"origin_clock_{j}",
-            [(vm.Tarr[0, j], 1.0), (vm.Tdep[0, j], 1.0)], be.EQ, 0.0)
+            [(arrive[0, j], 1.0), (depart[0, j], 1.0)], be.EQ, 0.0)
 
     # Arrival time = previous departure + leg travel time.
     for j in J:
         for i in range(S - 1):
             add(f"timeline_{j}_{i}",
-                [(vm.Tarr[i + 1, j], 1.0), (vm.Tdep[i, j], -1.0)],
+                [(arrive[i + 1, j], 1.0), (depart[i, j], -1.0)],
                 be.EQ, inst.leg_time(j, i))
 
     # Consists without a battery: no operations, no SOC anywhere.
@@ -461,13 +460,22 @@ _PLAN_STATUS = {"optimal": "optimal-within-gap",
 
 def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
                     instance: Instance) -> Solution:
-    """Turn a solver primal point into a schedule, with sanity checks.
+    """The plan a solver primal point's decisions make on the exact curve.
 
-    Binaries are rounded, SOC/time values clamped to their bounds; any
-    violation beyond 1e-4, or an objective that does not recompute from the
-    decoded variables, is a decode error (it would mean the model and the
-    decoder disagree). The schedule returned is the decoded one re-timed on
-    the exact charge curve (:func:`exact_plan`).
+    Only the decisions are read: the deployment X, the loadout Y, each
+    slot's swap and charge flags and departure SOC, and the delays D for
+    the objective check. Flags are rounded and SOCs clamped to [0, 1]; a
+    value beyond 1e-4 of either, or an objective that does not recompute
+    from X and D, is a decode error (the model and the decoder disagree).
+
+    Each flagged battery charges from its exact arrival SOC to its decoded
+    departure SOC (for at most ``t_max`` hours, the longest charge the model
+    knows; a departure SOC of 1 is unreachable and gets ``t_max``), and
+    dwell, times, delay and the objective follow
+    (:func:`~railvolt.domain.plan_from_actions`). A charge that needs no
+    time loses its flag. The MILP's own objective goes to
+    ``info["model_objective"]``; ``bound`` and ``gap`` stay the MILP's, and
+    ``info["capped_charges"]`` counts the charges cut to ``t_max``.
     """
     if outcome.primal is None:
         raise DecodeError(f"no primal point to decode (status {outcome.status})")
@@ -478,93 +486,51 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
 
     inst = instance
     cfg = vm.config or SolveConfig()
-    S = inst.n_stations
-    J = range(inst.n_trains)
-    status = _PLAN_STATUS.get(outcome.status, outcome.status)
-    sol = empty_solution(inst, status, "pla", outcome.wall_seconds,
-                         {"solver_message": outcome.message})
-
-    sol.deployed = sorted(i for i, c in vm.X.items()
-                          if _as_flag(x[c], f"X[{i}]") == 1)
-    sol.has_battery = [[_as_flag(x[vm.Y[j, k]], f"Y[{j},{k}]")
-                        for k in range(inst.consists(j))] for j in J]
-
-    def flag(c):
-        return _as_flag(x[c], f"col{c}")
-
-    def hours(c):
-        return _clamped(x[c], 0.0, math.inf, f"col{c}")
-
-    def soc(c):
-        return _clamped(x[c], 0.0, 1.0, f"col{c}")
-
-    # (i, j, k) cells without a column keep empty_solution's zero
-    for grid, columns, read in (
-            (sol.swap, vm.Zs, flag), (sol.charge, vm.Zc, flag),
-            (sol.charge_hours, vm.Tc, hours), (sol.soc_arrive, vm.Sarr, soc),
-            (sol.soc_depart, vm.Sdep, soc),
-            (sol.battery_nonempty, vm.B, flag)):
-        for (i, j, k), c in columns.items():
-            grid[j][i][k] = read(c)
-
-    sol.arrive = [[_clamped(x[vm.Tarr[i, j]], 0.0, math.inf, "arrive")
-                   for i in range(S)] for j in J]
-    sol.depart = [[_clamped(x[vm.Tdep[i, j]], 0.0, math.inf, "depart")
-                   for i in range(S)] for j in J]
-    sol.delay = [[max(0.0, sol.depart[j][i] - sol.arrive[j][i]
-                      - inst.wait_time[i, j]) for i in range(S)] for j in J]
+    deployed = sorted(i for i, c in vm.X.items()
+                      if _as_flag(x[c], f"X[{i}]") == 1)
+    has_battery = [[_as_flag(x[vm.Y[j, k]], f"Y[{j},{k}]")
+                    for k in range(inst.consists(j))]
+                   for j in range(inst.n_trains)]
+    # per slot (i, j, k); stops without a slot get no action
+    swap = {slot: _as_flag(x[c], "Zs[%d,%d,%d]" % slot)
+            for slot, c in vm.Zs.items()}
+    charge = {slot: _as_flag(x[c], "Zc[%d,%d,%d]" % slot)
+              for slot, c in vm.Zc.items()}
+    target = {slot: _clamped(x[vm.Sdep[slot]], 0.0, 1.0,
+                             "Sdep[%d,%d,%d]" % slot) for slot in vm.Zc}
 
     # Independent objective recomputation from the decoded columns.
-    setup = sum(inst.fixed_cost[i] for i in sol.deployed)
-    d_term = sum(x[vm.D[i, j]] - inst.wait_time[i, j]
-                 for i in range(S) for j in J)
-    recomputed = cfg.alpha_fixed * setup + cfg.alpha_delay * d_term
+    setup = sum(inst.fixed_cost[i] for i in deployed)
+    d_term = sum(x[c] - inst.wait_time[i, j] for (i, j), c in vm.D.items())
+    recomputed = float(cfg.alpha_fixed * setup + cfg.alpha_delay * d_term)
     if outcome.objective is not None and \
             abs(recomputed - outcome.objective) > 1e-4 * max(1.0, abs(recomputed)):
         raise DecodeError(
             f"objective mismatch: solver {outcome.objective!r} vs "
             f"recomputed {recomputed!r}")
-    sol.objective_value = float(recomputed)
-    sol.bound, sol.gap = outcome.best_bound, outcome.gap
-    return exact_plan(sol, inst, cfg)
 
-
-def exact_plan(decoded: Solution, instance: Instance,
-               config: SolveConfig) -> Solution:
-    """``decoded``'s decisions, re-timed on the exact charge curve.
-
-    The deployment, the loadout and the swap and charge flags stay. Each
-    flagged battery charges from its exact arrival SOC to its decoded
-    departure SOC (for at most ``t_max`` hours, the longest charge the model
-    knows; a departure SOC of 1 is unreachable and gets ``t_max``), and
-    dwell, times, delay and the objective follow
-    (:func:`~railvolt.domain.plan_from_actions`). A charge that needs no
-    time loses its flag. The MILP's own objective stays in
-    ``info["model_objective"]``; ``bound`` and ``gap`` stay the MILP's, and
-    ``info["capped_charges"]`` counts the charges cut to ``t_max``.
-    """
     capped = 0
 
     def actions(j, i, soc):
         nonlocal capped
-        charge, hours = list(decoded.charge[j][i]), [0.0] * len(soc)
-        for k, flagged in enumerate(charge):
-            target = decoded.soc_depart[j][i][k]
-            if flagged and target > soc[k]:
-                need = charge_time_for_target(soc[k], target, instance.r0) \
-                    if target < 1.0 else math.inf
-                hours[k] = min(need, config.t_max)
-                capped += need > config.t_max
-            charge[k] = int(hours[k] > 0)
-        return decoded.swap[j][i], charge, hours
+        hours = [0.0] * len(soc)
+        for k, arrival in enumerate(soc):
+            slot = (i, j, k)
+            if charge.get(slot) and target[slot] > arrival:
+                need = charge_time_for_target(arrival, target[slot], inst.r0) \
+                    if target[slot] < 1.0 else math.inf
+                hours[k] = min(need, cfg.t_max)
+                capped += need > cfg.t_max
+        return ([swap.get((i, j, k), 0) for k in range(len(soc))],
+                [int(h > 0) for h in hours], hours)
 
-    sol = plan_from_actions(instance, decoded.deployed, decoded.has_battery,
-                            actions, decoded.status, decoded.algorithm,
-                            config)
-    sol.bound, sol.gap = decoded.bound, decoded.gap
-    sol.wall_seconds = decoded.wall_seconds
-    sol.info = dict(decoded.info, model_objective=decoded.objective_value,
-                    capped_charges=capped)
+    sol = plan_from_actions(inst, deployed, has_battery, actions,
+                            _PLAN_STATUS.get(outcome.status, outcome.status),
+                            "pla", cfg)
+    sol.bound, sol.gap = outcome.best_bound, outcome.gap
+    sol.wall_seconds = outcome.wall_seconds
+    sol.info = {"solver_message": outcome.message,
+                "model_objective": recomputed, "capped_charges": capped}
     return sol
 
 
@@ -596,7 +562,8 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
         for (j, k), col in vm.Y.items():
             model.fix_column(col, float(k < instance.trains[j].full_load))
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
-                                      seconds=cfg.time_limit_seconds)
+                                      seconds=cfg.time_limit_seconds,
+                                      seed=cfg.seed)
     if outcome.status in ("optimal", "feasible-limit"):
         sol = decode_solution(outcome, vm, instance)
         sol.info.update({"n_columns": model.n_cols, "n_rows": model.n_rows,

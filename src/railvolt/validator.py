@@ -3,9 +3,11 @@
 Nothing here touches the MILP: schedules are re-simulated directly from the
 declared actions (swap -> full battery, charge -> exact exponential curve)
 under the sequential-drain rule (the front consist's battery empties before
-the next one discharges). Two tolerance regimes exist: a loose one (default
-0.05 SOC) that absorbs the model's piecewise-linear interpolation error, and
-a strict one (1e-4) for oracle-grade inputs.
+the next one discharges). Two tolerance regimes exist. Every planner's plan
+and the oracle's replay at the strict one (1e-4). The loose one (default
+0.05 SOC) serves hand-tabulated schedules, whose figures are rounded:
+``instances/illustrative_schedule.json`` has 27 violations at 1e-4 and 14
+at 0.01, and passes at 0.05.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Solver adapter: duals, rays, LP export, status mapping."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import railvolt
 from railvolt import backend as be
 from railvolt.domain import SolveConfig
+from railvolt.model import VarMap
 
 from conftest import check_farkas_ray
 
@@ -621,6 +623,25 @@ def test_every_solve_config_setting_is_read():
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     assert sorted(set(SolveConfig.__annotations__) - read) == []
+
+
+def test_every_var_map_field_is_read():
+    # A column map entry only build_model reads belongs inside build_model:
+    # every VarMap field is read as an attribute outside it, in the package
+    # or its tests.
+    def loaded(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "build_model":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from loaded(child)
+
+    files = [*Path(railvolt.__file__).parent.glob("*.py"),
+             *Path(__file__).parent.glob("*.py")]
+    read = {attr for path in files
+            for attr in loaded(ast.parse(path.read_text()))}
+    assert sorted({f.name for f in dataclasses.fields(VarMap)} - read) == []
 
 
 def test_validator_imports_nothing_it_checks():

@@ -39,6 +39,11 @@ def test_split_census_on_reference(golden, reference_split):
     assert split.n_u == model.n_cols - 334 == 444
     assert set(np.unique(split.senses)) <= {">=", "="}
     assert int(split.v_only.sum()) == 132
+    # no scheduling-LP equality row has a binary entry, so the free duals
+    # of equalities add only constants to a cut
+    eq = (split.senses == "=") & ~split.v_only
+    assert int(eq.sum()) == 70
+    assert split.Dm[np.flatnonzero(eq)].nnz == 0
     # deployment costs sit in the binary block, delay costs in the
     # continuous one
     n_interior = len(list(golden.interior))
@@ -140,8 +145,8 @@ def test_pricing_an_impossible_assignment_yields_a_ray(
 def test_warm_pricing_matches_cold_pricing(golden_pla, reference_split,
                                           monkeypatch):
     # One split prices incumbent -> impossible -> incumbent -> impossible
-    # through the same two sessions; a fresh split prices each step cold.
-    # Where the dual vertex is not unique the optimum value still is.
+    # through the same two sessions; a fresh split prices each step in new
+    # ones. Where the dual vertex is not unique the optimum value still is.
     _, _, split = reference_split
     rays = []
     real_ray = be.FarkasLP.ray
@@ -170,9 +175,33 @@ def test_warm_pricing_matches_cold_pricing(golden_pla, reference_split,
                              split.u_ub, ray)
             assert cut.value == pytest.approx(cold.value, abs=1e-9)
     # the two rays went through one Farkas session, the four proposals
-    # through one scheduling-LP session
+    # through one scheduling-LP session, one cold run each
     assert warm.sessions["farkas"].session.runs == 2
-    assert warm.sessions["lp"].runs >= 4
+    assert warm.sessions["lp"].runs == 4
+
+
+def test_seed_reaches_every_milp(monkeypatch):
+    # SolveConfig.seed is HiGHS's random_seed on every MILP session: pla's
+    # solve, and bd's warm start and master. The pricing LPs keep HiGHS's
+    # default.
+    seeds = []
+
+    class CapturingSession(be.Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            status, seed = self._highs.getOptionValue("random_seed")
+            assert status == be._highs.HighsStatus.kOk
+            seeds.append((self.has_integers, seed))
+
+    monkeypatch.setattr(be, "Session", CapturingSession)
+    inst, cfg = tiny_corridor(7), SolveConfig(time_limit_seconds=60.0, seed=3)
+    assert solve_pla(inst, cfg).status == "optimal-within-gap"
+    assert seeds == [(True, 3)]
+    seeds.clear()
+    assert run_benders(inst, cfg).info["termination"] == "optimal"
+    # the warm start and the master, then the pricing LPs
+    assert [seed for milp, seed in seeds if milp] == [3, 3]
+    assert {seed for milp, seed in seeds if not milp} == {0}
 
 
 # ---------------------------------------------------------------------------

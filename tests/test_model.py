@@ -10,11 +10,10 @@ from railvolt import backend as be
 from railvolt import cli
 from railvolt import model as model_mod
 from railvolt.domain import (InstanceError, SolveConfig,
-                             charge_time_for_target, empty_solution,
-                             soc_after_charging)
+                             charge_time_for_target, soc_after_charging)
 from railvolt.generator import GenSpec, generate_instance
 from railvolt.model import (TANGENT_HOURS, build_model, build_pla_grid,
-                            decode_solution, exact_plan, solve_pla)
+                            decode_solution, solve_pla)
 from railvolt.reporting import ALGORITHMS
 from railvolt.validator import brute_force_best, simulate_schedule
 
@@ -377,32 +376,57 @@ def test_plans_replay_exactly(request, corridor, planner):
     assert sol.info["capped_charges"] == 0
 
 
-def test_exact_plan_keeps_decisions_and_retimes_charges():
+def test_decode_keeps_decisions_and_retimes_charges():
     # One train, one battery, a charge at station 1: to a target above the
     # exact arrival SOC it takes exactly the hours the curve needs, to one
     # below it none (the flag goes), and to a full battery t_max (capped).
     inst = tiny_corridor(7)
     cfg = SolveConfig()
+    _, vm = build_model(inst, cfg)
     arrival = 1.0 - inst.leg_energy(0, 0)
+    model_objective = inst.fixed_cost[1] + cfg.alpha_delay * 12.5
     for target, hours, flag, capped in (
             (arrival + 0.1,
              charge_time_for_target(arrival, arrival + 0.1, inst.r0), 1, 0),
             (arrival - 0.01, 0.0, 0, 0),
             (1.0, cfg.t_max, 1, 1)):
-        decoded = empty_solution(inst, "optimal-within-gap", "pla")
-        decoded.deployed, decoded.has_battery = [1], [[1]]
-        decoded.charge[0][1] = [1]
-        decoded.soc_depart[0][1] = [target]
-        decoded.objective_value = 12.5
-        sol = exact_plan(decoded, inst, cfg)
+        x = np.zeros(vm.n_cols)
+        x[[vm.X[1], vm.Y[0, 0], vm.Zc[1, 0, 0]]] = 1.0
+        x[vm.Sdep[1, 0, 0]] = target
+        x[vm.D[1, 0]] = 12.5
+        sol = decode_solution(be.SolveOutcome(status="optimal", primal=x),
+                              vm, inst)
         assert sol.charge[0][1] == [flag]
         assert sol.charge_hours[0][1] == [pytest.approx(hours, abs=1e-12)]
         assert sol.soc_arrive[0][1] == [pytest.approx(arrival, abs=1e-12)]
         assert sol.depart[0][1] - sol.arrive[0][1] == pytest.approx(hours)
-        assert sol.info["model_objective"] == 12.5
+        assert sol.info["model_objective"] == pytest.approx(model_objective)
         assert sol.info["capped_charges"] == capped
         assert sol.objective_value == pytest.approx(
             inst.fixed_cost[1] + cfg.alpha_delay * hours)
+
+
+def test_decode_reads_only_decisions(golden, golden_config, golden_pla):
+    # The plan comes from X, Y, Zs, Zc and Sdep alone, and D feeds only the
+    # objective check: scrambling every other column, past its bounds too,
+    # decodes to the same plan.
+    _, vm = build_model(golden, golden_config)
+    x = np.asarray(golden_pla.info["primal"], dtype=float)
+    keep = [c for columns in (vm.X, vm.Y, vm.Zs, vm.Zc, vm.Sdep, vm.D)
+            for c in columns.values()]
+    scrambled = np.where(np.arange(vm.n_cols) < vm.n_binary, 0.5, -3.0)
+    scrambled[keep] = x[keep]
+    sol = decode_solution(be.SolveOutcome(
+        status="optimal", primal=scrambled,
+        objective=golden_pla.info["model_objective"],
+        best_bound=golden_pla.bound, gap=golden_pla.gap,
+        message=golden_pla.info["solver_message"]), vm, golden)
+    want = golden_pla.to_dict()
+    for key in ("n_columns", "n_rows", "n_binaries", "primal"):
+        del want["info"][key]
+    got = sol.to_dict()
+    got["wall_seconds"] = want["wall_seconds"]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
