@@ -8,8 +8,10 @@ integrality, append rows, take a MIP start and run again, an LP from its
 last basis. Every run maps HiGHS's status onto a
 :class:`SolveOutcome` the same way. The decomposition keeps sessions for
 its pricing LPs and its master, and :class:`FarkasLP` holds one for
-infeasibility proofs. Named models are described engine-neutrally
-(columns, rows, senses) in :class:`AbstractModel`, solved by
+infeasibility proofs. Named models are described engine-neutrally in
+:class:`AbstractModel`: columns, and rows written one way across the
+package, as ``(id, [(column, coefficient), ...], sense, rhs)`` tuples that
+:func:`row_block` checks and turns into CSR data. They are solved by
 :class:`ScipyBackend` as one run of a fresh session, and can be exported
 to the textual LP interchange format for debugging.
 
@@ -20,11 +22,12 @@ nonnegative and duals of ``<=`` rows nonpositive.
 
 from __future__ import annotations
 
-import math
 import re
 import time
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (AbstractSet, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,7 +64,7 @@ class Column:
     objective: float
 
 
-class _Rows(NamedTuple):
+class RowBlock(NamedTuple):
     """Rows in insertion order, as CSR data with per-row counts.
 
     Row r holds the ``counts[r]`` entries of ``indices``/``values`` that
@@ -73,18 +76,79 @@ class _Rows(NamedTuple):
     senses: np.ndarray     # "<U2": ">=", "<=" or "="
     rhs: np.ndarray        # float64
 
+    @property
+    def indptr(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.counts)])
 
-_NO_ROWS = _Rows(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0),
-                 np.zeros(0, "<U2"), np.zeros(0))
+
+_NO_ROWS = RowBlock(np.zeros(0, np.int64), np.zeros(0, np.int32),
+                    np.zeros(0), np.zeros(0, "<U2"), np.zeros(0))
+
+# One row, the way every module writes it: (id, entries, sense, rhs), with
+# entries (column index, coefficient) pairs.
+Row = Tuple[str, Sequence[Tuple[int, float]], str, float]
+
+
+def row_block(rows: Iterable[Row], n_cols: int,
+              taken: AbstractSet[str] = frozenset()
+              ) -> Tuple[List[str], RowBlock]:
+    """The row tuples ``rows`` as their ids and one :class:`RowBlock`.
+
+    Zero coefficients are dropped (a column listed twice in one row stays
+    twice; :meth:`AbstractModel.constraint_matrix` sums them). Non-finite
+    numbers, column indices outside ``[0, n_cols)``, unknown senses and ids
+    that repeat or are in ``taken`` are refused with the offending row's id.
+    """
+    ids, counts, flat, senses, rhs = [], [], [], [], []
+    for rid, entries, sense, b in rows:
+        ids.append(rid)
+        counts.append(len(entries))
+        flat.extend(chain.from_iterable(entries))
+        senses.append(sense)
+        rhs.append(b)
+    n = len(ids)
+    flat = np.array(flat, float)
+    cols, values = flat[0::2], flat[1::2]
+    sense_arr, rhs = np.array(senses), np.array(rhs, float)
+
+    fresh = set(ids)
+    if len(fresh) != n or not fresh.isdisjoint(taken):
+        seen = set(taken)
+        for rid in ids:
+            if rid in seen:
+                raise BackendError(f"duplicate row id {rid!r}")
+            seen.add(rid)
+    bad = ~np.isin(sense_arr, _SENSES)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise BackendError(f"row {ids[r]!r}: unknown sense {senses[r]!r}")
+    bad = ~np.isfinite(rhs)
+    if bad.any():
+        raise BackendError(
+            f"row {ids[int(np.argmax(bad))]!r}: non-finite rhs")
+    row_of = np.repeat(np.arange(n), counts)
+    keep = values != 0.0
+    bad = keep & ~((cols >= 0) & (cols < n_cols) & (cols == np.floor(cols)))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise BackendError(f"row {ids[row_of[e]]!r}: unknown column index "
+                           f"{cols[e]:g}")
+    bad = keep & ~np.isfinite(values)
+    if bad.any():
+        raise BackendError(f"row {ids[row_of[int(np.argmax(bad))]]!r}: "
+                           "non-finite coefficient")
+    return ids, RowBlock(np.bincount(row_of[keep], minlength=n),
+                         cols[keep].astype(np.int32), values[keep],
+                         sense_arr.astype("<U2"), rhs)
 
 
 class AbstractModel:
     """A minimize-sense linear model with continuous and binary columns.
 
-    The rows live in numpy chunks of CSR data (:class:`_Rows`). Single rows
-    from :meth:`add_row` collect in Python lists until the next block from
-    :meth:`add_rows` or the next read turns them into a chunk; a read joins
-    all chunks into one.
+    Rows come in as row tuples (:data:`Row`) through :meth:`add_rows`, which
+    checks them and stores them as one numpy chunk of CSR data
+    (:class:`RowBlock`); :meth:`add_row` is a block of one. A read joins all
+    chunks into one.
     """
 
     def __init__(self, name: str = "model"):
@@ -94,8 +158,7 @@ class AbstractModel:
         self._col_ids: Dict[str, int] = {}
         self._row_ids: List[str] = []
         self._row_id_set: Set[str] = set()
-        self._chunks: List[_Rows] = []
-        self._pending = _Rows([], [], [], [], [])
+        self._chunks: List[RowBlock] = []
 
     # -- construction -------------------------------------------------------
 
@@ -117,97 +180,20 @@ class AbstractModel:
         self._col_ids[cid] = idx
         return idx
 
+    def add_rows(self, rows: Iterable[Row]) -> range:
+        """Append the row tuples ``rows`` (see :data:`Row`) as one chunk;
+        returns their indices. The checks are :func:`row_block`'s; a
+        refused row leaves the model as it was."""
+        ids, block = row_block(rows, len(self.columns), self._row_id_set)
+        self._chunks.append(block)
+        start = len(self._row_ids)
+        self._row_id_set.update(ids)
+        self._row_ids.extend(ids)
+        return range(start, start + len(ids))
+
     def add_row(self, rid: str, entries: Sequence[Tuple[int, float]],
                 sense: str, rhs: float) -> int:
-        if rid in self._row_id_set:
-            raise BackendError(f"duplicate row id {rid!r}")
-        if sense not in _SENSES:
-            raise BackendError(f"row {rid!r}: unknown sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise BackendError(f"row {rid!r}: non-finite rhs")
-        n_cols = len(self.columns)
-        indices, values = [], []
-        for ci, val in entries:
-            if val == 0.0:
-                continue
-            if not (0 <= ci < n_cols):
-                raise BackendError(f"row {rid!r}: unknown column index {ci}")
-            if not math.isfinite(val):
-                raise BackendError(f"row {rid!r}: non-finite coefficient")
-            indices.append(int(ci))
-            values.append(float(val))
-        pending = self._pending
-        pending.counts.append(len(indices))
-        pending.indices.extend(indices)
-        pending.values.extend(values)
-        pending.senses.append(sense)
-        pending.rhs.append(float(rhs))
-        self._row_id_set.add(rid)
-        self._row_ids.append(rid)
-        return len(self._row_ids) - 1
-
-    def add_rows(self, ids: Sequence[str], indptr, indices, values,
-                 senses, rhs) -> range:
-        """Append a block of rows given as CSR arrays; returns their indices.
-
-        Row r is ``ids[r]`` with the entries ``indptr[r]:indptr[r+1]`` of
-        ``indices`` and ``values``; ``senses`` is one sense per row or one
-        for all, ``rhs`` one number per row. The checks are those of
-        :meth:`add_row`, vectorized: zero coefficients are dropped, and
-        non-finite numbers, unknown columns, unknown senses and duplicate
-        ids are refused with the offending row's id.
-        """
-        ids = list(ids)
-        n = len(ids)
-        indptr = np.asarray(indptr)
-        indices = np.asarray(indices)
-        values = np.asarray(values, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        senses = np.broadcast_to(np.asarray(senses), (n,))
-        if (indptr.shape != (n + 1,) or indptr.dtype.kind not in "iu"
-                or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
-                or values.shape != indices.shape
-                or values.shape != (int(indptr[-1]),) or rhs.shape != (n,)
-                or (indices.size and indices.dtype.kind not in "iu")):
-            raise BackendError(
-                f"row block of {n} ids: inconsistent CSR arrays")
-
-        fresh = set(ids)
-        if len(fresh) != n or not self._row_id_set.isdisjoint(fresh):
-            seen = set(self._row_id_set)
-            for rid in ids:
-                if rid in seen:
-                    raise BackendError(f"duplicate row id {rid!r}")
-                seen.add(rid)
-        bad = ~np.isin(senses, _SENSES)
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise BackendError(f"row {ids[r]!r}: unknown sense {senses[r]!r}")
-        bad = ~np.isfinite(rhs)
-        if bad.any():
-            raise BackendError(
-                f"row {ids[int(np.argmax(bad))]!r}: non-finite rhs")
-        row_of = np.repeat(np.arange(n), np.diff(indptr))
-        keep = values != 0.0
-        bad = keep & ((indices < 0) | (indices >= len(self.columns)))
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise BackendError(
-                f"row {ids[row_of[e]]!r}: unknown column index {indices[e]}")
-        bad = keep & ~np.isfinite(values)
-        if bad.any():
-            raise BackendError(f"row {ids[row_of[int(np.argmax(bad))]]!r}: "
-                               "non-finite coefficient")
-
-        self._flush()
-        self._chunks.append(_Rows(
-            np.bincount(row_of[keep], minlength=n),
-            indices[keep].astype(np.int32), values[keep],
-            senses.astype("<U2"), rhs.copy()))
-        start = len(self._row_ids)
-        self._row_id_set.update(fresh)
-        self._row_ids.extend(ids)
-        return range(start, start + n)
+        return self.add_rows([(rid, entries, sense, rhs)])[0]
 
     def fix_column(self, idx: int, value: float) -> None:
         """Pin a column to a value (must lie within its declared bounds)."""
@@ -220,22 +206,11 @@ class AbstractModel:
 
     # -- row storage ----------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Turn the rows pending from :meth:`add_row` into a chunk."""
-        p = self._pending
-        if p.counts:
-            self._chunks.append(_Rows(
-                np.array(p.counts, np.int64), np.array(p.indices, np.int32),
-                np.array(p.values, float), np.array(p.senses, "<U2"),
-                np.array(p.rhs, float)))
-            self._pending = _Rows([], [], [], [], [])
-
-    def _rows(self) -> _Rows:
+    def _rows(self) -> RowBlock:
         """All rows as one chunk (in insertion order; do not modify)."""
-        self._flush()
         if len(self._chunks) != 1:
-            self._chunks = [_Rows(*(np.concatenate(part)
-                                    for part in zip(_NO_ROWS, *self._chunks)))]
+            parts = zip(_NO_ROWS, *self._chunks)
+            self._chunks = [RowBlock(*map(np.concatenate, parts))]
         return self._chunks[0]
 
     # -- introspection ------------------------------------------------------
@@ -257,8 +232,7 @@ class AbstractModel:
         """The rows as a canonical CSR matrix: column indices sorted within
         each row, repeated columns of a row summed."""
         rows = self._rows()
-        indptr = np.concatenate([[0], np.cumsum(rows.counts)])
-        A = sp.csr_matrix((rows.values, rows.indices, indptr),
+        A = sp.csr_matrix((rows.values, rows.indices, rows.indptr),
                           shape=(self.n_rows, self.n_cols), copy=True)
         A.sum_duplicates()
         return A

@@ -237,7 +237,7 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
 
 def extra_feasibility_cuts(instance: Instance, vm: VarMap,
                            config: Optional[SolveConfig] = None
-                           ) -> List[Tuple[str, List[Tuple[int, float]], str, float]]:
+                           ) -> List[be.Row]:
     """Master-only rows ruling out battery assignments no schedule can serve.
 
     All rows involve only binary columns, so they can sit in the master from
@@ -249,7 +249,7 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     """
     cfg = config or SolveConfig()
     M = cfg.big_M
-    cuts: List[Tuple[str, List[Tuple[int, float]], str, float]] = []
+    cuts: List[be.Row] = []
     S = instance.n_stations
     J = range(instance.n_trains)
     top = cfg.n - 1  # the top SOC interval of the PLA grid
@@ -339,8 +339,7 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
 # Master problem
 # ---------------------------------------------------------------------------
 
-def build_rmp(split: BendersSplit,
-              static: List[Tuple[str, List[Tuple[int, float]], str, float]]):
+def build_rmp(split: BendersSplit, static: List[be.Row]):
     """Master arrays over (v, w) before any cut: deployment costs plus the
     epigraph ``w`` of the continuous cost, under the v-only original rows
     and the ``static`` cuts (see :func:`extra_feasibility_cuts`).
@@ -350,24 +349,22 @@ def build_rmp(split: BendersSplit,
     least value the continuous cost can take (the sum of min(0, c_u) times
     u's upper bound: 0, since the only continuous costs are the delay
     weights on D >= 0); the rows are ``Dm[v_only]`` and then the static
-    cuts. ``A`` is canonical CSR without stored zeros. :func:`run_benders`
-    appends each cut to the live master.
+    cuts, checked by :func:`backend.row_block` (a cut on a column past the
+    binaries is refused). ``A`` is canonical CSR without stored zeros.
+    :func:`run_benders` appends each cut to the live master.
     """
     n = split.n_v + 1
     master = split.Dm[split.v_only]
-    cols, vals = np.array([pair for _, row, _, _ in static for pair in row],
-                          float).reshape(-1, 2).T
+    _, cuts = be.row_block(static, split.n_v)
     A = sp.vstack([
         sp.csr_matrix((master.data, master.indices, master.indptr),
                       shape=(master.shape[0], n)),
-        sp.csr_matrix((vals, cols.astype(np.int32),
-                       np.cumsum([0] + [len(row) for _, row, _, _ in static])),
-                      shape=(len(static), n))], format="csr")
+        sp.csr_matrix((cuts.values, cuts.indices, cuts.indptr),
+                      shape=(len(cuts.rhs), n))], format="csr")
     A.eliminate_zeros()
     A.sum_duplicates()
-    senses = np.concatenate([split.senses[split.v_only],
-                             np.array([s for _, _, s, _ in static], "<U2")])
-    rhs = np.concatenate([split.b[split.v_only], [r for *_, r in static]])
+    senses = np.concatenate([split.senses[split.v_only], cuts.senses])
+    rhs = np.concatenate([split.b[split.v_only], cuts.rhs])
     neg = split.c_u < 0
     lb = np.append(np.zeros(split.n_v), split.c_u[neg] @ split.u_ub[neg])
     ub = np.append(np.ones(split.n_v), np.inf)

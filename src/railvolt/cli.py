@@ -9,6 +9,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -231,7 +232,7 @@ def _cmd_solve(args) -> int:
         sol.to_json(args.out)
         print(f"wrote {args.out}")
         if sol.algorithm == "bd" and sol.info.get("benders_log"):
-            conv = args.out.rsplit(".", 1)[0] + "_convergence.csv"
+            conv = os.path.splitext(args.out)[0] + "_convergence.csv"
             with open(conv, "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=[
                     "iteration", "lower_bound", "upper_bound", "cut",

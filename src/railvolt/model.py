@@ -211,221 +211,231 @@ def build_model(instance: Instance,
     model.objective_offset = -aD * float(np.sum(inst.wait_time))
 
     # ---- rows ---------------------------------------------------------------
-    add = model.add_row
+    # Every row, in a fixed order, streamed into one model.add_rows.
+    def rows():
+        # Delay measures dwell: D >= depart - arrive.
+        for i, j in stops:
+            yield (f"delay_def_{i}_{j}",
+                   [(vm.D[i, j], 1.0), (depart[i, j], -1.0),
+                    (arrive[i, j], 1.0)], be.GE, 0.0)
 
-    # Delay measures dwell: D >= depart - arrive.
-    for i, j in stops:
-        add(f"delay_def_{i}_{j}",
-            [(vm.D[i, j], 1.0), (depart[i, j], -1.0),
-             (arrive[i, j], 1.0)], be.GE, 0.0)
+        # Operations only happen at deployed stations, and a deployed station
+        # must be used at least once.
+        for i in interior:
+            ops = [(vm.Zc[i, j, k], 1.0) for j in J for k in K[j]]
+            ops += [(vm.Zs[i, j, k], 1.0) for j in J for k in K[j]]
+            yield (f"ops_need_deploy_{i}",
+                   ops + [(vm.X[i], -2.0 * inst.n_trains * max_k)], be.LE, 0.0)
+            yield (f"deploy_is_used_{i}", ops + [(vm.X[i], -1.0)], be.GE, 0.0)
 
-    # Operations only happen at deployed stations, and a deployed station
-    # must be used at least once.
-    for i in interior:
-        ops = [(vm.Zc[i, j, k], 1.0) for j in J for k in K[j]]
-        ops += [(vm.Zs[i, j, k], 1.0) for j in J for k in K[j]]
-        add(f"ops_need_deploy_{i}",
-            ops + [(vm.X[i], -2.0 * inst.n_trains * max_k)], be.LE, 0.0)
-        add(f"deploy_is_used_{i}", ops + [(vm.X[i], -1.0)], be.GE, 0.0)
+        # A train cannot swap one battery and charge another in the same stop.
+        for i in interior:
+            for j in J:
+                for k1 in K[j]:
+                    for k2 in K[j]:
+                        yield (f"swap_xor_charge_{i}_{j}_{k1}_{k2}",
+                               [(vm.Zs[i, j, k1], 1.0),
+                                (vm.Zc[i, j, k2], 1.0)], be.LE, 1.0)
 
-    # A train cannot swap one battery and charge another in the same stop.
-    for i in interior:
+        # Dwell covers the planned wait.
+        for i, j in stops:
+            yield (f"dwell_wait_{i}_{j}",
+                   [(depart[i, j], 1.0), (arrive[i, j], -1.0)],
+                   be.GE, float(inst.wait_time[i, j]))
+
+        # Carry allowance, and batteries fill a consecutive prefix of consists.
         for j in J:
-            for k1 in K[j]:
-                for k2 in K[j]:
-                    add(f"swap_xor_charge_{i}_{j}_{k1}_{k2}",
-                        [(vm.Zs[i, j, k1], 1.0), (vm.Zc[i, j, k2], 1.0)],
-                        be.LE, 1.0)
+            yield (f"carry_cap_{j}", [(vm.Y[j, k], 1.0) for k in K[j]],
+                   be.LE, float(inst.trains[j].max_batteries))
+            for k in K[j][:-1]:
+                later = [(vm.Y[j, kk], 1.0) for kk in K[j] if kk > k]
+                yield (f"carry_prefix_{j}_{k}",
+                       later + [(vm.Y[j, k], -M)], be.LE, 0.0)
 
-    # Dwell covers the planned wait.
-    for i, j in stops:
-        add(f"dwell_wait_{i}_{j}",
-            [(depart[i, j], 1.0), (arrive[i, j], -1.0)],
-            be.GE, float(inst.wait_time[i, j]))
+        # Station capacities bound one train's operations per stop.
+        for i in interior:
+            for j in J:
+                yield (f"swap_stock_{i}_{j}",
+                       [(vm.Zs[i, j, k], 1.0) for k in K[j]],
+                       be.LE, float(inst.full_batteries[i]))
+                yield (f"charger_cap_{i}_{j}",
+                       [(vm.Zc[i, j, k], 1.0) for k in K[j]],
+                       be.LE, float(inst.chargers[i]))
 
-    # Carry allowance, and batteries fill a consecutive prefix of consists.
-    for j in J:
-        add(f"carry_cap_{j}", [(vm.Y[j, k], 1.0) for k in K[j]],
-            be.LE, float(inst.trains[j].max_batteries))
-        for k in K[j][:-1]:
-            later = [(vm.Y[j, kk], 1.0) for kk in K[j] if kk > k]
-            add(f"carry_prefix_{j}_{k}",
-                later + [(vm.Y[j, k], -M)], be.LE, 0.0)
-
-    # Station capacities bound one train's operations per stop.
-    for i in interior:
+        # Power balance along each leg: total SOC on arrival at i+1 equals
+        # total SOC at departure from i minus the leg's energy.
         for j in J:
-            add(f"swap_stock_{i}_{j}", [(vm.Zs[i, j, k], 1.0) for k in K[j]],
-                be.LE, float(inst.full_batteries[i]))
-            add(f"charger_cap_{i}_{j}", [(vm.Zc[i, j, k], 1.0) for k in K[j]],
-                be.LE, float(inst.chargers[i]))
+            for i in range(S - 1):
+                ent = [(vm.Sarr[i + 1, j, k], 1.0) for k in K[j]]
+                ent += [(vm.Sdep[i, j, k], -1.0) for k in K[j]]
+                yield (f"power_balance_{j}_{i}", ent, be.EQ,
+                       -inst.leg_energy(j, i))
 
-    # Power balance along each leg: total SOC on arrival at i+1 equals total
-    # SOC at departure from i minus the leg's energy.
-    for j in J:
-        for i in range(S - 1):
-            ent = [(vm.Sarr[i + 1, j, k], 1.0) for k in K[j]]
-            ent += [(vm.Sdep[i, j, k], -1.0) for k in K[j]]
-            add(f"power_balance_{j}_{i}", ent, be.EQ, -inst.leg_energy(j, i))
-
-    # Sequential drain: an empty-flagged battery has zero arrival SOC, and
-    # while an earlier consist still holds charge (and the next consist
-    # carries a battery at all), the next battery is still full.
-    for i, j in stops:
-        for k in K[j]:
-            add(f"nonempty_flag_{i}_{j}_{k}",
-                [(vm.Sarr[i, j, k], 1.0), (vm.B[i, j, k], -Ms)], be.LE, 0.0)
-        for k in K[j][:-1]:
-            add(f"drain_order_{i}_{j}_{k}",
-                [(vm.Sarr[i, j, k + 1], 1.0), (vm.B[i, j, k], -Ms),
-                 (vm.Y[j, k + 1], -Ms)], be.GE, 1.0 - 2.0 * Ms)
-
-    # SOC can only rise during a stop, never between stations.
-    for i, j, k in cells:
-        add(f"stop_no_drain_{i}_{j}_{k}",
-            [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)], be.GE, 0.0)
-    for j in J:
-        for i in range(S - 1):
+        # Sequential drain: an empty-flagged battery has zero arrival SOC, and
+        # while an earlier consist still holds charge (and the next consist
+        # carries a battery at all), the next battery is still full.
+        for i, j in stops:
             for k in K[j]:
-                add(f"leg_no_gain_{j}_{i}_{k}",
-                    [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i + 1, j, k], -1.0)],
-                    be.GE, 0.0)
+                yield (f"nonempty_flag_{i}_{j}_{k}",
+                       [(vm.Sarr[i, j, k], 1.0), (vm.B[i, j, k], -Ms)],
+                       be.LE, 0.0)
+            for k in K[j][:-1]:
+                yield (f"drain_order_{i}_{j}_{k}",
+                       [(vm.Sarr[i, j, k + 1], 1.0), (vm.B[i, j, k], -Ms),
+                        (vm.Y[j, k + 1], -Ms)], be.GE, 1.0 - 2.0 * Ms)
 
-    # Swap effects: full battery on departure, and the stop lasts at least
-    # the swap duration.
-    for i, j, k in slots:
-        add(f"swap_full_{i}_{j}_{k}",
-            [(vm.Sdep[i, j, k], 1.0), (vm.Zs[i, j, k], -1.0)], be.GE, 0.0)
-        add(f"swap_dwell_{i}_{j}_{k}",
-            [(depart[i, j], 1.0), (arrive[i, j], -1.0),
-             (vm.Zs[i, j, k], -inst.swap_hours)], be.GE, 0.0)
+        # SOC can only rise during a stop, never between stations.
+        for i, j, k in cells:
+            yield (f"stop_no_drain_{i}_{j}_{k}",
+                   [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)],
+                   be.GE, 0.0)
+        for j in J:
+            for i in range(S - 1):
+                for k in K[j]:
+                    yield (f"leg_no_gain_{j}_{i}_{k}",
+                           [(vm.Sdep[i, j, k], 1.0),
+                            (vm.Sarr[i + 1, j, k], -1.0)], be.GE, 0.0)
 
-    # Charge duration: inside the dwell, zero unless charging is declared,
-    # and strictly positive when it is declared.
-    for i, j, k in slots:
-        add(f"charge_within_dwell_{i}_{j}_{k}",
-            [(depart[i, j], 1.0), (arrive[i, j], -1.0),
-             (vm.Tc[i, j, k], -1.0)], be.GE, 0.0)
-        add(f"charge_needs_flag_{i}_{j}_{k}",
-            [(vm.Tc[i, j, k], 1.0), (vm.Zc[i, j, k], -M)], be.LE, 0.0)
-        add(f"flag_needs_charge_{i}_{j}_{k}",
-            [(vm.Zc[i, j, k], 1.0), (vm.Tc[i, j, k], -M)], be.LE, 0.0)
+        # Swap effects: full battery on departure, and the stop lasts at least
+        # the swap duration.
+        for i, j, k in slots:
+            yield (f"swap_full_{i}_{j}_{k}",
+                   [(vm.Sdep[i, j, k], 1.0), (vm.Zs[i, j, k], -1.0)],
+                   be.GE, 0.0)
+            yield (f"swap_dwell_{i}_{j}_{k}",
+                   [(depart[i, j], 1.0), (arrive[i, j], -1.0),
+                    (vm.Zs[i, j, k], -inst.swap_hours)], be.GE, 0.0)
 
-    # Untouched batteries keep their SOC (at endpoints no operations exist,
-    # so departure SOC simply cannot exceed arrival SOC there).
-    for i, j, k in cells:
-        ent = [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)]
-        if i in inst.interior:
-            ent += [(vm.Zc[i, j, k], -1.0), (vm.Zs[i, j, k], -1.0)]
-        add(f"hold_soc_{i}_{j}_{k}", ent, be.LE, 0.0)
+        # Charge duration: inside the dwell, zero unless charging is declared,
+        # and strictly positive when it is declared.
+        for i, j, k in slots:
+            yield (f"charge_within_dwell_{i}_{j}_{k}",
+                   [(depart[i, j], 1.0), (arrive[i, j], -1.0),
+                    (vm.Tc[i, j, k], -1.0)], be.GE, 0.0)
+            yield (f"charge_needs_flag_{i}_{j}_{k}",
+                   [(vm.Tc[i, j, k], 1.0), (vm.Zc[i, j, k], -M)], be.LE, 0.0)
+            yield (f"flag_needs_charge_{i}_{j}_{k}",
+                   [(vm.Zc[i, j, k], 1.0), (vm.Tc[i, j, k], -M)], be.LE, 0.0)
 
-    # Carried batteries start full at the origin (and leave it full, by
-    # stop_no_drain)...
-    for j in J:
-        for k in K[j]:
-            add(f"origin_full_arr_{j}_{k}",
-                [(vm.Sarr[0, j, k], 1.0), (vm.Y[j, k], -1.0)], be.GE, 0.0)
+        # Untouched batteries keep their SOC (at endpoints no operations exist,
+        # so departure SOC simply cannot exceed arrival SOC there).
+        for i, j, k in cells:
+            ent = [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)]
+            if i in inst.interior:
+                ent += [(vm.Zc[i, j, k], -1.0), (vm.Zs[i, j, k], -1.0)]
+            yield (f"hold_soc_{i}_{j}_{k}", ent, be.LE, 0.0)
 
-    # ...and the clock starts at zero there.
-    for j in J:
-        add(f"origin_clock_{j}",
-            [(arrive[0, j], 1.0), (depart[0, j], 1.0)], be.EQ, 0.0)
+        # Carried batteries start full at the origin (and leave it full, by
+        # stop_no_drain)...
+        for j in J:
+            for k in K[j]:
+                yield (f"origin_full_arr_{j}_{k}",
+                       [(vm.Sarr[0, j, k], 1.0), (vm.Y[j, k], -1.0)],
+                       be.GE, 0.0)
 
-    # Arrival time = previous departure + leg travel time.
-    for j in J:
-        for i in range(S - 1):
-            add(f"timeline_{j}_{i}",
-                [(arrive[i + 1, j], 1.0), (depart[i, j], -1.0)],
-                be.EQ, inst.leg_time(j, i))
+        # ...and the clock starts at zero there.
+        for j in J:
+            yield (f"origin_clock_{j}",
+                   [(arrive[0, j], 1.0), (depart[0, j], 1.0)], be.EQ, 0.0)
 
-    # Consists without a battery: no operations, no SOC anywhere.
-    for j in J:
-        for k in K[j]:
-            ops = [(vm.Zc[i, j, k], 1.0) for i in interior]
-            ops += [(vm.Zs[i, j, k], 1.0) for i in interior]
-            add(f"no_battery_no_ops_{j}_{k}",
-                ops + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
-            soc = [(vm.Sarr[i, j, k], 1.0) for i in range(S)]
-            soc += [(vm.Sdep[i, j, k], 1.0) for i in range(S)]
-            add(f"no_battery_no_soc_{j}_{k}",
-                soc + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
+        # Arrival time = previous departure + leg travel time.
+        for j in J:
+            for i in range(S - 1):
+                yield (f"timeline_{j}_{i}",
+                       [(arrive[i + 1, j], 1.0), (depart[i, j], -1.0)],
+                       be.EQ, inst.leg_time(j, i))
 
-    # ---- charge-clock block ------------------------------------------------
-    # Beta picks the SOC interval of Sarr and gamma interpolates Sarr on it.
-    # Then, with entries in this order, a slot's rows read
-    #   Theta_arr - sum_u phi(s_u) gamma_u <= 0
-    # (Theta_arr is at most phi's chord at Sarr, which lies over phi),
-    #   Theta_dep - phi'(s_p) Sdep - M_p Zc >= phi(s_p) - phi'(s_p) s_p - M_p
-    # for each s_p in s_0 .. s_{n-1} and cap, with M_p the tangent's value at
-    # SOC 1 (when charging, Theta_dep is at least every tangent of phi at
-    # Sdep, which lie under phi; otherwise the row is void), and
-    #   Tc - Theta_dep + Theta_arr - top Zc >= -top
-    # (a charge lasts at least Theta_dep - Theta_arr). An exact charge of
-    # Tc <= t_max hours takes theta(Sdep) - theta(Sarr) >= phi(Sdep) -
-    # phi(Sarr) hours, so it meets them with Theta_arr at the chord and
-    # Theta_dep at the largest tangent; so does every swap and idle slot.
-    #
-    # Then one tangent row per duration T in TANGENT_HOURS,
-    #   kappa q^T Tc - Sdep + Sarr + Zs >= kappa q^T T - (1 - q^T)
-    # with q = 1 - r0 and kappa = -ln q: an exact charge of Tc hours gains
-    # Sdep - Sarr = (1 - Sarr)(1 - q^Tc) <= 1 - q^Tc, which lies under every
-    # tangent of the concave 1 - q^t; a swap (Zs = 1) or an idle slot
-    # (Tc = 0, Sdep <= Sarr) meets every row. Only the columns vary by slot.
-    n = grid.n
-    points = np.append(grid.s[:-1], grid.cap)
-    at, rise = grid.clock(points), grid.slope(points)
-    high = at + rise * (1.0 - points)
-    q, hours = 1.0 - inst.r0, np.asarray(TANGENT_HOURS)
-    slope = grid.kappa * q ** hours
-    n_tan = len(hours)
-    block_values = np.concatenate([
-        [1.0], -grid.clock(grid.s),
-        np.column_stack([np.ones(n + 1), -rise, -high]).ravel(),
-        [1.0, -1.0, 1.0, -grid.top],
-        np.column_stack([slope, np.tile([-1.0, 1.0, 1.0], (n_tan, 1))])
-        .ravel()])
-    block_indptr = np.cumsum([0, n + 2] + [3] * (n + 1) + [4] * (1 + n_tan))
-    block_senses = [be.LE] + [be.GE] * (n + 2 + n_tan)
-    block_rhs = np.concatenate([[0.0], at - rise * points - high,
-                                [-grid.top],
-                                slope * hours - (1.0 - q ** hours)])
-    block_ids = ([("clock_arr", "")]
-                 + [("clock_dep", f"_{p}") for p in range(n + 1)]
-                 + [("clock_charge", "")]
-                 + [("charge_tangent", f"_{h}") for h in range(n_tan)])
+        # Consists without a battery: no operations, no SOC anywhere.
+        for j in J:
+            for k in K[j]:
+                ops = [(vm.Zc[i, j, k], 1.0) for i in interior]
+                ops += [(vm.Zs[i, j, k], 1.0) for i in interior]
+                yield (f"no_battery_no_ops_{j}_{k}",
+                       ops + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
+                soc = [(vm.Sarr[i, j, k], 1.0) for i in range(S)]
+                soc += [(vm.Sdep[i, j, k], 1.0) for i in range(S)]
+                yield (f"no_battery_no_soc_{j}_{k}",
+                       soc + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
 
-    for slot in slots:
-        tag = "_%d_%d_%d" % slot
-        beta = [vm.beta[slot + (u,)] for u in range(n)]
-        gamma = [gamma_of[slot + (u,)] for u in range(n + 1)]
-        Tc, Sdep, Zc = vm.Tc[slot], vm.Sdep[slot], vm.Zc[slot]
+        # ---- charge-clock block --------------------------------------------
+        # Beta picks the SOC interval of Sarr and gamma interpolates Sarr on
+        # it. Then, with entries in this order, a slot's rows read
+        #   Theta_arr - sum_u phi(s_u) gamma_u <= 0
+        # (Theta_arr is at most phi's chord at Sarr, which lies over phi),
+        #   Theta_dep - phi'(s_p) Sdep - M_p Zc
+        #       >= phi(s_p) - phi'(s_p) s_p - M_p
+        # for each s_p in s_0 .. s_{n-1} and cap, with M_p the tangent's
+        # value at SOC 1 (when charging, Theta_dep is at least every tangent
+        # of phi at Sdep, which lie under phi; otherwise the row is void), and
+        #   Tc - Theta_dep + Theta_arr - top Zc >= -top
+        # (a charge lasts at least Theta_dep - Theta_arr). An exact charge of
+        # Tc <= t_max hours takes theta(Sdep) - theta(Sarr) >= phi(Sdep) -
+        # phi(Sarr) hours, so it meets them with Theta_arr at the chord and
+        # Theta_dep at the largest tangent; so does every swap and idle slot.
+        #
+        # Then one tangent row per duration T in TANGENT_HOURS,
+        #   kappa q^T Tc - Sdep + Sarr + Zs >= kappa q^T T - (1 - q^T)
+        # with q = 1 - r0 and kappa = -ln q: an exact charge of Tc hours
+        # gains Sdep - Sarr = (1 - Sarr)(1 - q^Tc) <= 1 - q^Tc, which lies
+        # under every tangent of the concave 1 - q^t; a swap (Zs = 1) or an
+        # idle slot (Tc = 0, Sdep <= Sarr) meets every row. Only the columns
+        # vary by slot; the coefficients are computed once, with numpy (whose
+        # powers can differ from Python's in the last bit).
+        n = grid.n
+        points = np.append(grid.s[:-1], grid.cap)
+        at, rise = grid.clock(points), grid.slope(points)
+        high = at + rise * (1.0 - points)
+        q, hours = 1.0 - inst.r0, np.asarray(TANGENT_HOURS)
+        slope = grid.kappa * q ** hours
+        s_grid = grid.s.tolist()
+        arr_coef = (-grid.clock(grid.s)).tolist()
+        # per row: (id suffix, Sdep coefficient, Zc coefficient, rhs)
+        dep_rows = [(f"_{p}", a, b, c) for p, (a, b, c) in enumerate(zip(
+            (-rise).tolist(), (-high).tolist(),
+            (at - rise * points - high).tolist()))]
+        # per row: (id suffix, Tc coefficient, rhs)
+        tan_rows = [(f"_{h}", a, b) for h, (a, b) in enumerate(zip(
+            slope.tolist(), (slope * hours - (1.0 - q ** hours)).tolist()))]
+        top = grid.top
 
-        add("pla_pick_s" + tag, [(c, 1.0) for c in beta], be.EQ, 1.0)
-        add("pla_weights_one" + tag, [(c, 1.0) for c in gamma], be.EQ, 1.0)
-        add("pla_soc_interp" + tag,
-            list(zip(gamma, grid.s.tolist())) + [(vm.Sarr[slot], -1.0)],
-            be.EQ, 0.0)
+        for slot in slots:
+            tag = "_%d_%d_%d" % slot
+            beta = [vm.beta[slot + (u,)] for u in range(n)]
+            gamma = [gamma_of[slot + (u,)] for u in range(n + 1)]
+            Tc, Sarr, Sdep = vm.Tc[slot], vm.Sarr[slot], vm.Sdep[slot]
+            Zc, Zs = vm.Zc[slot], vm.Zs[slot]
+            t_arr, t_dep = clock_arr[slot], clock_dep[slot]
 
-        # Weights live only on the selected interval's endpoints.
-        for u in range(1, n):
-            add(f"pla_weight_support{tag}_{u}",
-                [(gamma[u], 1.0), (beta[u - 1], -1.0), (beta[u], -1.0)],
-                be.LE, 0.0)
-        for name, col, selector in (("weight_low", gamma[0], beta[0]),
-                                    ("weight_high", gamma[n], beta[n - 1])):
-            add(f"pla_{name}{tag}", [(col, 1.0), (selector, -1.0)],
-                be.LE, 0.0)
+            yield ("pla_pick_s" + tag, [(c, 1.0) for c in beta], be.EQ, 1.0)
+            yield ("pla_weights_one" + tag, [(c, 1.0) for c in gamma],
+                   be.EQ, 1.0)
+            yield ("pla_soc_interp" + tag,
+                   list(zip(gamma, s_grid)) + [(Sarr, -1.0)], be.EQ, 0.0)
 
-        model.add_rows(
-            [prefix + tag + suffix for prefix, suffix in block_ids],
-            block_indptr,
-            np.concatenate([[clock_arr[slot]], gamma,
-                            np.tile([clock_dep[slot], Sdep, Zc], n + 1),
-                            [Tc, clock_dep[slot], clock_arr[slot], Zc],
-                            np.tile([Tc, Sdep, vm.Sarr[slot], vm.Zs[slot]],
-                                    n_tan)]),
-            block_values, block_senses, block_rhs)
+            # Weights live only on the selected interval's endpoints.
+            for u in range(1, n):
+                yield (f"pla_weight_support{tag}_{u}",
+                       [(gamma[u], 1.0), (beta[u - 1], -1.0),
+                        (beta[u], -1.0)], be.LE, 0.0)
+            yield (f"pla_weight_low{tag}", [(gamma[0], 1.0), (beta[0], -1.0)],
+                   be.LE, 0.0)
+            yield (f"pla_weight_high{tag}",
+                   [(gamma[n], 1.0), (beta[n - 1], -1.0)], be.LE, 0.0)
 
+            yield ("clock_arr" + tag,
+                   [(t_arr, 1.0)] + list(zip(gamma, arr_coef)), be.LE, 0.0)
+            for p, dsoc, dzc, b in dep_rows:
+                yield ("clock_dep" + tag + p,
+                       [(t_dep, 1.0), (Sdep, dsoc), (Zc, dzc)], be.GE, b)
+            yield ("clock_charge" + tag,
+                   [(Tc, 1.0), (t_dep, -1.0), (t_arr, 1.0), (Zc, -top)],
+                   be.GE, -top)
+            for h, a, b in tan_rows:
+                yield ("charge_tangent" + tag + h,
+                       [(Tc, a), (Sdep, -1.0), (Sarr, 1.0), (Zs, 1.0)],
+                       be.GE, b)
+
+    model.add_rows(rows())
     return model, vm
 
 

@@ -471,6 +471,9 @@ def test_bad_inputs_rejected():
         m.add_row("r", [(x, 1.0)], "!=", 1.0)
     with pytest.raises(be.BackendError):
         m.add_row("r", [(x + 5, 1.0)], "<=", 1.0)
+    with pytest.raises(be.BackendError, match="column index 0.5"):
+        m.add_row("r", [(0.5, 1.0)], "<=", 1.0)
+    assert m.n_rows == 0
 
 
 def _block_model():
@@ -481,6 +484,8 @@ def _block_model():
     return m
 
 
+# Each case spells its rows compactly as CSR data: row r is ids[r] with the
+# entries indptr[r]:indptr[r+1] of indices and values.
 @pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named", [
     (["a", "b"], [0, 1, 2], [0, 1], [1.0, INF], "<=", [1.0, 1.0], "'b'"),
     (["a", "b"], [0, 1, 2], [0, 1], [float("nan"), 1.0], "<=", [1.0, 1.0],
@@ -497,29 +502,21 @@ def _block_model():
 ])
 def test_row_block_bad_inputs_rejected(ids, indptr, indices, values, senses,
                                        rhs, named):
+    senses = np.broadcast_to(senses, len(ids)).tolist()
+    rows = [(rid, list(zip(indices[lo:hi], values[lo:hi])), sense, b)
+            for rid, lo, hi, sense, b
+            in zip(ids, indptr, indptr[1:], senses, rhs)]
     m = _block_model()
     with pytest.raises(be.BackendError, match=named):
-        m.add_rows(ids, indptr, indices, values, senses, rhs)
+        m.add_rows(rows)
     # a refused block leaves the model as it was
     assert m.row_ids == ("first",)
     assert m.constraint_matrix().nnz == 1
 
 
-def test_row_block_rejects_inconsistent_arrays():
-    m = _block_model()
-    with pytest.raises(be.BackendError):
-        m.add_rows(["a"], [0, 2], [0], [1.0], "<=", [1.0])
-    with pytest.raises(be.BackendError):
-        m.add_rows(["a"], [0, 1], [0.0], [1.0], "<=", [1.0])
-    with pytest.raises(be.BackendError):
-        m.add_rows(["a"], [0.0, 1.0], [0], [1.0], "<=", [1.0])
-    with pytest.raises(be.BackendError):
-        m.add_rows(["a"], [0, 1], [0], [1.0], "<=", [1.0, 2.0])
-
-
 def test_row_block_matches_row_by_row():
-    # zeros are dropped (before the column check, as in add_row), and a
-    # column listed twice in one row is summed
+    # zeros are dropped (before the column check), and a column listed
+    # twice in one row is summed
     rows = [("a", [(0, 1.0), (1, 0.0), (0, 2.5)], "<=", 1.0),
             ("b", [(1, -1.0), (7, 0.0)], ">=", -2.0),
             ("c", [(0, 0.0)], "=", 0.5),
@@ -528,11 +525,7 @@ def test_row_block_matches_row_by_row():
     for row in rows:
         one.add_row(*row)
     block = _block_model()
-    block.add_rows([rid for rid, *_ in rows],
-                   np.cumsum([0] + [len(e) for _, e, _, _ in rows]),
-                   [ci for _, e, _, _ in rows for ci, _ in e],
-                   [v for _, e, _, _ in rows for _, v in e],
-                   [s for *_, s, _ in rows], [b for *_, b in rows])
+    assert block.add_rows(iter(rows)) == range(1, 5)
     assert block.row_ids == one.row_ids
     for got, want in zip(block.arrays(), one.arrays()):
         if hasattr(got, "toarray"):

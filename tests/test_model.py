@@ -242,6 +242,15 @@ def test_pla_bound_never_exceeds_the_oracle(battery):
         sol = solve_pla(inst, SolveConfig(time_limit_seconds=60.0))
         assert sol.status == "optimal-within-gap", seed
         assert sol.bound <= brute_force_best(inst, time_step=0.5)[0] + 1e-6
+        # the re-timed plan is one of those schedules unless a charge was
+        # cut to t_max
+        if sol.info["capped_charges"] == 0:
+            assert sol.bound <= sol.objective_value + 1e-6, seed
+
+
+def test_bound_never_exceeds_the_retimed_objective(golden_pla):
+    assert golden_pla.info["capped_charges"] == 0
+    assert golden_pla.bound <= golden_pla.objective_value + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +285,27 @@ def test_worked_example_model_is_pinned(golden):
     digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
     assert digest == (
         "33ee731b0cc9e040a6e07b3aed24b2e827b9ed7c216f4903538e4d881601a6dc")
+
+
+def test_build_model_adds_every_row_in_one_block(golden, monkeypatch):
+    # Rows reach the model as one stream through one add_rows call; no
+    # family goes row by row.
+    calls = {"add_rows": 0, "add_row": 0}
+    add_rows = be.AbstractModel.add_rows
+
+    def counted(self, rows):
+        calls["add_rows"] += 1
+        return add_rows(self, rows)
+
+    def single(self, *row):
+        calls["add_row"] += 1
+        return counted(self, [row])[0]
+
+    monkeypatch.setattr(be.AbstractModel, "add_rows", counted)
+    monkeypatch.setattr(be.AbstractModel, "add_row", single)
+    model, _ = build_model(golden, SolveConfig())
+    assert calls == {"add_rows": 1, "add_row": 0}
+    assert model.n_rows == 1192
 
 
 def test_build_model_rejects_invalid_instance():
