@@ -9,8 +9,9 @@ last basis. Every run maps HiGHS's status onto a
 :class:`SolveOutcome` the same way. The decomposition keeps sessions for
 its pricing LPs and its master, and :class:`FarkasLP` holds one for
 infeasibility proofs. Named models are described engine-neutrally in
-:class:`AbstractModel`: columns, and rows written one way across the
-package, as ``(id, [(column, coefficient), ...], sense, rhs)`` tuples that
+:class:`AbstractModel`: columns, added in blocks and kept as arrays, and
+rows written one way across the package, as
+``(id, [(column, coefficient), ...], sense, rhs)`` tuples that
 :func:`row_block` checks and turns into CSR data. They are solved by
 :class:`ScipyBackend` as one run of a fresh session, and can be exported
 to the textual LP interchange format for debugging.
@@ -27,7 +28,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from typing import (AbstractSet, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,15 +56,6 @@ class CapabilityError(BackendError):
 # Model description
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Column:
-    id: str
-    kind: str
-    lower: float
-    upper: float
-    objective: float
-
-
 class RowBlock(NamedTuple):
     """Rows in insertion order, as CSR data with per-row counts.
 
@@ -89,6 +81,19 @@ _NO_ROWS = RowBlock(np.zeros(0, np.int64), np.zeros(0, np.int32),
 Row = Tuple[str, Sequence[Tuple[int, float]], str, float]
 
 
+def _refuse_repeats(ids: Sequence[str], taken: AbstractSet[str],
+                    what: str) -> None:
+    """Refuse, naming it, the first of ``ids`` that repeats an earlier one
+    or is in ``taken``."""
+    fresh = set(ids)
+    if len(fresh) != len(ids) or not taken.isdisjoint(fresh):
+        seen = set(taken)
+        for i in ids:
+            if i in seen:
+                raise BackendError(f"duplicate {what} id {i!r}")
+            seen.add(i)
+
+
 def row_block(rows: Iterable[Row], n_cols: int,
               taken: AbstractSet[str] = frozenset()
               ) -> Tuple[List[str], RowBlock]:
@@ -111,13 +116,7 @@ def row_block(rows: Iterable[Row], n_cols: int,
     cols, values = flat[0::2], flat[1::2]
     sense_arr, rhs = np.array(senses), np.array(rhs, float)
 
-    fresh = set(ids)
-    if len(fresh) != n or not fresh.isdisjoint(taken):
-        seen = set(taken)
-        for rid in ids:
-            if rid in seen:
-                raise BackendError(f"duplicate row id {rid!r}")
-            seen.add(rid)
+    _refuse_repeats(ids, taken, "row")
     bad = ~np.isin(sense_arr, _SENSES)
     if bad.any():
         r = int(np.argmax(bad))
@@ -145,79 +144,99 @@ def row_block(rows: Iterable[Row], n_cols: int,
 class AbstractModel:
     """A minimize-sense linear model with continuous and binary columns.
 
-    Rows come in as row tuples (:data:`Row`) through :meth:`add_rows`, which
-    checks them and stores them as one numpy chunk of CSR data
-    (:class:`RowBlock`); :meth:`add_row` is a block of one. A read joins all
-    chunks into one.
+    Both come in checked blocks that are appended to what the model keeps:
+    columns through :meth:`add_columns`, as one array each of lower bounds,
+    upper bounds, costs and integral flags, and rows as row tuples
+    (:data:`Row`) through :meth:`add_rows`, as one :class:`RowBlock` of CSR
+    data. :meth:`add_column` and :meth:`add_row` are blocks of one.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.columns: List[Column] = []
         self.objective_offset: float = 0.0
-        self._col_ids: Dict[str, int] = {}
-        self._row_ids: List[str] = []
-        self._row_id_set: Set[str] = set()
-        self._chunks: List[RowBlock] = []
+        self._col_ids: Dict[str, None] = {}   # an ordered set
+        self._lower = np.zeros(0)
+        self._upper = np.zeros(0)
+        self._objective = np.zeros(0)
+        self._integral = np.zeros(0, bool)
+        self._row_ids: Dict[str, None] = {}
+        self._rows = _NO_ROWS
 
     # -- construction -------------------------------------------------------
 
-    def add_column(self, cid: str, kind: str = CONTINUOUS, lower: float = 0.0,
-                   upper: float = np.inf, objective: float = 0.0) -> int:
-        if cid in self._col_ids:
-            raise BackendError(f"duplicate column id {cid!r}")
+    def add_columns(self, ids: Iterable[str], kind: str = CONTINUOUS,
+                    lower=0.0, upper=np.inf, objective=0.0) -> range:
+        """Append one column of ``kind`` per id as one block; returns their
+        indices. ``lower``, ``upper`` and ``objective`` are one value or one
+        per id (binaries get [0, 1]). Repeated or taken ids, an unknown
+        kind, crossed or NaN bounds and non-finite costs are refused, naming
+        the column; a refused block leaves the model as it was."""
+        ids = list(ids)
+        n = len(ids)
+        _refuse_repeats(ids, self._col_ids.keys(), "column")
         if kind == BINARY:
             lower, upper = 0.0, 1.0
         elif kind != CONTINUOUS:
-            raise BackendError(f"unknown column kind {kind!r}")
-        if not (lower <= upper):
-            raise BackendError(f"column {cid!r}: lower {lower} > upper {upper}")
-        if not np.isfinite(objective):
-            raise BackendError(f"column {cid!r}: non-finite objective")
-        idx = len(self.columns)
-        self.columns.append(Column(cid, kind, float(lower), float(upper),
-                                   float(objective)))
-        self._col_ids[cid] = idx
-        return idx
+            raise BackendError(f"unknown column kind {kind!r} for {ids[:1]}")
+        lower, upper, objective = (np.broadcast_to(np.asarray(v, float), n)
+                                   for v in (lower, upper, objective))
+        bad = ~(lower <= upper) | ~np.isfinite(objective)
+        if bad.any():
+            c = int(np.argmax(bad))
+            raise BackendError(f"column {ids[c]!r}: bounds [{lower[c]}, "
+                               f"{upper[c]}], objective {objective[c]}")
+        start = self.n_cols
+        self._lower = np.concatenate([self._lower, lower])
+        self._upper = np.concatenate([self._upper, upper])
+        self._objective = np.concatenate([self._objective, objective])
+        self._integral = np.concatenate([self._integral,
+                                         np.full(n, kind == BINARY)])
+        self._col_ids.update(dict.fromkeys(ids))
+        return range(start, start + n)
+
+    def add_column(self, cid: str, kind: str = CONTINUOUS, lower: float = 0.0,
+                   upper: float = np.inf, objective: float = 0.0) -> int:
+        return self.add_columns([cid], kind, lower, upper, objective)[0]
 
     def add_rows(self, rows: Iterable[Row]) -> range:
-        """Append the row tuples ``rows`` (see :data:`Row`) as one chunk;
+        """Append the row tuples ``rows`` (see :data:`Row`) as one block;
         returns their indices. The checks are :func:`row_block`'s; a
         refused row leaves the model as it was."""
-        ids, block = row_block(rows, len(self.columns), self._row_id_set)
-        self._chunks.append(block)
-        start = len(self._row_ids)
-        self._row_id_set.update(ids)
-        self._row_ids.extend(ids)
+        ids, block = row_block(rows, self.n_cols, self._row_ids.keys())
+        self._rows = RowBlock(*map(np.concatenate, zip(self._rows, block)))
+        start = self.n_rows
+        self._row_ids.update(dict.fromkeys(ids))
         return range(start, start + len(ids))
 
     def add_row(self, rid: str, entries: Sequence[Tuple[int, float]],
                 sense: str, rhs: float) -> int:
         return self.add_rows([(rid, entries, sense, rhs)])[0]
 
-    def fix_column(self, idx: int, value: float) -> None:
-        """Pin a column to a value (must lie within its declared bounds)."""
-        col = self.columns[idx]
-        if not (col.lower - 1e-12 <= value <= col.upper + 1e-12):
+    def fix_column(self, idx, value) -> None:
+        """Pin the columns ``idx`` (one index or an array of them) to
+        ``value`` (one value or one per index). A value outside its
+        column's bounds is refused, naming the first, and nothing changes."""
+        idx = np.atleast_1d(idx)
+        value = np.broadcast_to(np.asarray(value, float), idx.shape)
+        lower, upper = self._lower[idx], self._upper[idx]
+        bad = ~((lower - 1e-12 <= value) & (value <= upper + 1e-12))
+        if bad.any():
+            c = int(np.argmax(bad))
             raise BackendError(
-                f"cannot fix {col.id!r} to {value} outside "
-                f"[{col.lower}, {col.upper}]")
-        col.lower = col.upper = float(value)
-
-    # -- row storage ----------------------------------------------------------
-
-    def _rows(self) -> RowBlock:
-        """All rows as one chunk (in insertion order; do not modify)."""
-        if len(self._chunks) != 1:
-            parts = zip(_NO_ROWS, *self._chunks)
-            self._chunks = [RowBlock(*map(np.concatenate, parts))]
-        return self._chunks[0]
+                f"cannot fix {self.col_ids[idx[c]]!r} to {value[c]} "
+                f"outside [{lower[c]}, {upper[c]}]")
+        self._lower[idx] = self._upper[idx] = value
 
     # -- introspection ------------------------------------------------------
 
     @property
     def n_cols(self) -> int:
-        return len(self.columns)
+        return len(self._col_ids)
+
+    @property
+    def col_ids(self) -> Tuple[str, ...]:
+        """Column ids in column order."""
+        return tuple(self._col_ids)
 
     @property
     def n_rows(self) -> int:
@@ -231,22 +250,19 @@ class AbstractModel:
     def constraint_matrix(self) -> sp.csr_matrix:
         """The rows as a canonical CSR matrix: column indices sorted within
         each row, repeated columns of a row summed."""
-        rows = self._rows()
+        rows = self._rows
         A = sp.csr_matrix((rows.values, rows.indices, rows.indptr),
                           shape=(self.n_rows, self.n_cols), copy=True)
         A.sum_duplicates()
         return A
 
     def arrays(self):
-        """(c, lb, ub, integrality, A, senses, rhs) as numpy/scipy objects."""
-        c = np.array([col.objective for col in self.columns])
-        lb = np.array([col.lower for col in self.columns])
-        ub = np.array([col.upper for col in self.columns])
-        integrality = np.array(
-            [1 if col.kind == BINARY else 0 for col in self.columns])
-        rows = self._rows()
-        return (c, lb, ub, integrality, self.constraint_matrix(),
-                rows.senses.copy(), rows.rhs.copy())
+        """(c, lb, ub, integrality, A, senses, rhs) as numpy/scipy objects,
+        copies of what the model stores (integrality 1 on binaries)."""
+        rows = self._rows
+        return (self._objective.copy(), self._lower.copy(),
+                self._upper.copy(), self._integral.astype(int),
+                self.constraint_matrix(), rows.senses.copy(), rows.rhs.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -584,18 +600,19 @@ def _fmt(x: float) -> str:
 
 def to_lp_string(model: AbstractModel) -> str:
     """Serialize to the textual LP format (canonical spacing, full precision)."""
-    for col in model.columns:
-        if not _NAME_RE.match(col.id):
-            raise CapabilityError(f"column id {col.id!r} is not LP-safe")
-        if not np.isfinite(col.lower):
-            raise CapabilityError("LP export requires finite lower bounds")
+    names = model.col_ids
+    for cid in names:
+        if not _NAME_RE.match(cid):
+            raise CapabilityError(f"column id {cid!r} is not LP-safe")
+    if not np.isfinite(model._lower).all():
+        raise CapabilityError("LP export requires finite lower bounds")
+    binary = model._integral.tolist()
     out = [f"\\ {model.name}", "Minimize"]
-    terms = [(col.id, col.objective) for col in model.columns
-             if col.objective != 0.0]
+    terms = [(cid, c) for cid, c in zip(names, model._objective.tolist())
+             if c != 0.0]
     out.append(" obj: " + _expr(terms, model.objective_offset))
     out.append("Subject To")
-    names = [col.id for col in model.columns]
-    rows = model._rows()
+    rows = model._rows
     indices, values = rows.indices.tolist(), rows.values.tolist()
     end = 0
     for rid, count, sense, rhs in zip(model.row_ids, rows.counts.tolist(),
@@ -605,15 +622,16 @@ def to_lp_string(model: AbstractModel) -> str:
                       zip(indices[start:end], values[start:end])], 0.0)
         out.append(f" {rid}: {expr} {sense} {_fmt(rhs)}")
     out.append("Bounds")
-    for col in model.columns:
-        if col.kind == BINARY:
+    for cid, lower, upper, is_binary in zip(
+            names, model._lower.tolist(), model._upper.tolist(), binary):
+        if is_binary:
             continue
-        if np.isinf(col.upper):
-            if col.lower != 0.0:
-                out.append(f" {col.id} >= {_fmt(col.lower)}")
+        if np.isinf(upper):
+            if lower != 0.0:
+                out.append(f" {cid} >= {_fmt(lower)}")
         else:
-            out.append(f" {_fmt(col.lower)} <= {col.id} <= {_fmt(col.upper)}")
-    binaries = [col.id for col in model.columns if col.kind == BINARY]
+            out.append(f" {_fmt(lower)} <= {cid} <= {_fmt(upper)}")
+    binaries = [cid for cid, is_binary in zip(names, binary) if is_binary]
     if binaries:
         out.append("Binary")
         for cid in binaries:

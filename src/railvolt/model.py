@@ -170,15 +170,13 @@ def build_model(instance: Instance,
 
     def family(prefix, keys, kind=be.CONTINUOUS, upper=np.inf,
                objective=0.0) -> Dict:
-        """One column per key, named ``prefix_<key parts>``; ``objective``
-        is one cost for every key or a sequence of per-key costs."""
-        columns = {}
-        for key, cost in zip(keys, np.broadcast_to(objective, len(keys))):
-            parts = key if isinstance(key, tuple) else (key,)
-            columns[key] = model.add_column(
-                "_".join(map(str, (prefix, *parts))), kind, upper=upper,
-                objective=float(cost))
-        return columns
+        """One column per key, named ``prefix_<key parts>``, added as one
+        block; ``objective`` is one cost for every key or a sequence of
+        per-key costs."""
+        ids = ["_".join(map(str, (prefix, *key))) if isinstance(key, tuple)
+               else f"{prefix}_{key}" for key in keys]
+        return dict(zip(keys, model.add_columns(ids, kind, upper=upper,
+                                                objective=objective)))
 
     def per_slot(count):
         return [slot + (u,) for slot in slots for u in range(count)]
@@ -567,10 +565,10 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     cfg = config or SolveConfig()
     model, vm = build_model(instance, cfg)
     if fixed_deployment is not None:
-        for i, col in vm.X.items():
-            model.fix_column(col, float(i in fixed_deployment))
-        for (j, k), col in vm.Y.items():
-            model.fix_column(col, float(k < instance.trains[j].full_load))
+        model.fix_column(
+            [*vm.X.values(), *vm.Y.values()],
+            [i in fixed_deployment for i in vm.X]
+            + [k < instance.trains[j].full_load for j, k in vm.Y])
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
                                       seconds=cfg.time_limit_seconds,
                                       seed=cfg.seed)

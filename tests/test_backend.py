@@ -257,6 +257,17 @@ def test_fix_column_outside_bounds_rejected():
     x = m.add_column("x", "continuous", 0.0, 1.0, 0.0)
     with pytest.raises(be.BackendError):
         m.fix_column(x, 2.0)
+    # an index array: every value is checked, the first column out of its
+    # bounds is named, and a refusal changes nothing
+    cols = m.add_columns(["a", "b", "c"], upper=[1.0, 2.0, 3.0])
+    with pytest.raises(be.BackendError, match="'b'"):
+        m.fix_column(np.array(cols), [0.5, 2.5, 9.0])
+    _, lb, ub, *_ = m.arrays()
+    assert lb.tolist() == [0.0] * 4 and ub.tolist() == [1.0, 1.0, 2.0, 3.0]
+    m.fix_column(np.array(cols), [0.5, 2.0, 3.0])
+    _, lb, ub, *_ = m.arrays()
+    assert lb.tolist() == [0.0, 0.5, 2.0, 3.0]
+    assert ub.tolist() == [1.0, 0.5, 2.0, 3.0]
 
 
 def test_time_limit_without_incumbent_reports_no_primal():
@@ -514,6 +525,29 @@ def test_row_block_bad_inputs_rejected(ids, indptr, indices, values, senses,
     assert m.constraint_matrix().nnz == 1
 
 
+def _model_arrays(m):
+    return [a.toarray() if sp.issparse(a) else a for a in m.arrays()]
+
+
+@pytest.mark.parametrize("ids,kind,lower,upper,objective,named", [
+    (["a", "b", "a"], "continuous", 0.0, 1.0, 0.0, "'a'"),  # repeat in block
+    (["a", "y"], "continuous", 0.0, 1.0, 0.0, "'y'"),  # existing id
+    (["a", "b"], "continuous", [0.0, 2.0], 1.0, 0.0, "'b'"),  # crossed
+    (["a", "b"], "continuous", 0.0, 1.0, [0.0, float("nan")], "'b'"),
+    (["a", "b"], "integer", 0.0, 1.0, 0.0, "'a'"),  # no such kind
+])
+def test_add_columns_bad_inputs_rejected(ids, kind, lower, upper, objective,
+                                         named):
+    m = _block_model()
+    before = _model_arrays(m)
+    with pytest.raises(be.BackendError, match=named):
+        m.add_columns(ids, kind, lower, upper, objective)
+    # a refused block leaves the model as it was
+    assert m.col_ids == ("x", "y")
+    for got, want in zip(_model_arrays(m), before):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_row_block_matches_row_by_row():
     # zeros are dropped (before the column check), and a column listed
     # twice in one row is summed
@@ -664,6 +698,21 @@ def _mixed_model():
     m.add_row("r3", [(x, 1.0), (k, -2.0), (z, 1e-6)], "=", -0.5)
     m.objective_offset = -2.5
     return m
+
+
+def test_arrays_are_copies():
+    # Writing into what arrays() returns changes neither a second arrays()
+    # call nor the LP text.
+    m = _mixed_model()
+    text, before = be.to_lp_string(m), _model_arrays(m)
+    for a in m.arrays():
+        if sp.issparse(a):
+            a.data[:] = 7.0
+        else:
+            a[:] = "=" if a.dtype.kind == "U" else 7
+    for got, want in zip(_model_arrays(m), before):
+        np.testing.assert_array_equal(got, want)
+    assert be.to_lp_string(m) == text
 
 
 def test_lp_text_of_mixed_model():

@@ -137,7 +137,7 @@ def test_clock_rows_hold_at_every_exact_charge():
     grid = build_pla_grid(SolveConfig.n, SolveConfig.t_max, inst.r0)
     n, slot = grid.n, (1, 0, 1)
     tag = "_%d_%d_%d" % slot
-    col = {c.id: i for i, c in enumerate(model.columns)}
+    col = {cid: i for i, cid in enumerate(model.col_ids)}
     prefixes = tuple(p + tag for p in (
         "pla_pick_s", "pla_weights_one", "pla_soc_interp",
         "pla_weight_support", "pla_weight_low", "pla_weight_high",
@@ -287,11 +287,23 @@ def test_worked_example_model_is_pinned(golden):
         "33ee731b0cc9e040a6e07b3aed24b2e827b9ed7c216f4903538e4d881601a6dc")
 
 
+def test_medium_corridor_model_is_pinned():
+    # Digest of default medium seed 1's LP text: two trains and multi-digit
+    # ids, beyond what the worked example's digest covers.
+    model, _ = build_model(generate_instance(GenSpec("medium", seed=1)),
+                           SolveConfig())
+    digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
+    assert digest == (
+        "0ce381ccc7fc74aa80313fd35f05e6f73f03770807db24c3616b0952a64ee4ef")
+
+
 def test_build_model_adds_every_row_in_one_block(golden, monkeypatch):
-    # Rows reach the model as one stream through one add_rows call; no
-    # family goes row by row.
-    calls = {"add_rows": 0, "add_row": 0}
+    # Rows reach the model as one stream through one add_rows call, and each
+    # column family as one add_columns block; nothing goes one by one.
+    calls = {"add_rows": 0, "add_row": 0, "add_column": 0}
+    blocks = []
     add_rows = be.AbstractModel.add_rows
+    add_columns = be.AbstractModel.add_columns
 
     def counted(self, rows):
         calls["add_rows"] += 1
@@ -301,11 +313,27 @@ def test_build_model_adds_every_row_in_one_block(golden, monkeypatch):
         calls["add_row"] += 1
         return counted(self, [row])[0]
 
+    def column_block(self, ids, *args, **kwargs):
+        blocks.append(list(ids))
+        return add_columns(self, blocks[-1], *args, **kwargs)
+
+    def one_column(self, cid, *args, **kwargs):
+        calls["add_column"] += 1
+        return add_columns(self, [cid], *args, **kwargs)[0]
+
     monkeypatch.setattr(be.AbstractModel, "add_rows", counted)
     monkeypatch.setattr(be.AbstractModel, "add_row", single)
+    monkeypatch.setattr(be.AbstractModel, "add_columns", column_block)
+    monkeypatch.setattr(be.AbstractModel, "add_column", one_column)
     model, _ = build_model(golden, SolveConfig())
-    assert calls == {"add_rows": 1, "add_row": 0}
+    assert calls == {"add_rows": 1, "add_row": 0, "add_column": 0}
     assert model.n_rows == 1192
+    # one block per family, in column order
+    assert [ids[0] for ids in blocks] == [
+        "X_1", "Y_0_0", "Zc_1_0_0", "Zs_1_0_0", "B_0_0_0", "beta_1_0_0_0",
+        "D_0_0", "Tarr_0_0", "Tdep_0_0", "Tc_1_0_0", "Sarr_0_0_0",
+        "Sdep_0_0_0", "gamma_1_0_0_0", "Theta_arr_1_0_0", "Theta_dep_1_0_0"]
+    assert sum(map(len, blocks)) == model.n_cols == 778
 
 
 def test_build_model_rejects_invalid_instance():
