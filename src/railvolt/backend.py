@@ -316,15 +316,15 @@ class Session:
     appended rows, and integrality: :meth:`set_integrality`
     relaxes a MILP to its LP and restores it) and :meth:`run` solves it
     again. An LP re-run starts from the last basis; when such a warm run
-    ends neither optimal nor infeasible, the solver is cleared and the run
-    repeated once cold. A MILP re-run starts from scratch, or from the point
-    given to :meth:`set_start`. When a MILP run ends in HiGHS's ``Solve
-    error`` (as when HiGHS's optimum, mapped back through presolve, violates
-    a row by 1e-6), the solver is cleared and the run repeated once without
-    presolve. ``seed`` is HiGHS's ``random_seed`` for every run (0, HiGHS's
-    default, changes nothing). Arrays HiGHS cannot take (inconsistent
-    shapes, or a model it rejects) raise :class:`BackendError` here, when
-    the session is built.
+    ends neither optimal, infeasible nor at its time or iteration limit,
+    the solver is cleared and the run repeated once cold. A MILP re-run
+    starts from scratch, or from the point given to :meth:`set_start`. When
+    a MILP run ends in HiGHS's ``Solve error`` (as when HiGHS's optimum,
+    mapped back through presolve, violates a row by 1e-6), the solver is
+    cleared and the run repeated once without presolve. ``seed`` is HiGHS's
+    ``random_seed`` for every run (0, HiGHS's default, changes nothing).
+    Arrays HiGHS cannot take (inconsistent shapes, or a model it rejects)
+    raise :class:`BackendError` here, when the session is built.
     """
 
     def __init__(self, c, A, senses, rhs, lb, ub, integrality=None,
@@ -464,7 +464,7 @@ class Session:
             _checked(h.setOptionValue("presolve", _DEFAULTS.presolve),
                      "presolve back on")
         elif self.runs and not self.has_integers \
-                and status not in (_MS.kOptimal, _MS.kInfeasible):
+                and status not in (_MS.kOptimal, _MS.kInfeasible, *_LIMITS):
             self.clear()
             h.run()
             status = h.getModelStatus()

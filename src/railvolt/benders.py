@@ -43,7 +43,7 @@ __all__ = [
 
 _DUALITY_TOL = 1e-4
 _RMP_GAP = 0.005        # relative MIP gap of every master solve
-_RMP_SECONDS = 300.0    # cap on one master solve and on the warm start
+_RMP_SECONDS = 300.0    # cap on one solve: warm start, LP round or master
 _SMALL_COEF = 1e-9      # HiGHS drops matrix entries this small
 
 
@@ -387,10 +387,13 @@ def run_benders(instance: Instance,
     """Iterate master assignments against the scheduling subproblem until
     the bound gap closes.
 
+    Every solve (the warm start, each LP round and each master) runs for
+    one time slice: the remaining budget, but at least 1 s and at most
+    300 s.
+
     Warm start: deploy everything, load every battery slot, and solve that
-    schedule MILP to ``mip_gap`` for up to min(300 s, the remaining budget
-    but at least 1 s); its priced subproblem gives the first cut and its
-    incumbent seeds the upper bound.
+    schedule MILP to ``mip_gap``; its priced subproblem gives the first cut
+    and its incumbent seeds the upper bound.
 
     LP phase (McDaniel & Devine's two-phase scheme): with the master's
     binaries relaxed in place, each round solves its LP relaxation (warm
@@ -404,12 +407,13 @@ def run_benders(instance: Instance,
     ``lp_rounds`` (LP proposals priced) and ``lp_stop`` ("no-progress",
     "repeat", "status", "certificate" or "time").
 
-    Each integer round then solves the master (lower bound) to a 0.5 % MIP
-    gap under the warm start's time cap, prices its proposal (cut and
-    possibly a better incumbent), and stops once (UB-LB)/UB <=
-    benders_gap, when a proposal prices to a cut the master already has,
-    when the Farkas LP cannot certify an infeasible proposal, or at the
-    time limit; ``info["termination"]`` says which ("optimal", "stalled",
+    Each integer round then solves the master to a 0.5 % MIP gap, raises
+    the lower bound to the master's bound, prices the proposal while
+    (UB-LB)/UB > benders_gap (a cut and possibly a better incumbent), and
+    logs one entry. The loop stops once the gap is closed, when a proposal
+    prices to a cut the master already has, when the Farkas LP cannot
+    certify an infeasible proposal, or at the time limit;
+    ``info["termination"]`` says which ("optimal", "stalled",
     "certificate" or "feasible-limit"). Every stop but "optimal" returns
     the incumbent as ``feasible-time-limit``, or
     ``time-limit-no-incumbent`` without one. ``iterations`` and
@@ -443,10 +447,13 @@ def run_benders(instance: Instance,
     def remaining() -> float:
         return cfg.time_limit_seconds - elapsed()
 
+    def time_slice() -> float:
+        """The limit of the next solve: the rest of the budget, at least
+        1 s and at most the cap on one solve."""
+        return min(_RMP_SECONDS, max(1.0, remaining()))
+
     # -- warm start ---------------------------------------------------------
-    warm_cfg = cfg.replace(time_limit_seconds=min(_RMP_SECONDS,
-                                                  max(1.0, remaining())))
-    warm = solve_pla(instance, warm_cfg,
+    warm = solve_pla(instance, cfg.replace(time_limit_seconds=time_slice()),
                      fixed_deployment=list(instance.interior),
                      keep_primal=True)
     if warm.status == "infeasible":
@@ -458,7 +465,6 @@ def run_benders(instance: Instance,
                         seed=cfg.seed)
     seen: Set[bytes] = set()
     optimality: List[Cut] = []  # for the MIP start's w
-    n_rays = 0
     upper_bound, lower_bound = np.inf, -np.inf
     log: List[dict] = []
     best_primal: Optional[np.ndarray] = None
@@ -467,7 +473,7 @@ def run_benders(instance: Instance,
         """Price proposal ``v``, append its cut to the master if it is new,
         and keep an ``integral`` ``v`` as the incumbent if it schedules more
         cheaply; returns the kind of cut and whether it was new."""
-        nonlocal best_primal, n_rays, upper_bound, lower_bound
+        nonlocal best_primal, upper_bound, lower_bound
         kind, cut, u = solve_subproblem_dual(split, v)
         point = kind == "point"
         if point and integral:
@@ -481,8 +487,6 @@ def run_benders(instance: Instance,
         if fresh:
             if point:
                 optimality.append(cut)
-            else:
-                n_rays += 1
             # w has coefficient 1 in the optimality cuts only
             master.add_rows(sp.csr_matrix(np.append(cut.coef, float(point))),
                             [be.GE], [cut.rhs])
@@ -498,7 +502,7 @@ def run_benders(instance: Instance,
     master.set_integrality(binaries, False)
     lp_rounds, lp_stop, best_lp = 0, "time", -np.inf
     while remaining() > 0:
-        relaxed = master.run(seconds=min(_RMP_SECONDS, max(1.0, remaining())))
+        relaxed = master.run(seconds=time_slice())
         if relaxed.status != "optimal":
             lp_stop = "status"
             break
@@ -526,8 +530,7 @@ def run_benders(instance: Instance,
             v_star = best_primal[:split.n_v]
             master.set_start(np.append(v_star, max(
                 cut.rhs - cut.coef @ v_star for cut in optimality)))
-        outcome = master.run(gap=_RMP_GAP, seconds=min(_RMP_SECONDS,
-                                                       max(1.0, remaining())))
+        outcome = master.run(gap=_RMP_GAP, seconds=time_slice())
         if outcome.status == "infeasible":
             return empty_solution(instance, "infeasible", "bd", elapsed(),
                                   {"phase": f"master-{it}",
@@ -535,35 +538,26 @@ def run_benders(instance: Instance,
         if outcome.status not in ("optimal", "feasible-limit"):
             raise be.BackendError(
                 f"master solve failed at iteration {it}: {outcome.status}")
-        v_hat = np.round(outcome.primal[:split.n_v])
-        if outcome.best_bound is not None:
-            lower_bound = min(max(lower_bound, outcome.best_bound),
-                              upper_bound)
+        lower_bound = min(max(lower_bound, outcome.best_bound), upper_bound)
 
-        entry = {"iteration": it, "lower_bound": lower_bound,
-                 "upper_bound": upper_bound, "cut": None,
-                 "master_status": outcome.status, "wall_seconds": elapsed()}
+        kind, stop = None, None
+        if _gap(upper_bound, lower_bound) > cfg.benders_gap:
+            try:
+                kind, fresh = price(np.round(outcome.primal[:split.n_v]))
+            except NoCertificateError:
+                stop = "certificate"
+            else:
+                # same cut twice: the master gap tolerance is hiding
+                # progress; report what we have rather than loop forever
+                stop = None if fresh else "stalled"
         if _gap(upper_bound, lower_bound) <= cfg.benders_gap:
-            status = "optimal"
-            log.append(entry)
-            break
-
-        try:
-            entry["cut"], fresh = price(v_hat)
-        except NoCertificateError:
-            status = "certificate"
-            log.append(entry)
-            break
-        entry.update(lower_bound=lower_bound, upper_bound=upper_bound)
-        log.append(entry)
-
-        if _gap(upper_bound, lower_bound) <= cfg.benders_gap:
-            status = "optimal"
-            break
-        if not fresh:
-            # same cut twice: the master gap tolerance is hiding progress;
-            # report what we have rather than loop forever
-            status = "stalled"
+            stop = "optimal"
+        log.append({"iteration": it, "lower_bound": lower_bound,
+                    "upper_bound": upper_bound, "cut": kind,
+                    "master_status": outcome.status,
+                    "wall_seconds": elapsed()})
+        if stop is not None:
+            status = stop
             break
 
     if best_primal is None:
@@ -571,19 +565,19 @@ def run_benders(instance: Instance,
             instance, "time-limit-no-incumbent", "bd", elapsed(),
             {"benders_log": log, "termination": status, **lp})
 
-    Q = len(optimality)
+    Q, R = len(optimality), len(seen) - len(optimality)
     outcome = be.SolveOutcome(
         status="optimal" if status == "optimal" else "feasible-limit",
         primal=best_primal, objective=upper_bound, best_bound=lower_bound,
         gap=_gap(upper_bound, lower_bound), wall_seconds=elapsed(),
-        message=f"decomposition {status}: Q={Q} R={n_rays}")
-    solution = decode_solution(outcome, vm, instance)
+        message=f"decomposition {status}: Q={Q} R={R}")
+    solution = decode_solution(outcome, vm, instance, cfg)
     solution.algorithm = "bd"
     solution.info.update({
         "benders_log": log,
         "iterations": len(log),
         "n_optimality_cuts": Q,
-        "n_feasibility_cuts": n_rays,
+        "n_feasibility_cuts": R,
         "n_static_cuts": len(static),
         "termination": status,
         **lp,

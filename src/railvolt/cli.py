@@ -282,8 +282,7 @@ def _cmd_sweep(args) -> int:
     instances = _load_instances(args.instances)
     cfg = _config(args)
     batches = [
-        run_batch(instances, args.algos, cfg.replace(alpha_delay=v),
-                  with_average=False)
+        run_batch(instances, args.algos, cfg.replace(alpha_delay=v))
         for v in values
     ]
     comparison = sensitivity_compare(batches[0], batches[1])

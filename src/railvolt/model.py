@@ -132,7 +132,6 @@ class VarMap:
     Sdep: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
     n_binary: int = 0
     n_cols: int = 0
-    config: Optional[SolveConfig] = None
 
 
 def build_model(instance: Instance,
@@ -159,7 +158,7 @@ def build_model(instance: Instance,
     Ms = SOC_BIG_M
 
     model = be.AbstractModel(name=f"plan[{inst.name}]")
-    vm = VarMap(config=cfg)
+    vm = VarMap()
 
     # Index sets: every (station, train) stop, every (station, train,
     # consist) cell, and the cells at interior stations, where operations
@@ -467,7 +466,7 @@ _PLAN_STATUS = {"optimal": "optimal-within-gap",
 
 
 def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
-                    instance: Instance) -> Solution:
+                    instance: Instance, config: SolveConfig) -> Solution:
     """The plan a solver primal point's decisions make on the exact curve.
 
     Only the decisions are read: the deployment X, the loadout Y, each
@@ -484,6 +483,8 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
     time loses its flag. The MILP's own objective goes to
     ``info["model_objective"]``; ``bound`` and ``gap`` stay the MILP's, and
     ``info["capped_charges"]`` counts the charges cut to ``t_max``.
+    ``config`` is the one the model was built with: its weights recompute
+    the objective and its ``t_max`` caps the charges.
     """
     if outcome.primal is None:
         raise DecodeError(f"no primal point to decode (status {outcome.status})")
@@ -493,7 +494,7 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
             f"primal has {len(x)} columns, model needs {vm.n_cols}")
 
     inst = instance
-    cfg = vm.config or SolveConfig()
+    cfg = config
     deployed = sorted(i for i, c in vm.X.items()
                       if _as_flag(x[c], f"X[{i}]") == 1)
     has_battery = [[_as_flag(x[vm.Y[j, k]], f"Y[{j},{k}]")
@@ -573,7 +574,7 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
                                       seconds=cfg.time_limit_seconds,
                                       seed=cfg.seed)
     if outcome.status in ("optimal", "feasible-limit"):
-        sol = decode_solution(outcome, vm, instance)
+        sol = decode_solution(outcome, vm, instance, cfg)
         sol.info.update({"n_columns": model.n_cols, "n_rows": model.n_rows,
                          "n_binaries": vm.n_binary})
         if keep_primal:

@@ -45,8 +45,7 @@ _RESULT_FIELDS = (
 
 
 def run_batch(instances: Sequence[Instance], algorithms: Sequence[str],
-              config: Optional[SolveConfig] = None,
-              with_average: bool = True) -> List[dict]:
+              config: Optional[SolveConfig] = None) -> List[dict]:
     """One row per (instance, algorithm), in the given order, plus one
     average row per algorithm over its non-error cells."""
     cfg = config or SolveConfig()
@@ -75,17 +74,16 @@ def run_batch(instances: Sequence[Instance], algorithms: Sequence[str],
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
 
-    if with_average:
-        for algo in algorithms:
-            ok = [r for r in rows
-                  if r["algorithm"] == algo and not r["error"]]
-            avg = {f: "" for f in _RESULT_FIELDS}
-            avg.update(instance="Average", algorithm=algo,
-                       status=f"n={len(ok)}")
-            if ok:
-                for f in list(Metrics.FIELDS) + ["wall_seconds"]:
-                    avg[f] = sum(float(r[f]) for r in ok) / len(ok)
-            rows.append(avg)
+    for algo in algorithms:
+        ok = [r for r in rows
+              if r["algorithm"] == algo and not r["error"]]
+        avg = {f: "" for f in _RESULT_FIELDS}
+        avg.update(instance="Average", algorithm=algo,
+                   status=f"n={len(ok)}")
+        if ok:
+            for f in list(Metrics.FIELDS) + ["wall_seconds"]:
+                avg[f] = sum(float(r[f]) for r in ok) / len(ok)
+        rows.append(avg)
     return rows
 
 
@@ -134,7 +132,8 @@ def paired_t_test(sample_a: Sequence[float],
 def sensitivity_compare(results_low: List[dict],
                         results_high: List[dict]) -> dict:
     """Per-cell measure deltas (high - low) plus a paired t-test per
-    (algorithm, measure) across instances."""
+    (algorithm, measure) across instances, on the cells whose delta is not
+    blank."""
     def cells(rows):
         return {
             (r["instance"], r["algorithm"]): r
@@ -162,17 +161,10 @@ def sensitivity_compare(results_low: List[dict],
     tests: Dict[str, dict] = {}
     for algo in algorithms:
         for f in Metrics.FIELDS:
-            lo, hi = [], []
-            for key in sorted(low):
-                if key[1] != algo:
-                    continue
-                a, b = low[key], high[key]
-                if a["error"] or b["error"] or a[f] == "" or b[f] == "":
-                    continue
-                lo.append(float(a[f]))
-                hi.append(float(b[f]))
-            if len(lo) >= 2:
-                tests[f"{algo}/{f}"] = paired_t_test(hi, lo)
+            d = [row[f] for row in deltas
+                 if row["algorithm"] == algo and row[f] != ""]
+            if len(d) >= 2:
+                tests[f"{algo}/{f}"] = paired_t_test(d, [0.0] * len(d))
     return {"deltas": deltas, "tests": tests,
             "meta": {"schema": SCHEMA, "direction": "high minus low",
                      "sided": "two"}}

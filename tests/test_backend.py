@@ -415,6 +415,42 @@ def test_milp_solve_error_goes_again_without_presolve():
     assert first.objective == pytest.approx(-5.0)
 
 
+def test_a_warm_lp_stopped_at_its_limit_is_one_run():
+    # A warm LP run that ends at its own time limit has spent its time: it
+    # is reported as a limit, not cleared and run again cold.
+    session = be.Session(np.array([1.0, 2.0]), sp.csr_matrix([[1.0, 1.0]]),
+                         np.array([">="]), np.array([2.0]), np.zeros(2),
+                         np.full(2, 10.0))
+    assert session.run().status == "optimal"
+
+    class FirstRunAtLimit:
+        def __init__(self, highs):
+            self.highs, self.calls = highs, []
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def run(self):
+            self.calls.append("run")
+            return self.highs.run()
+
+        def getModelStatus(self):
+            self.calls.append("status")
+            if self.calls.count("status") == 1:
+                return be._MS.kTimeLimit
+            return self.highs.getModelStatus()
+
+        def clearSolver(self):
+            self.calls.append("clear")
+            return self.highs.clearSolver()
+
+    session._highs = limited = FirstRunAtLimit(session._highs)
+    out = session.run()
+    assert limited.calls == ["run", "status"]
+    assert out.status == "limit-no-incumbent"
+    assert out.primal is None
+
+
 def test_session_time_limit_applies_to_each_run():
     # HiGHS's own run clock adds up over a session's runs. The limit must
     # not: runs of a small knapsack, each far below 0.25 s, add up past it

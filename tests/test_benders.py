@@ -359,6 +359,36 @@ def test_loop_never_reports_a_bound_past_its_incumbent(tiny_bd):
         assert e["lower_bound"] <= e["upper_bound"], e
 
 
+@pytest.mark.parametrize("corridor", ["tiny-7", "tiny-11", "tiny-19",
+                                      "short-haul-4"])
+def test_the_log_has_one_entry_per_integer_master(monkeypatch, corridor):
+    # Each integer round solves the master once and logs once. It prices
+    # the proposal while the gap is open, so only the last entry can lack a
+    # cut: the gap closed at the master's bound, or the proposal had no
+    # certificate.
+    inst = generate_instance(GenSpec(
+        n_trains=1, consists_per_train=1, max_batteries=1,
+        distance_mean_km=180.0, distance_sd_km=30.0, seed=4)) \
+        if corridor == "short-haul-4" else tiny_corridor(int(corridor[5:]))
+    runs = []
+    real_run = be.Session.run
+
+    def recording_run(self, *args, **kwargs):
+        runs.append((self, self.has_integers))
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(be.Session, "run", recording_run)
+    sol = run_benders(inst, SolveConfig(time_limit_seconds=120.0))
+    # the master is the one session that runs both as an LP and as a MILP
+    master, = ({s for s, integral in runs if integral}
+               & {s for s, integral in runs if not integral})
+    log = sol.info["benders_log"]
+    assert len(log) == sum(s is master and integral for s, integral in runs)
+    assert all(e["cut"] is not None for e in log[:-1])
+    if log[-1]["cut"] is None:
+        assert sol.info["termination"] in ("optimal", "certificate")
+
+
 def test_master_is_built_once_per_run(monkeypatch):
     # The master lives in one session: build_rmp runs once (the helper
     # checks), and each priced cut not seen before is appended to the live
@@ -417,9 +447,9 @@ def test_a_fractional_proposal_never_becomes_the_plan(monkeypatch, corridor):
         priced.append((split, np.array(v, dtype=float), kind, cut))
         return kind, cut, u
 
-    def recording_decode(outcome, vm, instance):
+    def recording_decode(outcome, vm, instance, config):
         decoded.append(outcome)
-        return real_decode(outcome, vm, instance)
+        return real_decode(outcome, vm, instance, config)
 
     monkeypatch.setattr(benders, "solve_subproblem_dual", recording_price)
     monkeypatch.setattr(benders, "decode_solution", recording_decode)

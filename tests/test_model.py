@@ -403,7 +403,7 @@ def test_decode_refuses_truncated_primal(golden):
                            objective=0.0, has_integers=True)
     from railvolt.domain import DecodeError
     with pytest.raises(DecodeError):
-        decode_solution(fake, vm, golden)
+        decode_solution(fake, vm, golden, SolveConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ def test_decode_keeps_decisions_and_retimes_charges():
         x[vm.Sdep[1, 0, 0]] = target
         x[vm.D[1, 0]] = 12.5
         sol = decode_solution(be.SolveOutcome(status="optimal", primal=x),
-                              vm, inst)
+                              vm, inst, cfg)
         assert sol.charge[0][1] == [flag]
         assert sol.charge_hours[0][1] == [pytest.approx(hours, abs=1e-12)]
         assert sol.soc_arrive[0][1] == [pytest.approx(arrival, abs=1e-12)]
@@ -478,7 +478,8 @@ def test_decode_reads_only_decisions(golden, golden_config, golden_pla):
         status="optimal", primal=scrambled,
         objective=golden_pla.info["model_objective"],
         best_bound=golden_pla.bound, gap=golden_pla.gap,
-        message=golden_pla.info["solver_message"]), vm, golden)
+        message=golden_pla.info["solver_message"]),
+        vm, golden, golden_config)
     want = golden_pla.to_dict()
     for key in ("n_columns", "n_rows", "n_binaries", "primal"):
         del want["info"][key]
