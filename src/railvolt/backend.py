@@ -149,6 +149,8 @@ class AbstractModel:
     upper bounds, costs and integral flags, and rows as row tuples
     (:data:`Row`) through :meth:`add_rows`, as one :class:`RowBlock` of CSR
     data. :meth:`add_column` and :meth:`add_row` are blocks of one.
+    :meth:`set_bounds` rebounds built columns, so one model can be solved
+    under several fixings.
     """
 
     def __init__(self, name: str = "model"):
@@ -212,20 +214,22 @@ class AbstractModel:
                 sense: str, rhs: float) -> int:
         return self.add_rows([(rid, entries, sense, rhs)])[0]
 
-    def fix_column(self, idx, value) -> None:
-        """Pin the columns ``idx`` (one index or an array of them) to
-        ``value`` (one value or one per index). A value outside its
-        column's bounds is refused, naming the first, and nothing changes."""
+    def set_bounds(self, idx, lower, upper) -> None:
+        """Bound the columns ``idx`` (one index or an array of them) by
+        ``lower`` and ``upper`` (one value or one per index), replacing
+        their bounds; equal bounds pin a column. Crossed or NaN bounds, and
+        a binary column's bounds outside [0, 1], are refused, naming the
+        first such column, and nothing changes."""
         idx = np.atleast_1d(idx)
-        value = np.broadcast_to(np.asarray(value, float), idx.shape)
-        lower, upper = self._lower[idx], self._upper[idx]
-        bad = ~((lower - 1e-12 <= value) & (value <= upper + 1e-12))
+        lower, upper = (np.broadcast_to(np.asarray(v, float), idx.shape)
+                        for v in (lower, upper))
+        bad = ~(lower <= upper) | (self._integral[idx]
+                                   & ((lower < 0.0) | (upper > 1.0)))
         if bad.any():
             c = int(np.argmax(bad))
-            raise BackendError(
-                f"cannot fix {self.col_ids[idx[c]]!r} to {value[c]} "
-                f"outside [{lower[c]}, {upper[c]}]")
-        self._lower[idx] = self._upper[idx] = value
+            raise BackendError(f"column {self.col_ids[idx[c]]!r}: bounds "
+                               f"[{lower[c]}, {upper[c]}]")
+        self._lower[idx], self._upper[idx] = lower, upper
 
     # -- introspection ------------------------------------------------------
 
@@ -292,6 +296,9 @@ _MS = _highs.HighsModelStatus
 _LIMITS = (_MS.kTimeLimit, _MS.kIterationLimit)
 _DEFAULTS = _highs.HighsOptions()
 _AT_UPPER = int(_highs.HighsBasisStatus.kUpper)
+# HiGHS's type of a continuous and of an integral column: the binding takes
+# only enum values, and one table lookup per column beats building each.
+_VAR_TYPE = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 
 
 def _checked(status, what: str) -> None:
@@ -359,8 +366,7 @@ class Session:
         lp.a_matrix_.index_ = A.indices
         lp.a_matrix_.value_ = A.data.astype(float)
         if self.has_integers:
-            lp.integrality_ = [_highs.HighsVarType(int(i))
-                               for i in integrality]
+            lp.integrality_ = [_VAR_TYPE[i] for i in self._integral.tolist()]
         _checked(self._highs.passModel(lp), "the model")
 
     # -- changes ------------------------------------------------------------

@@ -391,6 +391,9 @@ def run_benders(instance: Instance,
     one time slice: the remaining budget, but at least 1 s and at most
     300 s.
 
+    The MILP is built once per call: :func:`split_model` splits it, and
+    the warm start solves it.
+
     Warm start: deploy everything, load every battery slot, and solve that
     schedule MILP to ``mip_gap``; its priced subproblem gives the first cut
     and its incumbent seeds the upper bound.
@@ -455,7 +458,7 @@ def run_benders(instance: Instance,
     # -- warm start ---------------------------------------------------------
     warm = solve_pla(instance, cfg.replace(time_limit_seconds=time_slice()),
                      fixed_deployment=list(instance.interior),
-                     keep_primal=True)
+                     keep_primal=True, built=(model, vm))
     if warm.status == "infeasible":
         # every resource maxed out and still no schedule: nothing can work
         return empty_solution(instance, "infeasible", "bd", elapsed(),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import (InfeasibleError, Instance, SolveConfig, Solution,
                      empty_solution)
-from .model import solve_pla
+from .model import build_model, solve_pla
 
 __all__ = [
     "compute_supply_demand",
@@ -155,11 +155,12 @@ def run_fix_algorithm(
 ) -> Solution:
     """Fix a deployment greedily, then solve only for the schedule.
 
-    Each round solves the schedule MILP with the current stations forced
-    open (and every other one closed) and all trains carrying a full
-    battery load. If the restricted problem is infeasible, or the solver
-    returns nothing within its slice of the time budget, the next
-    best-scoring station is opened and the round repeats.
+    The MILP is built once, before the first round. Each round solves it
+    (one :func:`~railvolt.model.solve_pla` call on that model) with the
+    current stations forced open (and every other one closed) and all
+    trains carrying a full battery load. If the restricted problem is
+    infeasible, or the solver returns nothing within its slice of the time
+    budget, the next best-scoring station is opened and the round repeats.
 
     No plan is a status, never an exception: ``"infeasible"`` when the
     stations cannot cover the energy deficit, and the last round's own
@@ -177,6 +178,7 @@ def run_fix_algorithm(
                               time.perf_counter() - start,
                               {"phase": "seed", "reason": str(exc)})
     interior = list(instance.interior)
+    built = build_model(instance, config)
 
     while True:
         remaining = max(1, len(interior) - len(deployed))
@@ -185,7 +187,7 @@ def run_fix_algorithm(
                           max(1.0, budget_left))
         solution = solve_pla(
             instance, config.replace(time_limit_seconds=round_limit),
-            fixed_deployment=sorted(deployed))
+            fixed_deployment=sorted(deployed), built=built)
         round_rec = {
             "phase": "solve",
             "deployed": sorted(deployed),

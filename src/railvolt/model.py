@@ -549,8 +549,11 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
 
 def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
               fixed_deployment: Optional[Collection[int]] = None,
-              keep_primal: bool = False) -> Solution:
-    """Build and solve the full MILP; decode the incumbent.
+              keep_primal: bool = False,
+              built: Optional[Tuple[be.AbstractModel, VarMap]] = None
+              ) -> Solution:
+    """Solve the full MILP, or the one under ``fixed_deployment``; decode
+    the incumbent.
 
     ``fixed_deployment`` deploys exactly those interior stations and loads
     every train fully (a battery in each of its leading
@@ -561,15 +564,24 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     vector in ``info["primal"]`` for consumers that need the solver's exact
     binary assignment (decoding rounds and clamps). ``wall_seconds`` runs
     from entry to return, as for the other planners.
+
+    ``built`` is the ``(model, vm)`` pair of :func:`build_model` on this
+    instance and a config that differs from ``config`` at most in its time
+    limit, gap and seed; without it, the model is built here. Every call
+    sets the X and Y bounds, free [0, 1] or pinned to the fixing, so a
+    caller can solve one built model under one fixing after another; the
+    model keeps the last call's bounds.
     """
     started = time.perf_counter()
     cfg = config or SolveConfig()
-    model, vm = build_model(instance, cfg)
-    if fixed_deployment is not None:
-        model.fix_column(
-            [*vm.X.values(), *vm.Y.values()],
-            [i in fixed_deployment for i in vm.X]
-            + [k < instance.trains[j].full_load for j, k in vm.Y])
+    model, vm = built or build_model(instance, cfg)
+    cols = [*vm.X.values(), *vm.Y.values()]
+    if fixed_deployment is None:
+        model.set_bounds(cols, 0.0, 1.0)
+    else:
+        pinned = [i in fixed_deployment for i in vm.X] \
+            + [k < instance.trains[j].full_load for j, k in vm.Y]
+        model.set_bounds(cols, pinned, pinned)
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
                                       seconds=cfg.time_limit_seconds,
                                       seed=cfg.seed)

@@ -29,6 +29,20 @@ def check_farkas_ray(A, senses, rhs, ub, ray):
     assert score == pytest.approx(ray.violation, abs=1e-8)
 
 
+def count_builds(monkeypatch, *modules):
+    """Route ``build_model``, as each of ``modules`` looks it up, through
+    one counter; returns the list that gets one instance name per call."""
+    calls = []
+
+    def counted(instance, *args, **kwargs):
+        calls.append(instance.name)
+        return build_model(instance, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "build_model", counted)
+    return calls
+
+
 class MasterRows(NamedTuple):
     """A decomposition master as HiGHS holds it at the end of a run: rows
     ``lower <= A [v; w] <= upper`` and the columns' lower bounds. The first

@@ -244,7 +244,7 @@ def test_milp_respects_objective_offset_and_fix():
     y = m.add_column("y", "binary", 0.0, 1.0, 1.0)
     m.add_row("sum", [(x, 1.0), (y, 1.0)], ">=", 3.0)
     m.objective_offset = 100.0
-    m.fix_column(x, 2.5)
+    m.set_bounds(x, 2.5, 2.5)
     out = be.ScipyBackend().solve(m)
     assert out.status == "optimal"
     assert out.primal[x] == pytest.approx(2.5, abs=1e-9)
@@ -252,22 +252,45 @@ def test_milp_respects_objective_offset_and_fix():
     assert out.objective == pytest.approx(103.5, abs=1e-6)
 
 
-def test_fix_column_outside_bounds_rejected():
+def test_set_bounds_refuses_crossed_bounds():
     m = _lp()
     x = m.add_column("x", "continuous", 0.0, 1.0, 0.0)
-    with pytest.raises(be.BackendError):
-        m.fix_column(x, 2.0)
-    # an index array: every value is checked, the first column out of its
-    # bounds is named, and a refusal changes nothing
+    for lower, upper in ((2.0, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(be.BackendError, match="'x'"):
+            m.set_bounds(x, lower, upper)
+    # an index array: every pair is checked, the first crossed column (or
+    # binary column outside [0, 1]) is named, and a refusal changes nothing
     cols = m.add_columns(["a", "b", "c"], upper=[1.0, 2.0, 3.0])
+    y = m.add_column("y", "binary")
     with pytest.raises(be.BackendError, match="'b'"):
-        m.fix_column(np.array(cols), [0.5, 2.5, 9.0])
+        m.set_bounds(np.array(cols), [0.5, 2.5, 9.0], [0.5, 2.0, 3.0])
+    with pytest.raises(be.BackendError, match="'y'"):
+        m.set_bounds(np.array([*cols, y]), 0.0, [1.0, 1.0, 1.0, 2.0])
     _, lb, ub, *_ = m.arrays()
-    assert lb.tolist() == [0.0] * 4 and ub.tolist() == [1.0, 1.0, 2.0, 3.0]
-    m.fix_column(np.array(cols), [0.5, 2.0, 3.0])
+    assert lb.tolist() == [0.0] * 5 and ub.tolist() == [1.0, 1.0, 2.0, 3.0, 1.0]
+    m.set_bounds(np.array(cols), [0.5, 2.0, 3.0], [0.5, 2.0, 9.0])
     _, lb, ub, *_ = m.arrays()
-    assert lb.tolist() == [0.0, 0.5, 2.0, 3.0]
-    assert ub.tolist() == [1.0, 0.5, 2.0, 3.0]
+    assert lb.tolist() == [0.0, 0.5, 2.0, 3.0, 0.0]
+    assert ub.tolist() == [1.0, 0.5, 2.0, 9.0, 1.0]
+    # bounds are replaced, not narrowed: a pinned column is freed again
+    m.set_bounds([x, y], 1.0, 1.0)
+    m.set_bounds([x, y], 0.0, [INF, 1.0])
+    _, lb, ub, *_ = m.arrays()
+    assert [lb[x], ub[x], lb[y], ub[y]] == [0.0, INF, 0.0, 1.0]
+
+
+def test_session_passes_highs_the_integrality_of_each_column():
+    # HiGHS reads back, column by column, the integrality the session was
+    # given: integer where it is nonzero, continuous elsewhere, and none at
+    # all for an LP.
+    integrality = np.array([1, 0, 1, 1, 0])
+    n = len(integrality)
+    args = (np.zeros(n), sp.csr_matrix(np.ones((1, n))), np.array(["<="]),
+            np.array([3.0]), np.zeros(n), np.ones(n))
+    session = be.Session(*args, integrality)
+    kinds = session._highs.getLp().integrality_
+    assert kinds == [be._highs.HighsVarType(int(i)) for i in integrality]
+    assert be.Session(*args)._highs.getLp().integrality_ == []
 
 
 def test_time_limit_without_incumbent_reports_no_primal():

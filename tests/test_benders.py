@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from railvolt import backend as be, benders
+from railvolt import backend as be, benders, model as model_mod
 from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
                               run_benders, solve_subproblem_dual, split_model)
 from railvolt.domain import SolveConfig, empty_solution
@@ -14,7 +14,7 @@ from railvolt.generator import GenSpec, generate_instance
 from railvolt.model import build_model, solve_pla
 from railvolt.validator import simulate_schedule
 
-from conftest import (check_farkas_ray, count_overcuts,
+from conftest import (check_farkas_ray, count_builds, count_overcuts,
                       run_benders_with_master, tiny_corridor)
 
 
@@ -559,3 +559,15 @@ def test_infeasible_line_is_reported_not_raised():
     sol = run_benders(inst, SolveConfig(time_limit_seconds=30.0))
     assert sol.status == "infeasible"
     assert sol.algorithm == "bd"
+
+
+def test_each_call_builds_one_model(monkeypatch):
+    # The model split for the decomposition is the one the warm start
+    # solves: one build per call.
+    calls = count_builds(monkeypatch, model_mod, benders)
+    inst = tiny_corridor(7)
+    cfg = SolveConfig(time_limit_seconds=120.0)
+    for n in (1, 2):
+        sol = run_benders(inst, cfg)
+        assert sol.status == "optimal-within-gap"
+        assert calls == [inst.name] * n

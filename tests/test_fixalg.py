@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from railvolt import fixalg, model as model_mod
 from railvolt.domain import InfeasibleError, SolveConfig
 from railvolt.fixalg import (_argmax, _nearest_deployed, compute_benefit,
                              compute_supply_demand, initialize_deployment,
@@ -12,7 +13,7 @@ from railvolt.fixalg import (_argmax, _nearest_deployed, compute_benefit,
 from railvolt.generator import GenSpec, generate_instance
 from railvolt.validator import simulate_schedule
 
-from conftest import tiny_corridor
+from conftest import count_builds, tiny_corridor
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +178,15 @@ def test_walk_on_tiny_corridor_respects_budget():
     assert sol.wall_seconds < 60.0
     report = simulate_schedule(inst, sol)
     assert report.ok, report.violations
+
+
+def test_every_round_solves_the_one_model_built_per_call(monkeypatch):
+    # Medium short-haul 1 takes 13 rounds, and one build serves them all.
+    calls = count_builds(monkeypatch, model_mod, fixalg)
+    inst = generate_instance(GenSpec(
+        size_class="medium", n_trains=1, consists_per_train=1,
+        max_batteries=1, distance_mean_km=180.0, distance_sd_km=30.0, seed=1))
+    sol = run_fix_algorithm(inst, SolveConfig(time_limit_seconds=60.0))
+    rounds = [r for r in sol.info["fix_rounds"] if r["phase"] == "solve"]
+    assert sol.status == "optimal-within-gap" and len(rounds) == 13
+    assert calls == [inst.name]

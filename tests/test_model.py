@@ -504,6 +504,22 @@ def test_fixed_deployment_is_respected():
     assert free.objective_value <= sol.objective_value + 1e-6
 
 
+def test_one_built_model_solves_each_fixing_as_a_fresh_build(golden):
+    # Every call sets the X and Y bounds afresh, so no fixing leaks into a
+    # later call on the same model: a feasible and an infeasible subset,
+    # every station, then the free model.
+    cfg = SolveConfig(time_limit_seconds=60.0)
+    built = build_model(golden, cfg)
+
+    def plain(sol):
+        return {k: v for k, v in sol.to_dict().items() if k != "wall_seconds"}
+
+    for fixed in ([1, 2, 4], [2], list(golden.interior), None):
+        reused = solve_pla(golden, cfg, fixed, built=built)
+        assert plain(reused) == plain(solve_pla(golden, cfg, fixed)), fixed
+    assert reused.objective_value == pytest.approx(94.5624, abs=1e-4)
+
+
 def test_pla_wall_seconds_cover_the_whole_call(monkeypatch):
     # A build that takes 0.2 s must show in wall_seconds: the time runs from
     # entry to return, not just around the solver call.
