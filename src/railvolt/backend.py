@@ -12,9 +12,12 @@ infeasibility proofs. Named models are described engine-neutrally in
 :class:`AbstractModel`: columns, added in blocks and kept as arrays, and
 rows written one way across the package, as
 ``(id, [(column, coefficient), ...], sense, rhs)`` tuples that
-:func:`row_block` checks and turns into CSR data. They are solved by
-:class:`ScipyBackend` as one run of a fresh session, and can be exported
-to the textual LP interchange format for debugging.
+:func:`row_block` checks and turns into CSR data. :class:`ScipyBackend`
+solves a model in one live session that its first solve builds and each
+later solve re-runs cold. New column bounds reach that session in place;
+a new column or row drops it, so the next solve builds a fresh one.
+Models can be exported to the textual LP interchange format for
+debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -151,6 +154,10 @@ class AbstractModel:
     data. :meth:`add_column` and :meth:`add_row` are blocks of one.
     :meth:`set_bounds` rebounds built columns, so one model can be solved
     under several fixings.
+
+    The model also keeps the live :class:`Session` that
+    :meth:`ScipyBackend.solve` builds for it: :meth:`set_bounds` writes
+    through to it, and :meth:`add_columns` and :meth:`add_rows` drop it.
     """
 
     def __init__(self, name: str = "model"):
@@ -163,6 +170,7 @@ class AbstractModel:
         self._integral = np.zeros(0, bool)
         self._row_ids: Dict[str, None] = {}
         self._rows = _NO_ROWS
+        self._session: Optional[Session] = None
 
     # -- construction -------------------------------------------------------
 
@@ -194,6 +202,7 @@ class AbstractModel:
         self._integral = np.concatenate([self._integral,
                                          np.full(n, kind == BINARY)])
         self._col_ids.update(dict.fromkeys(ids))
+        self._session = None
         return range(start, start + n)
 
     def add_column(self, cid: str, kind: str = CONTINUOUS, lower: float = 0.0,
@@ -208,6 +217,7 @@ class AbstractModel:
         self._rows = RowBlock(*map(np.concatenate, zip(self._rows, block)))
         start = self.n_rows
         self._row_ids.update(dict.fromkeys(ids))
+        self._session = None
         return range(start, start + len(ids))
 
     def add_row(self, rid: str, entries: Sequence[Tuple[int, float]],
@@ -219,7 +229,8 @@ class AbstractModel:
         ``lower`` and ``upper`` (one value or one per index), replacing
         their bounds; equal bounds pin a column. Crossed or NaN bounds, and
         a binary column's bounds outside [0, 1], are refused, naming the
-        first such column, and nothing changes."""
+        first such column, and nothing changes. A live session gets the
+        new bounds too."""
         idx = np.atleast_1d(idx)
         lower, upper = (np.broadcast_to(np.asarray(v, float), idx.shape)
                         for v in (lower, upper))
@@ -230,6 +241,10 @@ class AbstractModel:
             raise BackendError(f"column {self.col_ids[idx[c]]!r}: bounds "
                                f"[{lower[c]}, {upper[c]}]")
         self._lower[idx], self._upper[idx] = lower, upper
+        if self._session is not None:
+            cols = np.unique(np.arange(self.n_cols)[idx])
+            self._session.set_bounds(cols, self._lower[cols],
+                                     self._upper[cols])
 
     # -- introspection ------------------------------------------------------
 
@@ -320,7 +335,7 @@ class Session:
     ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1 (no
     ``integrality``: an LP). HiGHS is passed it once, as column-wise arrays;
     after that the setters change it in place (right-hand sides, costs,
-    appended rows, and integrality: :meth:`set_integrality`
+    column bounds, appended rows, and integrality: :meth:`set_integrality`
     relaxes a MILP to its LP and restores it) and :meth:`run` solves it
     again. An LP re-run starts from the last basis; when such a warm run
     ends neither optimal, infeasible nor at its time or iteration limit,
@@ -329,7 +344,8 @@ class Session:
     a MILP run ends in HiGHS's ``Solve error`` (as when HiGHS's optimum,
     mapped back through presolve, violates a row by 1e-6), the solver is
     cleared and the run repeated once without presolve. ``seed`` is HiGHS's
-    ``random_seed`` for every run (0, HiGHS's default, changes nothing).
+    ``random_seed`` for every run until :meth:`set_seed` changes it (0,
+    HiGHS's default, changes nothing).
     Arrays HiGHS cannot take (inconsistent shapes, or a model it rejects)
     raise :class:`BackendError` here, when the session is built.
     """
@@ -340,6 +356,7 @@ class Session:
         self.senses = np.asarray(senses)
         self.rhs = np.array(rhs, dtype=float)
         self.runs = 0  # runs so far
+        self._warm = False  # whether HiGHS holds a basis from a run
         self._highs = _highs._Highs()
         options = _highs.HighsOptions()
         options.log_to_console = False
@@ -381,6 +398,18 @@ class Session:
             _checked(self._highs.changeRowBounds(r, lo, hi), f"row {r} bounds")
         self.rhs[moved] = rhs[moved]
 
+    def set_bounds(self, cols, lower, upper) -> None:
+        """New bounds on the columns ``cols`` (distinct indices)."""
+        _checked(self._highs.changeColsBounds(
+            len(cols), np.asarray(cols, np.int32),
+            np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)),
+            "the column bounds")
+
+    def set_seed(self, seed: int) -> None:
+        """HiGHS's ``random_seed`` for the next runs."""
+        _checked(self._highs.setOptionValue("random_seed", int(seed)),
+                 f"seed {seed}")
+
     def set_costs(self, c: np.ndarray) -> None:
         _checked(self._highs.changeColsCost(
             len(c), np.arange(len(c), dtype=np.int32),
@@ -419,6 +448,7 @@ class Session:
     def clear(self) -> None:
         """Drop the basis and solution: the next run starts cold."""
         self._highs.clearSolver()
+        self._warm = False
 
     def set_start(self, x: np.ndarray) -> None:
         """A MIP start for the next run (HiGHS drops it if infeasible)."""
@@ -469,12 +499,13 @@ class Session:
             status = h.getModelStatus()
             _checked(h.setOptionValue("presolve", _DEFAULTS.presolve),
                      "presolve back on")
-        elif self.runs and not self.has_integers \
+        elif self._warm and not self.has_integers \
                 and status not in (_MS.kOptimal, _MS.kInfeasible, *_LIMITS):
             self.clear()
             h.run()
             status = h.getModelStatus()
         self.runs += 1
+        self._warm = True
 
         info = h.getInfo()
         found = status == _MS.kOptimal or (
@@ -509,9 +540,17 @@ class Session:
 # ---------------------------------------------------------------------------
 
 class ScipyBackend:
-    """Solves an :class:`AbstractModel` as one run of a fresh
-    :class:`Session` on its arrays, a MILP when it has binary columns and
-    an LP otherwise.
+    """Solves an :class:`AbstractModel`, a MILP when it has binary columns
+    and an LP otherwise, as one cold run of the model's live
+    :class:`Session`.
+
+    The first solve builds that session from the model's arrays and the
+    model keeps it. A later solve clears it (no basis, incumbent or MIP
+    start carries over), sets the call's ``seed`` and the model's current
+    ``objective_offset`` and runs it again, so it answers as a fresh
+    session would. Bounds set through :meth:`AbstractModel.set_bounds`
+    reach the live session in place; a new column or row drops it, and
+    the next solve builds a fresh one.
 
     LPs come back with row and upper-bound duals. An infeasible LP is only a
     status; :class:`FarkasLP` proves it on request from the arrays. HiGHS
@@ -520,9 +559,16 @@ class ScipyBackend:
 
     def solve(self, model: AbstractModel, gap: Optional[float] = None,
               seconds: Optional[float] = None, seed: int = 0) -> SolveOutcome:
-        c, lb, ub, integrality, A, senses, rhs = model.arrays()
-        return Session(c, A, senses, rhs, lb, ub, integrality,
-                       model.objective_offset, seed).run(gap, seconds)
+        session = model._session
+        if session is None:
+            c, lb, ub, integrality, A, senses, rhs = model.arrays()
+            session = model._session = Session(
+                c, A, senses, rhs, lb, ub, integrality, seed=seed)
+        else:
+            session.clear()
+            session.set_seed(seed)
+        session.offset = model.objective_offset
+        return session.run(gap, seconds)
 
 
 class FarkasRay(NamedTuple):

@@ -570,7 +570,11 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     limit, gap and seed; without it, the model is built here. Every call
     sets the X and Y bounds, free [0, 1] or pinned to the fixing, so a
     caller can solve one built model under one fixing after another; the
-    model keeps the last call's bounds.
+    model keeps the last call's bounds. The first solve of a model builds
+    its HiGHS session, and each later call re-runs that session cold with
+    the new bounds written in place (see
+    :class:`~railvolt.backend.ScipyBackend`); adding a column or row to the
+    model drops the session, and the next call builds a fresh one.
     """
     started = time.perf_counter()
     cfg = config or SolveConfig()

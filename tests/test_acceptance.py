@@ -90,6 +90,7 @@ def test_2a_greedy_matches_reported_plan(golden, fa_60):
              f"{FA_DEPLOYED} / {FA_SETUP} / {FA_OBJECTIVE} ±1.5%")
 
 
+@pytest.mark.slow
 def test_2b_decomposition_reaches_reference_quality(bd_150):
     rel = abs(bd_150.objective_value - PLA_OBJECTIVE) / PLA_OBJECTIVE
     ok = rel <= 0.05
@@ -98,6 +99,7 @@ def test_2b_decomposition_reaches_reference_quality(bd_150):
              f"{PLA_OBJECTIVE} ±5% (deviation {rel:.1%})")
 
 
+@pytest.mark.slow
 def test_2c_decomposition_no_worse_than_greedy(fa_60, bd_150):
     ok = bd_150.objective_value <= fa_60.objective_value + 1e-6
     _verdict("2c", ok,

@@ -196,7 +196,8 @@ def test_array_routines_report_bad_input_as_error():
 
 
 def test_solve_milp_matches_the_model_solve():
-    # ScipyBackend.solve is one Session run on the model's arrays.
+    # A model's first ScipyBackend.solve is one run of a Session built on
+    # its arrays; the model keeps that session for its later solves.
     m = _lp()
     cols = [m.add_column(f"b{i}", "binary", objective=-v)
             for i, v in enumerate((6.0, 5.0, 4.0))]
@@ -210,6 +211,108 @@ def test_solve_milp_matches_the_model_solve():
     assert direct.objective == via.objective == pytest.approx(-9.0 + 2.5)
     np.testing.assert_array_equal(direct.primal, via.primal)
     assert direct.best_bound == via.best_bound
+
+
+def _fresh_solve(m, gap=None, seed=0):
+    """What a fresh Session on ``m`` as it stands now returns."""
+    c, lb, ub, integrality, A, senses, rhs = m.arrays()
+    return be.Session(c, A, senses, rhs, lb, ub, integrality,
+                      m.objective_offset, seed).run(gap=gap)
+
+
+def _same_outcome(got, want):
+    assert (got.status, got.objective, got.best_bound, got.gap,
+            got.message) == (want.status, want.objective, want.best_bound,
+                             want.gap, want.message)
+    if want.primal is None:
+        assert got.primal is None
+    else:
+        np.testing.assert_array_equal(got.primal, want.primal)
+
+
+def _knapsack():
+    # values 6, 5, 4, weights 5, 4, 3, capacity 7: items 1 and 2 (-9)
+    m = _lp("knapsack")
+    cols = m.add_columns(["b0", "b1", "b2"], "binary",
+                         objective=[-6.0, -5.0, -4.0])
+    m.add_row("cap", list(zip(cols, (5.0, 4.0, 3.0))), "<=", 7.0)
+    return m, cols
+
+
+def test_every_model_change_reaches_the_next_solve():
+    # Each change after a solve moves the optimum, and the next solve sees
+    # it: bounds in the live session, rows and columns in a fresh one, the
+    # offset and the seed on every re-run.
+    m, (b0, b1, b2) = _knapsack()
+    solve = be.ScipyBackend().solve
+    out = solve(m, gap=0.0)
+    live = m._session
+    assert out.objective == pytest.approx(-9.0)
+
+    def step(want_objective, seed=0):
+        got = solve(m, gap=0.0, seed=seed)
+        _same_outcome(got, _fresh_solve(m, gap=0.0, seed=seed))
+        assert got.objective == pytest.approx(want_objective)
+        assert m._session._highs.getOptionValue("random_seed")[1] == seed
+
+    m.set_bounds(b1, 0.0, 0.0)          # item 1 out: item 0 alone
+    step(-6.0)
+    assert m._session is live
+    m.add_row("take_b2", [(b2, 1.0)], ">=", 1.0)  # item 2 in: alone
+    step(-4.0)
+    assert m._session is not live
+    live = m._session
+    b3 = m.add_column("b3", "binary", objective=-10.0)  # a free item
+    step(-14.0)
+    assert m._session is not live
+    m.objective_offset = 2.5
+    step(-11.5)
+    live = m._session
+    step(-11.5, seed=3)
+    step(-11.5, seed=0)
+    assert m._session is live
+    m.set_bounds([b1, b3], [1.0, 0.0], [1.0, 0.0])  # 1 and 2: 7 of 7
+    step(-9.0 + 2.5)
+    assert m._session is live
+
+
+def test_a_rerun_never_starts_from_an_earlier_run(monkeypatch):
+    # A feasible fixing, an infeasible one, then the first again, each
+    # solved twice (the second time with no change in between): every
+    # re-run of the live session starts with no solution and no basis, and
+    # answers as a fresh session on the same fixing does.
+    rng = np.random.default_rng(5)
+    m = _lp("fixings")
+    n = 24
+    cols = np.array(m.add_columns([f"b{i}" for i in range(n)], "binary",
+                                  objective=-rng.uniform(1.0, 9.0, n)))
+    for r in range(3):
+        w = rng.uniform(1.0, 6.0, n)
+        m.add_row(f"cap{r}", list(zip(cols.tolist(), w)), "<=", w.sum() / 3)
+    fixings = [(cols[:4], [1.0, 0.0, 1.0, 0.0]),     # feasible
+               (cols[:12], 1.0),                     # over every capacity
+               (cols[:4], [1.0, 0.0, 1.0, 0.0])]     # the first again
+    starts = []
+    real_run = be.Session.run
+
+    def run(session, *args, **kwargs):
+        h = session._highs
+        starts.append((h.getSolution().value_valid, h.getBasis().valid))
+        return real_run(session, *args, **kwargs)
+
+    answers = []
+    for fixed, value in fixings:
+        m.set_bounds(cols, 0.0, 1.0)
+        m.set_bounds(fixed, value, value)
+        want = _fresh_solve(m, gap=0.0)
+        for _ in range(2):
+            with monkeypatch.context() as mp:
+                mp.setattr(be.Session, "run", run)
+                got = be.ScipyBackend().solve(m, gap=0.0)
+            _same_outcome(got, want)
+        answers.append(got.status)
+    assert answers == ["optimal", "infeasible", "optimal"]
+    assert starts == [(False, False)] * 6
 
 
 def test_farkas_ray_none_when_feasible():

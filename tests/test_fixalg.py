@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from railvolt import fixalg, model as model_mod
+from railvolt import backend as be, fixalg, model as model_mod
 from railvolt.domain import InfeasibleError, SolveConfig
 from railvolt.fixalg import (_argmax, _nearest_deployed, compute_benefit,
                              compute_supply_demand, initialize_deployment,
@@ -190,3 +190,37 @@ def test_every_round_solves_the_one_model_built_per_call(monkeypatch):
     rounds = [r for r in sol.info["fix_rounds"] if r["phase"] == "solve"]
     assert sol.status == "optimal-within-gap" and len(rounds) == 13
     assert calls == [inst.name]
+
+
+def test_every_round_reruns_one_live_session(monkeypatch):
+    # One HiGHS session serves all 13 rounds of medium short-haul 1, and
+    # each round answers as a fresh session on its fixing does.
+    inst = generate_instance(GenSpec(
+        size_class="medium", n_trains=1, consists_per_train=1,
+        max_batteries=1, distance_mean_km=180.0, distance_sd_km=30.0, seed=1))
+    sessions, rounds = [], []
+
+    def answer(sol):
+        d = sol.to_dict()   # a deep copy: fa relabels its last round's plan
+        del d["wall_seconds"]
+        return d
+
+    class CountedSession(be.Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    def recorded(instance, config, fixed_deployment, built):
+        sol = model_mod.solve_pla(instance, config, fixed_deployment,
+                                  built=built)
+        rounds.append((config, fixed_deployment, answer(sol)))
+        return sol
+
+    with monkeypatch.context() as mp:
+        mp.setattr(be, "Session", CountedSession)
+        mp.setattr(fixalg, "solve_pla", recorded)
+        run_fix_algorithm(inst, SolveConfig(time_limit_seconds=60.0))
+    assert len(sessions) == 1 and len(rounds) == 13
+    for config, fixed, got in rounds:
+        assert got == answer(
+            model_mod.solve_pla(inst, config, fixed_deployment=fixed))

@@ -411,8 +411,10 @@ def test_decode_refuses_truncated_primal(golden):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("planner", ["pla", "fa", "bd"])
-@pytest.mark.parametrize("corridor", ["worked-example", "short-haul-4"])
+@pytest.mark.parametrize("corridor, planner", [
+    ("worked-example", "pla"), ("worked-example", "fa"),
+    pytest.param("worked-example", "bd", marks=pytest.mark.slow),  # bd_150
+    ("short-haul-4", "pla"), ("short-haul-4", "fa"), ("short-haul-4", "bd")])
 def test_plans_replay_exactly(request, corridor, planner):
     # Every plan is re-timed on the exact curve, so it replays at the strict
     # tolerance; the MILP's own value stays beside the plan's.
