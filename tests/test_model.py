@@ -9,7 +9,7 @@ import pytest
 from railvolt import backend as be
 from railvolt import cli
 from railvolt import model as model_mod
-from railvolt.domain import (InstanceError, SolveConfig,
+from railvolt.domain import (InstanceError, SolveConfig, Train,
                              charge_time_for_target, soc_after_charging)
 from railvolt.generator import GenSpec, generate_instance
 from railvolt.model import (TANGENT_HOURS, build_model, build_pla_grid,
@@ -295,6 +295,30 @@ def test_medium_corridor_model_is_pinned():
     digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
     assert digest == (
         "0ce381ccc7fc74aa80313fd35f05e6f73f03770807db24c3616b0952a64ee4ef")
+
+
+def test_large_corridor_model_is_pinned():
+    # Digest of default large seed 2's LP text: 25 stations, so station,
+    # train and consist ids of one and two digits share each family.
+    model, _ = build_model(generate_instance(GenSpec("large", seed=2)),
+                           SolveConfig())
+    assert model.n_rows == 6436
+    digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
+    assert digest == (
+        "f2bfe0e3f296ece979a2d0217cc34e09614145805dc92b7d288ea0897663325f")
+
+
+def test_mixed_consist_corridor_model_is_pinned():
+    # Digest of a corridor whose trains have 3 and 1 consists: every family
+    # keyed by consist has fewer keys for the second train.
+    inst = tiny_corridor(7, n_interior=3, n_trains=2, consists=3,
+                         max_batteries=2)
+    inst.trains[1] = Train("Train 2", consists=1, max_batteries=1)
+    model, _ = build_model(inst, SolveConfig())
+    assert model.n_rows == 620
+    digest = hashlib.sha256(be.to_lp_string(model).encode()).hexdigest()
+    assert digest == (
+        "cf16552be074ac863e9a614a87b5e42629d022398b15e89c08453ff059167121")
 
 
 def test_build_model_adds_every_row_in_one_block(golden, monkeypatch):
