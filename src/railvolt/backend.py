@@ -10,9 +10,10 @@ last basis. Every run maps HiGHS's status onto a
 its pricing LPs and its master, and :class:`FarkasLP` holds one for
 infeasibility proofs. Named models are described engine-neutrally in
 :class:`AbstractModel`: columns, added in blocks and kept as arrays, and
-rows written one way across the package, as
-``(id, [(column, coefficient), ...], sense, rhs)`` tuples that
-:func:`row_block` checks and turns into CSR data. :class:`ScipyBackend`
+rows, kept as CSR data, that enter through one checked constructor,
+:func:`checked_rows`, as arrays (the model builder's form) or as
+``(id, [(column, coefficient), ...], sense, rhs)`` tuples, which
+:func:`row_block` only lays out as those arrays. :class:`ScipyBackend`
 solves a model in one live session that its first solve builds and each
 later solve re-runs cold. New column bounds reach that session in place;
 a new column or row drops it, so the next solve builds a fresh one.
@@ -30,7 +31,7 @@ import re
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import (AbstractSet, Dict, Iterable, List, NamedTuple, Optional,
+from typing import (AbstractSet, Dict, Iterable, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -79,55 +80,61 @@ class RowBlock(NamedTuple):
 _NO_ROWS = RowBlock(np.zeros(0, np.int64), np.zeros(0, np.int32),
                     np.zeros(0), np.zeros(0, "<U2"), np.zeros(0))
 
-# One row, the way every module writes it: (id, entries, sense, rhs), with
-# entries (column index, coefficient) pairs.
+# One row as a tuple: (id, entries, sense, rhs), with entries (column index,
+# coefficient) pairs.
 Row = Tuple[str, Sequence[Tuple[int, float]], str, float]
 
 
-def _refuse_repeats(ids: Sequence[str], taken: AbstractSet[str],
-                    what: str) -> None:
-    """Refuse, naming it, the first of ``ids`` that repeats an earlier one
-    or is in ``taken``."""
-    fresh = set(ids)
+def _fresh_ids(ids: Sequence[str], taken: AbstractSet[str],
+               what: str) -> Dict[str, None]:
+    """``ids`` as an ordered set; refuses, naming it, the first id that
+    repeats an earlier one or is in ``taken``."""
+    fresh = dict.fromkeys(ids)
     if len(fresh) != len(ids) or not taken.isdisjoint(fresh):
         seen = set(taken)
         for i in ids:
             if i in seen:
                 raise BackendError(f"duplicate {what} id {i!r}")
             seen.add(i)
+    return fresh
 
 
-def row_block(rows: Iterable[Row], n_cols: int,
-              taken: AbstractSet[str] = frozenset()
-              ) -> Tuple[List[str], RowBlock]:
-    """The row tuples ``rows`` as their ids and one :class:`RowBlock`.
+def checked_rows(ids: Sequence[str], counts, indices, values, senses, rhs,
+                 n_cols: int, taken: AbstractSet[str] = frozenset()
+                 ) -> Tuple[Dict[str, None], RowBlock]:
+    """The rows ``ids`` as their ids (an ordered set) and one
+    :class:`RowBlock`, after every check a row gets: the one way rows
+    enter an :class:`AbstractModel`, whatever their form.
 
-    Zero coefficients are dropped (a column listed twice in one row stays
-    twice; :meth:`AbstractModel.constraint_matrix` sums them). Non-finite
-    numbers, column indices outside ``[0, n_cols)``, unknown senses and ids
-    that repeat or are in ``taken`` are refused with the offending row's id.
+    Row r is ``ids[r]``, with the ``counts[r]`` entries of ``indices`` and
+    ``values`` that follow the previous rows' entries, the sense
+    ``senses[r]`` and the right-hand side ``rhs[r]`` (``senses`` and
+    ``rhs`` may be one value for every row). Zero coefficients are
+    dropped, so they can pad rows to a common width (a column listed twice
+    in one row stays twice; :meth:`AbstractModel.constraint_matrix` sums
+    them). Non-finite numbers, column indices outside ``[0, n_cols)``,
+    unknown senses and ids that repeat or are in ``taken`` are refused
+    with the offending row's id.
     """
-    ids, counts, flat, senses, rhs = [], [], [], [], []
-    for rid, entries, sense, b in rows:
-        ids.append(rid)
-        counts.append(len(entries))
-        flat.extend(chain.from_iterable(entries))
-        senses.append(sense)
-        rhs.append(b)
     n = len(ids)
-    flat = np.array(flat, float)
-    cols, values = flat[0::2], flat[1::2]
-    sense_arr, rhs = np.array(senses), np.array(rhs, float)
+    counts = np.asarray(counts, np.int64)
+    cols, values = np.asarray(indices), np.asarray(values, float)
+    senses = np.broadcast_to(np.asarray(senses), n)
+    rhs = np.broadcast_to(np.asarray(rhs, float), n)
+    if len(counts) != n or counts.sum() != len(cols) \
+            or len(cols) != len(values):
+        raise BackendError(
+            f"inconsistent row arrays: {n} ids, {len(counts)} counts, "
+            f"{len(cols)} indices, {len(values)} values")
 
-    _refuse_repeats(ids, taken, "row")
-    bad = ~np.isin(sense_arr, _SENSES)
+    fresh = _fresh_ids(ids, taken, "row")
+    bad = ~np.isin(senses, _SENSES)
     if bad.any():
         r = int(np.argmax(bad))
         raise BackendError(f"row {ids[r]!r}: unknown sense {senses[r]!r}")
     bad = ~np.isfinite(rhs)
     if bad.any():
-        raise BackendError(
-            f"row {ids[int(np.argmax(bad))]!r}: non-finite rhs")
+        raise BackendError(f"row {ids[int(np.argmax(bad))]!r}: non-finite rhs")
     row_of = np.repeat(np.arange(n), counts)
     keep = values != 0.0
     bad = keep & ~((cols >= 0) & (cols < n_cols) & (cols == np.floor(cols)))
@@ -139,9 +146,26 @@ def row_block(rows: Iterable[Row], n_cols: int,
     if bad.any():
         raise BackendError(f"row {ids[row_of[int(np.argmax(bad))]]!r}: "
                            "non-finite coefficient")
-    return ids, RowBlock(np.bincount(row_of[keep], minlength=n),
-                         cols[keep].astype(np.int32), values[keep],
-                         sense_arr.astype("<U2"), rhs)
+    return fresh, RowBlock(np.bincount(row_of[keep], minlength=n),
+                           cols[keep].astype(np.int32), values[keep],
+                           senses.astype("<U2"), rhs.copy())
+
+
+def row_block(rows: Iterable[Row], n_cols: int,
+              taken: AbstractSet[str] = frozenset()
+              ) -> Tuple[Dict[str, None], RowBlock]:
+    """The row tuples ``rows`` as :func:`checked_rows` returns them: the
+    tuple form is only a layout, with no checks of its own."""
+    ids, counts, flat, senses, rhs = [], [], [], [], []
+    for rid, entries, sense, b in rows:
+        ids.append(rid)
+        counts.append(len(entries))
+        flat.extend(chain.from_iterable(entries))
+        senses.append(sense)
+        rhs.append(b)
+    flat = np.array(flat, float)
+    return checked_rows(ids, counts, flat[0::2], flat[1::2], np.array(senses),
+                        np.array(rhs, float), n_cols, taken)
 
 
 class AbstractModel:
@@ -149,15 +173,17 @@ class AbstractModel:
 
     Both come in checked blocks that are appended to what the model keeps:
     columns through :meth:`add_columns`, as one array each of lower bounds,
-    upper bounds, costs and integral flags, and rows as row tuples
-    (:data:`Row`) through :meth:`add_rows`, as one :class:`RowBlock` of CSR
-    data. :meth:`add_column` and :meth:`add_row` are blocks of one.
+    upper bounds, costs and integral flags, and rows as one
+    :class:`RowBlock` of CSR data, given as arrays to
+    :meth:`add_row_arrays` or as row tuples (:data:`Row`) to
+    :meth:`add_rows`; both take :func:`checked_rows`'s checks.
+    :meth:`add_column` and :meth:`add_row` are blocks of one.
     :meth:`set_bounds` rebounds built columns, so one model can be solved
     under several fixings.
 
     The model also keeps the live :class:`Session` that
     :meth:`ScipyBackend.solve` builds for it: :meth:`set_bounds` writes
-    through to it, and :meth:`add_columns` and :meth:`add_rows` drop it.
+    through to it, and adding columns or rows drops it.
     """
 
     def __init__(self, name: str = "model"):
@@ -183,7 +209,7 @@ class AbstractModel:
         the column; a refused block leaves the model as it was."""
         ids = list(ids)
         n = len(ids)
-        _refuse_repeats(ids, self._col_ids.keys(), "column")
+        fresh = _fresh_ids(ids, self._col_ids.keys(), "column")
         if kind == BINARY:
             lower, upper = 0.0, 1.0
         elif kind != CONTINUOUS:
@@ -201,7 +227,7 @@ class AbstractModel:
         self._objective = np.concatenate([self._objective, objective])
         self._integral = np.concatenate([self._integral,
                                          np.full(n, kind == BINARY)])
-        self._col_ids.update(dict.fromkeys(ids))
+        self._col_ids.update(fresh)
         self._session = None
         return range(start, start + n)
 
@@ -209,14 +235,26 @@ class AbstractModel:
                    upper: float = np.inf, objective: float = 0.0) -> int:
         return self.add_columns([cid], kind, lower, upper, objective)[0]
 
+    def add_row_arrays(self, ids: Sequence[str], counts, indices, values,
+                       senses, rhs) -> range:
+        """Append the rows ``ids``, given as arrays (see
+        :func:`checked_rows`, whose checks they get), as one block; returns
+        their indices. A refused row leaves the model as it was."""
+        return self._append_rows(*checked_rows(
+            ids, counts, indices, values, senses, rhs, self.n_cols,
+            self._row_ids.keys()))
+
     def add_rows(self, rows: Iterable[Row]) -> range:
         """Append the row tuples ``rows`` (see :data:`Row`) as one block;
-        returns their indices. The checks are :func:`row_block`'s; a
+        returns their indices. The checks are :func:`checked_rows`'s; a
         refused row leaves the model as it was."""
-        ids, block = row_block(rows, self.n_cols, self._row_ids.keys())
+        return self._append_rows(*row_block(rows, self.n_cols,
+                                            self._row_ids.keys()))
+
+    def _append_rows(self, ids: Dict[str, None], block: RowBlock) -> range:
         self._rows = RowBlock(*map(np.concatenate, zip(self._rows, block)))
         start = self.n_rows
-        self._row_ids.update(dict.fromkeys(ids))
+        self._row_ids.update(ids)
         self._session = None
         return range(start, start + len(ids))
 

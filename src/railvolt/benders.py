@@ -349,8 +349,8 @@ def build_rmp(split: BendersSplit, static: List[be.Row]):
     least value the continuous cost can take (the sum of min(0, c_u) times
     u's upper bound: 0, since the only continuous costs are the delay
     weights on D >= 0); the rows are ``Dm[v_only]`` and then the static
-    cuts, checked by :func:`backend.row_block` (a cut on a column past the
-    binaries is refused). ``A`` is canonical CSR without stored zeros.
+    cuts, checked by :func:`backend.checked_rows` (a cut on a column past
+    the binaries is refused). ``A`` is canonical CSR without stored zeros.
     :func:`run_benders` appends each cut to the live master.
     """
     n = split.n_v + 1

@@ -14,6 +14,7 @@ battery-equivalents, times in hours.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
@@ -364,9 +365,9 @@ class SolveConfig:
     benders_gap: ClassVar[float] = 0.05
 
     def replace(self, **kw) -> "SolveConfig":
-        d = asdict(self)
-        d.update(kw)
-        return SolveConfig(**d)
+        """A copy with the fields ``kw`` changed; an unknown field or a
+        class constant is refused with ``TypeError``."""
+        return dataclasses.replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------

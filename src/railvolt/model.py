@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Optional, Tuple
+from itertools import chain, compress
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,6 +135,89 @@ class VarMap:
     n_cols: int = 0
 
 
+class _Keys:
+    """The True positions of ``mask`` in C order (``at``, one row each) and
+    their id tags ``_<part>_<part>...`` (``tags``), made by one %-format
+    and shared by every family keyed by them."""
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask)
+        self.at = np.argwhere(self.mask)
+        n, d = self.at.shape
+        self.tags = (((("_%d" * d) + "\n") * n)
+                     % tuple(self.at.ravel().tolist())).split("\n")[:-1]
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+
+def _ids(names: Sequence[str], keys: _Keys) -> List[str]:
+    """``name % tag`` for each key's tag and, within it, each of ``names``,
+    by one %-format."""
+    args = keys.tags if len(names) == 1 else \
+        np.repeat(np.array(keys.tags, object), len(names)).tolist()
+    return ((("\n".join(names) + "\n") * len(keys)) % tuple(args)
+            ).split("\n")[:-1]
+
+
+def _keyed(index: np.ndarray) -> Dict:
+    """The columns of a family's index grid keyed by their grid position
+    (an int on a 1-d grid, a tuple otherwise), in column order."""
+    keys = np.argwhere(index >= 0).T.tolist()
+    cols = index[index >= 0].tolist()
+    return dict(zip(keys[0] if index.ndim == 1 else zip(*keys), cols))
+
+
+def _per_key(columns) -> np.ndarray:
+    """A term's columns as a (keys, m) array."""
+    columns = np.asarray(columns)
+    return columns if columns.ndim == 2 else columns[:, None]
+
+
+def _row_family(keys: _Keys, kinds, mask=None):
+    """One row family as arrays: ``(ids, counts, indices, values, senses,
+    rhs)`` in :func:`backend.checked_rows`'s layout.
+
+    A family is a few row kinds per key, each kind a name, terms, a sense
+    and a right-hand side (one, or one per key). A kind's name holds one
+    ``%s``, which each key's tag fills. A term is ``(columns,
+    coefficient)``: one column per key, or a (keys, m) array of them, with
+    one coefficient or one per column of the m. Each key's rows come out in
+    kind order and its entries in term order, one row per (key, kind)
+    unless ``mask`` (keys, kinds) drops it. A column index of -1 marks a
+    column the key does not have (a consist past its train's count, an
+    endpoint's operation): its entry is zero padding, which the check
+    drops.
+    """
+    n, r = len(keys), len(kinds)
+    terms = [[(_per_key(c), v) for c, v in kind[1]] for kind in kinds]
+    widths = [sum(c.shape[1] for c, _ in t) for t in terms]
+    cols = np.empty((n, sum(widths)), np.int64)
+    vals = np.empty((n, sum(widths)))
+    counts = np.empty((n, r), np.int64)
+    senses = np.empty((n, r), "<U2")
+    rhs = np.empty((n, r))
+    counts[:], senses[:] = widths, [kind[2] for kind in kinds]
+    e = 0
+    for q, t in enumerate(terms):
+        for c, v in t:
+            cols[:, e:e + c.shape[1]] = c
+            vals[:, e:e + c.shape[1]] = v
+            e += c.shape[1]
+        rhs[:, q] = kinds[q][3]
+    vals[cols < 0] = 0.0
+    ids = _ids([kind[0] for kind in kinds], keys)
+    counts, senses, rhs = counts.ravel(), senses.ravel(), rhs.ravel()
+    cols, vals = cols.ravel(), vals.ravel()
+    if mask is not None:
+        entries = np.repeat(mask, widths, axis=1).ravel()
+        keep = np.asarray(mask).ravel()
+        ids = list(compress(ids, keep.tolist()))
+        counts, senses, rhs = counts[keep], senses[keep], rhs[keep]
+        cols, vals = cols[entries], vals[entries]
+    return ids, counts, cols, vals, senses, rhs
+
+
 def build_model(instance: Instance,
                 config: Optional[SolveConfig] = None
                 ) -> Tuple[be.AbstractModel, VarMap]:
@@ -148,291 +232,264 @@ def build_model(instance: Instance,
         raise InstanceError("; ".join(problems))
 
     inst = instance
-    S = inst.n_stations
-    interior = list(inst.interior)
-    J = range(inst.n_trains)
-    K = [range(inst.consists(j)) for j in J]
-    max_k = max(inst.consists(j) for j in J)
+    S, n_trains = inst.n_stations, inst.n_trains
+    consists = np.array([inst.consists(j) for j in range(n_trains)])
+    max_k = int(consists.max())
     grid = build_pla_grid(cfg.n, cfg.t_max, inst.r0)
+    n = grid.n
     M = cfg.big_M
     Ms = SOC_BIG_M
 
     model = be.AbstractModel(name=f"plan[{inst.name}]")
     vm = VarMap()
 
-    # Index sets: every (station, train) stop, every (station, train,
-    # consist) cell, and the cells at interior stations, where operations
-    # happen (slots).
-    stops = [(i, j) for i in range(S) for j in J]
-    cells = [(i, j, k) for i, j in stops for k in K[j]]
-    slots = [(i, j, k) for i in interior for j in J for k in K[j]]
+    # Key grids, as masks over (station, train, consist): every (station,
+    # train) stop, every cell (a consist its train has, at a stop), and the
+    # cells at interior stations, where operations happen (slots).
+    interior = np.zeros(S, bool)
+    interior[1:-1] = True
+    has = np.arange(max_k) < consists[:, None]        # (train, consist)
+    cell = np.broadcast_to(has, (S, n_trains, max_k))
+    slot = cell & interior[:, None, None]
+    stops, cells, slots = _Keys(np.ones((S, n_trains), bool)), _Keys(cell), \
+        _Keys(slot)
+    stations, loads = _Keys(interior), _Keys(has)
 
     def family(prefix, keys, kind=be.CONTINUOUS, upper=np.inf,
-               objective=0.0) -> Dict:
-        """One column per key, named ``prefix_<key parts>``, added as one
-        block; ``objective`` is one cost for every key or a sequence of
-        per-key costs."""
-        ids = ["_".join(map(str, (prefix, *key))) if isinstance(key, tuple)
-               else f"{prefix}_{key}" for key in keys]
-        return dict(zip(keys, model.add_columns(ids, kind, upper=upper,
-                                                objective=objective)))
-
-    def per_slot(count):
-        return [slot + (u,) for slot in slots for u in range(count)]
+               objective=0.0, count=0) -> np.ndarray:
+        """One column per key of ``keys``, named ``prefix_<key parts>``, or
+        ``count`` of them named ``prefix_<key parts>_<u>``, added as one
+        block; ``objective`` is one cost for every column or one per
+        column. Returns the grid of column indices over the keys' mask
+        (with a last axis of ``count``), -1 off the mask."""
+        names = ["%s%%s_%d" % (prefix, u) for u in range(count)] if count \
+            else [prefix + "%s"]
+        index = np.full(keys.mask.shape + ((count,) if count else ()), -1)
+        cols = model.add_columns(_ids(names, keys), kind, upper=upper,
+                                 objective=objective)
+        index[keys.mask] = np.arange(cols.start, cols.stop).reshape(
+            (len(keys),) + index.shape[keys.mask.ndim:])
+        return index
 
     # ---- columns: binaries first ------------------------------------------
     aF, aD = cfg.alpha_fixed, cfg.alpha_delay
-    vm.X = family("X", interior, be.BINARY,
-                  objective=[aF * float(inst.fixed_cost[i]) for i in interior])
-    vm.Y = family("Y", [(j, k) for j in J for k in K[j]], be.BINARY)
-    vm.Zc = family("Zc", slots, be.BINARY)
-    vm.Zs = family("Zs", slots, be.BINARY)
-    vm.B = family("B", cells, be.BINARY)
-    vm.beta = family("beta", per_slot(grid.n), be.BINARY)
+    X = family("X", stations, be.BINARY,
+               objective=aF * np.asarray(inst.fixed_cost, float)[interior])
+    Y = family("Y", loads, be.BINARY)
+    Zc = family("Zc", slots, be.BINARY)
+    Zs = family("Zs", slots, be.BINARY)
+    B = family("B", cells, be.BINARY)
+    beta = family("beta", slots, be.BINARY, count=n)
     vm.n_binary = model.n_cols
 
     # ---- columns: continuous ----------------------------------------------
-    vm.D = family("D", stops, objective=aD)
+    D = family("D", stops, objective=aD)
     arrive = family("Tarr", stops)
     depart = family("Tdep", stops)
-    vm.Tc = family("Tc", slots, upper=cfg.t_max)
-    vm.Sarr = family("Sarr", cells, upper=1.0)
-    vm.Sdep = family("Sdep", cells, upper=1.0)
-    gamma_of = family("gamma", per_slot(grid.n + 1), upper=1.0)
+    Tc = family("Tc", slots, upper=cfg.t_max)
+    Sarr = family("Sarr", cells, upper=1.0)
+    Sdep = family("Sdep", cells, upper=1.0)
+    gamma = family("gamma", slots, upper=1.0, count=n + 1)
     clock_arr = family("Theta_arr", slots)
     clock_dep = family("Theta_dep", slots, upper=grid.top)
     vm.n_cols = model.n_cols
+    vm.X, vm.Y, vm.Zc, vm.Zs, vm.B, vm.beta, vm.D, vm.Tc, vm.Sarr, vm.Sdep = \
+        map(_keyed, (X, Y, Zc, Zs, B, beta, D, Tc, Sarr, Sdep))
 
     # The objective counts delay beyond the planned waits: subtract the
     # constant sum of waits once, outside the solver.
     model.objective_offset = -aD * float(np.sum(inst.wait_time))
 
     # ---- rows ---------------------------------------------------------------
-    # Every row, in a fixed order, streamed into one model.add_rows.
-    def rows():
-        # Delay measures dwell: D >= depart - arrive.
-        for i, j in stops:
-            yield (f"delay_def_{i}_{j}",
-                   [(vm.D[i, j], 1.0), (depart[i, j], -1.0),
-                    (arrive[i, j], 1.0)], be.GE, 0.0)
+    # Every row, in a fixed order: one array family after another, each
+    # keyed by a key grid in C order as the columns are, all added to the
+    # model as one checked block.
+    families = []
 
-        # Operations only happen at deployed stations, and a deployed station
-        # must be used at least once.
-        for i in interior:
-            ops = [(vm.Zc[i, j, k], 1.0) for j in J for k in K[j]]
-            ops += [(vm.Zs[i, j, k], 1.0) for j in J for k in K[j]]
-            yield (f"ops_need_deploy_{i}",
-                   ops + [(vm.X[i], -2.0 * inst.n_trains * max_k)], be.LE, 0.0)
-            yield (f"deploy_is_used_{i}", ops + [(vm.X[i], -1.0)], be.GE, 0.0)
+    def rows(keys, kinds, mask=None):
+        families.append(_row_family(keys, kinds, mask))
 
-        # A train cannot swap one battery and charge another in the same stop.
-        for i in interior:
-            for j in J:
-                for k1 in K[j]:
-                    for k2 in K[j]:
-                        yield (f"swap_xor_charge_{i}_{j}_{k1}_{k2}",
-                               [(vm.Zs[i, j, k1], 1.0),
-                                (vm.Zc[i, j, k2], 1.0)], be.LE, 1.0)
+    GE, LE, EQ = be.GE, be.LE, be.EQ
+    trains = _Keys(np.ones(n_trains, bool))
+    legs = _Keys(np.ones((n_trains, S - 1), bool))      # (train, leg)
+    lj, li = legs.at.T
+    inner = np.flatnonzero(interior)
 
-        # Dwell covers the planned wait.
-        for i, j in stops:
-            yield (f"dwell_wait_{i}_{j}",
-                   [(depart[i, j], 1.0), (arrive[i, j], -1.0)],
-                   be.GE, float(inst.wait_time[i, j]))
+    # Delay measures dwell: D >= depart - arrive.
+    rows(stops, [("delay_def%s", [(D.ravel(), 1.0),
+                                  (depart.ravel(), -1.0),
+                                  (arrive.ravel(), 1.0)], GE, 0.0)])
 
-        # Carry allowance, and batteries fill a consecutive prefix of consists.
-        for j in J:
-            yield (f"carry_cap_{j}", [(vm.Y[j, k], 1.0) for k in K[j]],
-                   be.LE, float(inst.trains[j].max_batteries))
-            for k in K[j][:-1]:
-                later = [(vm.Y[j, kk], 1.0) for kk in K[j] if kk > k]
-                yield (f"carry_prefix_{j}_{k}",
-                       later + [(vm.Y[j, k], -M)], be.LE, 0.0)
+    # Operations only happen at deployed stations, and a deployed station
+    # must be used at least once.
+    ops = [(Zc[inner].reshape(len(inner), n_trains * max_k), 1.0),
+           (Zs[inner].reshape(len(inner), n_trains * max_k), 1.0)]
+    rows(stations, [
+        ("ops_need_deploy%s", ops + [(X[inner], -2.0 * n_trains * max_k)],
+         LE, 0.0),
+        ("deploy_is_used%s", ops + [(X[inner], -1.0)], GE, 0.0)])
 
-        # Station capacities bound one train's operations per stop.
-        for i in interior:
-            for j in J:
-                yield (f"swap_stock_{i}_{j}",
-                       [(vm.Zs[i, j, k], 1.0) for k in K[j]],
-                       be.LE, float(inst.full_batteries[i]))
-                yield (f"charger_cap_{i}_{j}",
-                       [(vm.Zc[i, j, k], 1.0) for k in K[j]],
-                       be.LE, float(inst.chargers[i]))
+    # A train cannot swap one battery and charge another in the same stop.
+    pairs = _Keys(slot[..., None] & cell[:, :, None, :])
+    i, j, k1, k2 = pairs.at.T
+    rows(pairs, [("swap_xor_charge%s", [(Zs[i, j, k1], 1.0),
+                                        (Zc[i, j, k2], 1.0)], LE, 1.0)])
 
-        # Power balance along each leg: total SOC on arrival at i+1 equals
-        # total SOC at departure from i minus the leg's energy.
-        for j in J:
-            for i in range(S - 1):
-                ent = [(vm.Sarr[i + 1, j, k], 1.0) for k in K[j]]
-                ent += [(vm.Sdep[i, j, k], -1.0) for k in K[j]]
-                yield (f"power_balance_{j}_{i}", ent, be.EQ,
-                       -inst.leg_energy(j, i))
+    # Dwell covers the planned wait.
+    rows(stops, [("dwell_wait%s", [(depart.ravel(), 1.0),
+                                   (arrive.ravel(), -1.0)],
+                  GE, np.asarray(inst.wait_time, float).ravel())])
 
-        # Sequential drain: an empty-flagged battery has zero arrival SOC, and
-        # while an earlier consist still holds charge (and the next consist
-        # carries a battery at all), the next battery is still full.
-        for i, j in stops:
-            for k in K[j]:
-                yield (f"nonempty_flag_{i}_{j}_{k}",
-                       [(vm.Sarr[i, j, k], 1.0), (vm.B[i, j, k], -Ms)],
-                       be.LE, 0.0)
-            for k in K[j][:-1]:
-                yield (f"drain_order_{i}_{j}_{k}",
-                       [(vm.Sarr[i, j, k + 1], 1.0), (vm.B[i, j, k], -Ms),
-                        (vm.Y[j, k + 1], -Ms)], be.GE, 1.0 - 2.0 * Ms)
+    # Carry allowance, and batteries fill a consecutive prefix of consists.
+    rows(trains, [
+        ("carry_cap%s", [(Y, 1.0)], LE,
+         [float(t.max_batteries) for t in inst.trains])] + [
+        ("carry_prefix%%s_%d" % k, [(Y[:, k + 1:], 1.0), (Y[:, k], -M)],
+         LE, 0.0) for k in range(max_k - 1)],
+        mask=np.column_stack([np.ones(n_trains, bool), has[:, 1:]]))
 
-        # SOC can only rise during a stop, never between stations.
-        for i, j, k in cells:
-            yield (f"stop_no_drain_{i}_{j}_{k}",
-                   [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)],
-                   be.GE, 0.0)
-        for j in J:
-            for i in range(S - 1):
-                for k in K[j]:
-                    yield (f"leg_no_gain_{j}_{i}_{k}",
-                           [(vm.Sdep[i, j, k], 1.0),
-                            (vm.Sarr[i + 1, j, k], -1.0)], be.GE, 0.0)
+    # Station capacities bound one train's operations per stop.
+    visits = _Keys(cell[:, :, 0] & interior[:, None])
+    i, j = visits.at.T
+    rows(visits, [
+        ("swap_stock%s", [(Zs[i, j], 1.0)], LE,
+         np.asarray(inst.full_batteries, float)[i]),
+        ("charger_cap%s", [(Zc[i, j], 1.0)], LE,
+         np.asarray(inst.chargers, float)[i])])
 
-        # Swap effects: full battery on departure, and the stop lasts at least
-        # the swap duration.
-        for i, j, k in slots:
-            yield (f"swap_full_{i}_{j}_{k}",
-                   [(vm.Sdep[i, j, k], 1.0), (vm.Zs[i, j, k], -1.0)],
-                   be.GE, 0.0)
-            yield (f"swap_dwell_{i}_{j}_{k}",
-                   [(depart[i, j], 1.0), (arrive[i, j], -1.0),
-                    (vm.Zs[i, j, k], -inst.swap_hours)], be.GE, 0.0)
+    # Power balance along each leg: total SOC on arrival at i+1 equals
+    # total SOC at departure from i minus the leg's energy.
+    rows(legs, [("power_balance%s", [(Sarr[li + 1, lj], 1.0),
+                                     (Sdep[li, lj], -1.0)], EQ,
+                 -inst.energy[lj, li, li + 1])])
 
-        # Charge duration: inside the dwell, zero unless charging is declared,
-        # and strictly positive when it is declared.
-        for i, j, k in slots:
-            yield (f"charge_within_dwell_{i}_{j}_{k}",
-                   [(depart[i, j], 1.0), (arrive[i, j], -1.0),
-                    (vm.Tc[i, j, k], -1.0)], be.GE, 0.0)
-            yield (f"charge_needs_flag_{i}_{j}_{k}",
-                   [(vm.Tc[i, j, k], 1.0), (vm.Zc[i, j, k], -M)], be.LE, 0.0)
-            yield (f"flag_needs_charge_{i}_{j}_{k}",
-                   [(vm.Zc[i, j, k], 1.0), (vm.Tc[i, j, k], -M)], be.LE, 0.0)
+    # Sequential drain: an empty-flagged battery has zero arrival SOC, and
+    # while an earlier consist still holds charge (and the next consist
+    # carries a battery at all), the next battery is still full.
+    i, j = stops.at.T
+    rows(stops, [
+        ("nonempty_flag%%s_%d" % k, [(Sarr[i, j, k], 1.0),
+                                     (B[i, j, k], -Ms)], LE, 0.0)
+        for k in range(max_k)] + [
+        ("drain_order%%s_%d" % k, [(Sarr[i, j, k + 1], 1.0),
+                                   (B[i, j, k], -Ms), (Y[j, k + 1], -Ms)],
+         GE, 1.0 - 2.0 * Ms) for k in range(max_k - 1)],
+        mask=np.hstack([has, has[:, 1:]])[j])
 
-        # Untouched batteries keep their SOC (at endpoints no operations exist,
-        # so departure SOC simply cannot exceed arrival SOC there).
-        for i, j, k in cells:
-            ent = [(vm.Sdep[i, j, k], 1.0), (vm.Sarr[i, j, k], -1.0)]
-            if i in inst.interior:
-                ent += [(vm.Zc[i, j, k], -1.0), (vm.Zs[i, j, k], -1.0)]
-            yield (f"hold_soc_{i}_{j}_{k}", ent, be.LE, 0.0)
+    # SOC can only rise during a stop, never between stations.
+    rows(cells, [("stop_no_drain%s", [(Sdep[cell], 1.0),
+                                      (Sarr[cell], -1.0)], GE, 0.0)])
+    leg_cells = _Keys(np.broadcast_to(has[:, None, :],
+                                      (n_trains, S - 1, max_k)))
+    j, i, k = leg_cells.at.T
+    rows(leg_cells, [("leg_no_gain%s", [(Sdep[i, j, k], 1.0),
+                                        (Sarr[i + 1, j, k], -1.0)],
+                      GE, 0.0)])
 
-        # Carried batteries start full at the origin (and leave it full, by
-        # stop_no_drain)...
-        for j in J:
-            for k in K[j]:
-                yield (f"origin_full_arr_{j}_{k}",
-                       [(vm.Sarr[0, j, k], 1.0), (vm.Y[j, k], -1.0)],
-                       be.GE, 0.0)
+    # Swap effects: full battery on departure, and the stop lasts at least
+    # the swap duration.
+    i, j, _ = slots.at.T
+    dwell = [(depart[i, j], 1.0), (arrive[i, j], -1.0)]
+    rows(slots, [
+        ("swap_full%s", [(Sdep[slot], 1.0), (Zs[slot], -1.0)], GE, 0.0),
+        ("swap_dwell%s", dwell + [(Zs[slot], -inst.swap_hours)], GE, 0.0)])
 
-        # ...and the clock starts at zero there.
-        for j in J:
-            yield (f"origin_clock_{j}",
-                   [(arrive[0, j], 1.0), (depart[0, j], 1.0)], be.EQ, 0.0)
+    # Charge duration: inside the dwell, zero unless charging is declared,
+    # and strictly positive when it is declared.
+    rows(slots, [
+        ("charge_within_dwell%s", dwell + [(Tc[slot], -1.0)], GE, 0.0),
+        ("charge_needs_flag%s", [(Tc[slot], 1.0), (Zc[slot], -M)], LE, 0.0),
+        ("flag_needs_charge%s", [(Zc[slot], 1.0), (Tc[slot], -M)], LE, 0.0)])
 
-        # Arrival time = previous departure + leg travel time.
-        for j in J:
-            for i in range(S - 1):
-                yield (f"timeline_{j}_{i}",
-                       [(arrive[i + 1, j], 1.0), (depart[i, j], -1.0)],
-                       be.EQ, inst.leg_time(j, i))
+    # Untouched batteries keep their SOC (at endpoints no operations exist,
+    # so departure SOC simply cannot exceed arrival SOC there).
+    rows(cells, [("hold_soc%s", [(Sdep[cell], 1.0), (Sarr[cell], -1.0),
+                                 (Zc[cell], -1.0), (Zs[cell], -1.0)],
+                  LE, 0.0)])
 
-        # Consists without a battery: no operations, no SOC anywhere.
-        for j in J:
-            for k in K[j]:
-                ops = [(vm.Zc[i, j, k], 1.0) for i in interior]
-                ops += [(vm.Zs[i, j, k], 1.0) for i in interior]
-                yield (f"no_battery_no_ops_{j}_{k}",
-                       ops + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
-                soc = [(vm.Sarr[i, j, k], 1.0) for i in range(S)]
-                soc += [(vm.Sdep[i, j, k], 1.0) for i in range(S)]
-                yield (f"no_battery_no_soc_{j}_{k}",
-                       soc + [(vm.Y[j, k], -2.0 * S)], be.LE, 0.0)
+    # Carried batteries start full at the origin (and leave it full, by
+    # stop_no_drain)...
+    rows(loads, [("origin_full_arr%s", [(Sarr[0][has], 1.0),
+                                        (Y[has], -1.0)], GE, 0.0)])
 
-        # ---- charge-clock block --------------------------------------------
-        # Beta picks the SOC interval of Sarr and gamma interpolates Sarr on
-        # it. Then, with entries in this order, a slot's rows read
-        #   Theta_arr - sum_u phi(s_u) gamma_u <= 0
-        # (Theta_arr is at most phi's chord at Sarr, which lies over phi),
-        #   Theta_dep - phi'(s_p) Sdep - M_p Zc
-        #       >= phi(s_p) - phi'(s_p) s_p - M_p
-        # for each s_p in s_0 .. s_{n-1} and cap, with M_p the tangent's
-        # value at SOC 1 (when charging, Theta_dep is at least every tangent
-        # of phi at Sdep, which lie under phi; otherwise the row is void), and
-        #   Tc - Theta_dep + Theta_arr - top Zc >= -top
-        # (a charge lasts at least Theta_dep - Theta_arr). An exact charge of
-        # Tc <= t_max hours takes theta(Sdep) - theta(Sarr) >= phi(Sdep) -
-        # phi(Sarr) hours, so it meets them with Theta_arr at the chord and
-        # Theta_dep at the largest tangent; so does every swap and idle slot.
-        #
-        # Then one tangent row per duration T in TANGENT_HOURS,
-        #   kappa q^T Tc - Sdep + Sarr + Zs >= kappa q^T T - (1 - q^T)
-        # with q = 1 - r0 and kappa = -ln q: an exact charge of Tc hours
-        # gains Sdep - Sarr = (1 - Sarr)(1 - q^Tc) <= 1 - q^Tc, which lies
-        # under every tangent of the concave 1 - q^t; a swap (Zs = 1) or an
-        # idle slot (Tc = 0, Sdep <= Sarr) meets every row. Only the columns
-        # vary by slot; the coefficients are computed once, with numpy (whose
-        # powers can differ from Python's in the last bit).
-        n = grid.n
-        points = np.append(grid.s[:-1], grid.cap)
-        at, rise = grid.clock(points), grid.slope(points)
-        high = at + rise * (1.0 - points)
-        q, hours = 1.0 - inst.r0, np.asarray(TANGENT_HOURS)
-        slope = grid.kappa * q ** hours
-        s_grid = grid.s.tolist()
-        arr_coef = (-grid.clock(grid.s)).tolist()
-        # per row: (id suffix, Sdep coefficient, Zc coefficient, rhs)
-        dep_rows = [(f"_{p}", a, b, c) for p, (a, b, c) in enumerate(zip(
-            (-rise).tolist(), (-high).tolist(),
-            (at - rise * points - high).tolist()))]
-        # per row: (id suffix, Tc coefficient, rhs)
-        tan_rows = [(f"_{h}", a, b) for h, (a, b) in enumerate(zip(
-            slope.tolist(), (slope * hours - (1.0 - q ** hours)).tolist()))]
-        top = grid.top
+    # ...and the clock starts at zero there.
+    rows(trains, [("origin_clock%s", [(arrive[0], 1.0),
+                                      (depart[0], 1.0)], EQ, 0.0)])
 
-        for slot in slots:
-            tag = "_%d_%d_%d" % slot
-            beta = [vm.beta[slot + (u,)] for u in range(n)]
-            gamma = [gamma_of[slot + (u,)] for u in range(n + 1)]
-            Tc, Sarr, Sdep = vm.Tc[slot], vm.Sarr[slot], vm.Sdep[slot]
-            Zc, Zs = vm.Zc[slot], vm.Zs[slot]
-            t_arr, t_dep = clock_arr[slot], clock_dep[slot]
+    # Arrival time = previous departure + leg travel time.
+    rows(legs, [("timeline%s", [(arrive[li + 1, lj], 1.0),
+                                (depart[li, lj], -1.0)], EQ,
+                 inst.travel_time[lj, li, li + 1])])
 
-            yield ("pla_pick_s" + tag, [(c, 1.0) for c in beta], be.EQ, 1.0)
-            yield ("pla_weights_one" + tag, [(c, 1.0) for c in gamma],
-                   be.EQ, 1.0)
-            yield ("pla_soc_interp" + tag,
-                   list(zip(gamma, s_grid)) + [(Sarr, -1.0)], be.EQ, 0.0)
+    # Consists without a battery: no operations, no SOC anywhere.
+    j, k = loads.at.T
+    no_battery = [(Y[has], -2.0 * S)]
+    rows(loads, [
+        ("no_battery_no_ops%s", [(Zc[inner][:, j, k].T, 1.0),
+                                 (Zs[inner][:, j, k].T, 1.0)] + no_battery,
+         LE, 0.0),
+        ("no_battery_no_soc%s", [(Sarr[:, j, k].T, 1.0),
+                                 (Sdep[:, j, k].T, 1.0)] + no_battery,
+         LE, 0.0)])
 
-            # Weights live only on the selected interval's endpoints.
-            for u in range(1, n):
-                yield (f"pla_weight_support{tag}_{u}",
-                       [(gamma[u], 1.0), (beta[u - 1], -1.0),
-                        (beta[u], -1.0)], be.LE, 0.0)
-            yield (f"pla_weight_low{tag}", [(gamma[0], 1.0), (beta[0], -1.0)],
-                   be.LE, 0.0)
-            yield (f"pla_weight_high{tag}",
-                   [(gamma[n], 1.0), (beta[n - 1], -1.0)], be.LE, 0.0)
+    # ---- charge-clock block --------------------------------------------
+    # Beta picks the SOC interval of Sarr and gamma interpolates Sarr on
+    # it. Then, with entries in this order, a slot's rows read
+    #   Theta_arr - sum_u phi(s_u) gamma_u <= 0
+    # (Theta_arr is at most phi's chord at Sarr, which lies over phi),
+    #   Theta_dep - phi'(s_p) Sdep - M_p Zc
+    #       >= phi(s_p) - phi'(s_p) s_p - M_p
+    # for each s_p in s_0 .. s_{n-1} and cap, with M_p the tangent's
+    # value at SOC 1 (when charging, Theta_dep is at least every tangent
+    # of phi at Sdep, which lie under phi; otherwise the row is void), and
+    #   Tc - Theta_dep + Theta_arr - top Zc >= -top
+    # (a charge lasts at least Theta_dep - Theta_arr). An exact charge of
+    # Tc <= t_max hours takes theta(Sdep) - theta(Sarr) >= phi(Sdep) -
+    # phi(Sarr) hours, so it meets them with Theta_arr at the chord and
+    # Theta_dep at the largest tangent; so does every swap and idle slot.
+    #
+    # Then one tangent row per duration T in TANGENT_HOURS,
+    #   kappa q^T Tc - Sdep + Sarr + Zs >= kappa q^T T - (1 - q^T)
+    # with q = 1 - r0 and kappa = -ln q: an exact charge of Tc hours
+    # gains Sdep - Sarr = (1 - Sarr)(1 - q^Tc) <= 1 - q^Tc, which lies
+    # under every tangent of the concave 1 - q^t; a swap (Zs = 1) or an
+    # idle slot (Tc = 0, Sdep <= Sarr) meets every row. Only the columns
+    # vary by slot; the coefficients are computed once, with numpy (whose
+    # powers can differ from Python's in the last bit).
+    points = np.append(grid.s[:-1], grid.cap)
+    at, rise = grid.clock(points), grid.slope(points)
+    high = at + rise * (1.0 - points)
+    q, hours = 1.0 - inst.r0, np.asarray(TANGENT_HOURS)
+    slope = grid.kappa * q ** hours
+    dep_rhs = at - rise * points - high
+    tan_rhs = slope * hours - (1.0 - q ** hours)
+    top = grid.top
+    b, g = beta[slot], gamma[slot]
+    tc, s_arr, s_dep = Tc[slot], Sarr[slot], Sdep[slot]
+    zc, zs, t_arr, t_dep = Zc[slot], Zs[slot], clock_arr[slot], clock_dep[slot]
+    rows(slots, [
+        ("pla_pick_s%s", [(b, 1.0)], EQ, 1.0),
+        ("pla_weights_one%s", [(g, 1.0)], EQ, 1.0),
+        ("pla_soc_interp%s", [(g, grid.s), (s_arr, -1.0)], EQ, 0.0)] + [
+        # Weights live only on the selected interval's endpoints.
+        ("pla_weight_support%%s_%d" % u, [(g[:, u], 1.0), (b[:, u - 1], -1.0),
+                                          (b[:, u], -1.0)], LE, 0.0)
+        for u in range(1, n)] + [
+        ("pla_weight_low%s", [(g[:, 0], 1.0), (b[:, 0], -1.0)], LE, 0.0),
+        ("pla_weight_high%s", [(g[:, n], 1.0), (b[:, n - 1], -1.0)], LE, 0.0),
+        ("clock_arr%s", [(t_arr, 1.0), (g, -grid.clock(grid.s))], LE, 0.0)] + [
+        ("clock_dep%%s_%d" % p, [(t_dep, 1.0), (s_dep, -rise[p]),
+                                 (zc, -high[p])], GE, dep_rhs[p])
+        for p in range(len(points))] + [
+        ("clock_charge%s", [(tc, 1.0), (t_dep, -1.0), (t_arr, 1.0),
+                            (zc, -top)], GE, -top)] + [
+        ("charge_tangent%%s_%d" % h, [(tc, slope[h]), (s_dep, -1.0),
+                                      (s_arr, 1.0), (zs, 1.0)], GE, tan_rhs[h])
+        for h in range(len(hours))])
 
-            yield ("clock_arr" + tag,
-                   [(t_arr, 1.0)] + list(zip(gamma, arr_coef)), be.LE, 0.0)
-            for p, dsoc, dzc, b in dep_rows:
-                yield ("clock_dep" + tag + p,
-                       [(t_dep, 1.0), (Sdep, dsoc), (Zc, dzc)], be.GE, b)
-            yield ("clock_charge" + tag,
-                   [(Tc, 1.0), (t_dep, -1.0), (t_arr, 1.0), (Zc, -top)],
-                   be.GE, -top)
-            for h, a, b in tan_rows:
-                yield ("charge_tangent" + tag + h,
-                       [(Tc, a), (Sdep, -1.0), (Sarr, 1.0), (Zs, 1.0)],
-                       be.GE, b)
-
-    model.add_rows(rows())
+    ids, *arrays = zip(*families)
+    model.add_row_arrays(list(chain.from_iterable(ids)),
+                         *map(np.concatenate, arrays))
     return model, vm
 
 

@@ -646,6 +646,8 @@ def test_bad_inputs_rejected():
         m.add_row("r", [(x + 5, 1.0)], "<=", 1.0)
     with pytest.raises(be.BackendError, match="column index 0.5"):
         m.add_row("r", [(0.5, 1.0)], "<=", 1.0)
+    with pytest.raises(be.BackendError, match="inconsistent"):
+        m.add_row_arrays(["r"], [2], [x], [1.0], "<=", 1.0)
     assert m.n_rows == 0
 
 
@@ -658,8 +660,9 @@ def _block_model():
 
 
 # Each case spells its rows compactly as CSR data: row r is ids[r] with the
-# entries indptr[r]:indptr[r+1] of indices and values.
-@pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named", [
+# entries indptr[r]:indptr[r+1] of indices and values. Every case is refused
+# naming the row, through the row tuples and through the arrays alike.
+BAD_ROW_BLOCKS = [
     (["a", "b"], [0, 1, 2], [0, 1], [1.0, INF], "<=", [1.0, 1.0], "'b'"),
     (["a", "b"], [0, 1, 2], [0, 1], [float("nan"), 1.0], "<=", [1.0, 1.0],
      "'a'"),
@@ -672,19 +675,46 @@ def _block_model():
     (["a", "a"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0], "'a'"),
     (["a", "first"], [0, 1, 2], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0],
      "'first'"),
-])
-def test_row_block_bad_inputs_rejected(ids, indptr, indices, values, senses,
-                                       rhs, named):
+]
+
+
+def _add_tuples(m, ids, indptr, indices, values, senses, rhs):
+    m.add_rows([(rid, list(zip(indices[lo:hi], values[lo:hi])), sense, b)
+                for rid, lo, hi, sense, b
+                in zip(ids, indptr, indptr[1:], senses, rhs)])
+
+
+def _add_arrays(m, ids, indptr, indices, values, senses, rhs):
+    m.add_row_arrays(ids, np.diff(indptr), indices, values, senses, rhs)
+
+
+def _refused_unchanged(add, ids, indptr, indices, values, senses, rhs,
+                       named):
     senses = np.broadcast_to(senses, len(ids)).tolist()
-    rows = [(rid, list(zip(indices[lo:hi], values[lo:hi])), sense, b)
-            for rid, lo, hi, sense, b
-            in zip(ids, indptr, indptr[1:], senses, rhs)]
     m = _block_model()
+    before = _model_arrays(m)
     with pytest.raises(be.BackendError, match=named):
-        m.add_rows(rows)
+        add(m, ids, indptr, indices, values, senses, rhs)
     # a refused block leaves the model as it was
     assert m.row_ids == ("first",)
-    assert m.constraint_matrix().nnz == 1
+    for got, want in zip(_model_arrays(m), before):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named",
+                         BAD_ROW_BLOCKS)
+def test_row_block_bad_inputs_rejected(ids, indptr, indices, values, senses,
+                                       rhs, named):
+    _refused_unchanged(_add_tuples, ids, indptr, indices, values, senses,
+                       rhs, named)
+
+
+@pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named",
+                         BAD_ROW_BLOCKS)
+def test_row_arrays_bad_inputs_rejected(ids, indptr, indices, values,
+                                        senses, rhs, named):
+    _refused_unchanged(_add_arrays, ids, indptr, indices, values, senses,
+                       rhs, named)
 
 
 def _model_arrays(m):
@@ -722,12 +752,22 @@ def test_row_block_matches_row_by_row():
         one.add_row(*row)
     block = _block_model()
     assert block.add_rows(iter(rows)) == range(1, 5)
-    assert block.row_ids == one.row_ids
-    for got, want in zip(block.arrays(), one.arrays()):
-        if hasattr(got, "toarray"):
-            assert got.nnz == want.nnz == 5
-            got, want = got.toarray(), want.toarray()
-        np.testing.assert_array_equal(got, want)
+    # the same rows as arrays padded to one width with zeros, whose
+    # columns may be anything: the padding is dropped
+    padded = _block_model()
+    assert padded.add_row_arrays(
+        ["a", "b", "c", "d"], [3, 3, 3, 3],
+        [0, 1, 0, 1, 7, -1, 0, 0, 0, 1, 0, 99],
+        [1.0, 0.0, 2.5, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, -4.0, 0.0],
+        ["<=", ">=", "=", "="], [1.0, -2.0, 0.5, 3.0]) == range(1, 5)
+    for other in (block, padded):
+        assert other.row_ids == one.row_ids
+        for got, want in zip(other.arrays(), one.arrays()):
+            if hasattr(got, "toarray"):
+                assert got.nnz == want.nnz == 5
+                got, want = got.toarray(), want.toarray()
+            np.testing.assert_array_equal(got, want)
+        assert other._rows.counts.tolist() == [1, 2, 1, 0, 2]
     assert block.constraint_matrix()[1].toarray().tolist() == [[3.5, 0.0]]
     assert be.to_lp_string(block) == be.to_lp_string(one)
 

@@ -157,6 +157,11 @@ def test_config_replace_is_functional():
     assert other.alpha_delay == 5.0
     assert cfg.alpha_delay == 3.0
     assert other.n == cfg.n
+    assert other == SolveConfig(alpha_delay=5.0)
+    # an unknown field and a class constant are refused
+    for bad in ({"alpha": 1.0}, {"n": 5}):
+        with pytest.raises(TypeError):
+            cfg.replace(**bad)
 
 
 def test_validate_reports_inconsistent_shapes():

@@ -322,20 +322,23 @@ def test_mixed_consist_corridor_model_is_pinned():
 
 
 def test_build_model_adds_every_row_in_one_block(golden, monkeypatch):
-    # Rows reach the model as one stream through one add_rows call, and each
-    # column family as one add_columns block; nothing goes one by one.
-    calls = {"add_rows": 0, "add_row": 0, "add_column": 0}
+    # Every row reaches the model through one call of the one checked row
+    # entry, and each column family as one add_columns block; nothing goes
+    # through add_row or add_column one at a time.
+    calls = {"add_row": 0, "add_column": 0}
+    checked = []
     blocks = []
-    add_rows = be.AbstractModel.add_rows
+    checked_rows = be.checked_rows
+    add_row = be.AbstractModel.add_row
     add_columns = be.AbstractModel.add_columns
 
-    def counted(self, rows):
-        calls["add_rows"] += 1
-        return add_rows(self, rows)
+    def counted(ids, *args, **kwargs):
+        checked.append(len(ids))
+        return checked_rows(ids, *args, **kwargs)
 
     def single(self, *row):
         calls["add_row"] += 1
-        return counted(self, [row])[0]
+        return add_row(self, *row)
 
     def column_block(self, ids, *args, **kwargs):
         blocks.append(list(ids))
@@ -345,12 +348,13 @@ def test_build_model_adds_every_row_in_one_block(golden, monkeypatch):
         calls["add_column"] += 1
         return add_columns(self, [cid], *args, **kwargs)[0]
 
-    monkeypatch.setattr(be.AbstractModel, "add_rows", counted)
+    monkeypatch.setattr(be, "checked_rows", counted)
     monkeypatch.setattr(be.AbstractModel, "add_row", single)
     monkeypatch.setattr(be.AbstractModel, "add_columns", column_block)
     monkeypatch.setattr(be.AbstractModel, "add_column", one_column)
     model, _ = build_model(golden, SolveConfig())
-    assert calls == {"add_rows": 1, "add_row": 0, "add_column": 0}
+    assert calls == {"add_row": 0, "add_column": 0}
+    assert checked == [1192]
     assert model.n_rows == 1192
     # one block per family, in column order
     assert [ids[0] for ids in blocks] == [
