@@ -1,6 +1,7 @@
 """Decomposition: split algebra, pricing, cut audits, the full loop."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import scipy.sparse as sp
 from railvolt import backend as be, benders, model as model_mod
 from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
                               run_benders, solve_subproblem_dual, split_model)
-from railvolt.domain import SolveConfig, empty_solution
-from railvolt.generator import GenSpec, generate_instance
+from railvolt.domain import SolveConfig, Train, empty_solution
+from railvolt.generator import (GenSpec, generate_instance,
+                                illustrative_instance)
 from railvolt.model import build_model, solve_pla
 from railvolt.validator import simulate_schedule
 
@@ -220,6 +222,36 @@ def test_static_cut_census_on_reference(golden, reference_split):
         for ci, val in entries:
             assert 0 <= ci < split.n_v  # master-only rows
             assert np.isfinite(val)
+
+
+def _mixed_consist_corridor():
+    # trains of 3 and 1 consists, as in the mixed-consist LP-text pin
+    inst = tiny_corridor(7, n_interior=3, n_trains=2, consists=3,
+                         max_batteries=2)
+    inst.trains[1] = Train("Train 2", consists=1, max_batteries=1)
+    return inst
+
+
+@pytest.mark.parametrize("make,n_cuts,digest", [
+    (illustrative_instance, 198,
+     "58bcdf1b4276cefc8c1dede0a4bf8637aedd64f23c73756efe7d5db56918e628"),
+    (lambda: generate_instance(GenSpec("medium", seed=1)), 558,
+     "ab306be60415f8e51b5ba1d480e7abcabd1bec24d30d1198dc6bf0c2eb44f688"),
+    (lambda: generate_instance(GenSpec("large", seed=2)), 958,
+     "c165262ae9157a0195bcbf9858791a5d45296c20dc937e71fffdda68f47de902"),
+    (_mixed_consist_corridor, 102,
+     "9bad1686cfd3bb1f8eddcb27a25e5a375b2c2b7d2295727ea197c2318b7351d0"),
+], ids=["worked-example", "medium-1", "large-2", "mixed-consist"])
+def test_static_cuts_are_pinned(make, n_cuts, digest):
+    # Digest of the static cuts as their rows read: ids, entries (column,
+    # coefficient) in entry order, senses and right-hand sides, in row order.
+    inst = make()
+    _, vm = build_model(inst, SolveConfig())
+    rows = [(rid, [(int(c), float(v)) for c, v in entries], str(sense),
+             float(rhs))
+            for rid, entries, sense, rhs in extra_feasibility_cuts(inst, vm)]
+    assert len(rows) == n_cuts
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_static_cuts_admit_the_reference_incumbent(
