@@ -10,15 +10,15 @@ last basis. Every run maps HiGHS's status onto a
 its pricing LPs and its master, and :class:`FarkasLP` holds one for
 infeasibility proofs. Named models are described engine-neutrally in
 :class:`AbstractModel`: columns, added in blocks and kept as arrays, and
-rows, kept as CSR data, that enter through one checked constructor,
-:func:`checked_rows`, as arrays (the model builder's form) or as
-``(id, [(column, coefficient), ...], sense, rhs)`` tuples, which
-:func:`row_block` only lays out as those arrays. :class:`ScipyBackend`
-solves a model in one live session that its first solve builds and each
-later solve re-runs cold. New column bounds reach that session in place;
-a new column or row drops it, so the next solve builds a fresh one.
-Models can be exported to the textual LP interchange format for
-debugging.
+rows, kept as one :class:`RowBlock` of CSR data. Rows have one form, arrays
+of ids, per-row entry counts, column indices, coefficients, senses and
+right-hand sides, and one entry, :func:`checked_rows`, which checks them
+and returns the block; a block also reads as ``(id, [(column,
+coefficient), ...], sense, rhs)`` rows. :class:`ScipyBackend` solves a
+model in one live session that its first solve builds and each later
+solve re-runs cold. New column bounds reach that session in place; a new
+column or row drops it, so the next solve builds a fresh one. Models can
+be exported to the textual LP interchange format for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows
@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
-from itertools import chain
-from typing import (AbstractSet, Dict, Iterable, NamedTuple, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass, fields
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,12 +59,19 @@ class CapabilityError(BackendError):
 # Model description
 # ---------------------------------------------------------------------------
 
-class RowBlock(NamedTuple):
-    """Rows in insertion order, as CSR data with per-row counts.
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Checked rows in insertion order, as CSR data with per-row counts.
 
-    Row r holds the ``counts[r]`` entries of ``indices``/``values`` that
-    follow the previous rows' entries. Zero coefficients are never stored.
+    Row r is ``ids[r]``, with the ``counts[r]`` entries of
+    ``indices``/``values`` that follow the previous rows' entries, the sense
+    ``senses[r]`` and the right-hand side ``rhs[r]``. Zero coefficients are
+    never stored. :func:`checked_rows` makes blocks; an
+    :class:`AbstractModel` keeps its rows as one. A block also reads as its
+    rows: ``len`` counts them, and iterating yields ``(id, [(column,
+    coefficient), ...], sense, rhs)`` in row order, as Python numbers.
     """
+    ids: Dict[str, None]   # an ordered set
     counts: np.ndarray     # int64, entries per row
     indices: np.ndarray    # int32 column indices
     values: np.ndarray     # float64 coefficients
@@ -76,13 +82,25 @@ class RowBlock(NamedTuple):
     def indptr(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.counts)])
 
+    def __len__(self) -> int:
+        return len(self.ids)
 
-_NO_ROWS = RowBlock(np.zeros(0, np.int64), np.zeros(0, np.int32),
+    def __iter__(self) -> Iterator[Tuple[str, List[Tuple[int, float]], str,
+                                         float]]:
+        entries = list(zip(self.indices.tolist(), self.values.tolist()))
+        ends = self.indptr.tolist()
+        return zip(self.ids, (entries[a:b] for a, b in zip(ends, ends[1:])),
+                   self.senses.tolist(), self.rhs.tolist())
+
+    def __add__(self, other: "RowBlock") -> "RowBlock":
+        """This block's rows, then ``other``'s (ids are not checked)."""
+        return RowBlock({**self.ids, **other.ids}, *(
+            np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+            for f in fields(self)[1:]))
+
+
+_NO_ROWS = RowBlock({}, np.zeros(0, np.int64), np.zeros(0, np.int32),
                     np.zeros(0), np.zeros(0, "<U2"), np.zeros(0))
-
-# One row as a tuple: (id, entries, sense, rhs), with entries (column index,
-# coefficient) pairs.
-Row = Tuple[str, Sequence[Tuple[int, float]], str, float]
 
 
 def _fresh_ids(ids: Sequence[str], taken: AbstractSet[str],
@@ -101,10 +119,10 @@ def _fresh_ids(ids: Sequence[str], taken: AbstractSet[str],
 
 def checked_rows(ids: Sequence[str], counts, indices, values, senses, rhs,
                  n_cols: int, taken: AbstractSet[str] = frozenset()
-                 ) -> Tuple[Dict[str, None], RowBlock]:
-    """The rows ``ids`` as their ids (an ordered set) and one
-    :class:`RowBlock`, after every check a row gets: the one way rows
-    enter an :class:`AbstractModel`, whatever their form.
+                 ) -> RowBlock:
+    """The rows ``ids`` as one :class:`RowBlock`, after every check a row
+    gets: the one way rows enter the package, whether for an
+    :class:`AbstractModel` or a decomposition master.
 
     Row r is ``ids[r]``, with the ``counts[r]`` entries of ``indices`` and
     ``values`` that follow the previous rows' entries, the sense
@@ -146,26 +164,9 @@ def checked_rows(ids: Sequence[str], counts, indices, values, senses, rhs,
     if bad.any():
         raise BackendError(f"row {ids[row_of[int(np.argmax(bad))]]!r}: "
                            "non-finite coefficient")
-    return fresh, RowBlock(np.bincount(row_of[keep], minlength=n),
-                           cols[keep].astype(np.int32), values[keep],
-                           senses.astype("<U2"), rhs.copy())
-
-
-def row_block(rows: Iterable[Row], n_cols: int,
-              taken: AbstractSet[str] = frozenset()
-              ) -> Tuple[Dict[str, None], RowBlock]:
-    """The row tuples ``rows`` as :func:`checked_rows` returns them: the
-    tuple form is only a layout, with no checks of its own."""
-    ids, counts, flat, senses, rhs = [], [], [], [], []
-    for rid, entries, sense, b in rows:
-        ids.append(rid)
-        counts.append(len(entries))
-        flat.extend(chain.from_iterable(entries))
-        senses.append(sense)
-        rhs.append(b)
-    flat = np.array(flat, float)
-    return checked_rows(ids, counts, flat[0::2], flat[1::2], np.array(senses),
-                        np.array(rhs, float), n_cols, taken)
+    return RowBlock(fresh, np.bincount(row_of[keep], minlength=n),
+                    cols[keep].astype(np.int32), values[keep],
+                    senses.astype("<U2"), rhs.copy())
 
 
 class AbstractModel:
@@ -173,11 +174,10 @@ class AbstractModel:
 
     Both come in checked blocks that are appended to what the model keeps:
     columns through :meth:`add_columns`, as one array each of lower bounds,
-    upper bounds, costs and integral flags, and rows as one
-    :class:`RowBlock` of CSR data, given as arrays to
-    :meth:`add_row_arrays` or as row tuples (:data:`Row`) to
-    :meth:`add_rows`; both take :func:`checked_rows`'s checks.
-    :meth:`add_column` and :meth:`add_row` are blocks of one.
+    upper bounds, costs and integral flags, and rows through
+    :meth:`add_row_arrays`, as the arrays :func:`checked_rows` checks, kept
+    as one :class:`RowBlock`. :meth:`add_column` and :meth:`add_row` are
+    blocks of one.
     :meth:`set_bounds` rebounds built columns, so one model can be solved
     under several fixings.
 
@@ -194,7 +194,6 @@ class AbstractModel:
         self._upper = np.zeros(0)
         self._objective = np.zeros(0)
         self._integral = np.zeros(0, bool)
-        self._row_ids: Dict[str, None] = {}
         self._rows = _NO_ROWS
         self._session: Optional[Session] = None
 
@@ -240,27 +239,19 @@ class AbstractModel:
         """Append the rows ``ids``, given as arrays (see
         :func:`checked_rows`, whose checks they get), as one block; returns
         their indices. A refused row leaves the model as it was."""
-        return self._append_rows(*checked_rows(
-            ids, counts, indices, values, senses, rhs, self.n_cols,
-            self._row_ids.keys()))
-
-    def add_rows(self, rows: Iterable[Row]) -> range:
-        """Append the row tuples ``rows`` (see :data:`Row`) as one block;
-        returns their indices. The checks are :func:`checked_rows`'s; a
-        refused row leaves the model as it was."""
-        return self._append_rows(*row_block(rows, self.n_cols,
-                                            self._row_ids.keys()))
-
-    def _append_rows(self, ids: Dict[str, None], block: RowBlock) -> range:
-        self._rows = RowBlock(*map(np.concatenate, zip(self._rows, block)))
         start = self.n_rows
-        self._row_ids.update(ids)
+        self._rows += checked_rows(ids, counts, indices, values, senses, rhs,
+                                   self.n_cols, self._rows.ids.keys())
         self._session = None
-        return range(start, start + len(ids))
+        return range(start, self.n_rows)
 
     def add_row(self, rid: str, entries: Sequence[Tuple[int, float]],
                 sense: str, rhs: float) -> int:
-        return self.add_rows([(rid, entries, sense, rhs)])[0]
+        """Append the row ``rid``: ``entries`` are (column, coefficient)
+        pairs."""
+        cols, values = zip(*entries) if entries else ((), ())
+        return self.add_row_arrays([rid], [len(entries)], cols, values, sense,
+                                   rhs)[0]
 
     def set_bounds(self, idx, lower, upper) -> None:
         """Bound the columns ``idx`` (one index or an array of them) by
@@ -297,12 +288,12 @@ class AbstractModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self._row_ids)
+        return len(self._rows)
 
     @property
     def row_ids(self) -> Tuple[str, ...]:
         """Row ids in row order."""
-        return tuple(self._row_ids)
+        return tuple(self._rows.ids)
 
     def constraint_matrix(self) -> sp.csr_matrix:
         """The rows as a canonical CSR matrix: column indices sorted within
@@ -702,14 +693,8 @@ def to_lp_string(model: AbstractModel) -> str:
              if c != 0.0]
     out.append(" obj: " + _expr(terms, model.objective_offset))
     out.append("Subject To")
-    rows = model._rows
-    indices, values = rows.indices.tolist(), rows.values.tolist()
-    end = 0
-    for rid, count, sense, rhs in zip(model.row_ids, rows.counts.tolist(),
-                                      rows.senses.tolist(), rows.rhs.tolist()):
-        start, end = end, end + count
-        expr = _expr([(names[ci], v) for ci, v in
-                      zip(indices[start:end], values[start:end])], 0.0)
+    for rid, entries, sense, rhs in model._rows:
+        expr = _expr([(names[ci], v) for ci, v in entries], 0.0)
         out.append(f" {rid}: {expr} {sense} {_fmt(rhs)}")
     out.append("Bounds")
     for cid, lower, upper, is_binary in zip(

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 
 from . import backend as be
 from .domain import Instance, SolveConfig, Solution, empty_solution
-from .model import VarMap, build_model, decode_solution, solve_pla
+from .model import (VarMap, _Keys, _row_family, _stacked, build_model,
+                    decode_solution, solve_pla)
 
 __all__ = [
     "BendersSplit",
@@ -237,109 +238,98 @@ def solve_subproblem_dual(split: BendersSplit, v_hat: np.ndarray):
 
 def extra_feasibility_cuts(instance: Instance, vm: VarMap,
                            config: Optional[SolveConfig] = None
-                           ) -> List[be.Row]:
+                           ) -> be.RowBlock:
     """Master-only rows ruling out battery assignments no schedule can serve.
 
     All rows involve only binary columns, so they can sit in the master from
     iteration one. Families (one per comment) follow the drain-order logic:
     batteries empty front-to-back, consists without a battery (Y=0) get a
     slack term because their nonempty flag is unconstrained from above.
-    Emits every non-vacuous index combination; entries reference original
-    model column indices.
+    Each family is one array block over ``vm``'s index grids, with every
+    non-vacuous index combination in C order; a ragged prefix or suffix of
+    a train's consists is padded with -1. The rows come back as one
+    :class:`backend.RowBlock`, checked by :func:`backend.checked_rows`
+    against the ``vm.n_binary`` binary columns, so a cut on a continuous
+    column is refused.
     """
     cfg = config or SolveConfig()
     M = cfg.big_M
-    cuts: List[be.Row] = []
-    S = instance.n_stations
-    J = range(instance.n_trains)
-    top = cfg.n - 1  # the top SOC interval of the PLA grid
+    X, Y, Zc, Zs, B, beta = vm.X, vm.Y, vm.Zc, vm.Zs, vm.B, vm.beta
+    lead = np.arange(B.shape[2])  # consist positions
+    GE, LE = be.GE, be.LE
 
-    for i in range(S):
-        for j in J:
-            K = instance.consists(j)
-            for k in range(K):
-                # empties are contiguous from the front
-                if k >= 1:
-                    ent = [(vm.B[i, j, kk], 1.0) for kk in range(k)]
-                    ent += [(vm.B[i, j, k], -float(k)),
-                            (vm.Y[j, k], float(k))]
-                    cuts.append((f"xc_front_empty_{i}_{j}_{k}", ent,
-                                 be.LE, float(k)))
-                # carried batteries behind a nonempty one are nonempty
-                if k < K - 1:
-                    ent = [(vm.B[i, j, kk], 1.0) for kk in range(k + 1, K)]
-                    ent += [(vm.B[i, j, k], -float(K - 1 - k))]
-                    ent += [(vm.Y[j, kk], -1.0) for kk in range(k + 1, K)]
-                    cuts.append((f"xc_back_nonempty_{i}_{j}_{k}", ent,
-                                 be.GE, float(-(K - 1 - k))))
-                    cuts.append((
-                        f"xc_adjacent_{i}_{j}_{k}",
-                        [(vm.B[i, j, k + 1], 1.0), (vm.B[i, j, k], -1.0),
-                         (vm.Y[j, k + 1], -1.0)],
-                        be.GE, -1.0))
+    def cell(keys):
+        """Each (station, train, consist) key's parts, its B and Y columns,
+        the mask of the consists behind it, how many of those its train
+        has, and the next consist (clipped to the grid where there is
+        none)."""
+        i, j, k = keys.at.T
+        behind = lead > k[:, None]
+        after = (behind & (Y[j] >= 0)).sum(axis=1)
+        return (i, j, k, B[i, j, k], Y[j, k], behind, after,
+                np.minimum(k + 1, lead[-1]))
+
+    # empties are contiguous from the front, carried batteries behind a
+    # nonempty one are nonempty, and so is the next one
+    cells = _Keys(B >= 0)
+    i, j, k, b, y, behind, after, nxt = cell(cells)
+    families = [_row_family(cells, [
+        ("xc_front_empty%s", [(np.where(lead < k[:, None], B[i, j], -1), 1.0),
+                              (b, -k[:, None]), (y, k[:, None])], LE, k),
+        ("xc_back_nonempty%s", [(np.where(behind, B[i, j], -1), 1.0),
+                                (b, -after[:, None]),
+                                (np.where(behind, Y[j], -1), -1.0)],
+         GE, -after),
+        ("xc_adjacent%s", [(B[i, j, nxt], 1.0), (b, -1.0), (Y[j, nxt], -1.0)],
+         GE, -1.0)],
+        mask=np.column_stack([k > 0, after > 0, after > 0]))]
 
     # arriving with too little potential energy forces a deployment / an
     # action before the next leg (linear and expanded-product variants)
-    for i in range(S - 1):
-        for j in J:
-            K = instance.consists(j)
-            e = instance.leg_energy(j, i)
-            bsum = [(vm.B[i, j, k], 1.0) for k in range(K)]
-            x_ent = [(vm.X[i], M)] if i in vm.X else []
-            cuts.append((f"xc_deploy_linear_{i}_{j}", x_ent + bsum, be.GE, e))
-            cuts.append((f"xc_deploy_product_{i}_{j}",
-                         x_ent + [(vm.B[i, j, k], e) for k in range(K)],
-                         be.GE, e))
-            z_ent = [(vm.Zc[i, j, k], M) for k in range(K) if (i, j, k) in vm.Zc]
-            z_ent += [(vm.Zs[i, j, k], M) for k in range(K) if (i, j, k) in vm.Zs]
-            cuts.append((f"xc_action_linear_{i}_{j}", z_ent + bsum, be.GE, e))
-            cuts.append((f"xc_action_product_{i}_{j}",
-                         z_ent + [(vm.B[i, j, k], e) for k in range(K)],
-                         be.GE, e))
+    legs = _Keys(np.ones((B.shape[0] - 1, B.shape[1]), bool))
+    i, j = legs.at.T
+    e = instance.energy[j, i, i + 1]
+    deploy, action = [(X[i], M)], [(Zc[i, j], M), (Zs[i, j], M)]
+    linear, product = [(B[i, j], 1.0)], [(B[i, j], e[:, None])]
+    families.append(_row_family(legs, [
+        ("xc_deploy_linear%s", deploy + linear, GE, e),
+        ("xc_deploy_product%s", deploy + product, GE, e),
+        ("xc_action_linear%s", action + linear, GE, e),
+        ("xc_action_product%s", action + product, GE, e)]))
 
     # a loaded consist leaves the origin full (the converse direction is not
     # model-implied: an unloaded consist's flag is free, so it is dropped)
-    for j in J:
-        for k in range(instance.consists(j)):
-            cuts.append((f"xc_origin_loaded_{j}_{k}",
-                         [(vm.B[0, j, k], 1.0), (vm.Y[j, k], -1.0)],
-                         be.GE, 0.0))
+    loads = Y >= 0
+    families.append(_row_family(_Keys(loads), [
+        ("xc_origin_loaded%s", [(B[0][loads], 1.0), (Y[loads], -1.0)],
+         GE, 0.0)]))
 
     # SOC-interval selectors must sit in the bottom/top interval when
     # the nonempty flags say empty/full
-    for i in instance.interior:
-        for j in J:
-            K = instance.consists(j)
-            for k in range(K):
-                ent = [(vm.beta[i, j, kk, 0], 1.0) for kk in range(k + 1)]
-                ent += [(vm.B[i, j, k], float(k + 1)),
-                        (vm.Y[j, k], -float(k + 1))]
-                cuts.append((f"xc_cell_bottom_prefix_{i}_{j}_{k}", ent,
-                             be.GE, 0.0))
-                cuts.append((f"xc_cell_bottom_{i}_{j}_{k}",
-                             [(vm.beta[i, j, k, 0], 1.0),
-                              (vm.B[i, j, k], 1.0)],
-                             be.GE, 1.0))
-                if k < K - 1:
-                    ent = [(vm.beta[i, j, kk, top], 1.0)
-                           for kk in range(k + 1, K)]
-                    ent += [(vm.B[i, j, k], -float(K - 1 - k))]
-                    ent += [(vm.Y[j, kk], -1.0) for kk in range(k + 1, K)]
-                    cuts.append((f"xc_cell_top_suffix_{i}_{j}_{k}", ent,
-                                 be.GE, float(-(K - 1 - k))))
-                    cuts.append((
-                        f"xc_cell_top_{i}_{j}_{k}",
-                        [(vm.beta[i, j, k + 1, top], 1.0),
-                         (vm.B[i, j, k], -1.0), (vm.Y[j, k + 1], -1.0)],
-                        be.GE, -1.0))
-    return cuts
+    slots = _Keys(Zc >= 0)
+    i, j, k, b, y, behind, after, nxt = cell(slots)
+    bottom, top = beta[i, j, :, 0], beta[i, j, :, -1]
+    every = np.ones(len(slots), bool)
+    families.append(_row_family(slots, [
+        ("xc_cell_bottom_prefix%s", [(np.where(behind, -1, bottom), 1.0),
+                                     (b, k[:, None] + 1), (y, -k[:, None] - 1)],
+         GE, 0.0),
+        ("xc_cell_bottom%s", [(beta[i, j, k, 0], 1.0), (b, 1.0)], GE, 1.0),
+        ("xc_cell_top_suffix%s", [(np.where(behind, top, -1), 1.0),
+                                  (b, -after[:, None]),
+                                  (np.where(behind, Y[j], -1), -1.0)],
+         GE, -after),
+        ("xc_cell_top%s", [(beta[i, j, nxt, -1], 1.0), (b, -1.0),
+                           (Y[j, nxt], -1.0)], GE, -1.0)],
+        mask=np.column_stack([every, every, after > 0, after > 0])))
+    return be.checked_rows(*_stacked(families), n_cols=vm.n_binary)
 
 
 # ---------------------------------------------------------------------------
 # Master problem
 # ---------------------------------------------------------------------------
 
-def build_rmp(split: BendersSplit, static: List[be.Row]):
+def build_rmp(split: BendersSplit, static: be.RowBlock):
     """Master arrays over (v, w) before any cut: deployment costs plus the
     epigraph ``w`` of the continuous cost, under the v-only original rows
     and the ``static`` cuts (see :func:`extra_feasibility_cuts`).
@@ -349,22 +339,22 @@ def build_rmp(split: BendersSplit, static: List[be.Row]):
     least value the continuous cost can take (the sum of min(0, c_u) times
     u's upper bound: 0, since the only continuous costs are the delay
     weights on D >= 0); the rows are ``Dm[v_only]`` and then the static
-    cuts, checked by :func:`backend.checked_rows` (a cut on a column past
-    the binaries is refused). ``A`` is canonical CSR without stored zeros.
+    cuts, whose block's CSR arrays are stacked as they are (the block was
+    checked against the binary columns when it was made). ``A`` is
+    canonical CSR without stored zeros.
     :func:`run_benders` appends each cut to the live master.
     """
     n = split.n_v + 1
     master = split.Dm[split.v_only]
-    _, cuts = be.row_block(static, split.n_v)
     A = sp.vstack([
         sp.csr_matrix((master.data, master.indices, master.indptr),
                       shape=(master.shape[0], n)),
-        sp.csr_matrix((cuts.values, cuts.indices, cuts.indptr),
-                      shape=(len(cuts.rhs), n))], format="csr")
+        sp.csr_matrix((static.values, static.indices, static.indptr),
+                      shape=(len(static), n))], format="csr")
     A.eliminate_zeros()
     A.sum_duplicates()
-    senses = np.concatenate([split.senses[split.v_only], cuts.senses])
-    rhs = np.concatenate([split.b[split.v_only], cuts.rhs])
+    senses = np.concatenate([split.senses[split.v_only], static.senses])
+    rhs = np.concatenate([split.b[split.v_only], static.rhs])
     neg = split.c_u < 0
     lb = np.append(np.zeros(split.n_v), split.c_u[neg] @ split.u_ub[neg])
     ub = np.append(np.ones(split.n_v), np.inf)

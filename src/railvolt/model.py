@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,23 +116,29 @@ class VarMap:
     """Column indices of the model variables other modules read, plus
     build metadata.
 
-    Binary columns occupy indices [0, n_binary); everything after is
-    continuous. The stop times (Tarr, Tdep) and the charge-clock block's
-    weights and clock readings (gamma, Theta) stay inside
-    :func:`build_model`.
+    Each field is its family's index grid, as :func:`build_model` makes it:
+    an int array over (station, train, consist) (X over stations, Y over
+    (train, consist), D over (station, train), beta with a last axis of SOC
+    intervals) holding each key's column, and -1 where a key has no column:
+    an endpoint's X, Zc, Zs, beta and Tc, and a consist past its train's
+    count. Select ``grid >= 0`` before indexing with a grid: a -1 would
+    read the last column. Binary columns occupy indices [0, n_binary);
+    everything after is continuous. The stop times (Tarr, Tdep) and the
+    charge-clock block's weights and clock readings (gamma, Theta) stay
+    inside :func:`build_model`.
     """
-    X: Dict[int, int] = field(default_factory=dict)
-    Y: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    Zc: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    Zs: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    B: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    beta: Dict[Tuple[int, int, int, int], int] = field(default_factory=dict)
-    D: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    Tc: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    Sarr: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    Sdep: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-    n_binary: int = 0
-    n_cols: int = 0
+    X: np.ndarray
+    Y: np.ndarray
+    Zc: np.ndarray
+    Zs: np.ndarray
+    B: np.ndarray
+    beta: np.ndarray
+    D: np.ndarray
+    Tc: np.ndarray
+    Sarr: np.ndarray
+    Sdep: np.ndarray
+    n_binary: int
+    n_cols: int
 
 
 class _Keys:
@@ -160,14 +166,6 @@ def _ids(names: Sequence[str], keys: _Keys) -> List[str]:
             ).split("\n")[:-1]
 
 
-def _keyed(index: np.ndarray) -> Dict:
-    """The columns of a family's index grid keyed by their grid position
-    (an int on a 1-d grid, a tuple otherwise), in column order."""
-    keys = np.argwhere(index >= 0).T.tolist()
-    cols = index[index >= 0].tolist()
-    return dict(zip(keys[0] if index.ndim == 1 else zip(*keys), cols))
-
-
 def _per_key(columns) -> np.ndarray:
     """A term's columns as a (keys, m) array."""
     columns = np.asarray(columns)
@@ -181,13 +179,15 @@ def _row_family(keys: _Keys, kinds, mask=None):
     A family is a few row kinds per key, each kind a name, terms, a sense
     and a right-hand side (one, or one per key). A kind's name holds one
     ``%s``, which each key's tag fills. A term is ``(columns,
-    coefficient)``: one column per key, or a (keys, m) array of them, with
-    one coefficient or one per column of the m. Each key's rows come out in
-    kind order and its entries in term order, one row per (key, kind)
-    unless ``mask`` (keys, kinds) drops it. A column index of -1 marks a
-    column the key does not have (a consist past its train's count, an
-    endpoint's operation): its entry is zero padding, which the check
-    drops.
+    coefficient)``: one column per key, or a (keys, m) array of them, and
+    coefficients that broadcast against those (keys, m) columns (one for
+    all, one per column of the m, or a (keys, 1) column of one per key).
+    Each key's rows come out in kind order and its entries in term order,
+    one row per (key, kind) unless ``mask`` (keys, kinds) drops it. A
+    column index of -1 marks a column the key does not have (a consist
+    past its train's count, an endpoint's operation, a consist outside a
+    ragged prefix or suffix of consists): its entry is zero padding, which
+    the check drops.
     """
     n, r = len(keys), len(kinds)
     terms = [[(_per_key(c), v) for c, v in kind[1]] for kind in kinds]
@@ -218,6 +218,13 @@ def _row_family(keys: _Keys, kinds, mask=None):
     return ids, counts, cols, vals, senses, rhs
 
 
+def _stacked(families) -> list:
+    """Row families, one after another, as one set of
+    :func:`backend.checked_rows` arguments (ids to rhs)."""
+    ids, *arrays = zip(*families)
+    return [list(chain.from_iterable(ids)), *map(np.concatenate, arrays)]
+
+
 def build_model(instance: Instance,
                 config: Optional[SolveConfig] = None
                 ) -> Tuple[be.AbstractModel, VarMap]:
@@ -241,7 +248,6 @@ def build_model(instance: Instance,
     Ms = SOC_BIG_M
 
     model = be.AbstractModel(name=f"plan[{inst.name}]")
-    vm = VarMap()
 
     # Key grids, as masks over (station, train, consist): every (station,
     # train) stop, every cell (a consist its train has, at a stop), and the
@@ -280,7 +286,7 @@ def build_model(instance: Instance,
     Zs = family("Zs", slots, be.BINARY)
     B = family("B", cells, be.BINARY)
     beta = family("beta", slots, be.BINARY, count=n)
-    vm.n_binary = model.n_cols
+    n_binary = model.n_cols
 
     # ---- columns: continuous ----------------------------------------------
     D = family("D", stops, objective=aD)
@@ -292,9 +298,8 @@ def build_model(instance: Instance,
     gamma = family("gamma", slots, upper=1.0, count=n + 1)
     clock_arr = family("Theta_arr", slots)
     clock_dep = family("Theta_dep", slots, upper=grid.top)
-    vm.n_cols = model.n_cols
-    vm.X, vm.Y, vm.Zc, vm.Zs, vm.B, vm.beta, vm.D, vm.Tc, vm.Sarr, vm.Sdep = \
-        map(_keyed, (X, Y, Zc, Zs, B, beta, D, Tc, Sarr, Sdep))
+    vm = VarMap(X, Y, Zc, Zs, B, beta, D, Tc, Sarr, Sdep, n_binary,
+                model.n_cols)
 
     # The objective counts delay beyond the planned waits: subtract the
     # constant sum of waits once, outside the solver.
@@ -487,9 +492,7 @@ def build_model(instance: Instance,
                                       (s_arr, 1.0), (zs, 1.0)], GE, tan_rhs[h])
         for h in range(len(hours))])
 
-    ids, *arrays = zip(*families)
-    model.add_row_arrays(list(chain.from_iterable(ids)),
-                         *map(np.concatenate, arrays))
+    model.add_row_arrays(*_stacked(families))
     return model, vm
 
 
@@ -552,22 +555,23 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
 
     inst = instance
     cfg = config
-    deployed = sorted(i for i, c in vm.X.items()
-                      if _as_flag(x[c], f"X[{i}]") == 1)
+    deployed = [i for (i,), c in np.ndenumerate(vm.X)
+                if c >= 0 and _as_flag(x[c], f"X[{i}]") == 1]
     has_battery = [[_as_flag(x[vm.Y[j, k]], f"Y[{j},{k}]")
                     for k in range(inst.consists(j))]
                    for j in range(inst.n_trains)]
     # per slot (i, j, k); stops without a slot get no action
     swap = {slot: _as_flag(x[c], "Zs[%d,%d,%d]" % slot)
-            for slot, c in vm.Zs.items()}
+            for slot, c in np.ndenumerate(vm.Zs) if c >= 0}
     charge = {slot: _as_flag(x[c], "Zc[%d,%d,%d]" % slot)
-              for slot, c in vm.Zc.items()}
+              for slot, c in np.ndenumerate(vm.Zc) if c >= 0}
     target = {slot: _clamped(x[vm.Sdep[slot]], 0.0, 1.0,
-                             "Sdep[%d,%d,%d]" % slot) for slot in vm.Zc}
+                             "Sdep[%d,%d,%d]" % slot) for slot in charge}
 
     # Independent objective recomputation from the decoded columns.
     setup = sum(inst.fixed_cost[i] for i in deployed)
-    d_term = sum(x[c] - inst.wait_time[i, j] for (i, j), c in vm.D.items())
+    d_term = sum(x[c] - inst.wait_time[i, j]
+                 for (i, j), c in np.ndenumerate(vm.D))
     recomputed = float(cfg.alpha_fixed * setup + cfg.alpha_delay * d_term)
     if outcome.objective is not None and \
             abs(recomputed - outcome.objective) > 1e-4 * max(1.0, abs(recomputed)):
@@ -636,12 +640,13 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     started = time.perf_counter()
     cfg = config or SolveConfig()
     model, vm = built or build_model(instance, cfg)
-    cols = [*vm.X.values(), *vm.Y.values()]
+    deploy, load = vm.X >= 0, vm.Y >= 0
+    cols = np.concatenate([vm.X[deploy], vm.Y[load]])
     if fixed_deployment is None:
         model.set_bounds(cols, 0.0, 1.0)
     else:
-        pinned = [i in fixed_deployment for i in vm.X] \
-            + [k < instance.trains[j].full_load for j, k in vm.Y]
+        pinned = [i in fixed_deployment for i in np.flatnonzero(deploy)] \
+            + [k < instance.trains[j].full_load for j, k in np.argwhere(load)]
         model.set_bounds(cols, pinned, pinned)
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
                                       seconds=cfg.time_limit_seconds,

@@ -169,3 +169,12 @@ def tiny_corridor(seed: int, n_interior: int = 2, n_trains: int = 1,
         name=f"tiny-{seed}",
         meta={"seed": seed},
     )
+
+
+def mixed_consist_corridor() -> Instance:
+    """Five stations and two trains of 3 and 1 consists, so every family
+    keyed by consist has fewer keys for the second train."""
+    inst = tiny_corridor(7, n_interior=3, n_trains=2, consists=3,
+                         max_batteries=2)
+    inst.trains[1] = Train("Train 2", consists=1, max_batteries=1)
+    return inst

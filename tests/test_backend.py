@@ -661,7 +661,7 @@ def _block_model():
 
 # Each case spells its rows compactly as CSR data: row r is ids[r] with the
 # entries indptr[r]:indptr[r+1] of indices and values. Every case is refused
-# naming the row, through the row tuples and through the arrays alike.
+# naming the row, one row at a time through add_row and as arrays alike.
 BAD_ROW_BLOCKS = [
     (["a", "b"], [0, 1, 2], [0, 1], [1.0, INF], "<=", [1.0, 1.0], "'b'"),
     (["a", "b"], [0, 1, 2], [0, 1], [float("nan"), 1.0], "<=", [1.0, 1.0],
@@ -678,43 +678,36 @@ BAD_ROW_BLOCKS = [
 ]
 
 
-def _add_tuples(m, ids, indptr, indices, values, senses, rhs):
-    m.add_rows([(rid, list(zip(indices[lo:hi], values[lo:hi])), sense, b)
-                for rid, lo, hi, sense, b
-                in zip(ids, indptr, indptr[1:], senses, rhs)])
-
-
-def _add_arrays(m, ids, indptr, indices, values, senses, rhs):
-    m.add_row_arrays(ids, np.diff(indptr), indices, values, senses, rhs)
-
-
-def _refused_unchanged(add, ids, indptr, indices, values, senses, rhs,
-                       named):
+@pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named",
+                         BAD_ROW_BLOCKS)
+def test_row_block_bad_inputs_rejected(ids, indptr, indices, values, senses,
+                                       rhs, named):
+    # one row at a time through add_row: the rows before the bad one enter,
+    # and the bad one is refused, leaving the model as it was before it
     senses = np.broadcast_to(senses, len(ids)).tolist()
     m = _block_model()
-    before = _model_arrays(m)
     with pytest.raises(be.BackendError, match=named):
-        add(m, ids, indptr, indices, values, senses, rhs)
-    # a refused block leaves the model as it was
-    assert m.row_ids == ("first",)
+        for rid, lo, hi, sense, b in zip(ids, indptr, indptr[1:], senses,
+                                         rhs):
+            row_ids, before = m.row_ids, _model_arrays(m)
+            m.add_row(rid, list(zip(indices[lo:hi], values[lo:hi])), sense, b)
+    assert m.row_ids == row_ids
     for got, want in zip(_model_arrays(m), before):
         np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named",
                          BAD_ROW_BLOCKS)
-def test_row_block_bad_inputs_rejected(ids, indptr, indices, values, senses,
-                                       rhs, named):
-    _refused_unchanged(_add_tuples, ids, indptr, indices, values, senses,
-                       rhs, named)
-
-
-@pytest.mark.parametrize("ids,indptr,indices,values,senses,rhs,named",
-                         BAD_ROW_BLOCKS)
 def test_row_arrays_bad_inputs_rejected(ids, indptr, indices, values,
                                         senses, rhs, named):
-    _refused_unchanged(_add_arrays, ids, indptr, indices, values, senses,
-                       rhs, named)
+    m = _block_model()
+    before = _model_arrays(m)
+    with pytest.raises(be.BackendError, match=named):
+        m.add_row_arrays(ids, np.diff(indptr), indices, values, senses, rhs)
+    # a refused block leaves the model as it was
+    assert m.row_ids == ("first",)
+    for got, want in zip(_model_arrays(m), before):
+        np.testing.assert_array_equal(got, want)
 
 
 def _model_arrays(m):
@@ -748,10 +741,7 @@ def test_row_block_matches_row_by_row():
             ("c", [(0, 0.0)], "=", 0.5),
             ("d", [(1, 3.0), (0, -4.0)], "=", 3.0)]
     one = _block_model()
-    for row in rows:
-        one.add_row(*row)
-    block = _block_model()
-    assert block.add_rows(iter(rows)) == range(1, 5)
+    assert [one.add_row(*row) for row in rows] == [1, 2, 3, 4]
     # the same rows as arrays padded to one width with zeros, whose
     # columns may be anything: the padding is dropped
     padded = _block_model()
@@ -760,16 +750,21 @@ def test_row_block_matches_row_by_row():
         [0, 1, 0, 1, 7, -1, 0, 0, 0, 1, 0, 99],
         [1.0, 0.0, 2.5, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, -4.0, 0.0],
         ["<=", ">=", "=", "="], [1.0, -2.0, 0.5, 3.0]) == range(1, 5)
-    for other in (block, padded):
-        assert other.row_ids == one.row_ids
-        for got, want in zip(other.arrays(), one.arrays()):
-            if hasattr(got, "toarray"):
-                assert got.nnz == want.nnz == 5
-                got, want = got.toarray(), want.toarray()
-            np.testing.assert_array_equal(got, want)
-        assert other._rows.counts.tolist() == [1, 2, 1, 0, 2]
-    assert block.constraint_matrix()[1].toarray().tolist() == [[3.5, 0.0]]
-    assert be.to_lp_string(block) == be.to_lp_string(one)
+    assert padded.row_ids == one.row_ids
+    for got, want in zip(padded.arrays(), one.arrays()):
+        if hasattr(got, "toarray"):
+            assert got.nnz == want.nnz == 5
+            got, want = got.toarray(), want.toarray()
+        np.testing.assert_array_equal(got, want)
+    for m in (one, padded):
+        assert m._rows.counts.tolist() == [1, 2, 1, 0, 2]
+        # the block reads back as its rows, with the zeros dropped
+        assert list(m._rows)[1:] == [
+            ("a", [(0, 1.0), (0, 2.5)], "<=", 1.0),
+            ("b", [(1, -1.0)], ">=", -2.0), ("c", [], "=", 0.5),
+            ("d", [(1, 3.0), (0, -4.0)], "=", 3.0)]
+    assert padded.constraint_matrix()[1].toarray().tolist() == [[3.5, 0.0]]
+    assert be.to_lp_string(padded) == be.to_lp_string(one)
 
 
 def test_binary_columns_are_clamped_to_unit_box():

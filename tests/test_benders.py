@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ import scipy.sparse as sp
 from railvolt import backend as be, benders, model as model_mod
 from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
                               run_benders, solve_subproblem_dual, split_model)
-from railvolt.domain import SolveConfig, Train, empty_solution
+from railvolt.domain import SolveConfig, empty_solution
 from railvolt.generator import (GenSpec, generate_instance,
                                 illustrative_instance)
 from railvolt.model import build_model, solve_pla
 from railvolt.validator import simulate_schedule
 
 from conftest import (check_farkas_ray, count_builds, count_overcuts,
-                      run_benders_with_master, tiny_corridor)
+                      mixed_consist_corridor, run_benders_with_master,
+                      tiny_corridor)
 
 
 @pytest.fixture(scope="module")
@@ -224,14 +226,6 @@ def test_static_cut_census_on_reference(golden, reference_split):
             assert np.isfinite(val)
 
 
-def _mixed_consist_corridor():
-    # trains of 3 and 1 consists, as in the mixed-consist LP-text pin
-    inst = tiny_corridor(7, n_interior=3, n_trains=2, consists=3,
-                         max_batteries=2)
-    inst.trains[1] = Train("Train 2", consists=1, max_batteries=1)
-    return inst
-
-
 @pytest.mark.parametrize("make,n_cuts,digest", [
     (illustrative_instance, 198,
      "58bcdf1b4276cefc8c1dede0a4bf8637aedd64f23c73756efe7d5db56918e628"),
@@ -239,7 +233,7 @@ def _mixed_consist_corridor():
      "ab306be60415f8e51b5ba1d480e7abcabd1bec24d30d1198dc6bf0c2eb44f688"),
     (lambda: generate_instance(GenSpec("large", seed=2)), 958,
      "c165262ae9157a0195bcbf9858791a5d45296c20dc937e71fffdda68f47de902"),
-    (_mixed_consist_corridor, 102,
+    (mixed_consist_corridor, 102,
      "9bad1686cfd3bb1f8eddcb27a25e5a375b2c2b7d2295727ea197c2318b7351d0"),
 ], ids=["worked-example", "medium-1", "large-2", "mixed-consist"])
 def test_static_cuts_are_pinned(make, n_cuts, digest):
@@ -252,6 +246,30 @@ def test_static_cuts_are_pinned(make, n_cuts, digest):
             for rid, entries, sense, rhs in extra_feasibility_cuts(inst, vm)]
     assert len(rows) == n_cuts
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_static_cuts_are_one_checked_block_on_binaries(reference_split,
+                                                      golden, monkeypatch):
+    # The cuts reach the master as one block from one checked_rows call,
+    # checked against the binary columns only: a B grid shifted onto the
+    # continuous columns is refused.
+    _, vm, _ = reference_split
+    n_cols = []
+    checked_rows = be.checked_rows
+
+    def counted(*args, **kwargs):
+        bound = inspect.signature(checked_rows).bind(*args, **kwargs)
+        n_cols.append(bound.arguments["n_cols"])
+        return checked_rows(*args, **kwargs)
+
+    monkeypatch.setattr(be, "checked_rows", counted)
+    cuts = extra_feasibility_cuts(golden, vm)
+    assert isinstance(cuts, be.RowBlock) and len(cuts) == 198
+    assert n_cols == [vm.n_binary]
+    shifted = np.where(vm.B >= 0, vm.B + vm.n_binary, -1)
+    assert shifted.max() < vm.n_cols  # continuous columns of the model
+    with pytest.raises(be.BackendError, match="unknown column index"):
+        extra_feasibility_cuts(golden, dataclasses.replace(vm, B=shifted))
 
 
 def test_static_cuts_admit_the_reference_incumbent(
@@ -293,11 +311,13 @@ def test_gap_convention():
 
 
 def test_rmp_floors_w_over_the_v_only_rows(reference_split):
-    # Without static cuts the master is the v-only rows alone: build_rmp
-    # stacks no cuts, and w is floored at the least continuous cost, 0 (the
-    # delay weights on D >= 0 are the only continuous costs).
+    # Without static cuts (an empty checked block) the master is the v-only
+    # rows alone: build_rmp stacks no cuts, and w is floored at the least
+    # continuous cost, 0 (the delay weights on D >= 0 are the only
+    # continuous costs).
     _, _, split = reference_split
-    c, A, senses, rhs, lb, ub, integrality = build_rmp(split, [])
+    no_cuts = be.checked_rows([], [], [], [], [], [], split.n_v)
+    c, A, senses, rhs, lb, ub, integrality = build_rmp(split, no_cuts)
     n_rows = int(split.v_only.sum())
     assert len(c) == len(lb) == len(ub) == len(integrality) == split.n_v + 1
     assert A.shape == (n_rows, split.n_v + 1)

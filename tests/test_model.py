@@ -1,5 +1,6 @@
 """MILP assembly: the charge clock, census, decode semantics."""
 
+import dataclasses
 import hashlib
 import time
 
@@ -11,13 +12,14 @@ from railvolt import cli
 from railvolt import model as model_mod
 from railvolt.domain import (InstanceError, SolveConfig, Train,
                              charge_time_for_target, soc_after_charging)
-from railvolt.generator import GenSpec, generate_instance
-from railvolt.model import (TANGENT_HOURS, build_model, build_pla_grid,
-                            decode_solution, solve_pla)
+from railvolt.generator import (GenSpec, generate_instance,
+                                illustrative_instance)
+from railvolt.model import (TANGENT_HOURS, VarMap, build_model,
+                            build_pla_grid, decode_solution, solve_pla)
 from railvolt.reporting import ALGORITHMS
 from railvolt.validator import brute_force_best, simulate_schedule
 
-from conftest import tiny_corridor
+from conftest import mixed_consist_corridor, tiny_corridor
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +195,8 @@ def test_tangent_rows_hold_at_every_exact_charge(golden):
     model, vm = build_model(golden, SolveConfig())
     rows = [r for r, rid in enumerate(model.row_ids)
             if rid.startswith("charge_tangent_")]
-    assert len(rows) == len(TANGENT_HOURS) * len(vm.Tc)
+    slots = vm.Tc >= 0
+    assert len(rows) == len(TANGENT_HOURS) * int(slots.sum())
     _, _, _, _, A, senses, rhs = model.arrays()
     assert set(senses[rows]) == {">="}
     A, rhs = A[rows], rhs[rows]
@@ -204,8 +207,8 @@ def test_tangent_rows_hold_at_every_exact_charge(golden):
         x = np.zeros(model.n_cols)
         for columns, value in ((vm.Sarr, Sarr), (vm.Tc, Tc),
                                (vm.Sdep, Sdep), (vm.Zs, Zs)):
-            x[[columns[slot] for slot in vm.Tc]] = value
-        return (A @ x - rhs).reshape(len(vm.Tc), len(TANGENT_HOURS))
+            x[columns[slots]] = value
+        return (A @ x - rhs).reshape(int(slots.sum()), len(TANGENT_HOURS))
 
     for Sarr in np.linspace(0.0, 1.0, 11):
         for Tc in (0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0):
@@ -268,7 +271,7 @@ def test_model_census_on_reference_corridor(golden):
     assert (integrality[:vm.n_binary] == 1).all()
     assert (integrality[vm.n_binary:] == 0).all()
     # every interior station appears as a deployment column
-    assert sorted(vm.X) == sorted(golden.interior)
+    assert np.flatnonzero(vm.X >= 0).tolist() == list(golden.interior)
 
 
 def test_build_model_is_deterministic(golden):
@@ -362,6 +365,38 @@ def test_build_model_adds_every_row_in_one_block(golden, monkeypatch):
         "D_0_0", "Tarr_0_0", "Tdep_0_0", "Tc_1_0_0", "Sarr_0_0_0",
         "Sdep_0_0_0", "gamma_1_0_0_0", "Theta_arr_1_0_0", "Theta_dep_1_0_0"]
     assert sum(map(len, blocks)) == model.n_cols == 778
+
+
+@pytest.mark.parametrize("make", [illustrative_instance,
+                                  mixed_consist_corridor],
+                         ids=["worked-example", "mixed-consist"])
+def test_var_map_grids_hold_their_family_columns(make):
+    # A grid reads -1 where a dict had no key, and x[-1] is the last
+    # column: each grid's columns are exactly its family's, and each -1
+    # sits on a key that has no column.
+    inst = make()
+    model, vm = build_model(inst, SolveConfig())
+    S, n_trains = inst.n_stations, inst.n_trains
+    interior = np.isin(np.arange(S), list(inst.interior))
+    has = np.arange(vm.Y.shape[1]) \
+        < np.array([inst.consists(j) for j in range(n_trains)])[:, None]
+    cell = np.broadcast_to(has, (S,) + has.shape)
+    slot = cell & interior[:, None, None]
+    keyed = {"X": interior, "Y": has, "Zc": slot, "Zs": slot, "B": cell,
+             "beta": slot[..., None], "D": np.ones((S, n_trains), bool),
+             "Tc": slot, "Sarr": cell, "Sdep": cell}
+    assert set(keyed) == {f.name for f in dataclasses.fields(VarMap)} \
+        - {"n_binary", "n_cols"}
+    for name, mask in keyed.items():
+        grid = getattr(vm, name)
+        cols = grid[grid >= 0].tolist()
+        assert cols == [c for c, cid in enumerate(model.col_ids)
+                        if cid.startswith(name + "_")], name
+        np.testing.assert_array_equal(grid >= 0,
+                                      np.broadcast_to(mask, grid.shape))
+        for key, c in np.ndenumerate(grid):
+            if c >= 0:
+                assert model.col_ids[c] == name + "_%d" * len(key) % key
 
 
 def test_build_model_rejects_invalid_instance():
@@ -501,7 +536,7 @@ def test_decode_reads_only_decisions(golden, golden_config, golden_pla):
     _, vm = build_model(golden, golden_config)
     x = np.asarray(golden_pla.info["primal"], dtype=float)
     keep = [c for columns in (vm.X, vm.Y, vm.Zs, vm.Zc, vm.Sdep, vm.D)
-            for c in columns.values()]
+            for c in columns[columns >= 0]]
     scrambled = np.where(np.arange(vm.n_cols) < vm.n_binary, 0.5, -3.0)
     scrambled[keep] = x[keep]
     sol = decode_solution(be.SolveOutcome(
