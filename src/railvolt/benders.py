@@ -312,8 +312,8 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     every = np.ones(len(slots), bool)
     families.append(_row_family(slots, [
         ("xc_cell_bottom_prefix%s", [(np.where(behind, -1, bottom), 1.0),
-                                     (b, k[:, None] + 1), (y, -k[:, None] - 1)],
-         GE, 0.0),
+                                     (b, k[:, None] + 1),
+                                     (y, -k[:, None] - 1)], GE, 0.0),
         ("xc_cell_bottom%s", [(beta[i, j, k, 0], 1.0), (b, 1.0)], GE, 1.0),
         ("xc_cell_top_suffix%s", [(np.where(behind, top, -1), 1.0),
                                   (b, -after[:, None]),
