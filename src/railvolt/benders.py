@@ -5,9 +5,11 @@ Y, charge/swap actions Z, nonempty flags B, SOC-interval selectors beta)
 goes to a relaxed master problem (RMP); every continuous column (times,
 delays, SOC levels, interpolation weights, charge-clock readings) goes to a
 linear subproblem that prices a candidate master assignment. Subproblem duals feed optimality cuts,
-infeasibility certificates feed feasibility cuts, and a family of static
-cuts derived from battery-order logic keeps the master from proposing
-assignments that cannot carry trains between stations.
+infeasibility certificates feed feasibility cuts, and static cuts keep the
+master from proposing assignments that cannot carry trains between
+stations: battery-order rows over one leg or consist at a time, and reach
+rows asking for a charge or swap inside every run of legs that needs more
+than a train's full load.
 
 Conventions: rows are kept in their original order, with <= rows flipped to
 >= (equalities stay equalities; their duals are free and only contribute
@@ -245,6 +247,11 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     iteration one. Families (one per comment) follow the drain-order logic:
     batteries empty front-to-back, consists without a battery (Y=0) get a
     slack term because their nonempty flag is unconstrained from above.
+    The last family, ``xc_reach_<train>_<a>_<b>``, reaches over several
+    legs: ``sum Zc + Zs >= 1`` over the slots strictly between stations a
+    and b, for each minimal window whose adjacent legs need more than the
+    train's full load (see :func:`_reach_windows`); a single leg past the
+    load has no station inside it and gives no row.
     Each family is one array block over ``vm``'s index grids, with every
     non-vacuous index combination in C order; a ragged prefix or suffix of
     a train's consists is padded with -1. The rows come back as one
@@ -322,7 +329,45 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
         ("xc_cell_top%s", [(beta[i, j, nxt, -1], 1.0), (b, -1.0),
                            (Y[j, nxt], -1.0)], GE, -1.0)],
         mask=np.column_stack([every, every, after > 0, after > 0])))
+
+    # a run of stations a..b whose legs need E > full_load holds a charge or
+    # swap, one row per minimal window with a station inside:
+    #  1. a train leaves a with at most full_load SOC (Sdep <= 1,
+    #     no_battery_no_soc, carry_cap);
+    #  2. each slot inside adds at most Zc + Zs (hold_soc, swap_xor_charge);
+    #  3. SOC >= 0 and power_balance over consists give sum (Zc + Zs) >=
+    #     E - full_load > 0, so every integer point meets the row.
+    families.append(_row_family(*_reach_windows(instance, Zc, Zs)))
     return be.checked_rows(*_stacked(families), n_cols=vm.n_binary)
+
+
+def _reach_windows(instance: Instance, Zc: np.ndarray, Zs: np.ndarray):
+    """The keys and the ``xc_reach`` kind of the reach family: each
+    train's minimal windows (a, b) of stations whose summed adjacent legs
+    need more than its full load, with b >= a + 2, as (train, a, b) keys in
+    C order, each holding the Zc and Zs columns strictly inside it."""
+    legs = np.diagonal(instance.energy, 1, axis1=1, axis2=2)
+    reach = np.cumsum(np.insert(legs, 0, 0.0, axis=1), axis=1)
+    n_trains, S = reach.shape
+    # first[j, a]: the first b with E(a, b) past the full load, S if none;
+    # it never falls as a grows, so (a, first) is minimal when a + 1's
+    # first lies further on
+    first = np.array([np.searchsorted(r, r + t.full_load + 1e-6, side="right")
+                      for r, t in zip(reach, instance.trains)])
+    later = np.column_stack([first[:, 1:], np.full(n_trains, S)])
+    j, a = np.nonzero((first < S) & (later > first)
+                      & (first >= np.arange(S) + 2))
+    windows = np.zeros((n_trains, S, S), bool)
+    windows[j, a, first[j, a]] = True
+    keys = _Keys(windows)
+    j, a, b = keys.at.T
+    stations = a[:, None] + 1 + np.arange(int(np.max(b - a - 1, initial=0)))
+    # station 0 has no operation columns, so it pads a window's outside
+    stations = np.where(stations < b[:, None], stations, 0)
+    inside = [(grid[stations, j[:, None]].reshape(
+        len(keys), stations.shape[1] * grid.shape[2]), 1.0)
+        for grid in (Zc, Zs)]
+    return keys, [("xc_reach%s", inside, be.GE, 1.0)]
 
 
 # ---------------------------------------------------------------------------

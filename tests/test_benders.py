@@ -11,7 +11,8 @@ import scipy.sparse as sp
 from railvolt import backend as be, benders, model as model_mod
 from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
                               run_benders, solve_subproblem_dual, split_model)
-from railvolt.domain import SolveConfig, empty_solution
+from railvolt.domain import (Instance, SolveConfig, Train, empty_solution,
+                             leg_sums)
 from railvolt.generator import (GenSpec, generate_instance,
                                 illustrative_instance)
 from railvolt.model import build_model, solve_pla
@@ -21,6 +22,7 @@ from conftest import (check_farkas_ray, count_builds, count_overcuts,
                       mixed_consist_corridor, run_benders_with_master,
                       tiny_corridor)
 
+REACH = "xc_reach"  # id prefix of the reach family of static cuts
 
 @pytest.fixture(scope="module")
 def reference_split(golden):
@@ -216,7 +218,7 @@ def test_seed_reaches_every_milp(monkeypatch):
 def test_static_cut_census_on_reference(golden, reference_split):
     _, vm, split = reference_split
     cuts = extra_feasibility_cuts(golden, vm)
-    assert len(cuts) == 198
+    assert len(cuts) == 204
     names = {rid.rsplit("_", 1)[0] for rid, *_ in cuts}
     assert len(names) >= 10  # every rule family contributes
     for rid, entries, sense, rhs in cuts:
@@ -226,26 +228,34 @@ def test_static_cut_census_on_reference(golden, reference_split):
             assert np.isfinite(val)
 
 
-@pytest.mark.parametrize("make,n_cuts,digest", [
+@pytest.mark.parametrize("make,n_cuts,digest,n_all,digest_all", [
     (illustrative_instance, 198,
-     "58bcdf1b4276cefc8c1dede0a4bf8637aedd64f23c73756efe7d5db56918e628"),
+     "58bcdf1b4276cefc8c1dede0a4bf8637aedd64f23c73756efe7d5db56918e628", 204,
+     "f72475c650e0e6390ffc1046d046fe1b00192af63ad68bb5573330a06b20017b"),
     (lambda: generate_instance(GenSpec("medium", seed=1)), 558,
-     "ab306be60415f8e51b5ba1d480e7abcabd1bec24d30d1198dc6bf0c2eb44f688"),
+     "ab306be60415f8e51b5ba1d480e7abcabd1bec24d30d1198dc6bf0c2eb44f688", 579,
+     "b9956a6fda3a71d0241e2ab7793b2ded619f0c2ea34a7e9efdc98baa0696e0cd"),
     (lambda: generate_instance(GenSpec("large", seed=2)), 958,
-     "c165262ae9157a0195bcbf9858791a5d45296c20dc937e71fffdda68f47de902"),
+     "c165262ae9157a0195bcbf9858791a5d45296c20dc937e71fffdda68f47de902", 996,
+     "973604ead24c6fd531f516f4bdf86014afd2bb1ec11c45dfe330047c307805b9"),
     (mixed_consist_corridor, 102,
-     "9bad1686cfd3bb1f8eddcb27a25e5a375b2c2b7d2295727ea197c2318b7351d0"),
+     "9bad1686cfd3bb1f8eddcb27a25e5a375b2c2b7d2295727ea197c2318b7351d0", 106,
+     "05fd76d271a8a137949f7f04c838ea4ff4bf76e42f2f03547cef2cc44619792c"),
 ], ids=["worked-example", "medium-1", "large-2", "mixed-consist"])
-def test_static_cuts_are_pinned(make, n_cuts, digest):
+def test_static_cuts_are_pinned(make, n_cuts, digest, n_all, digest_all):
     # Digest of the static cuts as their rows read: ids, entries (column,
     # coefficient) in entry order, senses and right-hand sides, in row order.
+    # The rows before the reach family keep their digest from before it.
     inst = make()
     _, vm = build_model(inst, SolveConfig())
     rows = [(rid, [(int(c), float(v)) for c, v in entries], str(sense),
              float(rhs))
             for rid, entries, sense, rhs in extra_feasibility_cuts(inst, vm)]
-    assert len(rows) == n_cuts
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    assert len(rows) == n_all
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest_all
+    assert not any(rid.startswith(REACH) for rid, *_ in rows[:n_cuts])
+    assert all(rid.startswith(REACH) for rid, *_ in rows[n_cuts:])
+    assert hashlib.sha256(repr(rows[:n_cuts]).encode()).hexdigest() == digest
 
 
 def test_static_cuts_are_one_checked_block_on_binaries(reference_split,
@@ -264,7 +274,7 @@ def test_static_cuts_are_one_checked_block_on_binaries(reference_split,
 
     monkeypatch.setattr(be, "checked_rows", counted)
     cuts = extra_feasibility_cuts(golden, vm)
-    assert isinstance(cuts, be.RowBlock) and len(cuts) == 198
+    assert isinstance(cuts, be.RowBlock) and len(cuts) == 204
     assert n_cols == [vm.n_binary]
     shifted = np.where(vm.B >= 0, vm.B + vm.n_binary, -1)
     assert shifted.max() < vm.n_cols  # continuous columns of the model
@@ -272,16 +282,65 @@ def test_static_cuts_are_one_checked_block_on_binaries(reference_split,
         extra_feasibility_cuts(golden, dataclasses.replace(vm, B=shifted))
 
 
-def test_static_cuts_admit_the_reference_incumbent(
-        golden, golden_pla, reference_split):
-    _, vm, split = reference_split
-    v_star = _incumbent_v(split, golden_pla)
-    for rid, entries, sense, rhs in extra_feasibility_cuts(golden, vm):
-        lhs = sum(val * v_star[ci] for ci, val in entries)
-        if sense == be.GE:
-            assert lhs >= rhs - 1e-6, rid
-        else:
-            assert lhs <= rhs + 1e-6, rid
+def test_static_cuts_admit_the_reference_incumbent():
+    # Every static row holds at pla's incumbent on the worked example, the
+    # mixed-consist corridor and default small 1, 2 and 4. (Default small 3
+    # has no schedule: a leg of 3.68 batteries exceeds its full load of 3.)
+    cfg = SolveConfig(time_limit_seconds=120.0)
+    for inst in [illustrative_instance(), mixed_consist_corridor()] + [
+            generate_instance(GenSpec("small", seed=s)) for s in (1, 2, 4)]:
+        model, vm = build_model(inst, cfg)
+        sol = solve_pla(inst, cfg, keep_primal=True, built=(model, vm))
+        assert sol.status == "optimal-within-gap", (inst.name, sol.status)
+        v_star = _incumbent_v(split_model(model, vm), sol)
+        cuts = extra_feasibility_cuts(inst, vm, cfg)
+        assert any(rid.startswith(REACH) for rid, *_ in cuts), inst.name
+        for rid, entries, sense, rhs in cuts:
+            lhs = sum(val * v_star[ci] for ci, val in entries)
+            if sense == be.GE:
+                assert lhs >= rhs - 1e-6, (inst.name, rid)
+            else:
+                assert lhs <= rhs + 1e-6, (inst.name, rid)
+
+
+def _two_train_corridor() -> Instance:
+    """Six stations, hand-picked leg energies, and two trains whose full
+    loads differ (2 and 1 batteries)."""
+    legs = np.array([[0.9, 0.8, 0.7, 0.6, 0.9],
+                     [0.6, 0.5, 1.2, 0.3, 0.4]])
+    s = legs.shape[1] + 1
+    hours = np.full(legs.shape, 2.0)
+    return Instance(
+        stations=[f"S{i}" for i in range(s)],
+        fixed_cost=np.r_[0.0, np.full(s - 2, 20.0), 0.0],
+        chargers=np.r_[0, np.full(s - 2, 2), 0],
+        full_batteries=np.r_[0, np.full(s - 2, 3), 0],
+        trains=[Train("A", consists=3, max_batteries=2),
+                Train("B", consists=1, max_batteries=1)],
+        energy=leg_sums(legs), travel_time=leg_sums(hours),
+        wait_time=np.zeros((s, 2)), name="two-train")
+
+
+def test_reach_rows_are_the_minimal_windows_past_a_full_load():
+    # Train A (full load 2) runs past 2 batteries over stations 0-3, 1-4
+    # and 2-5. Train B (full load 1) does over 0-2; 1-3 holds the shorter
+    # 2-3, a single leg past the load with no station inside, so neither
+    # gives a row, and 3-5 needs only 0.7.
+    inst = _two_train_corridor()
+    _, vm = build_model(inst, SolveConfig())
+    rows = [row for row in extra_feasibility_cuts(inst, vm)
+            if row[0].startswith(REACH)]
+    windows = [(0, 0, 3), (0, 1, 4), (0, 2, 5), (1, 0, 2)]
+    assert [rid for rid, *_ in rows] == [
+        REACH + "_%d_%d_%d" % w for w in windows]
+    for (j, a, b), (_, entries, sense, rhs) in zip(windows, rows):
+        inside = np.concatenate([grid[a + 1:b, j].ravel()
+                                 for grid in (vm.Zc, vm.Zs)])
+        inside = inside[inside >= 0]
+        assert len(inside) == (b - a - 1) * inst.consists(j) * 2
+        assert sorted(c for c, _ in entries) == sorted(inside.tolist())
+        assert all(v == 1.0 for _, v in entries)
+        assert (sense, rhs) == (be.GE, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +667,11 @@ def test_no_cut_excludes_the_one_shot_incumbent(tiny_bd):
 
 def test_infeasible_line_is_reported_not_raised():
     inst = tiny_corridor(41, energy_lo=1.2, energy_hi=1.5)  # legs > 1 battery
+    # every window past the full load is a single leg, with no station
+    # inside it to hold a reach row; the warm start proves infeasibility
+    _, vm = build_model(inst, SolveConfig())
+    assert not any(rid.startswith(REACH)
+                   for rid, *_ in extra_feasibility_cuts(inst, vm))
     sol = run_benders(inst, SolveConfig(time_limit_seconds=30.0))
     assert sol.status == "infeasible"
     assert sol.algorithm == "bd"
