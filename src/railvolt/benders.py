@@ -349,9 +349,10 @@ def _reach_windows(instance: Instance, Zc: np.ndarray, Zs: np.ndarray):
     legs = np.diagonal(instance.energy, 1, axis1=1, axis2=2)
     reach = np.cumsum(np.insert(legs, 0, 0.0, axis=1), axis=1)
     n_trains, S = reach.shape
-    # first[j, a]: the first b with E(a, b) past the full load, S if none;
-    # it never falls as a grows, so (a, first) is minimal when a + 1's
-    # first lies further on
+    # first[j, a]: the first b with E(a, b) past the full load by 1e-6 (a
+    # run needing exactly the load, up to rounding in the sums, needs no
+    # operation), S if none; it never falls as a grows, so (a, first) is
+    # minimal when a + 1's first lies further on
     first = np.array([np.searchsorted(r, r + t.full_load + 1e-6, side="right")
                       for r, t in zip(reach, instance.trains)])
     later = np.column_stack([first[:, 1:], np.full(n_trains, S)])

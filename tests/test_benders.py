@@ -24,6 +24,7 @@ from conftest import (check_farkas_ray, count_builds, count_overcuts,
 
 REACH = "xc_reach"  # id prefix of the reach family of static cuts
 
+
 @pytest.fixture(scope="module")
 def reference_split(golden):
     model, vm = build_model(golden, SolveConfig())
@@ -322,10 +323,10 @@ def _two_train_corridor() -> Instance:
 
 
 def test_reach_rows_are_the_minimal_windows_past_a_full_load():
-    # Train A (full load 2) runs past 2 batteries over stations 0-3, 1-4
-    # and 2-5. Train B (full load 1) does over 0-2; 1-3 holds the shorter
-    # 2-3, a single leg past the load with no station inside, so neither
-    # gives a row, and 3-5 needs only 0.7.
+    # Train A (full load 2) needs more than 2 batteries over stations 0-3,
+    # 1-4 and 2-5. Train B (full load 1) needs more than 1 over 0-2 and
+    # over the single leg 2-3: 1-3 holds 2-3, so it is not minimal, and 2-3
+    # has no station inside, so neither gives a row; 3-5 needs only 0.7.
     inst = _two_train_corridor()
     _, vm = build_model(inst, SolveConfig())
     rows = [row for row in extra_feasibility_cuts(inst, vm)
