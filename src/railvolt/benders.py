@@ -30,7 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import backend as be
-from .domain import Instance, SolveConfig, Solution, empty_solution
+from .domain import (Instance, SolveConfig, Solution, empty_solution,
+                     reach_windows)
 from .model import (VarMap, _Keys, _row_family, _stacked, build_model,
                     decode_solution, solve_pla)
 
@@ -61,13 +62,15 @@ class BendersSplit:
     ``A`` holds the continuous-column coefficients and ``Dm`` the binary-
     column coefficients of every original row (same order, <= rows negated);
     ``Au + Dm v {>=,=} b`` reproduces the original feasible set. Rows whose
-    continuous part is empty form the master-only set V.
+    continuous part is empty form the master-only set V. ``DmT`` is ``Dm``
+    transposed, kept as CSR for pricing's ``multipliers^T Dm``.
     """
 
     n_v: int
     n_u: int
     A: sp.csr_matrix
     Dm: sp.csr_matrix
+    DmT: sp.csr_matrix
     b: np.ndarray
     senses: np.ndarray          # ">=" or "=" per row
     c_u: np.ndarray
@@ -100,8 +103,9 @@ def split_model(model: be.AbstractModel,
     # pin it on the worked example), so the free duals of equalities never
     # reach a cut's coefficients; the ray program doubles equalities into
     # +/- pairs.
+    Dm = A_norm[:, :n_v].tocsr()
     return BendersSplit(
-        n_v=n_v, n_u=model.n_cols - n_v, A=A, Dm=A_norm[:, :n_v].tocsr(),
+        n_v=n_v, n_u=model.n_cols - n_v, A=A, Dm=Dm, DmT=Dm.T.tocsr(),
         b=rhs * flip, senses=np.where(senses == be.EQ, be.EQ, be.GE),
         c_u=c[n_v:].copy(), c_v=c[:n_v].copy(), u_ub=ub[n_v:].copy(),
         offset=model.objective_offset,
@@ -152,7 +156,7 @@ def _cut_coef(split: BendersSplit, multipliers: np.ndarray) -> np.ndarray:
     equal to the recorded cut. Cuts priced at fractional proposals carry
     entries of about 1e-14.
     """
-    coef = np.asarray((split.Dm.T @ multipliers).ravel())
+    coef = np.asarray((split.DmT @ multipliers).ravel())
     coef[np.abs(coef) <= _SMALL_COEF] = 0.0
     return coef
 
@@ -250,8 +254,8 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     The last family, ``xc_reach_<train>_<a>_<b>``, reaches over several
     legs: ``sum Zc + Zs >= 1`` over the slots strictly between stations a
     and b, for each minimal window whose adjacent legs need more than the
-    train's full load (see :func:`_reach_windows`); a single leg past the
-    load has no station inside it and gives no row.
+    train's full load (:func:`~railvolt.domain.reach_windows`); a single
+    leg past the load has no station inside it and gives no row.
     Each family is one array block over ``vm``'s index grids, with every
     non-vacuous index combination in C order; a ragged prefix or suffix of
     a train's consists is padded with -1. The rows come back as one
@@ -331,7 +335,8 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
         mask=np.column_stack([every, every, after > 0, after > 0])))
 
     # a run of stations a..b whose legs need E > full_load holds a charge or
-    # swap, one row per minimal window with a station inside:
+    # swap, one row per window of domain.reach_windows (the definition
+    # solve_pla's fixed-deployment check shares) with a station inside:
     #  1. a train leaves a with at most full_load SOC (Sdep <= 1,
     #     no_battery_no_soc, carry_cap);
     #  2. each slot inside adds at most Zc + Zs (hold_soc, swap_xor_charge);
@@ -342,24 +347,14 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
 
 
 def _reach_windows(instance: Instance, Zc: np.ndarray, Zs: np.ndarray):
-    """The keys and the ``xc_reach`` kind of the reach family: each
-    train's minimal windows (a, b) of stations whose summed adjacent legs
-    need more than its full load, with b >= a + 2, as (train, a, b) keys in
-    C order, each holding the Zc and Zs columns strictly inside it."""
-    legs = np.diagonal(instance.energy, 1, axis1=1, axis2=2)
-    reach = np.cumsum(np.insert(legs, 0, 0.0, axis=1), axis=1)
-    n_trains, S = reach.shape
-    # first[j, a]: the first b with E(a, b) past the full load by 1e-6 (a
-    # run needing exactly the load, up to rounding in the sums, needs no
-    # operation), S if none; it never falls as a grows, so (a, first) is
-    # minimal when a + 1's first lies further on
-    first = np.array([np.searchsorted(r, r + t.full_load + 1e-6, side="right")
-                      for r, t in zip(reach, instance.trains)])
-    later = np.column_stack([first[:, 1:], np.full(n_trains, S)])
-    j, a = np.nonzero((first < S) & (later > first)
-                      & (first >= np.arange(S) + 2))
-    windows = np.zeros((n_trains, S, S), bool)
-    windows[j, a, first[j, a]] = True
+    """The keys and the ``xc_reach`` kind of the reach family: the windows
+    of :func:`~railvolt.domain.reach_windows` with b >= a + 2, as (train,
+    a, b) keys in C order, each holding the Zc and Zs columns strictly
+    inside it (a single leg has no station inside and gives no row)."""
+    j, a, b = reach_windows(instance).T
+    windows = np.zeros((instance.n_trains,) + (instance.n_stations,) * 2,
+                       bool)
+    windows[j, a, b] = b >= a + 2
     keys = _Keys(windows)
     j, a, b = keys.at.T
     stations = a[:, None] + 1 + np.arange(int(np.max(b - a - 1, initial=0)))

@@ -259,6 +259,31 @@ def leg_sums(legs) -> np.ndarray:
     return np.abs(cum[..., None, :] - cum[..., :, None])
 
 
+def reach_windows(instance: Instance) -> np.ndarray:
+    """Every train's minimal windows of stations ``a < b`` whose adjacent
+    legs need more than its full load, as ``(train, a, b)`` rows in C
+    order (an int array of shape (n, 3)); ``b == a + 1`` is a single leg.
+
+    A train leaves ``a`` with at most its full load and only a charge or
+    swap at a station strictly inside a window adds energy, so every
+    schedule operates inside every window, and one with no station inside
+    has none. A window is minimal when no window of the same train lies
+    inside it; any run of legs past the load contains a minimal one.
+    """
+    legs = np.diagonal(instance.energy, 1, axis1=1, axis2=2)
+    reach = np.cumsum(np.insert(legs, 0, 0.0, axis=1), axis=1)
+    n_trains, S = reach.shape
+    # first[j, a]: the first b with E(a, b) past the full load by 1e-6 (a
+    # run needing exactly the load, up to rounding in the sums, needs no
+    # operation), S if none; it never falls as a grows, so (a, first) is
+    # minimal when a + 1's first lies further on
+    first = np.array([np.searchsorted(r, r + t.full_load + 1e-6, side="right")
+                      for r, t in zip(reach, instance.trains)])
+    later = np.column_stack([first[:, 1:], np.full(n_trains, S)])
+    j, a = np.nonzero((first < S) & (later > first))
+    return np.column_stack([j, a, first[j, a]])
+
+
 def validate_instance(inst: Instance) -> List[str]:
     """Structural checks on an instance; returns a list of problems.
 

@@ -161,6 +161,10 @@ def run_fix_algorithm(
     trains carrying a full battery load. If the restricted problem is
     infeasible, or the solver returns nothing within its slice of the time
     budget, the next best-scoring station is opened and the round repeats.
+    A round whose stations leave some run of legs past a train's full load
+    without a station inside is infeasible before HiGHS runs; its record
+    names that window as ``reach_window`` ``[train, a, b]`` (see
+    :func:`~railvolt.model.solve_pla`).
 
     No plan is a status, never an exception: ``"infeasible"`` when the
     stations cannot cover the energy deficit, and the last round's own
@@ -194,6 +198,8 @@ def run_fix_algorithm(
             "status": solution.status,
             "objective": solution.objective_value,
         }
+        if "reach_window" in solution.info:
+            round_rec["reach_window"] = solution.info["reach_window"]
         rounds.append(round_rec)
         # a plan (only decoded plans have a finite objective), or every
         # station open and still none: this round's status is the answer

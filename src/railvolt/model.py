@@ -41,7 +41,8 @@ import numpy as np
 
 from .domain import (Instance, SolveConfig, Solution, DecodeError,
                      InstanceError, SOC_BIG_M, charge_time_for_target,
-                     empty_solution, plan_from_actions, validate_instance)
+                     empty_solution, plan_from_actions, reach_windows,
+                     validate_instance)
 from . import backend as be
 
 
@@ -608,6 +609,21 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
 # One-shot solve
 # ---------------------------------------------------------------------------
 
+def _unserved_window(instance: Instance, deployed: np.ndarray
+                     ) -> Optional[List[int]]:
+    """The first window of :func:`~railvolt.domain.reach_windows` with no
+    station of ``deployed`` strictly inside, as ``[train, a, b]`` Python
+    ints; None when every window holds one. No schedule under that
+    deployment and a full load exists then (see ``reach_windows``)."""
+    opened = np.zeros(instance.n_stations, int)
+    opened[deployed] = 1
+    before = np.concatenate([[0], np.cumsum(opened)])  # open stations < s
+    windows = reach_windows(instance)
+    j, a, b = windows.T
+    unserved = np.flatnonzero(before[b] == before[a + 1])
+    return windows[unserved[0]].tolist() if len(unserved) else None
+
+
 def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
               fixed_deployment: Optional[Collection[int]] = None,
               keep_primal: bool = False,
@@ -620,8 +636,13 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     every train fully (a battery in each of its leading
     :attr:`~railvolt.domain.Train.full_load` consists):
     the restricted schedule MILP of the heuristic's rounds and the
-    decomposition's warm start. Infeasibility is a status on the returned
-    Solution, not an exception. ``keep_primal`` stashes the raw column
+    decomposition's warm start. Before that MILP runs, the fixing is
+    checked against every reach window
+    (:func:`~railvolt.domain.reach_windows`): when one has no deployed
+    station strictly inside, no schedule exists, so the call returns
+    ``"infeasible"`` without running the solver and names that window in
+    ``info["reach_window"]`` as ``[train, a, b]``. Infeasibility is a
+    status on the returned Solution, not an exception. ``keep_primal`` stashes the raw column
     vector in ``info["primal"]`` for consumers that need the solver's exact
     binary assignment (decoding rounds and clamps). ``wall_seconds`` runs
     from entry to return, as for the other planners.
@@ -645,9 +666,17 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     if fixed_deployment is None:
         model.set_bounds(cols, 0.0, 1.0)
     else:
-        pinned = [i in fixed_deployment for i in np.flatnonzero(deploy)] \
-            + [k < instance.trains[j].full_load for j, k in np.argwhere(load)]
+        stations = np.flatnonzero(deploy)
+        opened = [i in fixed_deployment for i in stations]
+        pinned = opened + [k < instance.trains[j].full_load
+                           for j, k in np.argwhere(load)]
         model.set_bounds(cols, pinned, pinned)
+        window = _unserved_window(instance, stations[opened])
+        if window is not None:
+            sol = empty_solution(instance, "infeasible", "pla",
+                                 info={"reach_window": window})
+            sol.wall_seconds = time.perf_counter() - started
+            return sol
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
                                       seconds=cfg.time_limit_seconds,
                                       seed=cfg.seed)

@@ -12,7 +12,7 @@ from railvolt import backend as be, benders, model as model_mod
 from railvolt.benders import (Cut, _gap, build_rmp, extra_feasibility_cuts,
                               run_benders, solve_subproblem_dual, split_model)
 from railvolt.domain import (Instance, SolveConfig, Train, empty_solution,
-                             leg_sums)
+                             leg_sums, reach_windows)
 from railvolt.generator import (GenSpec, generate_instance,
                                 illustrative_instance)
 from railvolt.model import build_model, solve_pla
@@ -73,6 +73,21 @@ def test_split_flips_le_rows(golden, reference_split):
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert split.b[r] == pytest.approx(-rhs[r])
     assert split.senses[r] == ">="
+
+
+def test_cut_coefficients_come_from_the_kept_transpose(reference_split):
+    # The split keeps Dm transposed as CSR once; pricing's multipliers^T Dm
+    # through it matches the product through Dm itself, bit for bit.
+    _, _, split = reference_split
+    assert split.DmT.format == "csr"
+    assert (split.DmT != split.Dm.T).nnz == 0
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        m = rng.standard_normal(split.Dm.shape[0])
+        m[rng.random(len(m)) < 0.5] = 0.0
+        want = np.asarray((split.Dm.T @ m).ravel())
+        want[np.abs(want) <= 1e-9] = 0.0
+        assert np.array_equal(benders._cut_coef(split, m), want)
 
 
 def test_split_rejects_wrong_layouts():
@@ -342,6 +357,24 @@ def test_reach_rows_are_the_minimal_windows_past_a_full_load():
         assert sorted(c for c, _ in entries) == sorted(inside.tolist())
         assert all(v == 1.0 for _, v in entries)
         assert (sense, rhs) == (be.GE, 1.0)
+
+
+def test_reach_windows_hold_the_single_legs_the_reach_rows_skip():
+    # domain.reach_windows is the one definition: the reach rows are its
+    # windows with a station inside, and train B's single leg 2-3 is a
+    # window too (solve_pla's fixed-deployment check proves it unserved
+    # under any deployment).
+    inst = _two_train_corridor()
+    windows = reach_windows(inst)
+    assert windows.tolist() == [[0, 0, 3], [0, 1, 4], [0, 2, 5], [1, 0, 2],
+                                [1, 2, 3]]
+    _, vm = build_model(inst, SolveConfig())
+    assert [rid for rid, *_ in extra_feasibility_cuts(inst, vm)
+            if rid.startswith(REACH)] == [
+        REACH + "_%d_%d_%d" % tuple(w) for w in windows if w[2] >= w[1] + 2]
+    sol = solve_pla(inst, SolveConfig(time_limit_seconds=60.0),
+                    fixed_deployment=list(inst.interior))
+    assert (sol.status, sol.info["reach_window"]) == ("infeasible", [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Greedy deployment heuristic: scores, seeding, the full walk."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -224,3 +225,61 @@ def test_every_round_reruns_one_live_session(monkeypatch):
     for config, fixed, got in rounds:
         assert got == answer(
             model_mod.solve_pla(inst, config, fixed_deployment=fixed))
+
+
+def _medium_short_haul(seed):
+    return generate_instance(GenSpec(
+        size_class="medium", n_trains=1, consists_per_train=1,
+        max_batteries=1, distance_mean_km=180.0, distance_sd_km=30.0,
+        seed=seed))
+
+
+def test_rounds_proved_by_reach_windows_run_no_milp(monkeypatch):
+    # Medium short-haul 1's first 12 rounds each leave a reach window
+    # without an open station, so the one HiGHS MILP run is the last
+    # round's; each proved round names its window, and the whole answer is
+    # plain JSON.
+    sessions = []
+
+    class CountedSession(be.Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(be, "Session", CountedSession)
+    sol = run_fix_algorithm(_medium_short_haul(1),
+                            SolveConfig(time_limit_seconds=60.0))
+    rounds = [r for r in sol.info["fix_rounds"] if r["phase"] == "solve"]
+    assert sol.status == "optimal-within-gap" and len(rounds) == 13
+    assert [s.runs for s in sessions] == [1]
+    assert sessions[0].has_integers
+    for r in rounds[:-1]:
+        j, a, b = r["reach_window"]
+        assert r["status"] == "infeasible"
+        assert not any(a < s < b for s in r["deployed"])
+    assert "reach_window" not in rounds[-1]
+    assert rounds[0]["reach_window"] == [0, 0, 2]
+    assert all(type(x) is int for r in rounds[:-1] for x in r["reach_window"])
+    json.dumps(sol.to_dict())   # numpy integers would be refused
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_every_round_the_reach_check_proves_is_infeasible(monkeypatch, seed):
+    # Soundness: each fixing the check proves is infeasible when the backend
+    # solves it on the built model, whose bounds the round left pinned to
+    # it, without the check.
+    proved = []
+
+    def checked(instance, config, fixed_deployment, built):
+        sol = model_mod.solve_pla(instance, config, fixed_deployment,
+                                  built=built)
+        if "reach_window" in sol.info:
+            outcome = be.ScipyBackend().solve(built[0], seconds=60.0)
+            proved.append((fixed_deployment, outcome.status))
+        return sol
+
+    monkeypatch.setattr(fixalg, "solve_pla", checked)
+    run_fix_algorithm(_medium_short_haul(seed),
+                      SolveConfig(time_limit_seconds=60.0))
+    assert len(proved) >= 12
+    assert all(status == "infeasible" for _, status in proved), proved

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import time
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -569,20 +570,88 @@ def test_fixed_deployment_is_respected():
     assert free.objective_value <= sol.objective_value + 1e-6
 
 
+def _dead_station_corridor():
+    """Tiny corridor 5, whose one reach window (0, 3) holds both stations,
+    with station 1 stripped of chargers and stock: a fixing that opens
+    station 1 passes the reach check, and only HiGHS proves it infeasible
+    (an open station must serve an operation)."""
+    inst = tiny_corridor(5)
+    inst.chargers[1] = inst.full_batteries[1] = 0
+    return inst
+
+
 def test_one_built_model_solves_each_fixing_as_a_fresh_build(golden):
     # Every call sets the X and Y bounds afresh, so no fixing leaks into a
-    # later call on the same model: a feasible and an infeasible subset,
-    # every station, then the free model.
+    # later call on the same model: on the worked example a feasible and an
+    # infeasible subset (the reach check proves it), every station, then
+    # the free model; on the dead-station corridor an infeasible fixing
+    # that HiGHS proves on the reused model, a feasible one, then the free
+    # model.
     cfg = SolveConfig(time_limit_seconds=60.0)
-    built = build_model(golden, cfg)
+    dead = _dead_station_corridor()
 
     def plain(sol):
         return {k: v for k, v in sol.to_dict().items() if k != "wall_seconds"}
 
-    for fixed in ([1, 2, 4], [2], list(golden.interior), None):
-        reused = solve_pla(golden, cfg, fixed, built=built)
-        assert plain(reused) == plain(solve_pla(golden, cfg, fixed)), fixed
-    assert reused.objective_value == pytest.approx(94.5624, abs=1e-4)
+    for inst, fixings in ((golden, ([1, 2, 4], [2], list(golden.interior),
+                                    None)),
+                          (dead, ([1], [2], None))):
+        built = build_model(inst, cfg)
+        for fixed in fixings:
+            reused = solve_pla(inst, cfg, fixed, built=built)
+            assert plain(reused) == plain(solve_pla(inst, cfg, fixed)), fixed
+        if inst is golden:
+            assert reused.objective_value == pytest.approx(94.5624, abs=1e-4)
+    proved = solve_pla(dead, cfg, [1], built=built)
+    assert proved.status == "infeasible"
+    assert "reach_window" not in proved.info
+    assert proved.info["solver_message"] == "Infeasible"
+
+
+def test_reach_check_flags_exactly_the_infeasible_fixings(golden):
+    # On the worked example the reach windows are exact: of the 16 subsets
+    # of its interior, the empty one included, the check proves the 13 that
+    # HiGHS finds infeasible, and the other 3 ([1, 2, 4], [1, 3, 4] and
+    # every station) have a plan. Each fixing's bounds stay on the
+    # model, so the backend solves the same fixing without the check (a
+    # gap of 1 stops at the first plan).
+    cfg = SolveConfig(time_limit_seconds=60.0, mip_gap=1.0)
+    model, vm = built = build_model(golden, cfg)
+    flagged, infeasible = [], []
+    for fixed in chain.from_iterable(
+            combinations(golden.interior, r) for r in range(5)):
+        sol = solve_pla(golden, cfg, fixed, built=built)
+        if "reach_window" in sol.info:
+            flagged.append(fixed)
+            j, a, b = sol.info["reach_window"]
+            assert not any(a < s < b for s in fixed)
+            assert sol.status == "infeasible" and sol.deployed == []
+        outcome = be.ScipyBackend().solve(model, gap=1.0, seconds=60.0)
+        assert outcome.status in ("optimal", "infeasible"), fixed
+        if outcome.status == "infeasible":
+            infeasible.append(fixed)
+    assert flagged == infeasible and len(flagged) == 13
+
+
+@pytest.mark.parametrize("corridor", [
+    "worked-example",
+    "mixed-consist",
+    pytest.param("default-medium-1", marks=pytest.mark.slow),
+])
+def test_pla_plans_pass_the_reach_check(corridor, golden, golden_pla):
+    # The check is sound: a plan's own deployment never leaves a reach
+    # window empty. Default medium 1's plan leaves two stations out.
+    if corridor == "worked-example":
+        inst, sol = golden, golden_pla
+    else:
+        inst = mixed_consist_corridor() if corridor == "mixed-consist" \
+            else generate_instance(GenSpec("medium", seed=1))
+        sol = solve_pla(inst, SolveConfig(time_limit_seconds=60.0,
+                                          mip_gap=0.05))
+    assert sol.status in ("optimal-within-gap", "feasible-time-limit")
+    assert sol.deployed
+    assert model_mod._unserved_window(
+        inst, np.array(sol.deployed, int)) is None
 
 
 def test_pla_wall_seconds_cover_the_whole_call(monkeypatch):
