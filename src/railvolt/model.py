@@ -619,7 +619,7 @@ def _unserved_window(instance: Instance, deployed: np.ndarray
     opened[deployed] = 1
     before = np.concatenate([[0], np.cumsum(opened)])  # open stations < s
     windows = reach_windows(instance)
-    j, a, b = windows.T
+    _, a, b = windows.T
     unserved = np.flatnonzero(before[b] == before[a + 1])
     return windows[unserved[0]].tolist() if len(unserved) else None
 
@@ -642,10 +642,10 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     station strictly inside, no schedule exists, so the call returns
     ``"infeasible"`` without running the solver and names that window in
     ``info["reach_window"]`` as ``[train, a, b]``. Infeasibility is a
-    status on the returned Solution, not an exception. ``keep_primal`` stashes the raw column
-    vector in ``info["primal"]`` for consumers that need the solver's exact
-    binary assignment (decoding rounds and clamps). ``wall_seconds`` runs
-    from entry to return, as for the other planners.
+    status on the returned Solution, not an exception. ``keep_primal``
+    stashes the raw column vector in ``info["primal"]`` for consumers that
+    need the solver's exact binary assignment (decoding rounds and clamps).
+    ``wall_seconds`` runs from entry to return, as for the other planners.
 
     ``built`` is the ``(model, vm)`` pair of :func:`build_model` on this
     instance and a config that differs from ``config`` at most in its time
