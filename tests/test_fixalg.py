@@ -254,7 +254,7 @@ def test_rounds_proved_by_reach_windows_run_no_milp(monkeypatch):
     assert [s.runs for s in sessions] == [1]
     assert sessions[0].has_integers
     for r in rounds[:-1]:
-        j, a, b = r["reach_window"]
+        _, a, b = r["reach_window"]
         assert r["status"] == "infeasible"
         assert not any(a < s < b for s in r["deployed"])
     assert "reach_window" not in rounds[-1]

@@ -616,14 +616,14 @@ def test_reach_check_flags_exactly_the_infeasible_fixings(golden):
     # model, so the backend solves the same fixing without the check (a
     # gap of 1 stops at the first plan).
     cfg = SolveConfig(time_limit_seconds=60.0, mip_gap=1.0)
-    model, vm = built = build_model(golden, cfg)
+    model, _ = built = build_model(golden, cfg)
     flagged, infeasible = [], []
     for fixed in chain.from_iterable(
             combinations(golden.interior, r) for r in range(5)):
         sol = solve_pla(golden, cfg, fixed, built=built)
         if "reach_window" in sol.info:
             flagged.append(fixed)
-            j, a, b = sol.info["reach_window"]
+            _, a, b = sol.info["reach_window"]
             assert not any(a < s < b for s in fixed)
             assert sol.status == "infeasible" and sol.deployed == []
         outcome = be.ScipyBackend().solve(model, gap=1.0, seconds=60.0)
@@ -640,7 +640,7 @@ def test_reach_check_flags_exactly_the_infeasible_fixings(golden):
 ])
 def test_pla_plans_pass_the_reach_check(corridor, golden, golden_pla):
     # The check is sound: a plan's own deployment never leaves a reach
-    # window empty. Default medium 1's plan leaves two stations out.
+    # window empty.
     if corridor == "worked-example":
         inst, sol = golden, golden_pla
     else:
