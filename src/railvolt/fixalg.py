@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .domain import (InfeasibleError, Instance, SolveConfig, Solution,
-                     empty_solution)
+from .domain import Instance, SolveConfig, Solution
 from .model import build_model, solve_pla
 
 __all__ = [
@@ -115,24 +114,21 @@ def initialize_deployment(
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[Set[int], List[dict]]:
     """Greedy energy-coverage seed: add best-scoring stations until the
-    deployed set can hand out at least the line's energy deficit.
+    deployed set can hand out at least the line's energy deficit, or every
+    interior station is open.
+
+    Whether a deployment can carry the trains is left to the rounds'
+    schedule MILP, which restocks each station for every train.
 
     Returns the deployed set and one ``"seed"`` record per pick.
     """
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     deficit = compute_supply_demand(instance)[2]
 
-    total_supply = sum(station_supply(instance, i) for i in instance.interior)
-    if total_supply < deficit:
-        raise InfeasibleError(
-            "stations cannot cover the energy deficit even if all are "
-            f"deployed (supply {total_supply:.2f} < deficit {deficit:.2f})"
-        )
-
     deployed: Set[int] = set()
     rounds: List[dict] = []
     covered = 0.0
-    while covered < deficit:
+    while covered < deficit and len(deployed) < len(instance.interior):
         scores = compute_benefit(instance, deployed, config)
         pick = _argmax(scores, rng)
         deployed.add(pick)
@@ -166,21 +162,16 @@ def run_fix_algorithm(
     names that window as ``reach_window`` ``[train, a, b]`` (see
     :func:`~railvolt.model.solve_pla`).
 
-    No plan is a status, never an exception: ``"infeasible"`` when the
-    stations cannot cover the energy deficit, and the last round's own
-    status (infeasible or out of time) when even every station open gives
-    no schedule.
+    The rounds start from :func:`initialize_deployment`'s seed. No plan is
+    a status, never an exception: the status (infeasible or out of time)
+    of the last round, which has every station open, the same fixing as
+    ``bd``'s warm start.
     """
     config = config if config is not None else SolveConfig()
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
 
-    try:
-        deployed, rounds = initialize_deployment(instance, config, rng)
-    except InfeasibleError as exc:
-        return empty_solution(instance, "infeasible", "fa",
-                              time.perf_counter() - start,
-                              {"phase": "seed", "reason": str(exc)})
+    deployed, rounds = initialize_deployment(instance, config, rng)
     interior = list(instance.interior)
     built = build_model(instance, config)
 

@@ -171,6 +171,33 @@ def tiny_corridor(seed: int, n_interior: int = 2, n_trains: int = 1,
     )
 
 
+def restocked_corridor() -> Instance:
+    """Five stations and two one-consist trains on legs of 0.9 each, no
+    chargers, one stocked battery at each interior station. Each train must
+    swap at stations 1-3; that works because stock is restocked for every
+    train, although the line's deficit (5.2) exceeds the stock (3). The plan
+    opens all three at 20 each and weights 2 trains x 3 swaps x 2 h of delay
+    by 3: 96.0."""
+    s = 5
+    fixed_cost = np.zeros(s)
+    fixed_cost[1:-1] = 20.0
+    stock = np.zeros(s, dtype=int)
+    stock[1:-1] = 1
+    return Instance(
+        stations=["Origin"] + [f"Station {i}" for i in range(1, s - 1)]
+                 + ["Destination"],
+        fixed_cost=fixed_cost,
+        chargers=np.zeros(s, dtype=int),
+        full_batteries=stock,
+        trains=[Train(name=f"Train {j + 1}", consists=1, max_batteries=1)
+                for j in range(2)],
+        energy=leg_sums(np.full((2, s - 1), 0.9)),
+        travel_time=leg_sums(np.full((2, s - 1), 1.0)),
+        wait_time=np.zeros((s, 2)),
+        name="restocked",
+    )
+
+
 def mixed_consist_corridor() -> Instance:
     """Five stations and two trains of 3 and 1 consists, so every family
     keyed by consist has fewer keys for the second train."""

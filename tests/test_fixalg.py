@@ -7,14 +7,23 @@ import numpy as np
 import pytest
 
 from railvolt import backend as be, fixalg, model as model_mod
-from railvolt.domain import InfeasibleError, SolveConfig
+from railvolt.domain import SolveConfig
 from railvolt.fixalg import (_argmax, _nearest_deployed, compute_benefit,
                              compute_supply_demand, initialize_deployment,
                              run_fix_algorithm, station_supply)
 from railvolt.generator import GenSpec, generate_instance
 from railvolt.validator import simulate_schedule
 
-from conftest import count_builds, tiny_corridor
+from conftest import count_builds, restocked_corridor, tiny_corridor
+
+
+def dry_corridor():
+    """Tiny corridor 31 with no chargers and no stock: no deployment can
+    carry its trains."""
+    inst = tiny_corridor(31, energy_lo=0.6, energy_hi=0.9)
+    inst.chargers[:] = 0
+    inst.full_batteries[:] = 0
+    return inst
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +114,14 @@ def test_seed_deploys_best_scorer_until_covered(golden):
     assert rounds[0]["picked"] == 1
 
 
-def test_seed_refuses_uncoverable_lines():
-    inst = tiny_corridor(31, energy_lo=0.6, energy_hi=0.9)
-    for i in range(inst.n_stations):
-        inst.chargers[i] = 0
-        inst.full_batteries[i] = 0
-    with pytest.raises(InfeasibleError):
-        initialize_deployment(inst, SolveConfig())
+def test_seed_opens_every_station_when_supply_falls_short():
+    # no station can supply anything, so the seed opens them all and leaves
+    # the rounds' schedule MILP to decide whether that deployment works
+    inst = dry_corridor()
+    deployed, rounds = initialize_deployment(inst, SolveConfig())
+    assert deployed == set(inst.interior)
+    assert [r["phase"] for r in rounds] == ["seed"] * len(inst.interior)
+    assert sorted(r["picked"] for r in rounds) == list(inst.interior)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +173,40 @@ def test_no_plan_is_a_status_not_an_exception():
     assert sol.status == "infeasible"
     assert sol.algorithm == "fa"
     assert sol.info["deployed"] == list(inst.interior)
-    # a line whose stations cannot cover the deficit stops at the seed
-    dry = tiny_corridor(31, energy_lo=0.6, energy_hi=0.9)
-    dry.chargers[:] = 0
-    dry.full_batteries[:] = 0
+    # a line without chargers or stock: the seed opens every station, and
+    # the all-open round's "infeasible" is the answer
+    dry = dry_corridor()
     sol = run_fix_algorithm(dry, SolveConfig(time_limit_seconds=30.0))
-    assert (sol.status, sol.algorithm, sol.info["phase"]) == (
-        "infeasible", "fa", "seed")
+    assert (sol.status, sol.algorithm) == ("infeasible", "fa")
+    assert sol.info["deployed"] == list(dry.interior)
+    last = sol.info["fix_rounds"][-1]
+    assert (last["phase"], last["status"], last["deployed"]) == (
+        "solve", "infeasible", list(dry.interior))
+
+
+@pytest.mark.parametrize("make, plan", [
+    (restocked_corridor, (96.0, [1, 2, 3])),
+    (lambda: tiny_corridor(41, energy_lo=1.2, energy_hi=1.5), None),
+    (dry_corridor, None),
+], ids=["restocked", "tiny-41", "dry-31"])
+def test_fa_finds_a_plan_exactly_when_pla_does(make, plan):
+    # stock is restocked for every train, so a line whose deficit exceeds
+    # the summed stock can still have a plan (the restocked corridor)
+    inst = make()
+    cfg = SolveConfig(time_limit_seconds=30.0)
+    fa = run_fix_algorithm(inst, cfg)
+    pla = model_mod.solve_pla(inst, cfg)
+    assert np.isfinite(fa.objective_value) == \
+        np.isfinite(pla.objective_value) == (plan is not None)
+    if plan is None:
+        assert fa.status == pla.status == "infeasible"
+        return
+    assert fa.objective_value == pytest.approx(plan[0], abs=1e-6)
+    assert fa.objective_value == pytest.approx(pla.objective_value,
+                                               abs=1e-6)
+    assert fa.deployed == plan[1]
+    report = simulate_schedule(inst, fa, tolerance=1e-4)
+    assert report.ok, report.violations
 
 
 def test_walk_on_tiny_corridor_respects_budget():
