@@ -33,7 +33,7 @@ from . import backend as be
 from .domain import (Instance, SolveConfig, Solution, empty_solution,
                      reach_windows)
 from .model import (VarMap, _Keys, _row_family, _stacked, build_model,
-                    decode_solution, solve_pla)
+                    build_pla_grid, decode_solution, solve_pla)
 
 __all__ = [
     "BendersSplit",
@@ -343,6 +343,27 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     #  3. SOC >= 0 and power_balance over consists give sum (Zc + Zs) >=
     #     E - full_load > 0, so every integer point meets the row.
     families.append(_row_family(*_reach_windows(instance, Zc, Zs)))
+
+    # the SOC interval a train's arrival at interior station i picks must
+    # fit the leg e = energy[j, i-1, i] before it, summed over consists:
+    #  1. power_balance gives sum Sarr_i = sum Sdep_{i-1} - e;
+    #  2. Sdep <= 1 and no_battery_no_soc give sum Sdep_{i-1} <= sum Y, and
+    #     swap_full gives Sdep_{i-1} >= Zs_{i-1} (at the origin,
+    #     origin_full_arr and stop_no_drain give Sdep_0 >= Y);
+    #  3. the charge-clock block puts Sarr in [s_u, s_{u+1}] when beta_u = 1,
+    #     so every integer point meets the ceiling sum s_u beta - sum Y <= -e
+    #     and the floor sum s_{u+1} beta - sum Zs_{i-1} (or Y) >= -e.
+    s = build_pla_grid(cfg.n, cfg.t_max, instance.r0).s
+    stops = _Keys(np.broadcast_to((X >= 0)[:, None], B.shape[:2]))
+    i, j = stops.at.T
+    picks = beta[i, j].reshape(len(stops), -1)
+    full = np.where((i == 1)[:, None], Y[j], Zs[i - 1, j])
+    e = instance.energy[j, i - 1, i]
+    families.append(_row_family(stops, [
+        ("xc_soc_ceiling%s", [(picks, np.tile(s[:-1], len(lead))),
+                              (Y[j], -1.0)], LE, -e),
+        ("xc_soc_floor%s", [(picks, np.tile(s[1:], len(lead))),
+                            (full, -1.0)], GE, -e)]))
     return be.checked_rows(*_stacked(families), n_cols=vm.n_binary)
 
 

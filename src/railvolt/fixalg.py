@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from .domain import Instance, SolveConfig, Solution
-from .model import build_model, solve_pla
+from .model import _unserved_window, build_model, solve_pla
 
 __all__ = [
     "compute_supply_demand",
@@ -151,8 +151,7 @@ def run_fix_algorithm(
 ) -> Solution:
     """Fix a deployment greedily, then solve only for the schedule.
 
-    The MILP is built once, before the first round. Each round solves it
-    (one :func:`~railvolt.model.solve_pla` call on that model) with the
+    Each round is one :func:`~railvolt.model.solve_pla` call with the
     current stations forced open (and every other one closed) and all
     trains carrying a full battery load. If the restricted problem is
     infeasible, or the solver returns nothing within its slice of the time
@@ -160,7 +159,10 @@ def run_fix_algorithm(
     A round whose stations leave some run of legs past a train's full load
     without a station inside is infeasible before HiGHS runs; its record
     names that window as ``reach_window`` ``[train, a, b]`` (see
-    :func:`~railvolt.model.solve_pla`).
+    :func:`~railvolt.model.solve_pla`). The MILP is built at most once per
+    call, at the first round that check leaves open, and that round and
+    every later one solve it; a call whose rounds the check all proves
+    builds none.
 
     The rounds start from :func:`initialize_deployment`'s seed. No plan is
     a status, never an exception: the status (infeasible or out of time)
@@ -173,19 +175,24 @@ def run_fix_algorithm(
 
     deployed, rounds = initialize_deployment(instance, config, rng)
     interior = list(instance.interior)
-    built = build_model(instance, config)
+    built = None
 
     while True:
         remaining = max(1, len(interior) - len(deployed))
         budget_left = config.time_limit_seconds - (time.perf_counter() - start)
         round_limit = min(config.time_limit_seconds / remaining,
                           max(1.0, budget_left))
+        fixing = sorted(deployed)
+        # the first round the reach check leaves open builds the model that
+        # this and every later round solve
+        if built is None and _unserved_window(instance, fixing) is None:
+            built = build_model(instance, config)
         solution = solve_pla(
             instance, config.replace(time_limit_seconds=round_limit),
-            fixed_deployment=sorted(deployed), built=built)
+            fixed_deployment=fixing, built=built)
         round_rec = {
             "phase": "solve",
-            "deployed": sorted(deployed),
+            "deployed": fixing,
             "status": solution.status,
             "objective": solution.objective_value,
         }

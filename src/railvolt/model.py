@@ -609,7 +609,7 @@ def decode_solution(outcome: be.SolveOutcome, vm: VarMap,
 # One-shot solve
 # ---------------------------------------------------------------------------
 
-def _unserved_window(instance: Instance, deployed: np.ndarray
+def _unserved_window(instance: Instance, deployed: Sequence[int]
                      ) -> Optional[List[int]]:
     """The first window of :func:`~railvolt.domain.reach_windows` with no
     station of ``deployed`` strictly inside, as ``[train, a, b]`` Python
@@ -636,47 +636,50 @@ def solve_pla(instance: Instance, config: Optional[SolveConfig] = None,
     every train fully (a battery in each of its leading
     :attr:`~railvolt.domain.Train.full_load` consists):
     the restricted schedule MILP of the heuristic's rounds and the
-    decomposition's warm start. Before that MILP runs, the fixing is
+    decomposition's warm start. Before anything else, the fixing is
     checked against every reach window
     (:func:`~railvolt.domain.reach_windows`): when one has no deployed
     station strictly inside, no schedule exists, so the call returns
-    ``"infeasible"`` without running the solver and names that window in
-    ``info["reach_window"]`` as ``[train, a, b]``. Infeasibility is a
-    status on the returned Solution, not an exception. ``keep_primal``
-    stashes the raw column vector in ``info["primal"]`` for consumers that
-    need the solver's exact binary assignment (decoding rounds and clamps).
-    ``wall_seconds`` runs from entry to return, as for the other planners.
+    ``"infeasible"`` without building, touching or solving a model and
+    names that window in ``info["reach_window"]`` as ``[train, a, b]``.
+    Infeasibility is a status on the returned Solution, not an exception.
+    ``keep_primal`` stashes the raw column vector in ``info["primal"]`` for
+    consumers that need the solver's exact binary assignment (decoding
+    rounds and clamps). ``wall_seconds`` runs from entry to return, as for
+    the other planners.
 
     ``built`` is the ``(model, vm)`` pair of :func:`build_model` on this
     instance and a config that differs from ``config`` at most in its time
     limit, gap and seed; without it, the model is built here. Every call
-    sets the X and Y bounds, free [0, 1] or pinned to the fixing, so a
-    caller can solve one built model under one fixing after another; the
-    model keeps the last call's bounds. The first solve of a model builds
-    its HiGHS session, and each later call re-runs that session cold with
-    the new bounds written in place (see
-    :class:`~railvolt.backend.ScipyBackend`); adding a column or row to the
-    model drops the session, and the next call builds a fresh one.
+    the check does not prove sets the X and Y bounds, free [0, 1] or
+    pinned to the fixing, so a caller can solve one built model under one
+    fixing after another; the model keeps the bounds of the last call that
+    reached the solver; a fixing the check proves leaves the model
+    untouched. The first solve of a model builds its HiGHS session, and
+    each later call re-runs that session cold with the new bounds written
+    in place (see :class:`~railvolt.backend.ScipyBackend`); adding a column
+    or row to the model drops the session, and the next call builds a
+    fresh one.
     """
     started = time.perf_counter()
     cfg = config or SolveConfig()
+    if fixed_deployment is not None:
+        window = _unserved_window(instance, [
+            i for i in instance.interior if i in fixed_deployment])
+        if window is not None:
+            sol = empty_solution(instance, "infeasible", "pla",
+                                 info={"reach_window": window})
+            sol.wall_seconds = time.perf_counter() - started
+            return sol
     model, vm = built or build_model(instance, cfg)
     deploy, load = vm.X >= 0, vm.Y >= 0
     cols = np.concatenate([vm.X[deploy], vm.Y[load]])
     if fixed_deployment is None:
         model.set_bounds(cols, 0.0, 1.0)
     else:
-        stations = np.flatnonzero(deploy)
-        opened = [i in fixed_deployment for i in stations]
-        pinned = opened + [k < instance.trains[j].full_load
-                           for j, k in np.argwhere(load)]
+        pinned = [i in fixed_deployment for i in np.flatnonzero(deploy)] + [
+            k < instance.trains[j].full_load for j, k in np.argwhere(load)]
         model.set_bounds(cols, pinned, pinned)
-        window = _unserved_window(instance, stations[opened])
-        if window is not None:
-            sol = empty_solution(instance, "infeasible", "pla",
-                                 info={"reach_window": window})
-            sol.wall_seconds = time.perf_counter() - started
-            return sol
     outcome = be.ScipyBackend().solve(model, gap=cfg.mip_gap,
                                       seconds=cfg.time_limit_seconds,
                                       seed=cfg.seed)

@@ -23,6 +23,7 @@ from conftest import (check_farkas_ray, count_builds, count_overcuts,
                       tiny_corridor)
 
 REACH = "xc_reach"  # id prefix of the reach family of static cuts
+SOC = "xc_soc_"     # id prefix of the SOC-interval family, the last one
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +235,7 @@ def test_seed_reaches_every_milp(monkeypatch):
 def test_static_cut_census_on_reference(golden, reference_split):
     _, vm, split = reference_split
     cuts = extra_feasibility_cuts(golden, vm)
-    assert len(cuts) == 204
+    assert len(cuts) == 220
     names = {rid.rsplit("_", 1)[0] for rid, *_ in cuts}
     assert len(names) >= 10  # every rule family contributes
     for rid, entries, sense, rhs in cuts:
@@ -244,24 +245,39 @@ def test_static_cut_census_on_reference(golden, reference_split):
             assert np.isfinite(val)
 
 
-@pytest.mark.parametrize("make,n_cuts,digest,n_all,digest_all", [
-    (illustrative_instance, 198,
-     "58bcdf1b4276cefc8c1dede0a4bf8637aedd64f23c73756efe7d5db56918e628", 204,
-     "f72475c650e0e6390ffc1046d046fe1b00192af63ad68bb5573330a06b20017b"),
-    (lambda: generate_instance(GenSpec("medium", seed=1)), 558,
-     "ab306be60415f8e51b5ba1d480e7abcabd1bec24d30d1198dc6bf0c2eb44f688", 579,
-     "b9956a6fda3a71d0241e2ab7793b2ded619f0c2ea34a7e9efdc98baa0696e0cd"),
-    (lambda: generate_instance(GenSpec("large", seed=2)), 958,
-     "c165262ae9157a0195bcbf9858791a5d45296c20dc937e71fffdda68f47de902", 996,
-     "973604ead24c6fd531f516f4bdf86014afd2bb1ec11c45dfe330047c307805b9"),
-    (mixed_consist_corridor, 102,
-     "9bad1686cfd3bb1f8eddcb27a25e5a375b2c2b7d2295727ea197c2318b7351d0", 106,
-     "05fd76d271a8a137949f7f04c838ea4ff4bf76e42f2f03547cef2cc44619792c"),
-], ids=["worked-example", "medium-1", "large-2", "mixed-consist"])
-def test_static_cuts_are_pinned(make, n_cuts, digest, n_all, digest_all):
+@pytest.mark.parametrize(
+    "make,n_cuts,digest,n_reach,digest_reach,n_all,digest_all", [
+        (illustrative_instance, 198,
+         "58bcdf1b4276cefc8c1dede0a4bf8637aedd64f23c73756efe7d5db56918e628",
+         204,
+         "f72475c650e0e6390ffc1046d046fe1b00192af63ad68bb5573330a06b20017b",
+         220,
+         "cdc4833ca9afa6d924b398cb2450435995b441bc5d9ffe3af8433cc9e95f1f3e"),
+        (lambda: generate_instance(GenSpec("medium", seed=1)), 558,
+         "ab306be60415f8e51b5ba1d480e7abcabd1bec24d30d1198dc6bf0c2eb44f688",
+         579,
+         "b9956a6fda3a71d0241e2ab7793b2ded619f0c2ea34a7e9efdc98baa0696e0cd",
+         631,
+         "10b25f45e2744849c5ce3d96a903e0bb8308f88f64e9bb7d837b1bb09be2e163"),
+        (lambda: generate_instance(GenSpec("large", seed=2)), 958,
+         "c165262ae9157a0195bcbf9858791a5d45296c20dc937e71fffdda68f47de902",
+         996,
+         "973604ead24c6fd531f516f4bdf86014afd2bb1ec11c45dfe330047c307805b9",
+         1088,
+         "adb6162df280704d1d58c7762fdbf0562ccf7c5f50dcd1be4b9d114bfd685bdf"),
+        (mixed_consist_corridor, 102,
+         "9bad1686cfd3bb1f8eddcb27a25e5a375b2c2b7d2295727ea197c2318b7351d0",
+         106,
+         "05fd76d271a8a137949f7f04c838ea4ff4bf76e42f2f03547cef2cc44619792c",
+         118,
+         "5372f84539d85cd892dda911c23cf0b60f873e87b703a4088592e541bfde1d9b"),
+    ], ids=["worked-example", "medium-1", "large-2", "mixed-consist"])
+def test_static_cuts_are_pinned(make, n_cuts, digest, n_reach, digest_reach,
+                                n_all, digest_all):
     # Digest of the static cuts as their rows read: ids, entries (column,
     # coefficient) in entry order, senses and right-hand sides, in row order.
-    # The rows before the reach family keep their digest from before it.
+    # The rows before the reach family, and those before the SOC-interval
+    # family, keep their digests from before each family joined.
     inst = make()
     _, vm = build_model(inst, SolveConfig())
     rows = [(rid, [(int(c), float(v)) for c, v in entries], str(sense),
@@ -269,9 +285,14 @@ def test_static_cuts_are_pinned(make, n_cuts, digest, n_all, digest_all):
             for rid, entries, sense, rhs in extra_feasibility_cuts(inst, vm)]
     assert len(rows) == n_all
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest_all
-    assert not any(rid.startswith(REACH) for rid, *_ in rows[:n_cuts])
-    assert all(rid.startswith(REACH) for rid, *_ in rows[n_cuts:])
+    ids = [rid for rid, *_ in rows]
+    assert not any(rid.startswith((REACH, SOC)) for rid in ids[:n_cuts])
+    assert all(rid.startswith(REACH) for rid in ids[n_cuts:n_reach])
+    assert all(rid.startswith(SOC) for rid in ids[n_reach:])
+    assert n_all - n_reach == 2 * (inst.n_stations - 2) * inst.n_trains
     assert hashlib.sha256(repr(rows[:n_cuts]).encode()).hexdigest() == digest
+    assert hashlib.sha256(
+        repr(rows[:n_reach]).encode()).hexdigest() == digest_reach
 
 
 def test_static_cuts_are_one_checked_block_on_binaries(reference_split,
@@ -290,7 +311,7 @@ def test_static_cuts_are_one_checked_block_on_binaries(reference_split,
 
     monkeypatch.setattr(be, "checked_rows", counted)
     cuts = extra_feasibility_cuts(golden, vm)
-    assert isinstance(cuts, be.RowBlock) and len(cuts) == 204
+    assert isinstance(cuts, be.RowBlock) and len(cuts) == 220
     assert n_cols == [vm.n_binary]
     shifted = np.where(vm.B >= 0, vm.B + vm.n_binary, -1)
     assert shifted.max() < vm.n_cols  # continuous columns of the model
@@ -375,6 +396,43 @@ def test_reach_windows_hold_the_single_legs_the_reach_rows_skip():
     sol = solve_pla(inst, SolveConfig(time_limit_seconds=60.0),
                     fixed_deployment=list(inst.interior))
     assert (sol.status, sol.info["reach_window"]) == ("infeasible", [1, 2, 3])
+
+
+def test_soc_rows_bound_each_arrival_by_the_leg_before_it():
+    # Per interior station i and train j, in that order: the ceiling
+    # sum s_u beta[i,j,k,u] - sum Y[j,k] <= -e and the floor
+    # sum s_{u+1} beta[i,j,k,u] - sum P[k] >= -e, with e the leg i-1 -> i
+    # and P the Zs columns at i-1, or the Y columns when i-1 is the origin.
+    # An s_0 = 0 coefficient is no entry.
+    inst = _two_train_corridor()
+    cfg = SolveConfig()
+    _, vm = build_model(inst, cfg)
+    rows = [row for row in extra_feasibility_cuts(inst, vm)
+            if row[0].startswith(SOC)]
+    s = np.arange(cfg.n + 1) / cfg.n
+    keys = [(i, j) for i in range(1, 5) for j in range(2)]
+    assert [rid for rid, *_ in rows] == [
+        SOC + "%s_%d_%d" % (kind, i, j)
+        for i, j in keys for kind in ("ceiling", "floor")]
+    for n, (i, j) in enumerate(keys):
+        e = inst.energy[j, i - 1, i]
+        consists = range(inst.consists(j))
+        previous = vm.Y[j] if i == 1 else vm.Zs[i - 1, j]
+        for (_, entries, sense, rhs), kind in zip(rows[2 * n:2 * n + 2],
+                                                  ("ceiling", "floor")):
+            got = dict((int(c), float(v)) for c, v in entries)
+            assert len(got) == len(entries)
+            edge = s[:-1] if kind == "ceiling" else s[1:]
+            want = {int(vm.beta[i, j, k, u]): edge[u]
+                    for k in consists for u in range(cfg.n) if edge[u]}
+            want.update({int(c): -1.0 for c in
+                         (vm.Y[j] if kind == "ceiling" else previous)[
+                             :inst.consists(j)]})
+            assert got.keys() == want.keys(), (kind, i, j)
+            for c, v in want.items():
+                assert got[c] == pytest.approx(v, abs=1e-12), (kind, i, j, c)
+            assert sense == (be.LE if kind == "ceiling" else be.GE)
+            assert rhs == pytest.approx(-e, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +755,24 @@ def test_loop_incumbent_replays_clean(tiny_bd):
 def test_no_cut_excludes_the_one_shot_incumbent(tiny_bd):
     inst, cfg, _, pla, master = tiny_bd
     assert count_overcuts(inst, cfg, master, pla) == 0
+
+
+def test_shorthaul_masters_stay_few():
+    # The five benchmark short-haul corridors keep their bd answers, and
+    # the static rows (the SOC-interval rows most) leave at most 60 integer
+    # masters between them (106 without the SOC-interval rows).
+    objectives, masters = [], 0
+    for seed in (4, 6, 11, 14, 19):
+        inst = generate_instance(GenSpec(
+            n_trains=1, consists_per_train=1, max_batteries=1,
+            distance_mean_km=180.0, distance_sd_km=30.0, seed=seed))
+        sol = run_benders(inst, SolveConfig(time_limit_seconds=60.0))
+        assert sol.info["termination"] == "optimal", seed
+        objectives.append(sol.objective_value)
+        masters += sol.info["iterations"]
+    assert objectives == pytest.approx(
+        [103.2257, 118.4012, 113.9111, 89.7490, 107.9925], abs=1e-4)
+    assert masters <= 60
 
 
 def test_infeasible_line_is_reported_not_raised():

@@ -303,20 +303,40 @@ def test_rounds_proved_by_reach_windows_run_no_milp(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_every_round_the_reach_check_proves_is_infeasible(monkeypatch, seed):
     # Soundness: each fixing the check proves is infeasible when the backend
-    # solves it on the built model, whose bounds the round left pinned to
-    # it, without the check.
+    # solves it without the check, on one model the test builds (a proved
+    # round leaves fa's model unbuilt or untouched).
+    inst = _medium_short_haul(seed)
+    own = model_mod.build_model(inst, SolveConfig())
     proved = []
 
     def checked(instance, config, fixed_deployment, built):
         sol = model_mod.solve_pla(instance, config, fixed_deployment,
                                   built=built)
         if "reach_window" in sol.info:
-            outcome = be.ScipyBackend().solve(built[0], seconds=60.0)
-            proved.append((fixed_deployment, outcome.status))
+            with monkeypatch.context() as mp:
+                mp.setattr(model_mod, "_unserved_window", lambda *args: None)
+                unchecked = model_mod.solve_pla(
+                    instance, config.replace(time_limit_seconds=60.0),
+                    fixed_deployment, built=own)
+            proved.append((fixed_deployment, unchecked.status))
         return sol
 
     monkeypatch.setattr(fixalg, "solve_pla", checked)
-    run_fix_algorithm(_medium_short_haul(seed),
-                      SolveConfig(time_limit_seconds=60.0))
+    run_fix_algorithm(inst, SolveConfig(time_limit_seconds=60.0))
     assert len(proved) >= 12
     assert all(status == "infeasible" for _, status in proved), proved
+
+
+@pytest.mark.parametrize("seed, builds", [(1, 1), (2, 0)])
+def test_the_model_is_built_only_for_a_round_the_check_leaves_open(
+        monkeypatch, seed, builds):
+    # Medium short-haul 1's check proves its first 12 rounds, so the build
+    # waits for round 13; it proves all 13 rounds of medium short-haul 2,
+    # so nothing is built there.
+    calls = count_builds(monkeypatch, model_mod, fixalg)
+    inst = _medium_short_haul(seed)
+    sol = run_fix_algorithm(inst, SolveConfig(time_limit_seconds=60.0))
+    rounds = [r for r in sol.info["fix_rounds"] if r["phase"] == "solve"]
+    assert len(rounds) == 13
+    assert sum("reach_window" not in r for r in rounds) == builds
+    assert calls == [inst.name] * builds

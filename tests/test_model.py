@@ -20,7 +20,7 @@ from railvolt.model import (TANGENT_HOURS, VarMap, build_model,
 from railvolt.reporting import ALGORITHMS
 from railvolt.validator import brute_force_best, simulate_schedule
 
-from conftest import mixed_consist_corridor, tiny_corridor
+from conftest import count_builds, mixed_consist_corridor, tiny_corridor
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +608,14 @@ def test_one_built_model_solves_each_fixing_as_a_fresh_build(golden):
     assert proved.info["solver_message"] == "Infeasible"
 
 
-def test_reach_check_flags_exactly_the_infeasible_fixings(golden):
+def test_reach_check_flags_exactly_the_infeasible_fixings(golden, monkeypatch):
     # On the worked example the reach windows are exact: of the 16 subsets
     # of its interior, the empty one included, the check proves the 13 that
     # HiGHS finds infeasible, and the other 3 ([1, 2, 4], [1, 3, 4] and
-    # every station) have a plan. Each fixing's bounds stay on the
-    # model, so the backend solves the same fixing without the check (a
-    # gap of 1 stops at the first plan).
+    # every station) have a plan. The same model then solves each fixing
+    # without the check (a gap of 1 stops at the first plan).
     cfg = SolveConfig(time_limit_seconds=60.0, mip_gap=1.0)
-    model, _ = built = build_model(golden, cfg)
+    built = build_model(golden, cfg)
     flagged, infeasible = [], []
     for fixed in chain.from_iterable(
             combinations(golden.interior, r) for r in range(5)):
@@ -626,11 +625,30 @@ def test_reach_check_flags_exactly_the_infeasible_fixings(golden):
             _, a, b = sol.info["reach_window"]
             assert not any(a < s < b for s in fixed)
             assert sol.status == "infeasible" and sol.deployed == []
-        outcome = be.ScipyBackend().solve(model, gap=1.0, seconds=60.0)
-        assert outcome.status in ("optimal", "infeasible"), fixed
-        if outcome.status == "infeasible":
+        with monkeypatch.context() as mp:
+            mp.setattr(model_mod, "_unserved_window", lambda *args: None)
+            unchecked = solve_pla(golden, cfg, fixed, built=built)
+        assert unchecked.status in ("optimal-within-gap", "infeasible"), fixed
+        if unchecked.status == "infeasible":
             infeasible.append(fixed)
     assert flagged == infeasible and len(flagged) == 13
+
+
+def test_a_proved_fixing_leaves_the_model_untouched(golden, monkeypatch):
+    # The reach check runs first: a fixing it proves builds no model and
+    # leaves a given one's bounds, and any HiGHS session, as they were.
+    cfg = SolveConfig(time_limit_seconds=60.0)
+    model, _ = built = build_model(golden, cfg)
+    model.set_bounds([0], 0.25, 0.75)   # marks the bounds as the caller's
+    lb, ub = model.arrays()[1:3]
+    calls = count_builds(monkeypatch, model_mod)
+    for given in (built, None):
+        sol = solve_pla(golden, cfg, [2], built=given)
+        assert sol.status == "infeasible" and "reach_window" in sol.info
+    assert calls == []
+    np.testing.assert_array_equal(model.arrays()[1], lb)
+    np.testing.assert_array_equal(model.arrays()[2], ub)
+    assert model._session is None
 
 
 @pytest.mark.parametrize("corridor", [
