@@ -7,9 +7,10 @@ delays, SOC levels, interpolation weights, charge-clock readings) goes to a
 linear subproblem that prices a candidate master assignment. Subproblem duals feed optimality cuts,
 infeasibility certificates feed feasibility cuts, and static cuts keep the
 master from proposing assignments that cannot carry trains between
-stations: battery-order rows over one leg or consist at a time, and reach
-rows asking for a charge or swap inside every run of legs that needs more
-than a train's full load.
+stations: battery-order rows over one leg or consist at a time, reach rows
+asking for a charge or swap inside every run of legs that needs more than
+a train's full load, and SOC-interval rows making the interval each
+arrival picks fit the leg before it.
 
 Conventions: rows are kept in their original order, with <= rows flipped to
 >= (equalities stay equalities; their duals are free and only contribute
@@ -251,11 +252,18 @@ def extra_feasibility_cuts(instance: Instance, vm: VarMap,
     iteration one. Families (one per comment) follow the drain-order logic:
     batteries empty front-to-back, consists without a battery (Y=0) get a
     slack term because their nonempty flag is unconstrained from above.
-    The last family, ``xc_reach_<train>_<a>_<b>``, reaches over several
+    The reach family, ``xc_reach_<train>_<a>_<b>``, reaches over several
     legs: ``sum Zc + Zs >= 1`` over the slots strictly between stations a
     and b, for each minimal window whose adjacent legs need more than the
     train's full load (:func:`~railvolt.domain.reach_windows`); a single
-    leg past the load has no station inside it and gives no row.
+    leg past the load has no station inside it and gives no row. The last
+    family, ``xc_soc_ceiling_<i>_<train>`` and ``xc_soc_floor_<i>_<train>``
+    per interior station i, bounds the SOC intervals the train's arrivals
+    at i pick (the beta selectors, weighted by the breakpoints of
+    :func:`~railvolt.model.build_pla_grid`) by the leg e before i: their
+    lower ends sum to at most ``sum Y - e``, their upper ends to at least
+    ``sum Zs - e`` over the swaps at i - 1 (``sum Y - e`` after the
+    origin).
     Each family is one array block over ``vm``'s index grids, with every
     non-vacuous index combination in C order; a ragged prefix or suffix of
     a train's consists is padded with -1. The rows come back as one

@@ -219,8 +219,17 @@ def test_walk_on_tiny_corridor_respects_budget():
 
 
 def test_every_round_solves_the_one_model_built_per_call(monkeypatch):
-    # Medium short-haul 1 takes 13 rounds, and one build serves them all.
+    # Medium short-haul 1 takes 13 rounds, and one build serves them all:
+    # the reach check proves the first 12, so the build waits for the 13th.
     calls = count_builds(monkeypatch, model_mod, fixalg)
+    given = []
+
+    def recorded(instance, config, fixed_deployment, built):
+        given.append(built)
+        return model_mod.solve_pla(instance, config, fixed_deployment,
+                                   built=built)
+
+    monkeypatch.setattr(fixalg, "solve_pla", recorded)
     inst = generate_instance(GenSpec(
         size_class="medium", n_trains=1, consists_per_train=1,
         max_batteries=1, distance_mean_km=180.0, distance_sd_km=30.0, seed=1))
@@ -228,6 +237,7 @@ def test_every_round_solves_the_one_model_built_per_call(monkeypatch):
     rounds = [r for r in sol.info["fix_rounds"] if r["phase"] == "solve"]
     assert sol.status == "optimal-within-gap" and len(rounds) == 13
     assert calls == [inst.name]
+    assert given[:12] == [None] * 12 and given[12] is not None
 
 
 def test_every_round_reruns_one_live_session(monkeypatch):
@@ -327,16 +337,13 @@ def test_every_round_the_reach_check_proves_is_infeasible(monkeypatch, seed):
     assert all(status == "infeasible" for _, status in proved), proved
 
 
-@pytest.mark.parametrize("seed, builds", [(1, 1), (2, 0)])
-def test_the_model_is_built_only_for_a_round_the_check_leaves_open(
-        monkeypatch, seed, builds):
-    # Medium short-haul 1's check proves its first 12 rounds, so the build
-    # waits for round 13; it proves all 13 rounds of medium short-haul 2,
-    # so nothing is built there.
+def test_rounds_the_check_all_proves_build_no_model(monkeypatch):
+    # The check proves all 13 rounds of medium short-haul 2, so no model
+    # is built for it.
     calls = count_builds(monkeypatch, model_mod, fixalg)
-    inst = _medium_short_haul(seed)
-    sol = run_fix_algorithm(inst, SolveConfig(time_limit_seconds=60.0))
+    sol = run_fix_algorithm(_medium_short_haul(2),
+                            SolveConfig(time_limit_seconds=60.0))
     rounds = [r for r in sol.info["fix_rounds"] if r["phase"] == "solve"]
-    assert len(rounds) == 13
-    assert sum("reach_window" not in r for r in rounds) == builds
-    assert calls == [inst.name] * builds
+    assert sol.status == "infeasible" and len(rounds) == 13
+    assert all("reach_window" in r for r in rounds)
+    assert calls == []
