@@ -16,8 +16,9 @@ right-hand sides, and one entry, :func:`checked_rows`, which checks them
 and returns the block; a block also reads as ``(id, [(column,
 coefficient), ...], sense, rhs)`` rows. :class:`ScipyBackend` solves a
 model in one live session that its first solve builds and each later
-solve re-runs cold. New column bounds reach that session in place; a new
-column or row drops it, so the next solve builds a fresh one. Models can
+solve re-runs cold. New column bounds and right-hand sides reach that
+session in place; a new column or row drops it, so the next solve builds
+a fresh one. Models can
 be exported to the textual LP interchange format for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -179,11 +180,13 @@ class AbstractModel:
     as one :class:`RowBlock`. :meth:`add_column` and :meth:`add_row` are
     blocks of one.
     :meth:`set_bounds` rebounds built columns, so one model can be solved
-    under several fixings.
+    under several fixings, and :meth:`set_rhs` moves built rows'
+    right-hand sides.
 
     The model also keeps the live :class:`Session` that
-    :meth:`ScipyBackend.solve` builds for it: :meth:`set_bounds` writes
-    through to it, and adding columns or rows drops it.
+    :meth:`ScipyBackend.solve` builds for it: :meth:`set_bounds` and
+    :meth:`set_rhs` write through to it, and adding columns or rows drops
+    it.
     """
 
     def __init__(self, name: str = "model"):
@@ -274,6 +277,23 @@ class AbstractModel:
             cols = np.unique(np.arange(self.n_cols)[idx])
             self._session.set_bounds(cols, self._lower[cols],
                                      self._upper[cols])
+
+    def set_rhs(self, rows, rhs) -> None:
+        """Give the rows ``rows`` (one index or an array of them) the
+        right-hand side ``rhs`` (one value or one per index). A non-finite
+        value is refused, naming the first such row, and nothing changes.
+        A live session gets the new right-hand sides too."""
+        rows = np.atleast_1d(rows)
+        rhs = np.broadcast_to(np.asarray(rhs, float), rows.shape)
+        bad = ~np.isfinite(rhs)
+        if bad.any():
+            r = int(rows[np.argmax(bad)])
+            raise BackendError(f"row {self.row_ids[r]!r}: non-finite rhs")
+        new = self._rows.rhs.copy()
+        new[rows] = rhs
+        self._rows = replace(self._rows, rhs=new)
+        if self._session is not None:
+            self._session.set_rhs(self._rows.rhs)
 
     # -- introspection ------------------------------------------------------
 

@@ -10,7 +10,8 @@ master from proposing assignments that cannot carry trains between
 stations: battery-order rows over one leg or consist at a time, reach rows
 asking for a charge or swap inside every run of legs that needs more than
 a train's full load, and SOC-interval rows making the interval each
-arrival picks fit the leg before it.
+arrival picks fit the leg before it. The warm start relaxes every
+deployment, so its dual bound floors the master's epigraph term.
 
 Conventions: rows are kept in their original order, with <= rows flipped to
 >= (equalities stay equalities; their duals are free and only contribute
@@ -399,16 +400,19 @@ def _reach_windows(instance: Instance, Zc: np.ndarray, Zs: np.ndarray):
 # Master problem
 # ---------------------------------------------------------------------------
 
-def build_rmp(split: BendersSplit, static: be.RowBlock):
+def build_rmp(split: BendersSplit, static: be.RowBlock,
+              floor: float = -np.inf):
     """Master arrays over (v, w) before any cut: deployment costs plus the
     epigraph ``w`` of the continuous cost, under the v-only original rows
     and the ``static`` cuts (see :func:`extra_feasibility_cuts`).
 
     Returns ``(c, A, senses, rhs, lb, ub, integrality)`` for a
     :class:`backend.Session`. ``w`` is the last column, floored at the
-    least value the continuous cost can take (the sum of min(0, c_u) times
-    u's upper bound: 0, since the only continuous costs are the delay
-    weights on D >= 0); the rows are ``Dm[v_only]`` and then the static
+    larger of ``floor`` (a known lower bound on the continuous cost of
+    every servable v, as :func:`run_benders` takes from its warm start)
+    and the least value the continuous cost can take (the sum of min(0,
+    c_u) times u's upper bound: 0, since the only continuous costs are the
+    delay weights on D >= 0); the rows are ``Dm[v_only]`` and then the static
     cuts, whose block's CSR arrays are stacked as they are (the block was
     checked against the binary columns when it was made). ``A`` is
     canonical CSR without stored zeros.
@@ -426,7 +430,8 @@ def build_rmp(split: BendersSplit, static: be.RowBlock):
     senses = np.concatenate([split.senses[split.v_only], static.senses])
     rhs = np.concatenate([split.b[split.v_only], static.rhs])
     neg = split.c_u < 0
-    lb = np.append(np.zeros(split.n_v), split.c_u[neg] @ split.u_ub[neg])
+    lb = np.append(np.zeros(split.n_v),
+                   max(floor, split.c_u[neg] @ split.u_ub[neg]))
     ub = np.append(np.ones(split.n_v), np.inf)
     integrality = np.append(np.ones(split.n_v, int), 0)
     return (np.append(split.c_v, 1.0), A, senses, rhs, lb, ub, integrality)
@@ -442,6 +447,45 @@ def _gap(ub: float, lb: float) -> float:
     return (ub - lb) / max(abs(ub), 1e-9)
 
 
+def _warm_start(instance: Instance, config: SolveConfig,
+                model: be.AbstractModel, vm: VarMap,
+                split: BendersSplit) -> Tuple[Solution, float]:
+    """Solve the warm start on ``model`` (built for ``instance`` and split
+    into ``split``) within ``config``'s time limit: every station open,
+    every train fully loaded, and ``deploy_is_used`` void, so an open
+    station need not be used. Returns the
+    :func:`~railvolt.model.solve_pla` result and the floor it proves on
+    Q(v), the least continuous cost of any deployment v the scheduling LP
+    can serve (-inf when the solve returns no bound).
+    """
+    # The warm start relaxes every deployment once its deploy_is_used rows
+    # read ops - X >= -1 (void; split has copied the rows, so the master
+    # and the scheduling LP keep theirs). Take an integer v the scheduling
+    # LP can serve and its schedule u:
+    #  1. X = 1 voids ops_need_deploy, and no other row of the model holds X;
+    #  2. a full load keeps u feasible: each consist v leaves empty gets a
+    #     full battery that it carries untouched (B = 1, Sarr = Sdep = 1, no
+    #     operation, beta in the top interval), which adds the same amount
+    #     to both sides of power_balance and meets the drain order behind
+    #     the batteries in use;
+    #  3. so u, with that load, is a warm-start point of the same delay
+    #     cost, and the warm start's dual bound, less the objective offset
+    #     and every station's fixed cost, is at most Q(v).
+    # This holds also when the warm start stops at its time limit, and a
+    # warm start that proves infeasibility proves that no deployment has a
+    # schedule.
+    used = [r for r, rid in enumerate(model.row_ids)
+            if rid.startswith("deploy_is_used_")]
+    model.set_rhs(used, -1.0)
+    warm = solve_pla(instance, config,
+                     fixed_deployment=list(instance.interior),
+                     keep_primal=True, built=(model, vm))
+    if warm.bound is None:
+        return warm, -np.inf
+    return warm, (warm.bound - split.offset
+                  - float(split.c_v[vm.X[vm.X >= 0]].sum()))
+
+
 def run_benders(instance: Instance,
                 config: Optional[SolveConfig] = None) -> Solution:
     """Iterate master assignments against the scheduling subproblem until
@@ -454,9 +498,16 @@ def run_benders(instance: Instance,
     The MILP is built once per call: :func:`split_model` splits it, and
     the warm start solves it.
 
-    Warm start: deploy everything, load every battery slot, and solve that
-    schedule MILP to ``mip_gap``; its priced subproblem gives the first cut
-    and its incumbent seeds the upper bound.
+    Warm start: deploy everything, load every battery slot, make the
+    ``deploy_is_used`` rows void in the built model (after the split, so
+    the master keeps them), and solve that schedule MILP to ``mip_gap``.
+    It is then a relaxation of every deployment (see :func:`_warm_start`):
+    when it is infeasible, no deployment has a schedule, and its dual
+    bound, less the objective offset and every station's fixed cost, is a
+    lower bound on the delay cost of every deployment. That number floors
+    the master's ``w`` (0 when the warm start returns no bound), and
+    ``info["delay_floor"]`` records the floor ``w`` got. Its incumbent is
+    priced for the first cut and seeds the upper bound.
 
     LP phase (McDaniel & Devine's two-phase scheme): with the master's
     binaries relaxed in place, each round solves its LP relaxation (warm
@@ -491,7 +542,8 @@ def run_benders(instance: Instance,
     kind, coefficients and rhs to 9 decimals) is appended in arrival order,
     ``coef·v + w >= rhs`` for a point and ``coef·v >= rhs`` for a ray.
     Before each solve the master gets a MIP start at the incumbent v* with
-    w = max over the optimality cuts of (rhs - coef·v*). Pricing keeps the
+    w = max over the optimality cuts of (rhs - coef·v*), and at least
+    ``w``'s floor. Pricing keeps the
     scheduling LP and its Farkas LP in two sessions of their own (see
     :func:`solve_subproblem_dual`). ``info`` reports the cut counts and the
     bound log; to audit the cuts, read the master's rows back from its
@@ -516,16 +568,17 @@ def run_benders(instance: Instance,
         return min(_RMP_SECONDS, max(1.0, remaining()))
 
     # -- warm start ---------------------------------------------------------
-    warm = solve_pla(instance, cfg.replace(time_limit_seconds=time_slice()),
-                     fixed_deployment=list(instance.interior),
-                     keep_primal=True, built=(model, vm))
+    warm, floor = _warm_start(instance,
+                              cfg.replace(time_limit_seconds=time_slice()),
+                              model, vm, split)
     if warm.status == "infeasible":
-        # every resource maxed out and still no schedule: nothing can work
+        # a relaxation of every deployment has no schedule: none has one
         return empty_solution(instance, "infeasible", "bd", elapsed(),
                               {"phase": "warm-start"})
 
-    master = be.Session(*build_rmp(split, static), offset=split.offset,
-                        seed=cfg.seed)
+    rmp = build_rmp(split, static, floor)
+    floor = float(rmp[4][-1])  # the lower bound w got
+    master = be.Session(*rmp, offset=split.offset, seed=cfg.seed)
     seen: Set[bytes] = set()
     optimality: List[Cut] = []  # for the MIP start's w
     upper_bound, lower_bound = np.inf, -np.inf
@@ -591,8 +644,10 @@ def run_benders(instance: Instance,
             break
         if best_primal is not None:
             v_star = best_primal[:split.n_v]
-            master.set_start(np.append(v_star, max(
-                cut.rhs - cut.coef @ v_star for cut in optimality)))
+            w = max(cut.rhs - cut.coef @ v_star for cut in optimality)
+            # HiGHS refuses a start below a column's bound, and the cuts
+            # can put w a rounding error under its floor
+            master.set_start(np.append(v_star, max(w, floor)))
         outcome = master.run(gap=_RMP_GAP, seconds=time_slice())
         if outcome.status == "infeasible":
             return empty_solution(instance, "infeasible", "bd", elapsed(),
@@ -643,6 +698,7 @@ def run_benders(instance: Instance,
         "n_feasibility_cuts": R,
         "n_static_cuts": len(static),
         "termination": status,
+        "delay_floor": floor,
         **lp,
     })
     return solution

@@ -45,13 +45,14 @@ def count_builds(monkeypatch, *modules):
 
 class MasterRows(NamedTuple):
     """A decomposition master as HiGHS holds it at the end of a run: rows
-    ``lower <= A [v; w] <= upper`` and the columns' lower bounds. The first
+    ``lower <= A [v; w] <= upper`` and the columns' bounds. The first
     ``n_fixed`` rows are :func:`benders.build_rmp`'s (v-only and static);
     the cuts follow in the order they were appended."""
     A: sp.csr_matrix
     lower: np.ndarray
     upper: np.ndarray
     col_lower: np.ndarray
+    col_upper: np.ndarray
     n_fixed: int
 
 
@@ -61,8 +62,8 @@ def run_benders_with_master(inst: Instance, config: SolveConfig):
     built, sessions = [], []
     real_build_rmp = benders.build_rmp
 
-    def recording_build_rmp(split, static):
-        built.append(real_build_rmp(split, static))
+    def recording_build_rmp(*args):
+        built.append(real_build_rmp(*args))
         return built[-1]
 
     class CapturingSession(be.Session):
@@ -83,26 +84,31 @@ def run_benders_with_master(inst: Instance, config: SolveConfig):
                       shape=(lp.num_row_, lp.num_col_)).tocsr()
     return sol, MasterRows(A, np.asarray(lp.row_lower_),
                            np.asarray(lp.row_upper_),
-                           np.asarray(lp.col_lower_), built[0][1].shape[0])
+                           np.asarray(lp.col_lower_),
+                           np.asarray(lp.col_upper_), built[0][1].shape[0])
 
 
 def count_overcuts(inst: Instance, config: SolveConfig, master: MasterRows,
                    one_shot) -> int:
-    """Master rows that reject the one-shot incumbent (there must be none).
+    """Master rows and column bounds that reject the one-shot incumbent
+    (there must be none).
 
     The incumbent is (v*, w*): the binaries of ``one_shot`` (a ``solve_pla``
     result kept with its primal) and the scheduling LP's optimum at v*.
-    The v-only and static rows are checked within 1e-6, the cuts within
-    1e-5.
+    The v-only and static rows are checked within 1e-6, the cuts and the
+    column bounds (w's floor among them) within 1e-5.
     """
     split = benders.split_model(*build_model(inst, config))
     v_star = np.round(np.asarray(one_shot.info["primal"])[:split.n_v])
     kind, cut_star, _ = benders.solve_subproblem_dual(split, v_star)
     assert kind == "point", "one-shot incumbent must price as feasible"
-    lhs = master.A @ np.append(v_star, cut_star.value)
+    x = np.append(v_star, cut_star.value)
+    lhs = master.A @ x
     tol = np.where(np.arange(len(lhs)) < master.n_fixed, 1e-6, 1e-5)
     return int(np.sum((lhs < master.lower - tol)
-                      | (lhs > master.upper + tol)))
+                      | (lhs > master.upper + tol))
+               + np.sum((x < master.col_lower - 1e-5)
+                        | (x > master.col_upper + 1e-5)))
 
 
 @pytest.fixture(scope="session")

@@ -241,8 +241,8 @@ def _knapsack():
 
 def test_every_model_change_reaches_the_next_solve():
     # Each change after a solve moves the optimum, and the next solve sees
-    # it: bounds in the live session, rows and columns in a fresh one, the
-    # offset and the seed on every re-run.
+    # it: bounds and right-hand sides in the live session, rows and columns
+    # in a fresh one, the offset and the seed on every re-run.
     m, (b0, b1, b2) = _knapsack()
     solve = be.ScipyBackend().solve
     out = solve(m, gap=0.0)
@@ -274,6 +274,20 @@ def test_every_model_change_reaches_the_next_solve():
     m.set_bounds([b1, b3], [1.0, 0.0], [1.0, 0.0])  # 1 and 2: 7 of 7
     step(-9.0 + 2.5)
     assert m._session is live
+    m.set_rhs(0, 12.0)                  # room for item 0 as well
+    step(-15.0 + 2.5)
+    assert m._session is live
+
+
+def test_set_rhs_refuses_a_non_finite_value():
+    m, _ = _knapsack()
+    m.add_row("two", [(0, 1.0), (1, 1.0)], "<=", 2.0)
+    for rhs in (np.inf, np.nan):
+        with pytest.raises(be.BackendError, match="'two'"):
+            m.set_rhs([0, 1], [8.0, rhs])
+    assert m.arrays()[-1].tolist() == [7.0, 2.0]
+    m.set_rhs([1, 0], [1.0, 8.0])
+    assert m.arrays()[-1].tolist() == [8.0, 1.0]
 
 
 def test_a_rerun_never_starts_from_an_earlier_run(monkeypatch):
