@@ -18,8 +18,8 @@ coefficient), ...], sense, rhs)`` rows. :class:`ScipyBackend` solves a
 model in one live session that its first solve builds and each later
 solve re-runs cold. New column bounds and right-hand sides reach that
 session in place; a new column or row drops it, so the next solve builds
-a fresh one. Models can
-be exported to the textual LP interchange format for debugging.
+a fresh one. Models can be exported to the textual LP interchange format
+for debugging.
 
 Dual-value convention: the dual of a row is d(objective)/d(rhs) in the row's
 *stated* sense. For a minimization problem that makes duals of ``>=`` rows

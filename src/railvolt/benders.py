@@ -412,9 +412,9 @@ def build_rmp(split: BendersSplit, static: be.RowBlock,
     every servable v, as :func:`run_benders` takes from its warm start)
     and the least value the continuous cost can take (the sum of min(0,
     c_u) times u's upper bound: 0, since the only continuous costs are the
-    delay weights on D >= 0); the rows are ``Dm[v_only]`` and then the static
-    cuts, whose block's CSR arrays are stacked as they are (the block was
-    checked against the binary columns when it was made). ``A`` is
+    delay weights on D >= 0); the rows are ``Dm[v_only]`` and then the
+    static cuts, whose block's CSR arrays are stacked as they are (the
+    block was checked against the binary columns when it was made). ``A`` is
     canonical CSR without stored zeros.
     :func:`run_benders` appends each cut to the live master.
     """
@@ -502,7 +502,7 @@ def run_benders(instance: Instance,
     ``deploy_is_used`` rows void in the built model (after the split, so
     the master keeps them), and solve that schedule MILP to ``mip_gap``.
     It is then a relaxation of every deployment (see :func:`_warm_start`):
-    when it is infeasible, no deployment has a schedule, and its dual
+    when it is infeasible, no deployment has a schedule; otherwise its dual
     bound, less the objective offset and every station's fixed cost, is a
     lower bound on the delay cost of every deployment. That number floors
     the master's ``w`` (0 when the warm start returns no bound), and
@@ -543,8 +543,8 @@ def run_benders(instance: Instance,
     ``coef·v + w >= rhs`` for a point and ``coef·v >= rhs`` for a ray.
     Before each solve the master gets a MIP start at the incumbent v* with
     w = max over the optimality cuts of (rhs - coef·v*), and at least
-    ``w``'s floor. Pricing keeps the
-    scheduling LP and its Farkas LP in two sessions of their own (see
+    ``w``'s floor. Pricing keeps the scheduling LP and its Farkas LP in
+    two sessions of their own (see
     :func:`solve_subproblem_dual`). ``info`` reports the cut counts and the
     bound log; to audit the cuts, read the master's rows back from its
     session.

@@ -811,8 +811,10 @@ def test_bd_plans_around_a_station_that_cannot_serve(seed, pla_objective,
     assert sol.info["termination"] == "optimal"
     assert sol.status == "optimal-within-gap"
     assert simulate_schedule(inst, sol).ok
-    assert sol.objective_value >= pla.objective_value * (1 - cfg.mip_gap) - 1e-6
-    assert sol.objective_value <= pla.objective_value * (1 + cfg.benders_gap) + 1e-6
+    assert sol.objective_value >= \
+        pla.objective_value * (1 - cfg.mip_gap) - 1e-6
+    assert sol.objective_value <= \
+        pla.objective_value * (1 + cfg.benders_gap) + 1e-6
 
 
 def test_the_warm_start_voids_deploy_is_used_in_its_own_model_only():
