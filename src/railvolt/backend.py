@@ -3,9 +3,9 @@
 This is the only module that talks to a third-party solver: HiGHS 1.12,
 through scipy's private binding ``scipy.optimize._highspy._core._Highs``
 (hence the ``scipy>=1.17`` floor). A :class:`Session` is passed its model
-once and keeps it alive: it can change row bounds, column costs and
-integrality, append rows, take a MIP start and run again, an LP from its
-last basis. Every run maps HiGHS's status onto a
+once and keeps it alive: it can change row bounds, column bounds and
+costs, append rows, take a MIP start and run again, an LP from its last
+basis. Every run maps HiGHS's status onto a
 :class:`SolveOutcome` the same way. The decomposition keeps sessions for
 its pricing LPs and its master, and :class:`FarkasLP` holds one for
 infeasibility proofs. Named models are described engine-neutrally in
@@ -384,10 +384,10 @@ class Session:
     ``lb <= x <= ub``, and ``x`` integral where ``integrality`` is 1 (no
     ``integrality``: an LP). HiGHS is passed it once, as column-wise arrays;
     after that the setters change it in place (right-hand sides, costs,
-    column bounds, appended rows, and integrality: :meth:`set_integrality`
-    relaxes a MILP to its LP and restores it) and :meth:`run` solves it
-    again. An LP re-run starts from the last basis; when such a warm run
-    ends neither optimal, infeasible nor at its time or iteration limit,
+    column bounds and appended rows) and :meth:`run` solves it again;
+    ``has_integers``, whether it is a MILP, is fixed when it is built. An
+    LP re-run starts from the last basis; when such a warm run ends
+    neither optimal, infeasible nor at its time or iteration limit,
     the solver is cleared and the run repeated once cold. A MILP re-run
     starts from scratch, or from the point given to :meth:`set_start`. When
     a MILP run ends in HiGHS's ``Solve error`` (as when HiGHS's optimum,
@@ -412,10 +412,11 @@ class Session:
         options.random_seed = seed
         self._highs.passOptions(options)
         n = len(c)
-        self._integral = np.zeros(n, bool) if integrality is None \
+        integral = np.zeros(n, bool) if integrality is None \
             else np.asarray(integrality) != 0
+        self.has_integers = bool(integral.any())
         if A.shape != (len(self.rhs), n) or len(self.senses) != len(self.rhs) \
-                or len(lb) != n or len(ub) != n or len(self._integral) != n:
+                or len(lb) != n or len(ub) != n or len(integral) != n:
             raise BackendError(
                 f"inconsistent shapes: A {A.shape}, {n} costs, "
                 f"{len(self.rhs)} rows, {len(lb)}/{len(ub)} bounds")
@@ -432,7 +433,7 @@ class Session:
         lp.a_matrix_.index_ = A.indices
         lp.a_matrix_.value_ = A.data.astype(float)
         if self.has_integers:
-            lp.integrality_ = [_VAR_TYPE[i] for i in self._integral.tolist()]
+            lp.integrality_ = [_VAR_TYPE[i] for i in integral.tolist()]
         _checked(self._highs.passModel(lp), "the model")
 
     # -- changes ------------------------------------------------------------
@@ -474,25 +475,6 @@ class Session:
             A.indices.astype(np.int32), A.data.astype(float)), "the new rows")
         self.senses = np.append(self.senses, senses)
         self.rhs = np.append(self.rhs, rhs)
-
-    @property
-    def has_integers(self) -> bool:
-        """Whether the model has an integral column now (a MILP)."""
-        return bool(self._integral.any())
-
-    def set_integrality(self, cols, integral: bool) -> None:
-        """Make the columns ``cols`` integral or continuous. The next run
-        solves the model as it then is: a MILP (bound, no duals) while a
-        column is integral, an LP (duals) otherwise. It starts cold, so a
-        MILP never starts from an LP's fractional point."""
-        cols = np.asarray(cols, np.int32)
-        kind = _highs.HighsVarType.kInteger if integral \
-            else _highs.HighsVarType.kContinuous
-        _checked(self._highs.changeColsIntegrality(
-            len(cols), cols, np.full(len(cols), int(kind), np.uint8)),
-            "the integrality")
-        self._integral[cols] = integral
-        self.clear()
 
     def clear(self) -> None:
         """Drop the basis and solution: the next run starts cold."""

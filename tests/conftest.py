@@ -56,9 +56,10 @@ class MasterRows(NamedTuple):
     n_fixed: int
 
 
-def run_benders_with_master(inst: Instance, config: SolveConfig):
-    """``benders.run_benders`` plus its master's rows, read back from the
-    master session, which is the only place the run keeps its cuts."""
+def run_benders_with_session(inst: Instance, config: SolveConfig):
+    """``benders.run_benders`` plus its master: the session built from
+    :func:`benders.build_rmp`'s arrays, and how many rows those arrays
+    hold."""
     built, sessions = [], []
     real_build_rmp = benders.build_rmp
 
@@ -77,6 +78,13 @@ def run_benders_with_master(inst: Instance, config: SolveConfig):
         sol = benders.run_benders(inst, config)
     assert len(built) == 1, "the master is built once per run"
     master, = [s for A, s in sessions if A is built[0][1]]
+    return sol, master, built[0][1].shape[0]
+
+
+def run_benders_with_master(inst: Instance, config: SolveConfig):
+    """``benders.run_benders`` plus its master's rows, read back from the
+    master session, which is the only place the run keeps its cuts."""
+    sol, master, n_fixed = run_benders_with_session(inst, config)
     lp = master._highs.getLp()
     assert lp.a_matrix_.format_ == be._highs.MatrixFormat.kColwise
     A = sp.csc_matrix((lp.a_matrix_.value_, lp.a_matrix_.index_,
@@ -85,7 +93,7 @@ def run_benders_with_master(inst: Instance, config: SolveConfig):
     return sol, MasterRows(A, np.asarray(lp.row_lower_),
                            np.asarray(lp.row_upper_),
                            np.asarray(lp.col_lower_),
-                           np.asarray(lp.col_upper_), built[0][1].shape[0])
+                           np.asarray(lp.col_upper_), n_fixed)
 
 
 def count_overcuts(inst: Instance, config: SolveConfig, master: MasterRows,

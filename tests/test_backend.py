@@ -452,37 +452,6 @@ def test_session_changes_match_a_fresh_solve():
     np.testing.assert_allclose(warm.duals, cold.duals, atol=1e-9)
 
 
-def test_session_integrality_relaxes_and_restores():
-    # Knapsack max 5x + 4y with 6x + 4y <= 9 over binaries: the LP takes
-    # y = 1 and x = 5/6 (8.1667), the MILP only x (5). Relaxed, a run is an
-    # LP with row duals; restored, a MILP with its bound and no duals.
-    c = np.array([-5.0, -4.0])
-    session = be.Session(c, sp.csr_matrix([[6.0, 4.0]]), np.array(["<="]),
-                         np.array([9.0]), np.zeros(2), np.ones(2),
-                         np.array([1, 1]))
-    assert session.has_integers
-    session.set_integrality([0, 1], False)
-    assert not session.has_integers
-    relaxed = session.run()
-    assert relaxed.status == "optimal" and not relaxed.has_integers
-    assert relaxed.objective == pytest.approx(-49.0 / 6.0)
-    np.testing.assert_allclose(relaxed.primal, [5.0 / 6.0, 1.0], atol=1e-9)
-    np.testing.assert_allclose(relaxed.duals, [-5.0 / 6.0], atol=1e-9)
-
-    session.set_integrality([0, 1], True)
-    assert session.has_integers
-    integral = session.run()
-    assert integral.status == "optimal" and integral.has_integers
-    assert integral.objective == pytest.approx(-5.0)
-    assert integral.best_bound == pytest.approx(-5.0)
-    assert integral.duals is None
-    np.testing.assert_allclose(integral.primal, [1.0, 0.0], atol=1e-9)
-
-    with pytest.raises(be.BackendError):
-        session.set_integrality([2], False)
-    assert session.has_integers
-
-
 def test_milp_rerun_after_a_solve_error_goes_again_cold():
     # HiGHS can end a MILP re-run in "Solve error" when it finds its own
     # optimum off a row by 1e-6; the session clears the solver and runs
@@ -849,6 +818,20 @@ def test_every_parameter_is_read():
                        for p in params
                        if p not in read and p not in ("self", "cls")]
     assert unread == []
+
+
+def test_every_session_method_is_called_in_the_package():
+    # A Session capability only tests call is a capability nothing needs:
+    # every public method of backend.Session is called by name somewhere
+    # in the package.
+    called = {node.func.attr
+              for path in Path(railvolt.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    public = {name for name, member in vars(be.Session).items()
+              if callable(member) and not name.startswith("_")}
+    assert sorted(public - called) == []
 
 
 def test_every_solve_config_setting_is_read():
